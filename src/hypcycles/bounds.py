@@ -9,24 +9,23 @@ as (log magnitude, sign) so that sweeps up to mu = 60 stay in range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gamma as _gamma
 
 from .cycles import PreparedCycle
 from .lorentz import check_membership, require_lorentz
 from .quadrature import quad_gk
 from .transform import (
+    _EXP_CUT,
     KScaledInterpolator,
     _nu_value,
     bessel_k,
     bessel_k_scaled,
+    selberg_transform_closed,
     selberg_transform_quadrature,
 )
-
-_EXP_CUT = 770.0
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +36,7 @@ def weyl_count(x, d, volume):
     """Leading Weyl term vol/((4 pi)^(d/2) Gamma(d/2+1)) x^d."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return volume / ((4.0 * np.pi) ** (d / 2.0) * _gamma(d / 2.0 + 1.0)) * x ** d
+    return volume / ((4.0 * np.pi) ** (d / 2.0) * math.gamma(d / 2.0 + 1.0)) * x ** d
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +61,7 @@ class SpectrumModel:
     @classmethod
     def synthetic_weyl(cls, d, volume, r_max):
         """r_j solving N(r_j) = j for the leading Weyl term, up to r_max."""
-        c = volume / ((4.0 * np.pi) ** (d / 2.0) * _gamma(d / 2.0 + 1.0))
+        c = volume / ((4.0 * np.pi) ** (d / 2.0) * math.gamma(d / 2.0 + 1.0))
         j_max = int(np.floor(c * r_max ** d))
         j = np.arange(1, j_max + 1, dtype=float)
         return cls(d=d, volume=volume, r=(j / c) ** (1.0 / d),
@@ -135,44 +134,15 @@ class BoxDomain:
         return self.v_volume * float(radial)
 
 
-def _sigma0_inner_quadrature(n, mu, nu_bar, rel_tol):
-    """Direct 2D quadrature of the inner layer integral
-
-        int_{R^(n-1) x R_+} exp[-mu/2 ((|u|^2+1)/s + s)] s^(nubar + rho0 - n) ds du
-
-    reduced to radial u; equals 2^n (pi/2mu)^((n-1)/2) K_nubar(mu).
-    """
-    rho0 = (n - 1) / 2.0
-    sphere = 2.0 * np.pi ** ((n - 1) / 2.0) / _gamma((n - 1) / 2.0)
-    c = abs(nu_bar.real) + rho0 + n + 1.0
-    Y = float(np.arccosh(2.0 * (_EXP_CUT + 40.0) / mu + 1.0))
-    for _ in range(4):
-        Y = float(np.arccosh(2.0 * (_EXP_CUT + 40.0 + c * Y) / mu + 1.0))
-    Y += 1.0
-    inner_tol = max(rel_tol * 1e-2, 1e-13)
-    expo = nu_bar + rho0 - n + 1.0
-
-    def outer(y):
-        s = np.exp(y)
-        z = 0.5 * mu / s
-        sig_hi = np.sqrt((_EXP_CUT + 20.0) / z)
-        rad = quad_gk(lambda sig: sig ** (n - 2) * np.exp(-z * sig * sig),
-                      0.0, sig_hi, rel_tol=inner_tol).value
-        return rad * np.exp(-0.5 * mu * (s + 1.0 / s) + expo * y)
-
-    res = quad_gk(outer, -Y, Y, rel_tol=rel_tol, vectorized=False)
-    if not res.converged:
-        raise RuntimeError("main-term inner quadrature did not converge")
-    return sphere * res.value
-
-
 def sigma0_model(cfg, mu, nu, box, rel_tol=1e-8):
     """Main-term model integral over the window: closed form
 
         2^n (pi/2mu)^((n-1)/2) K_nubar(mu) * int_box r^(2 Re nu - 1) dr dv
 
     against direct quadrature of the layered integral.  Returns
-    (closed, quadrature, rel_err).
+    (closed, quadrature, rel_err).  Both sides are the n-dimensional
+    spherical transform at nubar times the window integral, so the
+    transform's quadrature cost guard n <= 6 applies.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -180,10 +150,10 @@ def sigma0_model(cfg, mu, nu, box, rel_tol=1e-8):
     nu_c = complex(_nu_value(nu))
     nu_bar = nu_c.conjugate()
     i_nu = box.i_nu(nu_c)
-    closed = (2.0 ** n * (np.pi / (2.0 * mu)) ** ((n - 1) / 2.0)
-              * complex(bessel_k(nu_bar, mu)) * i_nu)
-
-    inner = _sigma0_inner_quadrature(n, mu, nu_bar, rel_tol)
+    closed = selberg_transform_closed(n, mu, nu_bar) * i_nu
+    # the layered integral over (u, s) is the transform integral at -nubar
+    # after the substitution s = 1/r
+    inner = selberg_transform_quadrature(n, mu, -nu_bar, rel_tol=rel_tol)
     r_lo, r_hi = box.r_bounds
     a = 2.0 * nu_c.real
     radial = quad_gk(lambda r: r ** (a - 1.0), r_lo, r_hi,
@@ -213,6 +183,8 @@ class JGammaResult:
 def _delta_scan(prep, u_range, grid=33):
     """Minimum of delta_u over the window, plus the refined minimum of N_u
     (the convergence witness); grid scans polished by Nelder-Mead."""
+    from scipy.optimize import minimize
+
     axes = [np.linspace(lo, hi, grid) for lo, hi in u_range]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -403,15 +375,3 @@ def envelope_fraction(row):
     """Error envelope as a fraction of the rescaled main term."""
     return float(np.exp(row.envelope_log - row.value_log))
 
-
-def sigma0_closed_log(cfg, mu, nu, box):
-    """(log |Sigma0 closed form|, sign) for large-mu work."""
-    n = cfg.n
-    nu_bar = complex(_nu_value(nu)).conjugate()
-    kscaled = bessel_k_scaled(nu_bar if abs(nu_bar.imag) > 1e-14 else nu_bar.real, mu)
-    kscaled = float(np.real(kscaled))
-    i_nu = box.i_nu(nu)
-    log_abs = (n * np.log(2.0) + 0.5 * (n - 1) * np.log(np.pi / (2.0 * mu))
-               + np.log(abs(kscaled)) - mu + np.log(abs(i_nu)))
-    sign = int(np.sign(kscaled * i_nu)) or 1
-    return float(log_abs), sign

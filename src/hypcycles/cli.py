@@ -44,7 +44,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     output_path: str = None
     format: str = "csv"
-    workers: int = 1
 
     def __post_init__(self):
         if not (2 <= self.n <= self.d - 1):
@@ -91,7 +90,6 @@ def _build_parser():
         q.add_argument("--tol", action="append", default=[], metavar="NAME=VAL")
         q.add_argument("--out", type=str, default=None)
         q.add_argument("--format", type=str, default=None, choices=["csv", "json"])
-        q.add_argument("--workers", type=int, default=None)
         q.add_argument("--config", type=str, default=None, help="JSON config file")
     return p
 
@@ -108,7 +106,7 @@ def _config_from_args(args):
         "d": 3, "n": 2, "mu_list": [1.0], "nu_re": 0.0, "nu_im": 0.0, "u": [],
         "generators_path": None, "max_word_length": 6,
         "tolerances": dict(DEFAULT_TOLERANCES), "output_path": None,
-        "format": "csv", "workers": 1,
+        "format": "csv",
     }
     for key in merged:
         if key in base:
@@ -136,8 +134,6 @@ def _config_from_args(args):
         merged["output_path"] = args.out
     if args.format is not None:
         merged["format"] = args.format
-    if args.workers is not None:
-        merged["workers"] = args.workers
     for item in args.tol:
         if "=" not in item:
             raise ConfigError(f"bad --tol {item!r}, expected NAME=VAL")
@@ -153,7 +149,7 @@ def _config_from_args(args):
             generators_path=merged["generators_path"],
             max_word_length=merged["max_word_length"],
             tolerances=merged["tolerances"], output_path=merged["output_path"],
-            format=merged["format"], workers=merged["workers"],
+            format=merged["format"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -291,8 +287,7 @@ def _experiment_table(config):
     table = orbits.coset_reduce(ball, cfg, mode="double", tol=config.tol("coset"),
                                 quant=config.tol("quant"))
     u = np.asarray(config.u if config.u else np.zeros(cfg.n - 1))
-    spec = orbits.delta_spectrum(table, u, cfg, workers=config.workers)
-    return spec
+    return orbits.delta_spectrum(table, u, cfg)
 
 
 def cmd_delta(config):
@@ -357,7 +352,8 @@ def cmd_transform(config):
     worst = 0.0
     for mu in config.mu_list:
         hc = transform.selberg_transform_closed(config.d, mu, config.nu)
-        hq = transform.selberg_transform_quadrature(config.d, mu, config.nu)
+        hq = transform.selberg_transform_quadrature(config.d, mu, config.nu,
+                                                    rel_tol=config.tol("quad"))
         rel = abs(hc - hq) / max(abs(hc), 1e-300)
         worst = max(worst, rel)
         records.append({

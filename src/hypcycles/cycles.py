@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .decompose import ank, from_horospherical, minkowski_pairing, to_horospherical
 from .lorentz import CycleConfig, check_membership, require_lorentz
@@ -162,6 +161,8 @@ def min_dist_to_cycle(point, cfg, seed=None, max_iter=500, tol=1e-12):
     refinement.  Raises RuntimeError with the iterate trace if the
     refinement fails to converge.
     """
+    from scipy.optimize import minimize, minimize_scalar
+
     point = np.asarray(point, dtype=float)
     n = cfg.n
     if seed is None:

@@ -1,7 +1,7 @@
 """Iwasawa (NAK / ANK) and Cartan (KA+K) factorizations, hyperbolic distance.
 
 Horospherical coordinates (u, r) in R^(d-1) x R_+ parameterize the upper
-hyperboloid sheet through the point n_u a_r . xi0; the metric normalization
+hyperboloid sheet through the point n_u a_r . o; the metric normalization
 is fixed so that dist(a_t . o, o) = |t|.
 """
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import (
-    basepoint,
     make_boost,
     make_scale,
     make_unipotent,
@@ -72,7 +71,7 @@ class KakFactors:
 def nak(g, tol=1e-9):
     """NAK factors from the first column of g.
 
-    With p = g . xi0 one has p0 - p1 = 1/s and p[2:] = w/s, which determines
+    With p = g . o one has p0 - p1 = 1/s and p[2:] = w/s, which determines
     the NA part; the compact factor is whatever is left over.
     """
     g = require_lorentz(g, tol=tol)
@@ -156,13 +155,8 @@ def dist_horospherical(u, r, v, t):
     return float(np.arccosh(max(arg, 1.0)))
 
 
-def is_hyperboloid_point(p, tol=1e-9):
-    p = np.asarray(p, dtype=float)
-    return p[0] > 0 and abs(p[0] ** 2 - p[1:] @ p[1:] - 1.0) <= tol
-
-
 def from_horospherical(u, r):
-    """Point n_u a_r . xi0 of the upper sheet."""
+    """Point n_u a_r . o of the upper sheet."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if r <= 0:
         raise ValueError("horospherical height must be positive")
@@ -185,28 +179,3 @@ def random_point(rng, d, u_scale=2.0, logr_scale=1.0):
     u = u_scale * rng.uniform(-1, 1, size=d - 1)
     r = float(np.exp(logr_scale * rng.uniform(-1, 1)))
     return from_horospherical(u, r)
-
-
-def apply(g, p):
-    """Action of the group on points of the sheet."""
-    return np.asarray(g) @ np.asarray(p)
-
-
-def orbit_of_basepoint(g):
-    """g . xi0, i.e. the first column of g."""
-    g = np.asarray(g)
-    return g[:, 0].copy()
-
-
-def point_of(g):
-    return orbit_of_basepoint(g)
-
-
-def dist_to_basepoint(g):
-    """Boost rapidity of the Cartan middle factor: cosh t = g00."""
-    g = np.asarray(g, dtype=float)
-    return float(np.arccosh(max(g[0, 0], 1.0)))
-
-
-def xi0(d):
-    return basepoint(d)

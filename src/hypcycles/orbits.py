@@ -326,34 +326,21 @@ def _merge_double(ball, cfg, class_of, rep_ids, mats, gamma0_max_len, tol, quant
     return np.asarray([find(int(c)) for c in class_of])
 
 
-def delta_spectrum(table, u, cfg, tol=1e-9, workers=None):
+def delta_spectrum(table, u, cfg, tol=1e-9):
     """Delta values of the nontrivial class representatives, sorted
     nondecreasing.  Returns a new table whose entries are the
     representatives with delta and (M, N_u, Q_u) filled in."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     trivial = table.trivial_class_id()
-    reps = [e for e in table.representatives() if e.coset_id != trivial]
     rows = []
-    mats = [e.matrix for e in reps]
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            invs = list(pool.map(_invariants_task,
-                                 [(m, u, cfg.d, cfg.n, tol) for m in mats],
-                                 chunksize=16))
-    else:
-        invs = [_invariants_task((m, u, cfg.d, cfg.n, tol)) for m in mats]
-    for e, (M, N_u, Q_u, delta) in zip(reps, invs):
-        rows.append(replace(e, delta=delta, M=M, N_u=N_u, Q_u=Q_u))
+    for e in table.representatives():
+        if e.coset_id == trivial:
+            continue
+        inv = cycle_invariants(e.matrix, u, cfg, tol=tol)
+        rows.append(replace(e, delta=float(inv.delta), M=inv.M, N_u=inv.N_u, Q_u=inv.Q_u))
     rows.sort(key=lambda e: (e.delta, e.word))
     return OrbitTable(entries=tuple(rows), cfg=cfg, mode=table.mode,
                       gamma0_max_len=table.gamma0_max_len, quant=table.quant)
-
-
-def _invariants_task(args):
-    m, u, d, n, tol = args
-    inv = cycle_invariants(m, u, CycleConfig(d, n), tol=tol)
-    return inv.M, inv.N_u, inv.Q_u, float(inv.delta)
 
 
 def counting_function(table, x_grid):

@@ -52,7 +52,7 @@ class QuadResult:
     value: complex
     error: float
     neval: int
-    converged: bool
+    converged: bool     # always True: quad_gk raises instead of returning unconverged
 
 
 def quad_gk(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096,
@@ -61,8 +61,9 @@ def quad_gk(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096,
 
     ``f`` must accept an ndarray of nodes and return values of the same shape
     when ``vectorized``; otherwise it is called point-wise.  Returns a
-    :class:`QuadResult`; ``converged`` is False when the panel limit was hit
-    before the error dropped below ``max(rel_tol*|I|, abs_tol)``.
+    :class:`QuadResult` whose error estimate is at most
+    ``max(rel_tol*|I|, abs_tol)``; raises RuntimeError when ``max_panels``
+    panels are reached first, so non-convergence is never silent.
     """
     if not np.isfinite(a) or not np.isfinite(b):
         raise ValueError("quad_gk needs finite integration bounds")
@@ -85,7 +86,10 @@ def quad_gk(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096,
         if err_total <= target:
             return QuadResult(total, err_total, neval, True)
         if lo.size >= max_panels:
-            return QuadResult(total, err_total, neval, False)
+            raise RuntimeError(
+                f"quad_gk did not converge on [{float(a)!r}, {float(b)!r}]: {max_panels} panels "
+                f"reached with error {err_total:.3e} > target {target:.3e}"
+            )
 
         budget = target / (2.0 * lo.size)
         split = errs > budget

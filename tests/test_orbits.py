@@ -169,16 +169,6 @@ def test_delta_spectrum_sorted_and_left_constant():
     assert checked > 0
 
 
-def test_delta_spectrum_workers_deterministic():
-    gens = ob.picard_generators()
-    ball = ob.ball_enumerate(gens, 3)
-    table = ob.coset_reduce(ball, CFG, mode="double")
-    one = ob.delta_spectrum(table, [0.0], CFG, workers=1)
-    two = ob.delta_spectrum(table, [0.0], CFG, workers=2)
-    assert [e.word for e in one.entries] == [e.word for e in two.entries]
-    assert [e.delta for e in one.entries] == [e.delta for e in two.entries]
-
-
 def test_counting_function_step_and_monotone():
     gens = ob.picard_generators()
     ball = ob.ball_enumerate(gens, 4)

@@ -246,3 +246,11 @@ def test_quadrature_engine_basics():
     assert abs(res.value - 2j) < 1e-12
     with pytest.raises(ValueError):
         quad_gk(lambda x: x, 1.0, 0.0)
+
+
+def test_quadrature_nonconvergence_raises():
+    # a jump off every bisection point cannot meet 1e-9 within 8 panels
+    step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
+    with pytest.raises(RuntimeError, match=r"did not converge on \[0\.0, 1\.0\]: 8 panels"):
+        quad_gk(step, 0.0, 1.0, max_panels=8)
+    assert quad_gk(step, 0.0, 1.0, rel_tol=1e-9).value == pytest.approx(2.0 / 3.0, rel=1e-9)
