@@ -10,13 +10,13 @@ as (log magnitude, sign) so that sweeps up to mu = 60 stay in range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cycles import PreparedCycle
 from .lorentz import check_membership, require_lorentz
-from .quadrature import quad_gk
+from .quadrature import quad_family, quad_gk
 from .transform import (
     _EXP_CUT,
     KScaledInterpolator,
@@ -250,32 +250,36 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu, rel_tol=1e-7):
     z_hi = mu * sqrt_dmin + _EXP_CUT + 120.0
     table = KScaledInterpolator(nu_r, mu * sqrt_dmin * 0.999, z_hi)
 
-    def inner(u):
-        inv = prep.invariants(np.atleast_1d(u))
-        if inv.N_u < 0.25 * n_min:
+    def inner(points):
+        # the r-integrals at every window point of a wave, one family
+        invs = [prep.invariants(u) for u in points]
+        node = {key: np.array([getattr(inv, key) for inv in invs])
+                for key in ("M", "N_u", "Q_u", "beta")}
+        if np.any(node["N_u"] < 0.25 * n_min):
             raise RuntimeError("window scan missed an N_u degeneration; "
                                "shrink the window or refine the scan")
-        r_hi = ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin) / np.sqrt(inv.M)
-        r_lo = np.sqrt(inv.N_u) / ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin)
+        r_hi = ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin) / np.sqrt(node["M"])
+        r_lo = np.sqrt(node["N_u"]) / ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin)
 
-        def logf(x):
+        def integrand(x, k):
+            # the invariants of each value's own window point, so that
+            # f(r) and s1(r) evaluate node by node
+            inv = replace(invs[0], **{key: v[k] for key, v in node.items()})
             r = np.exp(x)
             f = inv.f(r)
             sf = np.sqrt(f)
             z = mu * sf
             s1 = inv.s1(r)
-            return (nu_r * np.log(sf) + table.log_k(np.minimum(z, z_hi))
-                    + mu * sqrt_dmin
-                    - np.where(z > z_hi, z - z_hi, 0.0)
-                    + (nu_r + rho0) * np.log(s1)
-                    + (nu_r + rho0 - n + 1.0) * x)
+            return np.exp(nu_r * np.log(sf) + table.log_k(np.minimum(z, z_hi))
+                          + mu * sqrt_dmin
+                          - np.where(z > z_hi, z - z_hi, 0.0)
+                          + (nu_r + rho0) * np.log(s1)
+                          + (nu_r + rho0 - n + 1.0) * x)
 
-        res = quad_gk(lambda x: np.exp(logf(x)),
-                      float(np.log(r_lo)) - 2.0, float(np.log(r_hi)) + 2.0,
-                      rel_tol=rel_tol * 1e-1)
-        return res.value
+        return quad_family(integrand, np.log(r_lo) - 2.0, np.log(r_hi) + 2.0,
+                           rel_tol=rel_tol * 1e-1).value
 
-    val = _nested_quad(inner, u_range, rel_tol)
+    val = _nested_quad(inner, u_range, rel_tol)[0]
     pref = 2.0 ** n * (np.pi / (2.0 * mu)) ** ((n - 1) / 2.0)
     log_value = float(np.log(pref) + np.log(val) - mu * sqrt_dmin)
     return JGammaResult(log_value=log_value,
@@ -284,15 +288,21 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu, rel_tol=1e-7):
                         n_min=float(n_min))
 
 
-def _nested_quad(f, ranges, rel_tol):
-    """Iterated scalar quadrature over a product of intervals."""
-    lo, hi = ranges[0]
-    if len(ranges) == 1:
-        return quad_gk(lambda u: f(float(u)), lo, hi,
-                       rel_tol=rel_tol, vectorized=False).value
-    return quad_gk(lambda u: _nested_quad(lambda rest: f(np.concatenate([[u], np.atleast_1d(rest)])),
-                                          ranges[1:], rel_tol),
-                   lo, hi, rel_tol=rel_tol, vectorized=False).value
+def _nested_quad(f, ranges, rel_tol, heads=np.zeros((1, 0))):
+    """Iterated quadrature over a product of intervals, one family per wave.
+
+    ``f`` maps an (m, len(heads[0]) + len(ranges)) array of points to m
+    values.  Returns, for each row of ``heads``, the integral of f over the
+    points extending that row by a point of the product; every level
+    integrates the next coordinate at all nodes of the level above at once.
+    """
+    (lo, hi), rest = ranges[0], ranges[1:]
+
+    def g(u, k):
+        points = np.column_stack([heads[k], u])
+        return _nested_quad(f, rest, rel_tol, points) if rest else f(points)
+
+    return quad_family(g, lo, np.full(len(heads), hi), rel_tol=rel_tol).value
 
 
 def j_gamma_decay_check(results_by_mu, slack_degree):

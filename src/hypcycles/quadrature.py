@@ -1,9 +1,20 @@
 """Adaptive Gauss-Kronrod quadrature with vectorized, complex-capable integrands.
 
-A single (G7, K15) panel rule is refined by bisection in waves: every panel
-whose error estimate exceeds its share of the global budget is split, and all
-new panels are evaluated in one batched call.  The splitting order is a pure
-function of the integrand values, so results are bit-reproducible.
+A single (G7, K15) panel rule (QUADPACK dqk15) is refined by bisection in
+waves: every panel whose error estimate exceeds its share of the global
+budget is split, and all new panels are evaluated in one batched call.
+
+``quad_family`` integrates a family of m integrands f(x, k) over their own
+intervals [a_k, b_k].  Each member is refined as if it were alone (its own
+target max(rel_tol |I_k|, abs_tol), error budget and panel cap); only the
+integrand calls are shared, one array call per wave for every panel of every
+unconverged member.  A nested integral thus costs one family per wave of its
+outer rule instead of one scalar call per outer node.  ``quad_gk`` is the
+family of one.
+
+A member's panels keep their own order inside the shared arrays and its sums
+run over them in that order, so its result is a pure function of its own
+integrand values: bit-reproducible, and the same in any family as alone.
 """
 
 from __future__ import annotations
@@ -55,70 +66,131 @@ class QuadResult:
     converged: bool     # always True: quad_gk raises instead of returning unconverged
 
 
-def quad_gk(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096,
-            vectorized=True, min_panels=1):
+@dataclass
+class FamilyResult:
+    """Per-member value, error estimate and integrand evaluations, as arrays."""
+
+    value: np.ndarray
+    error: np.ndarray
+    neval: np.ndarray
+
+
+def quad_gk(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
     """Integrate ``f`` over [a, b].
 
-    ``f`` must accept an ndarray of nodes and return values of the same shape
-    when ``vectorized``; otherwise it is called point-wise.  Returns a
-    :class:`QuadResult` whose error estimate is at most
+    ``f`` must accept an ndarray of nodes and return values of the same
+    shape.  Returns a :class:`QuadResult` whose error estimate is at most
     ``max(rel_tol*|I|, abs_tol)``; raises RuntimeError when ``max_panels``
     panels are reached first, so non-convergence is never silent.
     """
-    if not np.isfinite(a) or not np.isfinite(b):
-        raise ValueError("quad_gk needs finite integration bounds")
-    if b <= a:
-        raise ValueError("quad_gk needs b > a")
-    if not vectorized:
-        g = f
-        f = lambda x: np.array([g(xi) for xi in x])
+    res = quad_family(lambda x, k: f(x), a, b, rel_tol, abs_tol, max_panels)
+    return QuadResult(res.value[0], res.error[0], int(res.neval[0]), True)
 
-    edges = np.linspace(a, b, min_panels + 1)
-    lo = edges[:-1]
-    hi = edges[1:]
-    vals, errs = _eval_panels(f, lo, hi)
-    neval = 15 * lo.size
+
+def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
+    """Integrate the members ``f(., k)`` of a family over [a[k], b[k]].
+
+    ``f(x, k)`` takes equal-shaped arrays of nodes and member indices and
+    returns the values of member ``k[i]`` at ``x[i]``.  ``a`` and ``b``
+    broadcast to the family size.  Returns a :class:`FamilyResult`; raises
+    RuntimeError naming the interval of a member that reaches ``max_panels``
+    unconverged or whose estimates are not finite.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    width = b - a               # not finite when a bound is not
+    if not np.isfinite(width).all():
+        raise ValueError("quad_gk needs finite integration bounds")
+    if (width <= 0.0).any():
+        raise ValueError("quad_gk needs b > a")
+    m = a.size
+    ids = np.arange(m)          # the unconverged members; owner indexes into ids
+    owner = np.arange(m)
+    lo, hi = a, b
+    vals, errs = _eval_panels(f, lo, hi, owner)
+    value = np.zeros(m, dtype=vals.dtype)
+    error = np.zeros(m)
+    neval = np.zeros(m, dtype=int)
 
     while True:
-        total = vals.sum()
-        err_total = errs.sum()
-        target = max(rel_tol * abs(total), abs_tol)
-        if err_total <= target:
-            return QuadResult(total, err_total, neval, True)
-        if lo.size >= max_panels:
-            raise RuntimeError(
-                f"quad_gk did not converge on [{float(a)!r}, {float(b)!r}]: {max_panels} panels "
-                f"reached with error {err_total:.3e} > target {target:.3e}"
-            )
+        count = np.bincount(owner, minlength=ids.size)
+        total = _member_sum(vals, owner, ids.size)
+        err_total = np.bincount(owner, weights=errs, minlength=ids.size)
+        target = np.maximum(rel_tol * np.abs(total), abs_tol)
+        done = err_total <= target
+        if np.count_nonzero(done):
+            value[ids[done]] = total[done]
+            error[ids[done]] = err_total[done]
+            # each split evaluates two panels and adds one
+            neval[ids[done]] = 15 * (2 * count[done] - 1)
+            todo = ~done
+            if not np.count_nonzero(todo):
+                return FamilyResult(value, error, neval)
+            keep = todo[owner]
+            owner = (np.cumsum(todo) - 1)[owner[keep]]
+            lo, hi, vals, errs = lo[keep], hi[keep], vals[keep], errs[keep]
+            ids, count, err_total, target = ids[todo], count[todo], err_total[todo], target[todo]
+        finite = np.isfinite(err_total + target)
+        if np.count_nonzero(finite) < finite.size:
+            _raise(ids, a, b, ~finite, lambda j:
+                   f"non-finite integrand or error estimate {err_total[j]:.3e}")
+        most = count.max()
+        if most >= max_panels:
+            _raise(ids, a, b, count >= max_panels, lambda j:
+                   f"{max_panels} panels reached with error {err_total[j]:.3e} "
+                   f"> target {target[j]:.3e}")
 
-        budget = target / (2.0 * lo.size)
-        split = errs > budget
-        if not split.any():
-            split = errs >= errs.max()
-        n_new = min(int(split.sum()), max(1, (max_panels - lo.size)))
-        if n_new < split.sum():
-            # keep only the worst offenders when close to the panel cap
-            order = np.argsort(errs)[::-1][:n_new]
-            split = np.zeros_like(split)
-            split[order] = True
+        # every unconverged member has a panel above its budget: the budgets
+        # add up to half the target, which its error total exceeds
+        split = errs > (target / (2.0 * count))[owner]
+        if 2 * most > max_panels:
+            room = np.maximum(1, max_panels - count)
+            for j in np.flatnonzero(np.bincount(owner[split], minlength=ids.size) > room):
+                # keep only the worst offenders when close to the panel cap
+                mine = np.flatnonzero(owner == j)
+                split[mine] = False
+                split[mine[np.argsort(errs[mine])[::-1][:room[j]]]] = True
 
+        # a member's panels stay in the order [unsplit, left halves, right halves]
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        new_vals, new_errs = _eval_panels(f, np.concatenate([lo[split], mid]),
-                                          np.concatenate([mid, hi[split]]))
-        neval += 30 * int(split.sum())
-        vals = np.concatenate([vals[~split], new_vals])
-        errs = np.concatenate([errs[~split], new_errs])
-        lo, hi = new_lo, new_hi
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_owner = np.concatenate([owner[split]] * 2)
+        new_vals, new_errs = _eval_panels(f, new_lo, new_hi, ids[new_owner])
+        whole = ~split
+        lo = np.concatenate([lo[whole], new_lo])
+        hi = np.concatenate([hi[whole], new_hi])
+        vals = np.concatenate([vals[whole], new_vals])
+        errs = np.concatenate([errs[whole], new_errs])
+        owner = np.concatenate([owner[whole], new_owner])
 
 
-def _eval_panels(f, lo, hi):
+def _member_sum(vals, owner, m):
+    """Per-member sums, each over the member's panels in their array order."""
+    if not np.iscomplexobj(vals):
+        return np.bincount(owner, weights=vals, minlength=m)
+    out = np.empty(m, dtype=complex)
+    out.real = np.bincount(owner, weights=vals.real, minlength=m)
+    out.imag = np.bincount(owner, weights=vals.imag, minlength=m)
+    return out
+
+
+def _raise(ids, a, b, bad, detail):
+    """Raise for the first flagged member, naming its interval."""
+    j = int(np.flatnonzero(bad)[0])
+    k = ids[j]
+    raise RuntimeError(f"quad_gk did not converge on [{float(a[k])!r}, {float(b[k])!r}]: "
+                       + detail(j))
+
+
+def _eval_panels(f, lo, hi, owner):
     """K15/G7 values and error estimates for a batch of panels."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * XK[None, :]
-    fv = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+    fv = np.asarray(f(nodes.ravel(), owner.repeat(XK.size))).reshape(nodes.shape)
     k15 = (fv * WK[None, :]).sum(axis=1) * half
     g7 = (fv * WG[None, :]).sum(axis=1) * half
     errs = np.abs(k15 - g7)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import quad_gk
+from .quadrature import quad_family, quad_gk
 
 MAX_REAL_ORDER = 50.0
 _EXP_CUT = 770.0           # exp(-770) underflows with margin
@@ -257,7 +257,8 @@ class KScaledInterpolator:
     """Cubic log-log spline of exp(z) K_nu(z) for real nu on [z_lo, z_hi].
 
     Built from the batch evaluator and self-audited against the adaptive
-    one at off-grid points; raises if the audit misses ``check_tol``.
+    one at off-grid points spread over [z_lo, z_hi]; raises if the audit
+    misses ``check_tol``.
     """
 
     def __init__(self, order, z_lo, z_hi, n=500, check_tol=1e-8):
@@ -273,7 +274,10 @@ class KScaledInterpolator:
         logz = np.linspace(np.log(z_lo), np.log(z_hi), n)
         vals = bessel_k_scaled_batch(self.order, np.exp(logz))
         self._spline = CubicSpline(logz, np.log(vals))
-        probe = np.exp(0.5 * (logz[3:40:7] + logz[4:41:7]))
+        # six probes, at the midpoints of cells spread over the whole table
+        # (the first and the last included, where the spline ends are weakest)
+        cells = np.linspace(0, n - 2, 6).round().astype(int)
+        probe = np.exp(0.5 * (logz[cells] + logz[cells + 1]))
         for zp in probe:
             ref = bessel_k_scaled(self.order, float(zp))
             got = float(self(zp))
@@ -432,19 +436,16 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
 
     inner_tol = max(rel_tol * 1e-2, 1e-13)
 
-    def radial(x):
+    def outer(x):
+        # the inner Gaussian integrals at every node of the wave, one family
         r = np.exp(x)
         z = 0.5 * mu * r
         rad_hi = np.sqrt((_EXP_CUT + 20.0) / z)
-        res = quad_gk(lambda s: s ** (d - 2) * np.exp(-z * s * s),
-                      0.0, rad_hi, rel_tol=inner_tol)
-        return res.value
+        radial = quad_family(lambda s, k: s ** (d - 2) * np.exp(-z[k] * s * s),
+                             0.0, rad_hi, rel_tol=inner_tol).value
+        return radial * np.exp(-0.5 * mu * (r + 1.0 / r) + (nu_c + rho) * x)
 
-    def outer(x):
-        r = np.exp(x)
-        return radial(x) * np.exp(-0.5 * mu * (r + 1.0 / r) + (nu_c + rho) * x)
-
-    val = sphere * quad_gk(outer, -X, X, rel_tol=rel_tol, vectorized=False).value
+    val = sphere * quad_gk(outer, -X, X, rel_tol=rel_tol).value
     if isinstance(nu, SpectralParam) or np.iscomplexobj(np.asarray(_nu_value(nu))) \
             or isinstance(_nu_value(nu), complex):
         return complex(val)

@@ -123,6 +123,15 @@ def test_j_gamma_two_direction_window():
     assert res.delta_min > 1.0
 
 
+def test_nested_quadrature_over_a_box():
+    # one family per level; a product integrand gives the product of the
+    # one-dimensional integrals
+    f = lambda p: np.exp(-p[:, 0]) * np.cos(p[:, 1]) * (1.0 + p[:, 2] ** 2)
+    val = bd._nested_quad(f, ((0.0, 2.0), (-1.0, 0.5), (0.0, 1.0)), 1e-10)[0]
+    exact = (1.0 - np.exp(-2.0)) * (np.sin(0.5) + np.sin(1.0)) * (4.0 / 3.0)
+    assert val == pytest.approx(exact, rel=1e-10)
+
+
 def test_spectral_tail_bound():
     spec = bd.SpectrumModel.synthetic_weyl(3, 1.0, 90.0)
     t10, between10 = bd.spectral_tail_bound(spec, 1.0, 10.0)

@@ -99,6 +99,37 @@ def test_interpolation_table_audit():
         assert float(table.log_k(zi)) == pytest.approx(tr.log_bessel_k(0.3, float(zi)), abs=1e-8)
 
 
+def test_interpolation_audit_covers_the_table_end(monkeypatch):
+    # a 1e-6 error in the last table values must trip the self-audit
+    batch = tr.bessel_k_scaled_batch
+
+    def perturbed(order, z):
+        z = np.atleast_1d(z)
+        return batch(order, z) * np.where(z > 880.0, 1.0 + 1e-6, 1.0)
+
+    monkeypatch.setattr(tr, "bessel_k_scaled_batch", perturbed)
+    with pytest.raises(RuntimeError, match="self-audit"):
+        tr.KScaledInterpolator(0.3, 0.5, 900.0)
+
+
+def test_bessel_against_mpmath_grid():
+    # mpmath at 30 digits as a third route against the integral form
+    # K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt (DLMF 10.32.9) that
+    # bessel_k integrates, from small x up to x = 50, where the
+    # large-argument expansion (DLMF 10.40.2) governs K
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for nu in (0.0, 0.5, 1.7, 3.3, 1j, 2.5j, 0.5 + 1j):
+        for x in (0.1, 0.3, 1.0, 2.5, 5.0, 10.0, 20.0, 35.0, 50.0):
+            ref = complex(mpmath.besselk(nu, x))
+            assert abs(complex(tr.bessel_k(nu, x)) - ref) <= 1e-8 * abs(ref), (nu, x)
+    # exp(pi r/2) K_ir(x) on the rotated contour, oscillatory regime included
+    for r in (2.0, 8.0, 15.0, 25.0, 40.0):
+        for x in (0.5, 1.0, 3.0, 10.0):
+            ref = float(mpmath.re(mpmath.besselk(1j * r, x) * mpmath.exp(mpmath.pi * r / 2)))
+            assert abs(tr.bessel_k_imag_scaled(r, x) - ref) <= 1e-8 * abs(ref), (r, x)
+
+
 def test_bessel_imag_scaled_reference_and_overlap():
     assert tr.bessel_k_imag_scaled(15.0, 1.0) == pytest.approx(SCALED_R15_X1, rel=1e-8)
     assert tr.bessel_k_imag_scaled(25.0, 1.0) == pytest.approx(SCALED_R25_X1, rel=1e-8)
