@@ -86,11 +86,10 @@ def embed_m_rotation(k):
 
 
 def lorentz_inverse(g):
-    """Inverse via the form: g^-1 = J g^T J (exact for group elements)."""
+    """Inverse via the form: g^-1 = J g^T J (exact for group elements), stacks too."""
     g = np.asarray(g)
-    d = g.shape[0] - 1
-    J = minkowski_form(d)
-    return J @ g.T @ J
+    J = minkowski_form(g.shape[-1] - 1)
+    return J @ np.swapaxes(g, -1, -2) @ J
 
 
 def group_residual(g):
@@ -145,9 +144,9 @@ class CycleConfig:
 
 
 def _block_offdiag_max(g, split):
-    """Largest entry coupling coordinates [0:split) with [split:)."""
-    return max(float(np.max(np.abs(g[:split, split:]))),
-               float(np.max(np.abs(g[split:, :split]))))
+    """Largest entry coupling coordinates [0:split) with [split:), per matrix."""
+    return np.maximum(np.abs(g[..., :split, split:]).max(axis=(-2, -1)),
+                      np.abs(g[..., split:, :split]).max(axis=(-2, -1)))
 
 
 def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):

@@ -1,24 +1,26 @@
 """Word balls in finitely generated discrete subgroups, coset reduction
 relative to the cycle subgroup, delta spectra, and the counting function.
 
-Elements are deduplicated by quantized matrix entries (products of
-integer-seeded generators stay far apart), with an audit pass that catches
-rounding-boundary splits.  Left cosets are detected by the block shape of
-gamma' gamma^{-1}; double cosets additionally scan a bounded ball of the
-cycle subgroup, so double-coset reduction is approximate by construction
-and reports the ball radius used.
+Elements are deduplicated by quantized matrix entries, with an audit on two
+offset grids that catches rounding-boundary splits.  Cosets of the cycle
+subgroup are grouped on the same grids by class keys, projectors of normal
+rows (left) or columns (double), each hit confirmed by a block test.  Double
+cosets take the cycle subgroup from a bounded ball, so double-coset
+reduction is approximate by construction and reports the ball radius used.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
 from .cycles import cycle_invariants
 from .lorentz import (
     CycleConfig,
+    _block_offdiag_max,
     group_residual,
     is_lorentz,
     lorentz_inverse,
@@ -27,6 +29,8 @@ from .lorentz import (
 )
 
 LENGTH_CAP = 12
+# cell size of the dedup audit grids and of the coset class keys
+KEY_RES = 1e-6
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,11 @@ def _key(mat, quant):
     return np.round(mat / quant).astype(np.int64).tobytes()
 
 
+def _keys(stack, quant):
+    """_key of each matrix of a stack."""
+    return [k.tobytes() for k in np.round(stack / quant).astype(np.int64)]
+
+
 def ball_enumerate(gens, max_word_length, quant=1e-9, length_cap=LENGTH_CAP):
     """Breadth-first word ball: all distinct elements of word length up to
     ``max_word_length``, each with a shortest representing word (ties broken
@@ -182,85 +191,101 @@ def ball_enumerate(gens, max_word_length, quant=1e-9, length_cap=LENGTH_CAP):
 def _audit_dedup(items, quant):
     """Catch rounding-boundary splits: group coarsely (two offset grids),
     merge pairs closer than 1e-12, reject ambiguous ones."""
-    coarse = 1e-6
-    buckets = {}
-    for idx, (_, m, _) in enumerate(items):
-        for off in (0.0, 0.5):
-            k = (np.round(m / coarse + off).astype(np.int64) - np.int64(off > 0)).tobytes()
-            buckets.setdefault(k, []).append(idx)
     drop = set()
-    for idxs in buckets.values():
-        if len(idxs) < 2:
-            continue
-        for i in range(len(idxs)):
-            for j in range(i + 1, len(idxs)):
-                a, b = items[idxs[i]], items[idxs[j]]
-                gap = np.max(np.abs(a[1] - b[1]))
-                if gap < 1e-12:
-                    drop.add(max(idxs[i], idxs[j]))
-                elif gap < 1e-8:
-                    raise RuntimeError(
-                        f"dedup ambiguity between words {a[0]!r} and {b[0]!r} "
-                        f"(entry gap {gap:.3e}); tighten the quantization"
-                    )
+    for idxs in _grid_buckets(np.asarray([m.ravel() for _, m, _ in items])):
+        for i, j in combinations(idxs, 2):
+            a, b = items[i], items[j]
+            gap = np.max(np.abs(a[1] - b[1]))
+            if gap < 1e-12:
+                drop.add(j)
+            elif gap < 1e-8:
+                raise RuntimeError(
+                    f"dedup ambiguity between words {a[0]!r} and {b[0]!r} "
+                    f"(entry gap {gap:.3e}); tighten the quantization"
+                )
     for idx in sorted(drop, reverse=True):
         del items[idx]
 
 
-def _offblock_ok(mats, split, tol):
-    """Vector block test: True where the (n+1 | d-n) off-diagonal blocks vanish."""
-    a = np.max(np.abs(mats[..., :split, split:]), axis=(-2, -1))
-    b = np.max(np.abs(mats[..., split:, :split]), axis=(-2, -1))
-    return np.maximum(a, b) <= tol
+def _grid_buckets(rows):
+    """Index lists, ascending and in order of first member, of the rows
+    sharing a cell of one of two grids of spacing KEY_RES, offset by half a
+    cell, so that values one grid splits at a boundary meet on the other."""
+    buckets = []
+    for grid, off in enumerate((0.0, 0.5)):
+        cells = rows / KEY_RES
+        cells += off
+        cells = np.round(cells, out=cells).astype(np.int64)
+        order = np.lexsort(cells.T)  # stable: members stay ascending
+        cells = cells[order]
+        edges = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1]).any(axis=1), True])
+        buckets += [(order[a], grid, order[a:b])
+                    for a, b in zip(edges[:-1], edges[1:]) if b - a > 1]
+    return [idxs.tolist() for *_, idxs in sorted(buckets, key=lambda b: b[:2])]
+
+
+def _key_buckets(cols):
+    """_grid_buckets of the class keys C C^T / tr(C C^T) of the stacked
+    column blocks C (upper triangles): an orthogonal factor acting on the
+    columns cancels, and the scaling frees the key from the entries' size."""
+    i, j = np.triu_indices(cols.shape[1])
+    proj = np.einsum("nik,nik->ni", cols[:, i], cols[:, j])
+    proj /= proj[:, i == j].sum(axis=1, keepdims=True)
+    return _grid_buckets(proj)
+
+
+def _root(parent, x):
+    """Root of ``x`` in the union-find forest ``parent``: its class's first member."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _union(parent, x, y):
+    x, y = sorted((_root(parent, x), _root(parent, y)))
+    parent[y] = x
+
+
+def _join(parent, words, first, rest, quotients, split, tol, what):
+    """Merge the classes of ``first`` and of each of ``rest``.  The quotients
+    of these key hits must pass the block test at ``tol``; one that fails is
+    a key collision and raises RuntimeError naming both words."""
+    off = _block_offdiag_max(quotients, split)
+    if off.max(initial=0.0) > tol:
+        k = int(off.argmax())
+        raise RuntimeError(f"{what} key collision between words {words[first]!r} and "
+                           f"{words[rest[k]]!r} (block test {off[k]:.3e} > tol {tol:g})")
+    for j in rest:
+        _union(parent, first, int(j))
 
 
 def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=1e-8, quant=1e-9):
     """Partition a deduplicated ball into left (or double) classes mod the
     cycle subgroup, keeping the first (minimal, lexicographic) word of each
     class as its representative.
+
+    A left class G0 gamma is keyed by N^T N, N = gamma[n+1:, :]; a key hit
+    that the block test of gamma' gamma^{-1} rejects at ``tol`` raises.
     """
     if mode not in ("left", "double"):
         raise ValueError("mode must be 'left' or 'double'")
     split = cfg.n + 1
-    words = [w for w, _ in ball]
-    mats = np.asarray([m for _, m in ball])
+    words = [w or "e" for w, _ in ball]
+    mats = np.asarray([m for _, m in ball]).reshape(-1, cfg.d + 1, cfg.d + 1)
     n_el = len(ball)
 
-    inv_reps = np.zeros((max(16, n_el // 8), cfg.d + 1, cfg.d + 1))
-    n_reps = 0
-    rep_ids = []
-    class_of = np.full(n_el, -1, dtype=int)
-    for i in range(n_el):
-        if n_reps:
-            prods = np.einsum("ij,rjk->rik", mats[i], inv_reps[:n_reps])
-            hits = np.nonzero(_offblock_ok(prods, split, tol))[0]
-        else:
-            hits = []
-        if len(hits):
-            class_of[i] = hits[0]
-        else:
-            class_of[i] = n_reps
-            if n_reps == inv_reps.shape[0]:
-                inv_reps = np.concatenate([inv_reps, np.zeros_like(inv_reps)])
-            inv_reps[n_reps] = lorentz_inverse(mats[i])
-            n_reps += 1
-            rep_ids.append(i)
-
+    parent = list(range(n_el))
+    for first, *rest in _key_buckets(np.swapaxes(mats[:, split:, :], 1, 2)):
+        _join(parent, words, first, rest, mats[rest] @ lorentz_inverse(mats[first]),
+              split, tol, "left-class")
     if mode == "double":
-        class_of = _merge_double(ball, cfg, class_of, rep_ids, mats,
-                                 gamma0_max_len, tol, quant)
+        _merge_double(parent, words, mats, split, gamma0_max_len, tol, quant)
 
-    # renumber classes by first appearance
-    remap, next_id = {}, 0
-    ids = np.empty(n_el, dtype=int)
-    for i in range(n_el):
-        c = class_of[i]
-        if c not in remap:
-            remap[c] = next_id
-            next_id += 1
-        ids[i] = remap[c]
+    # roots are first members: counting them numbers classes by first appearance
+    roots = np.asarray([_root(parent, i) for i in range(n_el)], dtype=int)
+    ids = (np.cumsum(roots == np.arange(n_el)) - 1)[roots]
     entries = tuple(
-        OrbitEntry(word=words[i] or "e", matrix=mats[i],
+        OrbitEntry(word=words[i], matrix=mats[i],
                    word_length=len(words[i]) if words[i] != "e" else 0,
                    coset_id=int(ids[i]))
         for i in range(n_el)
@@ -270,60 +295,35 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=1e-8, quant=1e-9)
                       quant=quant)
 
 
-def _merge_double(ball, cfg, class_of, rep_ids, mats, gamma0_max_len, tol, quant):
-    """Merge left classes lying in one double coset: scan gamma0 in the
-    bounded cycle-subgroup ball, following rep^{-1} gamma0 rep' block tests.
-    A hash join over the enumerated ball handles the bulk; the pairwise pass
-    covers translates that left the ball.
-    """
-    split = cfg.n + 1
-    g0_ball = [m for (w, m) in ball
-               if (len(w) if w != "e" else 0) <= gamma0_max_len
-               and _offblock_ok(m[None], split, tol)[0]]
-    if not g0_ball:
-        return class_of
-    g0_stack = np.asarray(g0_ball)
+def _merge_double(parent, words, mats, split, gamma0_max_len, tol, quant):
+    """Merge left classes lying in one double coset, gamma0 ranging over the
+    bounded cycle-subgroup ball: a hash join links rep and rep gamma0 when
+    the latter is in the ball, and a key hit of C(gamma0 B) = gamma0 C(B)
+    gamma0^T on C(A), A and B live representatives and C = gamma[:, n+1:]
+    gamma[:, n+1:]^T, puts A^{-1} gamma0 B in the cycle subgroup."""
+    lengths = np.asarray([len(w) if w != "e" else 0 for w in words], dtype=int)
+    g0_stack = mats[(lengths <= gamma0_max_len) & (_block_offdiag_max(mats, split) <= tol)]
+    reps = sorted({_root(parent, i) for i in range(len(mats))})
+    index = {k: i for i, k in enumerate(_keys(mats, quant))}
+    for rid in reps:
+        for k in _keys(np.einsum("ij,gjk->gik", mats[rid], g0_stack), quant):
+            if (j := index.get(k)) is not None:
+                _union(parent, rid, j)
+    del index  # the key pass below is the memory peak
 
-    parent = list(range(int(class_of.max()) + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    index = {_key(m, quant): i for i, (w, m) in enumerate(ball)}
-    # hash join: rep * g0 found in the ball links two left classes
-    for rid in rep_ids:
-        prods = np.einsum("ij,gjk->gik", mats[rid], g0_stack)
-        for p in prods:
-            j = index.get(_key(p, quant))
-            if j is not None:
-                union(int(class_of[rid]), int(class_of[j]))
-
-    # pairwise completion: A^{-1} g0 B in the cycle subgroup merges A, B
-    live = sorted({find(int(class_of[r])) for r in rep_ids})
-    rep_of = {}
-    for rid in rep_ids:
-        rep_of.setdefault(find(int(class_of[rid])), rid)
-    live_reps = [rep_of[c] for c in live]
-    inv_live = np.asarray([lorentz_inverse(mats[r]) for r in live_reps])
-    for ai in range(len(live_reps)):
-        a_cls = find(int(class_of[live_reps[ai]]))
-        mids = np.einsum("ij,gjk->gik", inv_live[ai], g0_stack)
-        for bi in range(ai + 1, len(live_reps)):
-            b_cls = find(int(class_of[live_reps[bi]]))
-            if a_cls == b_cls:
-                continue
-            prods = np.einsum("gij,jk->gik", mids, mats[live_reps[bi]])
-            if bool(_offblock_ok(prods, split, tol).any()):
-                union(a_cls, b_cls)
-    return np.asarray([find(int(c)) for c in class_of])
+    # keys of h B for h in (1, *g0_stack) and B live, h-major, so that the
+    # first len(live) of them (h = 1) are the representatives A themselves
+    live = np.asarray(sorted({_root(parent, r) for r in reps}), dtype=int)
+    hs = np.concatenate([np.eye(mats.shape[1])[None], g0_stack])
+    moved = np.einsum("hij,ljk->hlik", hs, mats[live][:, :, split:])
+    for first, *rest in _key_buckets(moved.reshape(-1, *moved.shape[2:])):
+        if first >= len(live):
+            break  # buckets come by first member: none of the rest has an anchor
+        h, b = np.divmod(rest, len(live))
+        a, b = live[first], live[b]
+        h, b = h[b != a], b[b != a]
+        _join(parent, words, a, b, lorentz_inverse(mats[a]) @ hs[h] @ mats[b],
+              split, tol, "double-class")
 
 
 def delta_spectrum(table, u, cfg, tol=1e-9):

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ def test_ball_closure_under_generators():
                 assert ob._key(m @ g, 1e-9) in keys
 
 
+def test_dedup_audit_keeps_an_element_alone_in_its_cells():
+    # every entry lies in the lower half of its audit cell, so its cell index
+    # is the same on both offset grids; a bucket shared by the two grids would
+    # pair the element with itself and drop it as its own duplicate
+    items = [("e", np.eye(4) + 2e-7, 0)]
+    ob._audit_dedup(items, 1e-9)
+    assert len(items) == 1
+
+
 def test_ball_regression_counts():
     # pinned after the first run of the bundled experiment
     gens = ob.picard_generators()
@@ -83,15 +93,39 @@ def test_left_cosets_are_merged_by_construction():
         assert a.coset_id == b.coset_id
 
 
-def test_coset_regression_counts():
+@pytest.mark.parametrize("length, n_left, n_double", [(4, 39, 15), (6, 217, 46)],
+                         ids=["4", "6"])
+def test_coset_regression_counts(length, n_left, n_double):
     gens = ob.picard_generators()
-    ball = ob.ball_enumerate(gens, 4)
+    ball = ob.ball_enumerate(gens, length)
     left = ob.coset_reduce(ball, CFG, mode="left")
     double = ob.coset_reduce(ball, CFG, mode="double")
-    assert len(left.class_ids()) == 39
-    assert len(double.class_ids()) == 15
+    assert len(left.class_ids()) == n_left
+    assert len(double.class_ids()) == n_double
     # double classes only merge left classes
     assert len(double.class_ids()) <= len(left.class_ids())
+
+
+def test_coset_reduce_under_conjugation_is_right_or_raises():
+    # h^-1 gamma h with h = a_x n_v in the cycle subgroup maps left and double
+    # classes onto themselves, so the partition of the conjugated ball is the
+    # unconjugated one; entries grow to ~e^6, past what the absolute block
+    # tolerance resolves, and then a reduction must raise, never differ
+    ball = ob.ball_enumerate(ob.picard_generators(), 6)
+    want = {mode: [e.coset_id for e in ob.coset_reduce(ball, CFG, mode=mode).entries]
+            for mode in ("left", "double")}
+    for x in np.linspace(-3.0, 3.0, 7):
+        for v in np.linspace(-3.0, 3.0, 7):
+            h = lz.make_boost(x, 3) @ lz.make_unipotent(np.array([v, 0.0]), 3)
+            h_inv = lz.lorentz_inverse(h)
+            conj = [(w, h_inv @ g @ h) for w, g in ball]
+            for mode, ids in want.items():
+                try:
+                    table = ob.coset_reduce(conj, CFG, mode=mode)
+                except RuntimeError as exc:
+                    assert re.search(r"key collision between words '\w+' and '\w+'", str(exc))
+                    continue
+                assert [e.coset_id for e in table.entries] == ids, (mode, x, v)
 
 
 def test_double_reduction_sound_and_complete():
