@@ -2,11 +2,14 @@
 relative to the cycle subgroup, delta spectra, and the counting function.
 
 Elements are deduplicated by quantized matrix entries, with an audit on two
-offset grids that catches rounding-boundary splits.  Cosets of the cycle
-subgroup are grouped on the same grids by class keys, projectors of normal
-rows (left) or columns (double), each hit confirmed by a block test.  Double
-cosets take the cycle subgroup from a bounded ball, so double-coset
-reduction is approximate by construction and reports the ball radius used.
+offset grids that catches rounding-boundary splits; each level of the word
+ball is one stacked product.  Cosets of the cycle subgroup are grouped on
+the same grids by class keys, projectors of normal rows (left) or columns
+(double), and the key hits are confirmed in stacked block tests.  Classes
+are labelled by their smallest member through min-label propagation.
+Stacks are formed CHUNK matrices at a time.  Double cosets take the cycle
+subgroup from a bounded ball, so double-coset reduction is approximate by
+construction and reports the ball radius used.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .lorentz import (
 LENGTH_CAP = 12
 # cell size of the dedup audit grids and of the coset class keys
 KEY_RES = 1e-6
+# matrices per stacked product of the batched loops, bounding their temporaries
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class GeneratorSet:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class OrbitEntry:
     word: str
     matrix: np.ndarray
@@ -149,40 +154,44 @@ def _key(mat, quant):
 
 def _keys(stack, quant):
     """_key of each matrix of a stack."""
-    return [k.tobytes() for k in np.round(stack / quant).astype(np.int64)]
+    cells = np.round(stack / quant).astype(np.int64).reshape(len(stack), -1)
+    return cells.view(f"V{cells.shape[1] * cells.itemsize}").ravel().tolist()
 
 
 def ball_enumerate(gens, max_word_length, quant=1e-9, length_cap=LENGTH_CAP):
     """Breadth-first word ball: all distinct elements of word length up to
     ``max_word_length``, each with a shortest representing word (ties broken
-    lexicographically by construction order).
+    lexicographically by construction order).  Each level's products
+    base @ move are formed as stacked products, base-major like the words.
     """
     if max_word_length > length_cap:
         raise ValueError(
             f"max_word_length {max_word_length} exceeds the cost guard {length_cap}; "
             "pass length_cap explicitly to override"
         )
-    moves = gens.moves()
-    d = gens.d
-    eye = np.eye(d + 1)
-    seen = {_key(eye, quant): 0}
+    letters, steps = zip(*gens.moves())
+    steps = np.asarray(steps)
+    eye = np.eye(gens.d + 1)
+    seen = {_key(eye, quant)}
     out = [("e", eye, 0)]
-    frontier = [eye]
-    frontier_words = [""]
+    frontier, words = eye[None], [""]
+    bases = max(1, CHUNK // len(steps))
     for length in range(1, max_word_length + 1):
-        new_frontier, new_words = [], []
-        for base, wbase in zip(frontier, frontier_words):
-            for lab, g in moves:
-                m = base @ g
-                k = _key(m, quant)
-                if k in seen:
-                    continue
-                seen[k] = len(out)
-                word = wbase + lab
-                out.append((word, m, length))
-                new_frontier.append(m)
-                new_words.append(word)
-        frontier, frontier_words = new_frontier, new_words
+        fresh, new_words = [], []
+        for c in range(0, len(frontier), bases):
+            prods = (frontier[c:c + bases, None] @ steps[None]).reshape(-1, *eye.shape)
+            hits = []
+            for i, k in enumerate(_keys(prods, quant)):
+                if k not in seen:
+                    seen.add(k)
+                    hits.append(i)
+                    new_words.append(words[c + i // len(steps)] + letters[i % len(steps)])
+            fresh.append(prods[hits])
+        if not fresh:
+            break
+        # the copy drops the level's duplicate products
+        frontier, words = np.concatenate(fresh), new_words
+        out += [(w, m, length) for w, m in zip(words, frontier)]
 
     _audit_dedup(out, quant)
     return [(w, m) for w, m, _ in out]
@@ -208,7 +217,7 @@ def _audit_dedup(items, quant):
 
 
 def _grid_buckets(rows):
-    """Index lists, ascending and in order of first member, of the rows
+    """Index arrays, ascending and in order of first member, of the rows
     sharing a cell of one of two grids of spacing KEY_RES, offset by half a
     cell, so that values one grid splits at a boundary meet on the other."""
     buckets = []
@@ -219,9 +228,10 @@ def _grid_buckets(rows):
         order = np.lexsort(cells.T)  # stable: members stay ascending
         cells = cells[order]
         edges = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1]).any(axis=1), True])
+        multi = np.diff(edges) > 1
         buckets += [(order[a], grid, order[a:b])
-                    for a, b in zip(edges[:-1], edges[1:]) if b - a > 1]
-    return [idxs.tolist() for *_, idxs in sorted(buckets, key=lambda b: b[:2])]
+                    for a, b in zip(edges[:-1][multi].tolist(), edges[1:][multi].tolist())]
+    return [idxs for *_, idxs in sorted(buckets, key=lambda b: b[:2])]
 
 
 def _key_buckets(cols):
@@ -234,29 +244,46 @@ def _key_buckets(cols):
     return _grid_buckets(proj)
 
 
-def _root(parent, x):
-    """Root of ``x`` in the union-find forest ``parent``: its class's first member."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
+def _pairs(buckets):
+    """(bucket, first, other) index arrays pairing the first member of each
+    bucket with each of its other members, in bucket order."""
+    sizes = np.asarray([len(bk) - 1 for bk in buckets], dtype=np.intp)
+    first = np.asarray([bk[0] for bk in buckets], dtype=np.intp)
+    other = np.concatenate([bk[1:] for bk in buckets] or [first])
+    return np.repeat(np.arange(len(buckets)), sizes), np.repeat(first, sizes), other
 
 
-def _union(parent, x, y):
-    x, y = sorted((_root(parent, x), _root(parent, y)))
-    parent[y] = x
+def _confirm(words, bucket, a, b, quotient, split, tol, what):
+    """Block-test the quotients of the key hits (a[i], b[i]), CHUNK at a
+    time; ``quotient`` maps a slice of the hits to their stacked quotients.
+    A hit failing at ``tol`` is a key collision: raise RuntimeError naming
+    both words of the worst hit in the first bucket holding one."""
+    off = np.zeros(len(a))
+    for c in range(0, len(a), CHUNK):
+        off[c:c + CHUNK] = _block_offdiag_max(quotient(slice(c, c + CHUNK)), split)
+    bad = np.flatnonzero(off > tol)
+    if bad.size:
+        hits = np.flatnonzero(bucket == bucket[bad[0]])
+        k = hits[off[hits].argmax()]
+        raise RuntimeError(f"{what} key collision between words {words[a[k]]!r} and "
+                           f"{words[b[k]]!r} (block test {off[k]:.3e} > tol {tol:g})")
 
 
-def _join(parent, words, first, rest, quotients, split, tol, what):
-    """Merge the classes of ``first`` and of each of ``rest``.  The quotients
-    of these key hits must pass the block test at ``tol``; one that fails is
-    a key collision and raises RuntimeError naming both words."""
-    off = _block_offdiag_max(quotients, split)
-    if off.max(initial=0.0) > tol:
-        k = int(off.argmax())
-        raise RuntimeError(f"{what} key collision between words {words[first]!r} and "
-                           f"{words[rest[k]]!r} (block test {off[k]:.3e} > tol {tol:g})")
-    for j in rest:
-        _union(parent, first, int(j))
+def _components(labels, a, b):
+    """Class labels after merging the classes of a[i] and b[i], from labels
+    whose roots label themselves: min-label propagation with pointer
+    jumping, so that each element ends labelled by its class's smallest
+    member."""
+    while True:
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        la, lb = labels[a], labels[b]
+        if np.array_equal(la, lb):
+            return labels
+        low = np.minimum(la, lb)
+        labels = labels.copy()
+        np.minimum.at(labels, la, low)
+        np.minimum.at(labels, lb, low)
 
 
 def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=1e-8, quant=1e-9):
@@ -271,59 +298,63 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=1e-8, quant=1e-9)
         raise ValueError("mode must be 'left' or 'double'")
     split = cfg.n + 1
     words = [w or "e" for w, _ in ball]
+    lengths = [len(w) if w != "e" else 0 for w in words]
     mats = np.asarray([m for _, m in ball]).reshape(-1, cfg.d + 1, cfg.d + 1)
     n_el = len(ball)
 
-    parent = list(range(n_el))
-    for first, *rest in _key_buckets(np.swapaxes(mats[:, split:, :], 1, 2)):
-        _join(parent, words, first, rest, mats[rest] @ lorentz_inverse(mats[first]),
-              split, tol, "left-class")
+    bucket, a, b = _pairs(_key_buckets(np.swapaxes(mats[:, split:, :], 1, 2)))
+    _confirm(words, bucket, a, b, lambda s: mats[b[s]] @ lorentz_inverse(mats[a[s]]),
+             split, tol, "left-class")
+    labels = _components(np.arange(n_el), a, b)
     if mode == "double":
-        _merge_double(parent, words, mats, split, gamma0_max_len, tol, quant)
+        labels = _merge_double(labels, words, lengths, mats, split, gamma0_max_len, tol, quant)
 
     # roots are first members: counting them numbers classes by first appearance
-    roots = np.asarray([_root(parent, i) for i in range(n_el)], dtype=int)
-    ids = (np.cumsum(roots == np.arange(n_el)) - 1)[roots]
-    entries = tuple(
-        OrbitEntry(word=words[i], matrix=mats[i],
-                   word_length=len(words[i]) if words[i] != "e" else 0,
-                   coset_id=int(ids[i]))
-        for i in range(n_el)
-    )
+    ids = (np.cumsum(labels == np.arange(n_el)) - 1)[labels]
+    entries = tuple(map(OrbitEntry, words, mats, lengths, ids.tolist()))
     return OrbitTable(entries=entries, cfg=cfg, mode=mode,
                       gamma0_max_len=gamma0_max_len if mode == "double" else 0,
                       quant=quant)
 
 
-def _merge_double(parent, words, mats, split, gamma0_max_len, tol, quant):
+def _merge_double(labels, words, lengths, mats, split, gamma0_max_len, tol, quant):
     """Merge left classes lying in one double coset, gamma0 ranging over the
     bounded cycle-subgroup ball: a hash join links rep and rep gamma0 when
     the latter is in the ball, and a key hit of C(gamma0 B) = gamma0 C(B)
     gamma0^T on C(A), A and B live representatives and C = gamma[:, n+1:]
-    gamma[:, n+1:]^T, puts A^{-1} gamma0 B in the cycle subgroup."""
-    lengths = np.asarray([len(w) if w != "e" else 0 for w in words], dtype=int)
-    g0_stack = mats[(lengths <= gamma0_max_len) & (_block_offdiag_max(mats, split) <= tol)]
-    reps = sorted({_root(parent, i) for i in range(len(mats))})
+    gamma[:, n+1:]^T, puts A^{-1} gamma0 B in the cycle subgroup.  Returns
+    the merged labels."""
+    in_g0 = _block_offdiag_max(mats, split) <= tol
+    g0_stack = mats[(np.asarray(lengths) <= gamma0_max_len) & in_g0]
+    reps = np.flatnonzero(labels == np.arange(len(mats)))
     index = {k: i for i, k in enumerate(_keys(mats, quant))}
-    for rid in reps:
-        for k in _keys(np.einsum("ij,gjk->gik", mats[rid], g0_stack), quant):
-            if (j := index.get(k)) is not None:
-                _union(parent, rid, j)
+    # ball index of rep @ gamma0, rep-major, -1 where it is not in the ball
+    found = []
+    step = max(1, CHUNK // max(1, len(g0_stack)))
+    for c in range(0, len(reps), step):
+        prods = mats[reps[c:c + step], None] @ g0_stack[None]
+        found += [index.get(k, -1) for k in _keys(prods.reshape(-1, *mats.shape[1:]), quant)]
     del index  # the key pass below is the memory peak
+    found = np.asarray(found, dtype=np.intp)
+    hit = np.flatnonzero(found >= 0)
+    labels = _components(labels, reps[hit // len(g0_stack)], found[hit])
 
     # keys of h B for h in (1, *g0_stack) and B live, h-major, so that the
     # first len(live) of them (h = 1) are the representatives A themselves
-    live = np.asarray(sorted({_root(parent, r) for r in reps}), dtype=int)
+    live = np.flatnonzero(labels == np.arange(len(mats)))
     hs = np.concatenate([np.eye(mats.shape[1])[None], g0_stack])
     moved = np.einsum("hij,ljk->hlik", hs, mats[live][:, :, split:])
-    for first, *rest in _key_buckets(moved.reshape(-1, *moved.shape[2:])):
-        if first >= len(live):
-            break  # buckets come by first member: none of the rest has an anchor
-        h, b = np.divmod(rest, len(live))
-        a, b = live[first], live[b]
-        h, b = h[b != a], b[b != a]
-        _join(parent, words, a, b, lorentz_inverse(mats[a]) @ hs[h] @ mats[b],
-              split, tol, "double-class")
+    # buckets come by first member: those past the anchors have none
+    bucket, first, other = _pairs([bk for bk in _key_buckets(moved.reshape(-1, *moved.shape[2:]))
+                                   if bk[0] < len(live)])
+    del moved
+    h, b = np.divmod(other, len(live))
+    a, b = live[first], live[b]
+    keep = b != a
+    bucket, a, h, b = bucket[keep], a[keep], h[keep], b[keep]
+    _confirm(words, bucket, a, b, lambda s: lorentz_inverse(mats[a[s]]) @ hs[h[s]] @ mats[b[s]],
+             split, tol, "double-class")
+    return _components(labels, a, b)
 
 
 def delta_spectrum(table, u, cfg, tol=1e-9):
@@ -354,7 +385,7 @@ def counting_function(table, x_grid):
     cs = np.asarray([p[1] for p in pts])
     x_max = xs.max()
     sel = (xs >= x_max / 10.0) & (cs >= 1)
-    if sel.sum() >= 2 and len(np.unique(np.log(xs[sel]))) >= 2:
+    if sel.sum() >= 2 and np.log(xs[sel]).min() < np.log(xs[sel]).max():
         slope = float(np.polyfit(np.log(xs[sel]), np.log(cs[sel]), 1)[0])
     else:
         slope = float("nan")

@@ -67,6 +67,18 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_count_loads_no_numpy_ma(tmp_path, picard_path):
+    # numpy.ma adds about 0.5 MB to the peak memory and the count needs none of it
+    code = ("import sys; from hypcycles import cli; "
+            f"rc = cli.main(['count', '--gens', {picard_path!r}, '--max-len', '4', "
+            f"'--out', {str(tmp_path / 'count.csv')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0 False"
+
+
 def test_verify_passes_and_reports(tmp_path):
     out = tmp_path / "verify.csv"
     rc = _run(["verify", "--d", "3", "--mu", "1", "--out", str(out)])
