@@ -3,6 +3,13 @@ model integral over a compact window, the per-element error integrand J and
 its decay, spectral-tail convergence under the Weyl counting law, and the
 exp(mu)-rescaled limit shape.
 
+J nests its window coordinates and the height r as quadrature families:
+each wave of window points gets its cycle invariants from one
+``PreparedCycle.invariants_batch`` call and integrates all of its height
+integrals as one family.  The window minimum delta_min comes from a grid
+evaluated in one batch call and polished by Nelder-Mead, an oracle kept
+independent of the closed-form minimum.
+
 Anything that multiplies exp(mu) against exp(-mu)-sized factors is carried
 as (log magnitude, sign) so that sweeps up to mu = 60 stay in range.
 """
@@ -10,7 +17,7 @@ as (log magnitude, sign) so that sweeps up to mu = 60 stay in range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,20 +187,22 @@ class JGammaResult:
     n_min: float
 
 
+def _delta_grid(prep, u_range, grid=33):
+    """The grid^(n-1) points of the window with delta_u and N_u at each,
+    from one batch evaluation."""
+    axes = [np.linspace(lo, hi, grid) for lo, hi in u_range]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    invs = prep.invariants_batch(pts)
+    return pts, invs.delta, invs.N_u
+
+
 def _delta_scan(prep, u_range, grid=33):
     """Minimum of delta_u over the window, plus the refined minimum of N_u
     (the convergence witness); grid scans polished by Nelder-Mead."""
     from scipy.optimize import minimize
 
-    axes = [np.linspace(lo, hi, grid) for lo, hi in u_range]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    deltas = np.empty(len(pts))
-    n_vals = np.empty(len(pts))
-    for i, u in enumerate(pts):
-        inv = prep.invariants(u)
-        deltas[i] = inv.delta
-        n_vals[i] = inv.N_u
+    pts, deltas, n_vals = _delta_grid(prep, u_range, grid)
     lo_clip = [lo for lo, _ in u_range]
     hi_clip = [hi for _, hi in u_range]
 
@@ -252,28 +261,22 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu, rel_tol=1e-7):
 
     def inner(points):
         # the r-integrals at every window point of a wave, one family
-        invs = [prep.invariants(u) for u in points]
-        node = {key: np.array([getattr(inv, key) for inv in invs])
-                for key in ("M", "N_u", "Q_u", "beta")}
-        if np.any(node["N_u"] < 0.25 * n_min):
+        node = prep.invariants_batch(points)
+        if np.any(node.N_u < 0.25 * n_min):
             raise RuntimeError("window scan missed an N_u degeneration; "
                                "shrink the window or refine the scan")
-        r_hi = ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin) / np.sqrt(node["M"])
-        r_lo = np.sqrt(node["N_u"]) / ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin)
+        r_hi = ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin) / np.sqrt(node.M)
+        r_lo = np.sqrt(node.N_u) / ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin)
 
         def integrand(x, k):
-            # the invariants of each value's own window point, so that
-            # f(r) and s1(r) evaluate node by node
-            inv = replace(invs[0], **{key: v[k] for key, v in node.items()})
+            # f(r) and s1(r) of each value's own window point
             r = np.exp(x)
-            f = inv.f(r)
-            sf = np.sqrt(f)
+            sf = np.sqrt(node.f(r, k))
             z = mu * sf
-            s1 = inv.s1(r)
             return np.exp(nu_r * np.log(sf) + table.log_k(np.minimum(z, z_hi))
                           + mu * sqrt_dmin
                           - np.where(z > z_hi, z - z_hi, 0.0)
-                          + (nu_r + rho0) * np.log(s1)
+                          + (nu_r + rho0) * np.log(node.s1(r, k))
                           + (nu_r + rho0 - n + 1.0) * x)
 
         return quad_family(integrand, np.log(r_lo) - 2.0, np.log(r_hi) + 2.0,

@@ -8,8 +8,10 @@ the cycle submanifold {x_{n+1} = ... = x_d = 0} has the closed form
 
 with coefficients read off the ANK factorization gamma = a_{r0} n_{w0} k.
 Minimizing over r gives delta_u = 2 sqrt(M N_u) + Q_u, the squared-cosh of
-the distance between the translated geodesic and the cycle.  Everything here
-is checked against brute-force minimization over the cycle.
+the distance between the translated geodesic and the cycle.  A PreparedCycle
+evaluates them at one direction or at an array of directions, with rows
+bit-identical to the one-direction values.  Everything here is checked
+against brute-force minimization over the cycle.
 """
 
 from __future__ import annotations
@@ -57,16 +59,57 @@ class CycleInvariants:
         return float((self.N_u / self.M) ** 0.25)
 
     def f(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self.M * r * r + self.N_u / (r * r) + self.Q_u
+        out = _f(self.M, self.N_u, self.Q_u, np.asarray(r, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def s1(self, r):
         """Height of gamma n_u a_r . o in horospherical coordinates."""
-        r = np.asarray(r, dtype=float)
-        s_inv = 0.5 * (1.0 - self.u11) * r + (0.5 * (1.0 + self.u11) + self.beta) / r
-        out = self.r0 / s_inv
+        out = _s1(self.r0, self.u11, self.beta, np.asarray(r, dtype=float))
         return float(out) if out.ndim == 0 else out
+
+
+def _f(M, N_u, Q_u, r):
+    return M * r * r + N_u / (r * r) + Q_u
+
+
+def _s1(r0, u11, beta, r):
+    return r0 / (0.5 * (1.0 - u11) * r + (0.5 * (1.0 + u11) + beta) / r)
+
+
+def _dot(a, b):
+    """Dot products of the rows of a with b (one row or a stack like a).
+
+    A row goes through the BLAS dot of a 1-D ``@`` whether it comes alone
+    or in a stack, so batching cannot move a value by an ulp.
+    """
+    if a.ndim == 1:
+        return a @ b
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+@dataclass(frozen=True)
+class InvariantArrays:
+    """The coefficients of f_gamma at m directions at once: beta, N_u and
+    Q_u have shape (m,); r0, u11 and M do not depend on the direction."""
+
+    r0: float
+    u11: float
+    M: float
+    beta: np.ndarray
+    N_u: np.ndarray
+    Q_u: np.ndarray
+
+    @property
+    def delta(self):
+        return 2.0 * np.sqrt(self.M * self.N_u) + self.Q_u
+
+    def f(self, r, k):
+        """f at the heights r[i] of the directions k[i]."""
+        return _f(self.M, self.N_u[k], self.Q_u[k], r)
+
+    def s1(self, r, k):
+        """s1 at the heights r[i] of the directions k[i]."""
+        return _s1(self.r0, self.u11, self.beta[k], r)
 
 
 class PreparedCycle:
@@ -87,34 +130,47 @@ class PreparedCycle:
         self.w0 = fac.w0.copy()
         self.block = fac.k[1:, 1:].copy()
         self.u11 = float(self.block[0, 0])
+        # the parts of the coefficients that do not depend on the direction
+        self._half_col = 0.5 * self.block[1:, 0]
+        self.m = (0.5 * (1.0 - self.u11) * self.w0 + self._half_col)[cfg.n - 1:]
+        self.M = float(self.m @ self.m)
 
     def invariants(self, u):
-        cfg = self.cfg
-        n = cfg.n
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.size != n - 1:
-            raise ValueError(f"direction u must have n-1 = {n - 1} components")
-        u11, w0, block = self.u11, self.w0, self.block
-        usq = float(u @ u)
+        if u.size != self.cfg.n - 1:
+            raise ValueError(f"direction u must have n-1 = {self.cfg.n - 1} components")
+        beta, alpha, n_coeffs, N_u, Q_u = self._coefficients(u.ravel())
+        return CycleInvariants(cfg=self.cfg, u=u.copy(), r0=self.r0, w0=self.w0.copy(),
+                               u11=self.u11, beta=float(beta), alpha=alpha,
+                               m=self.m.copy(), n_coeffs=n_coeffs,
+                               M=self.M, N_u=float(N_u), Q_u=float(Q_u))
 
+    def invariants_batch(self, U):
+        """The invariants at every row of the directions U, shape (m, n-1).
+
+        Row i equals ``invariants(U[i])`` bit for bit: both run the same
+        code, whose every product goes through the BLAS routine a single
+        direction would use.
+        """
+        U = np.ascontiguousarray(U, dtype=float)
+        if U.ndim != 2 or U.shape[1] != self.cfg.n - 1:
+            raise ValueError(f"directions U must have shape (m, n-1 = {self.cfg.n - 1})")
+        beta, _, _, N_u, Q_u = self._coefficients(U)
+        return InvariantArrays(r0=self.r0, u11=self.u11, M=self.M, beta=beta, N_u=N_u, Q_u=Q_u)
+
+    def _coefficients(self, u):
+        """beta, alpha, n_coeffs, N_u, Q_u for a direction u of shape (n-1,)
+        or a stack of them, shape (m, n-1)."""
+        n, u11, block, half_col = self.cfg.n, self.u11, self.block, self._half_col
+        usq = _dot(u, u)
         # beta = (1-u11)|u|^2/2 - sum_{i=2..n} u_{1i} u_{i-1}
-        beta = 0.5 * (1.0 - u11) * usq - float(block[0, 1:n] @ u)
+        beta = 0.5 * (1.0 - u11) * usq - _dot(u, block[0, 1:n])
         # alpha_i = u_{i+1,1}|u|^2/2 + sum_{j=2..n} u_{i+1,j} u_{j-1},  i = 1..d-1
-        col = block[1:, 0]
-        alpha = 0.5 * col * usq + block[1:, 1:n] @ u
+        alpha = half_col * usq[..., None] + (block[1:, 1:n] @ u[..., None])[..., 0]
 
-        m_all = 0.5 * (1.0 - u11) * w0 + 0.5 * col
-        n_all = (0.5 * (1.0 + u11) + beta) * w0 + (alpha - 0.5 * col)
-
-        m = m_all[n - 1:]
-        n_coeffs = n_all[n - 1:]
-        M = float(m @ m)
-        N_u = float(n_coeffs @ n_coeffs)
-        Q_u = 1.0 + 2.0 * float(m @ n_coeffs)
-        return CycleInvariants(cfg=cfg, u=u.copy(), r0=self.r0, w0=w0.copy(),
-                               u11=u11, beta=float(beta), alpha=alpha.copy(),
-                               m=m.copy(), n_coeffs=n_coeffs.copy(),
-                               M=M, N_u=N_u, Q_u=Q_u)
+        n_all = (0.5 * (1.0 + u11) + beta)[..., None] * self.w0 + (alpha - half_col)
+        n_coeffs = n_all[..., n - 1:]
+        return beta, alpha, n_coeffs, _dot(n_coeffs, n_coeffs), 1.0 + 2.0 * _dot(n_coeffs, self.m)
 
 
 def cycle_invariants(gamma, u, cfg, tol=1e-9):

@@ -4,6 +4,7 @@ import pytest
 from hypcycles import bounds as bd
 from hypcycles import lorentz as lz
 from hypcycles import transform as tr
+from hypcycles.cycles import PreparedCycle
 from hypcycles.orbits import picard_generators
 
 CFG = lz.CycleConfig(3, 2)
@@ -184,3 +185,19 @@ def test_rescaled_limit_shape_tracks_bessel_asymptotics():
     expect = (0.5 * BOX.i_nu(0.3)
               * np.sqrt(2 * 40.0 / np.pi) * tr.bessel_k_scaled(0.3, 40.0))
     assert rows[0].value == pytest.approx(expect, rel=1e-9)
+
+
+@pytest.mark.parametrize("cfg, u_range", [
+    (lz.CycleConfig(3, 2), ((-3.0, 3.0),)),
+    (lz.CycleConfig(4, 3), ((-1.5, 1.5), (-1.5, 1.5))),
+])
+def test_delta_grid_equals_per_point_loop(cfg, u_range):
+    # the scan grid from one batch call against the scalar invariants,
+    # one window point at a time
+    rng = np.random.default_rng(7)
+    prep = PreparedCycle(lz.random_lorentz(rng, cfg.d), cfg)
+    pts, deltas, n_vals = bd._delta_grid(prep, u_range)
+    assert pts.shape == (33 ** (cfg.n - 1), cfg.n - 1)
+    loop = [prep.invariants(u) for u in pts]
+    assert np.array_equal(deltas, [inv.delta for inv in loop])
+    assert np.array_equal(n_vals, [inv.N_u for inv in loop])

@@ -159,3 +159,35 @@ def test_invariants_validation():
     T, U, S = _picard()
     with pytest.raises(ValueError):
         cy.cycle_invariants(U, [0.0, 0.0], CFG)
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 4)])
+def test_invariants_batch_rows_equal_scalar_invariants(d, n):
+    # every row of one batch call, bit for bit against the scalar method
+    cfg = lz.CycleConfig(d, n)
+    rng = np.random.default_rng(10 * d + n)
+    for _ in range(4):
+        prep = cy.PreparedCycle(lz.random_lorentz(rng, d), cfg)
+        dirs = rng.normal(size=(60, n - 1))
+        U = dirs / np.linalg.norm(dirs, axis=1)[:, None] * rng.uniform(0.0, 3.0, size=(60, 1))
+        U[0] = 0.0
+        batch = prep.invariants_batch(U)
+        r = np.exp(rng.uniform(-2.0, 2.0, size=len(U)))
+        k = np.arange(len(U))
+        f_rows, s1_rows = batch.f(r, k), batch.s1(r, k)
+        for i, u in enumerate(U):
+            inv = prep.invariants(u)
+            assert inv.M == batch.M
+            for key in ("beta", "N_u", "Q_u", "delta"):
+                assert getattr(inv, key) == getattr(batch, key)[i], (key, i)
+            assert inv.f(r[i]) == f_rows[i] and inv.s1(r[i]) == s1_rows[i]
+
+
+def test_invariants_batch_validation():
+    _, U, _ = _picard()
+    prep = cy.PreparedCycle(U, CFG)
+    for bad in (np.zeros((3, 2)), np.zeros((3, 0)), np.zeros(1)):
+        with pytest.raises(ValueError):
+            prep.invariants_batch(bad)
+    with pytest.raises(ValueError):
+        prep.invariants(np.zeros(2))

@@ -140,6 +140,51 @@ def test_bessel_imag_scaled_reference_and_overlap():
             assert tr.bessel_k_imag_scaled(r, x) == pytest.approx(direct, rel=1e-7)
 
 
+def _imag_scaled_per_leg(r, x, rel_tol=1e-9):
+    """exp(pi r/2) K_{ir}(x) in the oscillatory regime with each contour
+    leg integrated by its own quad_gk call: the reference for the family
+    of three legs in bessel_k_imag_scaled."""
+    tc = max(float(np.arccosh(max(2.0 * r / x, 1.0))), 0.6)
+    leg1 = quad_gk(lambda t: np.exp(1j * (x * np.sinh(t) - r * t)),
+                   0.0, tc, rel_tol=rel_tol).value
+    sh, ch = np.sinh(tc), np.cosh(tc)
+
+    def vert(s):
+        expo = r * s - x * ch * np.sin(s)
+        return np.exp(expo + 1j * (x * sh * np.cos(s) - r * tc))
+
+    leg2 = 1j * quad_gk(vert, 0.0, np.pi / 2.0, rel_tol=rel_tol).value
+    u_hi = float(np.arccosh((tr._EXP_CUT + np.pi * r / 2.0 + 20.0) / x))
+
+    def horiz(u):
+        return np.exp(np.pi * r / 2.0 - x * np.cosh(u) - 1j * r * u)
+
+    leg3 = quad_gk(horiz, tc, max(u_hi, tc + 1.0), rel_tol=rel_tol).value
+    return float(np.real(leg1 + leg2 + leg3))
+
+
+@pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
+@pytest.mark.parametrize("x", [0.3, 1.0, 7.0])
+def test_imag_scaled_legs_as_one_family_equal_separate_calls(r, x):
+    assert x < 0.5 * np.pi * r          # the rotated-contour regime
+    assert tr.bessel_k_imag_scaled(r, x) == _imag_scaled_per_leg(r, x)
+
+
+def test_bessel_k_scaled_array_equals_scalar_calls():
+    rng = np.random.default_rng(12)
+    x = np.exp(rng.uniform(np.log(0.05), np.log(900.0), size=(2, 5)))
+    for order in (0.0, 0.3, 1.7, 1j, 0.5 + 1j):
+        got = tr.bessel_k_scaled(order, x)
+        assert got.shape == x.shape
+        assert got.dtype == (complex if isinstance(order, complex) else float)
+        for xi, gi in zip(x.ravel(), got.ravel()):
+            one = tr.bessel_k_scaled(order, float(xi))
+            assert type(one) is (complex if isinstance(order, complex) else float)
+            assert gi == one, (order, xi)
+    with pytest.raises(ValueError):
+        tr.bessel_k_scaled(0.3, np.array([1.0, 0.0]))
+
+
 def test_asymptotic_ratio_behavior():
     # ratio -> 1 monotonically along doubling x, and the first Poincare
     # correction (4 nu^2 - 1)/(8x) is what is left at finite x
