@@ -73,7 +73,6 @@ from .orbits import (
     fuchsian_generators,
     ordering_statistic,
     picard_generators,
-    write_orbit_csv,
 )
 from .bounds import (
     BoxDomain,

@@ -8,10 +8,9 @@ rendered with repr.  Exit codes: 0 all checks pass, 1 a check failed,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,20 +23,38 @@ DEFAULT_TOLERANCES = {
     "gr": 1e-7,
     "transform": 1e-6,
     "geom": 1e-6,
-    "coset": 1e-8,
-    "quant": 1e-9,
+    "coset": orbits.COSET_TOL,
+    "quant": orbits.QUANT,
     "quad": 1e-9,
 }
 
 SEED = 20211130
 
 
+def _is_number(v):
+    return isinstance(v, (int, float))
+
+
+# the check of each RunConfig field, by its annotation, with what it asks for
+_FIELD_CHECKS = {
+    "int": (lambda v: isinstance(v, int), "an integer"),
+    "float": (_is_number, "a number"),
+    "tuple": (lambda v: isinstance(v, tuple) and all(map(_is_number, v)), "a list of numbers"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "str": (lambda v: v is None or isinstance(v, str), "a string"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """The run settings: the field names are the config-file keys and the
+    destinations of the command-line flags."""
+
     d: int = 3
     n: int = 2
     mu_list: tuple = (1.0,)
-    nu: complex = 0.0
+    nu_re: float = 0.0
+    nu_im: float = 0.0
     u: tuple = ()
     generators_path: str = None
     max_word_length: int = 6
@@ -46,12 +63,23 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        for f in fields(self):
+            check, what = _FIELD_CHECKS[f.type]
+            if not check(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be {what}, got {getattr(self, f.name)!r}")
         if not (2 <= self.n <= self.d - 1):
             raise ValueError("need 2 <= n <= d-1")
-        if any(t <= 0 for t in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
+        for name, t in self.tolerances.items():
+            if not _is_number(t):
+                raise ValueError(f"tolerance {name} must be a number, got {t!r}")
+            if t <= 0:
+                raise ValueError("tolerances must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+
+    @property
+    def nu(self):
+        return complex(self.nu_re, self.nu_im)
 
     @property
     def cfg(self):
@@ -63,6 +91,14 @@ class RunConfig:
 
 class ConfigError(Exception):
     pass
+
+
+def _number_list(text):
+    """A comma-separated flag value as a tuple of floats."""
+    try:
+        return tuple(float(x) for x in text.split(",") if x)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _build_parser():
@@ -78,79 +114,53 @@ def _build_parser():
         ("transform", "spherical-transform values, closed form vs quadrature"),
         ("asymptote", "rescaled large-mu main term with its error envelope"),
     ]:
+        # each flag but --tol and --config writes to the RunConfig field it sets
         q = sub.add_parser(name, help=doc)
-        q.add_argument("--d", type=int, default=None)
-        q.add_argument("--n", type=int, default=None)
-        q.add_argument("--mu", type=str, default=None, help="comma-separated list")
-        q.add_argument("--nu-re", type=float, default=None)
-        q.add_argument("--nu-im", type=float, default=None)
-        q.add_argument("--u", type=str, default=None, help="comma-separated direction")
-        q.add_argument("--gens", type=str, default=None, help="generator JSON file")
-        q.add_argument("--max-len", type=int, default=None)
+        q.add_argument("--d", type=int)
+        q.add_argument("--n", type=int)
+        q.add_argument("--mu", dest="mu_list", type=_number_list, help="comma-separated list")
+        q.add_argument("--nu-re", type=float)
+        q.add_argument("--nu-im", type=float)
+        q.add_argument("--u", type=_number_list, help="comma-separated direction")
+        q.add_argument("--gens", dest="generators_path", help="generator JSON file")
+        q.add_argument("--max-len", dest="max_word_length", type=int)
         q.add_argument("--tol", action="append", default=[], metavar="NAME=VAL")
-        q.add_argument("--out", type=str, default=None)
-        q.add_argument("--format", type=str, default=None, choices=["csv", "json"])
-        q.add_argument("--config", type=str, default=None, help="JSON config file")
+        q.add_argument("--out", dest="output_path")
+        q.add_argument("--format", choices=["csv", "json"])
+        q.add_argument("--config", help="JSON config file")
     return p
 
 
 def _config_from_args(args):
-    base = {}
+    """RunConfig's defaults, overridden by the config file, overridden by
+    the flags; --tol overrides single tolerances."""
+    settings = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                settings = json.load(fh)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-    merged = {
-        "d": 3, "n": 2, "mu_list": [1.0], "nu_re": 0.0, "nu_im": 0.0, "u": [],
-        "generators_path": None, "max_word_length": 6,
-        "tolerances": dict(DEFAULT_TOLERANCES), "output_path": None,
-        "format": "csv",
-    }
-    for key in merged:
-        if key in base:
-            if key == "tolerances":
-                merged["tolerances"].update(base[key])
-            else:
-                merged[key] = base[key]
-    if args.d is not None:
-        merged["d"] = args.d
-    if args.n is not None:
-        merged["n"] = args.n
-    if args.mu is not None:
-        merged["mu_list"] = [float(x) for x in args.mu.split(",") if x]
-    if args.nu_re is not None:
-        merged["nu_re"] = args.nu_re
-    if args.nu_im is not None:
-        merged["nu_im"] = args.nu_im
-    if args.u is not None:
-        merged["u"] = [float(x) for x in args.u.split(",") if x]
-    if args.gens is not None:
-        merged["generators_path"] = args.gens
-    if args.max_len is not None:
-        merged["max_word_length"] = args.max_len
-    if args.out is not None:
-        merged["output_path"] = args.out
-    if args.format is not None:
-        merged["format"] = args.format
+        if not isinstance(settings, dict):
+            raise ConfigError("config file must hold a JSON object")
+    tolerances = settings.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError(f"tolerances must be an object, got {tolerances!r}")
+    keys = {f.name for f in fields(RunConfig)}
+    # JSON arrays give the tuple fields
+    settings = {k: tuple(v) if isinstance(v, list) else v for k, v in settings.items() if k in keys}
+    settings.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    settings["tolerances"] = tolerances = {**DEFAULT_TOLERANCES, **tolerances}
     for item in args.tol:
         if "=" not in item:
             raise ConfigError(f"bad --tol {item!r}, expected NAME=VAL")
         name, val = item.split("=", 1)
         try:
-            merged["tolerances"][name] = float(val)
+            tolerances[name] = float(val)
         except ValueError:
             raise ConfigError(f"bad --tol value {val!r}")
     try:
-        return RunConfig(
-            d=merged["d"], n=merged["n"], mu_list=tuple(merged["mu_list"]),
-            nu=complex(merged["nu_re"], merged["nu_im"]), u=tuple(merged["u"]),
-            generators_path=merged["generators_path"],
-            max_word_length=merged["max_word_length"],
-            tolerances=merged["tolerances"], output_path=merged["output_path"],
-            format=merged["format"],
-        )
+        return RunConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -166,17 +176,26 @@ def _load_generators(config):
         raise ConfigError(f"invalid generators: {exc}")
 
 
-def _emit(config, text):
+def _tol_comment(config, names):
+    return "tolerances: " + " ".join(f"{k}={config.tol(k)!r}" for k in names)
+
+
+def _write(config, obj, comments, columns, rows):
+    """Write a command's result to the output path or stdout: ``obj`` as
+    JSON, or as CSV the ``# `` comment lines, the header of ``columns`` and
+    one line per row dict, strings as they are and other values by repr."""
+    if config.format == "json":
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [f"# {c}" for c in comments] + [",".join(columns)]
+        lines += [",".join(v if isinstance(v, str) else repr(v) for v in (row[c] for c in columns))
+                  for row in rows]
+        text = "\n".join(lines) + "\n"
     if config.output_path:
         with open(config.output_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _tol_header(config, names):
-    items = " ".join(f"{k}={config.tol(k)!r}" for k in names)
-    return f"# tolerances: {items}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +280,10 @@ def cmd_verify(config):
         count += 1
     record("cycle_distance_oracle", err, config.tol("geom"), count)
 
-    lines = ["check,status,max_err,tol,n\n"]
-    for c in checks:
-        lines.append(f"{c['check']},{c['status']},{c['max_err']!r},{c['tol']!r},{c['n']}\n")
-    header = _tol_header(config, ["group", "roundtrip", "dist", "gr", "transform", "geom"])
-    if config.format == "json":
-        text = json.dumps({"tolerances": {k: config.tol(k) for k in sorted(config.tolerances)},
-                           "checks": checks}, indent=2, sort_keys=True) + "\n"
-    else:
-        text = header + "".join(lines)
-    _emit(config, text)
+    _write(config, {"tolerances": {k: config.tol(k) for k in sorted(config.tolerances)},
+                    "checks": checks},
+           [_tol_comment(config, ["group", "roundtrip", "dist", "gr", "transform", "geom"])],
+           ["check", "status", "max_err", "tol", "n"], checks)
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
@@ -295,22 +308,15 @@ def cmd_delta(config):
     if not spec.entries:
         sys.stderr.write("no nontrivial classes\n")
         return 1
-    out = io.StringIO()
-    out.write(_tol_header(config, ["coset", "quant"]))
-    out.write(f"# d={config.d} n={config.n} max_len={config.max_word_length} "
-              f"u={list(config.u)!r} mode=double gamma0_max_len={spec.gamma0_max_len}\n")
-    if config.format == "json":
-        rows = [{"word": e.word, "word_length": e.word_length, "M": e.M, "N_u": e.N_u,
-                 "Q_u": e.Q_u, "delta_u": e.delta,
-                 "dist": float(np.arccosh(max(np.sqrt(e.delta), 1.0)))}
-                for e in spec.entries]
-        _emit(config, json.dumps(rows, indent=2, sort_keys=True) + "\n")
-        return 0
-    out.write("word,word_length,M,N_u,Q_u,delta_u,dist\n")
-    for e in spec.entries:
-        dist = float(np.arccosh(max(np.sqrt(e.delta), 1.0)))
-        out.write(f"{e.word},{e.word_length},{e.M!r},{e.N_u!r},{e.Q_u!r},{e.delta!r},{dist!r}\n")
-    _emit(config, out.getvalue())
+    rows = [{"word": e.word, "word_length": e.word_length, "M": e.M, "N_u": e.N_u,
+             "Q_u": e.Q_u, "delta_u": e.delta,
+             "dist": float(np.arccosh(max(np.sqrt(e.delta), 1.0)))}
+            for e in spec.entries]
+    _write(config, rows,
+           [_tol_comment(config, ["coset", "quant"]),
+            f"d={config.d} n={config.n} max_len={config.max_word_length} "
+            f"u={list(config.u)!r} mode=double gamma0_max_len={spec.gamma0_max_len}"],
+           ["word", "word_length", "M", "N_u", "Q_u", "delta_u", "dist"], rows)
     return 0
 
 
@@ -323,23 +329,14 @@ def cmd_count(config):
     grid = np.geomspace(1.0, max(deltas) * 1.05, 60)
     pts, slope = orbits.counting_function(spec, grid)
     stat_min, _ = orbits.ordering_statistic(spec, config.cfg)
-    if config.format == "json":
-        _emit(config, json.dumps({
-            "slope": slope, "ordering_stat_min": stat_min,
-            "classes": len(spec.entries),
-            "points": [{"x": x, "count": c} for x, c in pts],
-        }, indent=2, sort_keys=True) + "\n")
-        return 0
-    out = io.StringIO()
-    out.write(_tol_header(config, ["coset", "quant"]))
-    out.write(f"# d={config.d} n={config.n} max_len={config.max_word_length} "
-              f"classes={len(spec.entries)}\n")
-    out.write(f"# slope={slope!r}\n")
-    out.write(f"# ordering_stat_min={stat_min!r}\n")
-    out.write("x,count\n")
-    for x, c in pts:
-        out.write(f"{x!r},{c}\n")
-    _emit(config, out.getvalue())
+    points = [{"x": x, "count": c} for x, c in pts]
+    _write(config, {"slope": slope, "ordering_stat_min": stat_min,
+                    "classes": len(spec.entries), "points": points},
+           [_tol_comment(config, ["coset", "quant"]),
+            f"d={config.d} n={config.n} max_len={config.max_word_length} "
+            f"classes={len(spec.entries)}",
+            f"slope={slope!r}", f"ordering_stat_min={stat_min!r}"],
+           ["x", "count"], points)
     return 0
 
 
@@ -358,22 +355,13 @@ def cmd_transform(config):
         worst = max(worst, rel)
         records.append({
             "d": config.d, "mu": mu,
-            "nu_re": float(complex(config.nu).real), "nu_im": float(complex(config.nu).imag),
+            "nu_re": float(config.nu_re), "nu_im": float(config.nu_im),
             "h_closed": float(np.real(hc)), "h_quad": float(np.real(hq)),
             "rel_err": float(rel),
         })
-    if config.format == "json":
-        text = json.dumps({"tolerances": {"transform": config.tol("transform")},
-                           "records": records}, indent=2, sort_keys=True) + "\n"
-    else:
-        out = io.StringIO()
-        out.write(_tol_header(config, ["transform", "quad"]))
-        out.write("d,mu,nu_re,nu_im,h_closed,h_quad,rel_err\n")
-        for r in records:
-            out.write(f"{r['d']},{r['mu']!r},{r['nu_re']!r},{r['nu_im']!r},"
-                      f"{r['h_closed']!r},{r['h_quad']!r},{r['rel_err']!r}\n")
-        text = out.getvalue()
-    _emit(config, text)
+    _write(config, {"tolerances": {"transform": config.tol("transform")}, "records": records},
+           [_tol_comment(config, ["transform", "quad"])],
+           ["d", "mu", "nu_re", "nu_im", "h_closed", "h_quad", "rel_err"], records)
     return 0 if worst <= config.tol("transform") else 1
 
 
@@ -384,32 +372,22 @@ def cmd_asymptote(config):
     mu_grid = sorted(set(list(config.mu_list) + [40.0, 60.0]))
     if mu_grid[-1] > 60.0:
         raise ConfigError("asymptote sweep is capped at mu = 60")
-    rows = bounds.rescaled_limit_shape(cfg, mu_grid, config.nu, box)
-    gap = bounds.plateau_gap(rows, 40.0, 60.0)
-    env_frac = bounds.envelope_fraction(rows[-1])
+    shape = bounds.rescaled_limit_shape(cfg, mu_grid, config.nu, box)
+    gap = bounds.plateau_gap(shape, 40.0, 60.0)
+    env_frac = bounds.envelope_fraction(shape[-1])
     props = {
         "plateau_gap_40_60": gap,
         "plateau_within_1pct": bool(gap < 1e-2),
         "envelope_fraction_at_max": env_frac,
         "envelope_below_1pct_of_main": bool(env_frac < 1e-2),
-        "envelope_decreasing": bool(rows[-1].envelope_log < rows[0].envelope_log),
+        "envelope_decreasing": bool(shape[-1].envelope_log < shape[0].envelope_log),
     }
-    if config.format == "json":
-        text = json.dumps({
-            "rows": [{"mu": r.mu, "value_log": r.value_log, "sign": r.sign,
-                      "envelope_log": r.envelope_log} for r in rows],
-            "properties": props,
-        }, indent=2, sort_keys=True) + "\n"
-    else:
-        out = io.StringIO()
-        out.write(f"# d={config.d} n={config.n} nu={config.nu!r} box=[0,1]^(n-1)x[1,2]\n")
-        for k in sorted(props):
-            out.write(f"# {k}={props[k]!r}\n")
-        out.write("mu,value_log,sign,envelope_log\n")
-        for r in rows:
-            out.write(f"{r.mu!r},{r.value_log!r},{r.sign},{r.envelope_log!r}\n")
-        text = out.getvalue()
-    _emit(config, text)
+    rows = [{"mu": r.mu, "value_log": r.value_log, "sign": r.sign,
+             "envelope_log": r.envelope_log} for r in shape]
+    _write(config, {"rows": rows, "properties": props},
+           [f"d={config.d} n={config.n} nu={config.nu!r} box=[0,1]^(n-1)x[1,2]",
+            *(f"{k}={props[k]!r}" for k in sorted(props))],
+           ["mu", "value_log", "sign", "envelope_log"], rows)
     return 0 if props["plateau_within_1pct"] and props["envelope_below_1pct_of_main"] else 1
 
 

@@ -32,8 +32,12 @@ from .lorentz import (
 )
 
 LENGTH_CAP = 12
+# cell size of the word ball's dedup keys
+QUANT = 1e-9
 # cell size of the dedup audit grids and of the coset class keys
 KEY_RES = 1e-6
+# block-test tolerance confirming a coset class-key hit
+COSET_TOL = 1e-8
 # matrices per stacked product of the batched loops, bounding their temporaries
 CHUNK = 1024
 
@@ -125,7 +129,6 @@ class OrbitTable:
     cfg: CycleConfig = None
     mode: str = "none"
     gamma0_max_len: int = 0
-    quant: float = 1e-9
 
     def __len__(self):
         return len(self.entries)
@@ -158,7 +161,7 @@ def _keys(stack, quant):
     return cells.view(f"V{cells.shape[1] * cells.itemsize}").ravel().tolist()
 
 
-def ball_enumerate(gens, max_word_length, quant=1e-9, length_cap=LENGTH_CAP):
+def ball_enumerate(gens, max_word_length, quant=QUANT, length_cap=LENGTH_CAP):
     """Breadth-first word ball: all distinct elements of word length up to
     ``max_word_length``, each with a shortest representing word (ties broken
     lexicographically by construction order).  Each level's products
@@ -193,11 +196,11 @@ def ball_enumerate(gens, max_word_length, quant=1e-9, length_cap=LENGTH_CAP):
         frontier, words = np.concatenate(fresh), new_words
         out += [(w, m, length) for w, m in zip(words, frontier)]
 
-    _audit_dedup(out, quant)
+    _audit_dedup(out)
     return [(w, m) for w, m, _ in out]
 
 
-def _audit_dedup(items, quant):
+def _audit_dedup(items):
     """Catch rounding-boundary splits: group coarsely (two offset grids),
     merge pairs closer than 1e-12, reject ambiguous ones."""
     drop = set()
@@ -286,7 +289,7 @@ def _components(labels, a, b):
         np.minimum.at(labels, lb, low)
 
 
-def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=1e-8, quant=1e-9):
+def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=COSET_TOL, quant=QUANT):
     """Partition a deduplicated ball into left (or double) classes mod the
     cycle subgroup, keeping the first (minimal, lexicographic) word of each
     class as its representative.
@@ -313,8 +316,7 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=1e-8, quant=1e-9)
     ids = (np.cumsum(labels == np.arange(n_el)) - 1)[labels]
     entries = tuple(map(OrbitEntry, words, mats, lengths, ids.tolist()))
     return OrbitTable(entries=entries, cfg=cfg, mode=mode,
-                      gamma0_max_len=gamma0_max_len if mode == "double" else 0,
-                      quant=quant)
+                      gamma0_max_len=gamma0_max_len if mode == "double" else 0)
 
 
 def _merge_double(labels, words, lengths, mats, split, gamma0_max_len, tol, quant):
@@ -371,7 +373,7 @@ def delta_spectrum(table, u, cfg, tol=1e-9):
         rows.append(replace(e, delta=float(inv.delta), M=inv.M, N_u=inv.N_u, Q_u=inv.Q_u))
     rows.sort(key=lambda e: (e.delta, e.word))
     return OrbitTable(entries=tuple(rows), cfg=cfg, mode=table.mode,
-                      gamma0_max_len=table.gamma0_max_len, quant=table.quant)
+                      gamma0_max_len=table.gamma0_max_len)
 
 
 def counting_function(table, x_grid):
@@ -402,19 +404,6 @@ def ordering_statistic(table, cfg, beta=0.5):
     expo = 1.0 / ((cfg.d - cfg.n) / 2.0 + beta)
     stats = deltas * j ** (-expo)
     return float(stats.min()), stats
-
-
-def write_orbit_csv(table, fh, tolerances=None):
-    """word,len,M,N,Q,delta,coset_id rows with a reproducible header."""
-    fh.write(f"# mode={table.mode} gamma0_max_len={table.gamma0_max_len} "
-             f"quant={table.quant!r}\n")
-    if tolerances:
-        items = " ".join(f"{k}={v!r}" for k, v in sorted(tolerances.items()))
-        fh.write(f"# tolerances: {items}\n")
-    fh.write("word,len,M,N,Q,delta,coset_id\n")
-    for e in table.entries:
-        fh.write(f"{e.word},{e.word_length},{e.M!r},{e.N_u!r},{e.Q_u!r},"
-                 f"{e.delta!r},{e.coset_id}\n")
 
 
 def picard_generators():

@@ -110,6 +110,13 @@ def _cosh_cutoff(x, a, target=_EXP_CUT):
     return T + 0.5
 
 
+def _complex_order(order):
+    """Whether an order is passed as complex (a SpectralParam counts as
+    complex): a complex order gives a complex result, a real one a real
+    result."""
+    return isinstance(order, SpectralParam) or np.iscomplexobj(order)
+
+
 def _scaled_integrand(t, x, nu):
     """exp(x) * exp(-x cosh t) cosh(nu t), overflow-safe for Re(nu) >= 0."""
     a, b = nu.real, nu.imag
@@ -134,7 +141,7 @@ def bessel_k_scaled(order, x, rel_tol=1e-9):
     T = [_cosh_cutoff(v, nu.real) for v in args]
     val = quad_family(lambda t, k: _scaled_integrand(t, xs[k], nu), 0.0, T,
                       rel_tol=rel_tol, abs_tol=1e-300).value
-    if not (np.iscomplexobj(np.asarray(order)) or isinstance(order, complex)):
+    if not _complex_order(order):
         val = val.real
     return val.reshape(x.shape) if x.ndim else val[0].item()
 
@@ -253,17 +260,8 @@ def bessel_k_scaled_batch(order, z):
     t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
-    a, b = nu.real, nu.imag
-    expo = -np.outer(z, np.cosh(t) - 1.0) + a * t[None, :]
-    mag = np.exp(expo)
-    if b == 0.0:
-        vals = 0.5 * mag * (1.0 + np.exp(-2.0 * a * t))[None, :]
-    else:
-        vals = 0.5 * mag * (np.exp(1j * b * t) + np.exp(-2.0 * a * t - 1j * b * t))[None, :]
-    out = vals @ w
-    if not (np.iscomplexobj(np.asarray(order)) or isinstance(order, complex)):
-        out = out.real
-    return out
+    out = _scaled_integrand(t[None, :], z[:, None], nu) @ w
+    return out if _complex_order(order) else out.real
 
 
 class KScaledInterpolator:
@@ -457,7 +455,6 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
         return radial * np.exp(-0.5 * mu * (r + 1.0 / r) + (nu_c + rho) * x)
 
     val = sphere * quad_gk(outer, -X, X, rel_tol=rel_tol).value
-    if isinstance(nu, SpectralParam) or np.iscomplexobj(np.asarray(_nu_value(nu))) \
-            or isinstance(_nu_value(nu), complex):
+    if _complex_order(nu):
         return complex(val)
     return float(np.real(val))

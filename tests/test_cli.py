@@ -170,3 +170,69 @@ def test_bad_tol_flag(capsys):
     rc = _run(["transform", "--tol", "junk"])
     assert rc == 2
     assert "NAME=VAL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--mu", "abc"], ["--u", "1,x"]], ids=["mu", "u"])
+def test_bad_number_list_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert f"argument {argv[0]}: expected comma-separated numbers" in err[-1]
+
+
+@pytest.mark.parametrize("content", [
+    [1, 2],
+    {"tolerances": {"quad": "abc"}},
+    {"mu_list": 2.0},
+    {"tolerances": "abc"},
+    {"tolerances": [["quad", 1e-7]]},
+], ids=["list", "tol-value", "mu-list", "tol-string", "tol-pairs"])
+def test_malformed_config_file_exits_2(content, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(content))
+    rc = _run(["transform", "--config", str(cfgfile), "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_tolerance_precedence(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"tolerances": {"transform": 1e-5, "quad": 1e-8}}))
+    out = tmp_path / "t.csv"
+
+    def header(*argv):
+        assert _run(["transform", "--mu", "1", "--out", str(out), *argv]) == 0
+        return out.read_text().splitlines()[0]
+
+    assert header() == "# tolerances: transform=1e-06 quad=1e-09"
+    assert header("--config", str(cfgfile)) == "# tolerances: transform=1e-05 quad=1e-08"
+    assert header("--config", str(cfgfile), "--tol", "quad=1e-7") == \
+        "# tolerances: transform=1e-05 quad=1e-07"
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["delta", "--max-len", "4", "--u", "0.3"], None),
+    (["count", "--max-len", "4"], "points"),
+    (["transform", "--mu", "0.5,1,2", "--nu-im", "1"], "records"),
+    (["asymptote", "--mu", "10"], "rows"),
+], ids=["delta", "count", "transform", "asymptote"])
+def test_csv_rows_equal_json_rows(argv, key, tmp_path, picard_path):
+    if argv[0] in ("delta", "count"):
+        argv = [*argv, "--gens", picard_path]
+    csv_out, json_out = tmp_path / "o.csv", tmp_path / "o.json"
+    rc_csv = _run([*argv, "--out", str(csv_out)])
+    rc_json = _run([*argv, "--format", "json", "--out", str(json_out)])
+    assert rc_csv == rc_json == 0
+    lines = [line for line in csv_out.read_text().splitlines() if not line.startswith("#")]
+    columns, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    obj = json.loads(json_out.read_text())
+    records = obj if key is None else obj[key]
+    assert len(rows) == len(records) > 0
+    for row, rec in zip(rows, records):
+        assert set(rec) == set(columns)
+        # a float's repr reads back as the same float, so this is exact equality
+        assert row == [rec[c] if isinstance(rec[c], str) else repr(rec[c]) for c in columns]

@@ -1,4 +1,3 @@
-import io
 import json
 import re
 
@@ -47,7 +46,7 @@ def test_ball_closure_under_generators():
                 assert ob._key(m @ g, 1e-9) in keys
 
 
-def _ball_per_word(gens, max_word_length, quant=1e-9):
+def _ball_per_word(gens, max_word_length, quant=ob.QUANT):
     """The word ball formed one product base @ move at a time: the reference
     for the stacked products of ball_enumerate."""
     moves = gens.moves()
@@ -66,7 +65,7 @@ def _ball_per_word(gens, max_word_length, quant=1e-9):
                     out.append((wbase + lab, m, length))
                     new.append((wbase + lab, m))
         frontier = new
-    ob._audit_dedup(out, quant)
+    ob._audit_dedup(out)
     return [(w, m) for w, m, _ in out]
 
 
@@ -134,7 +133,7 @@ def test_dedup_audit_keeps_an_element_alone_in_its_cells():
     # is the same on both offset grids; a bucket shared by the two grids would
     # pair the element with itself and drop it as its own duplicate
     items = [("e", np.eye(4) + 2e-7, 0)]
-    ob._audit_dedup(items, 1e-9)
+    ob._audit_dedup(items)
     assert len(items) == 1
 
 
@@ -333,13 +332,3 @@ def test_generator_set_json_roundtrip(tmp_path):
     for a, b in zip(back.matrices, gens.matrices):
         assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-15
 
-
-def test_orbit_csv_shape():
-    gens = ob.picard_generators()
-    ball = ob.ball_enumerate(gens, 2)
-    spec = ob.delta_spectrum(ob.coset_reduce(ball, CFG, mode="double"), [0.0], CFG)
-    buf = io.StringIO()
-    ob.write_orbit_csv(spec, buf, tolerances={"quant": 1e-9})
-    lines = buf.getvalue().splitlines()
-    assert lines[2] == "word,len,M,N,Q,delta,coset_id"
-    assert len(lines) == 3 + len(spec.entries)
