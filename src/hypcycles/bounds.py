@@ -10,12 +10,21 @@ integrals as one family.  The window minimum delta_min comes from a grid
 evaluated in one batch call and polished by Nelder-Mead, an oracle kept
 independent of the closed-form minimum.
 
+Calls share what does not depend on mu.  The window scan is memoised per
+(gamma, window, CycleConfig), so a mu sweep of one gamma scans once; the
+Lorentz and G0 checks still run on every call.  The Bessel table is memoised
+per (order, a, b) and spans the octaves [2^a, 2^b] enclosing the call's
+range [0.999 mu sqrt(delta_min), z_hi]: a J value depends on its inputs
+alone, never on which calls came before, and every table in use passed its
+self-audit when it was built.
+
 Anything that multiplies exp(mu) against exp(-mu)-sized factors is carried
 as (log magnitude, sign) so that sweeps up to mu = 60 stay in range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -219,6 +228,20 @@ def _delta_scan(prep, u_range, grid=33):
     return max(d_min, 1.0), max(n_min, 0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _window_scan(gamma_bytes, shape, u_range, cfg):
+    """(PreparedCycle, delta_min, n_min) of the gamma stored in
+    ``gamma_bytes``: the mu-independent part of J, memoised."""
+    prep = PreparedCycle(np.frombuffer(gamma_bytes).reshape(shape), cfg)
+    return (prep, *_delta_scan(prep, u_range))
+
+
+@functools.lru_cache(maxsize=32)
+def _k_table(order, a, b):
+    """The audited Bessel table of a real order over [2^a, 2^b]."""
+    return KScaledInterpolator(order, 2.0 ** a, 2.0 ** b)
+
+
 def j_gamma_quadrature(gamma, u_range, cfg, mu, nu, rel_tol=1e-7):
     """The reduced error-term integral
 
@@ -236,6 +259,8 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu, rel_tol=1e-7):
     height factor s1 can blow up at the same spot); such inputs are
     returned with ``degenerate`` set instead of a value.
     """
+    if not mu > 0:
+        raise ValueError("mu must be positive")
     gamma = require_lorentz(gamma)
     if check_membership(gamma, "G0", cfg, tol=1e-8):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
@@ -249,15 +274,15 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu, rel_tol=1e-7):
         raise ValueError("u_range must give one interval per cycle direction")
 
     n, rho0 = cfg.n, cfg.rho0
-    prep = PreparedCycle(gamma, cfg)
-    inv0 = prep.invariants(np.zeros(cfg.n - 1))
-    delta_min, n_min = _delta_scan(prep, u_range)
-    if inv0.M < 1e-12 or n_min < 1e-8:
+    u_range = tuple((float(lo), float(hi)) for lo, hi in u_range)
+    prep, delta_min, n_min = _window_scan(gamma.tobytes(), gamma.shape, u_range, cfg)
+    if prep.M < 1e-12 or n_min < 1e-8:
         return JGammaResult(log_value=np.nan, value=np.nan, delta_min=delta_min,
                             degenerate=True, n_min=n_min)
     sqrt_dmin = np.sqrt(delta_min)
     z_hi = mu * sqrt_dmin + _EXP_CUT + 120.0
-    table = KScaledInterpolator(nu_r, mu * sqrt_dmin * 0.999, z_hi)
+    table = _k_table(nu_r, math.floor(math.log2(mu * sqrt_dmin * 0.999)),
+                     math.ceil(math.log2(z_hi)))
 
     def inner(points):
         # the r-integrals at every window point of a wave, one family

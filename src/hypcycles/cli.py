@@ -69,6 +69,8 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be {what}, got {getattr(self, f.name)!r}")
         if not (2 <= self.n <= self.d - 1):
             raise ValueError("need 2 <= n <= d-1")
+        if self.max_word_length < 1:
+            raise ValueError("max_word_length must be at least 1")
         for name, t in self.tolerances.items():
             if not _is_number(t):
                 raise ValueError(f"tolerance {name} must be a number, got {t!r}")
@@ -296,7 +298,10 @@ def _experiment_table(config):
     if gens.d != config.d:
         raise ConfigError(f"generator dimension {gens.d} does not match --d {config.d}")
     cfg = config.cfg
-    ball = orbits.ball_enumerate(gens, config.max_word_length, quant=config.tol("quant"))
+    try:
+        ball = orbits.ball_enumerate(gens, config.max_word_length, quant=config.tol("quant"))
+    except ValueError as exc:   # the word-length cost guard
+        raise ConfigError(str(exc))
     table = orbits.coset_reduce(ball, cfg, mode="double", tol=config.tol("coset"),
                                 quant=config.tol("quant"))
     u = np.asarray(config.u if config.u else np.zeros(cfg.n - 1))

@@ -91,6 +91,8 @@ class GeneratorSet:
                     obj = json.load(fh)
         else:
             obj = source
+        if not isinstance(obj, dict):
+            raise ValueError(f"a generator set is a JSON object, got {type(obj).__name__}")
         d = int(obj["d"])
         labels, mats = [], []
         for item in obj["generators"]:

@@ -87,6 +87,10 @@ def test_j_gamma_basics():
     # complex spectral parameter rejected
     with pytest.raises(ValueError):
         bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, 5.0, 1j)
+    # so is a mu that is not positive, before any table range is formed
+    for mu in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, mu, 0.3)
     # M = 0 flagged degenerate
     res = bd.j_gamma_quadrature(S @ U, ((-3.0, 3.0),), CFG, 5.0, 0.3)
     assert res.degenerate
@@ -122,6 +126,71 @@ def test_j_gamma_two_direction_window():
     assert not res.degenerate
     assert np.isfinite(res.log_value)
     assert res.delta_min > 1.0
+
+
+@pytest.mark.usefixtures("fresh_j_caches")
+def test_j_gamma_independent_of_call_order():
+    # the shared Bessel table is a function of its key, never of which mu
+    # came first: mu = 40 then 5 gives the values of 5 then 40
+    T, U, S = _picard()
+    g = U @ S @ U
+    first = {mu: bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, mu, 0.3) for mu in (40.0, 5.0)}
+    bd._window_scan.cache_clear()
+    bd._k_table.cache_clear()
+    second = {mu: bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, mu, 0.3) for mu in (5.0, 40.0)}
+    assert first == second
+
+
+@pytest.mark.usefixtures("fresh_j_caches")
+@pytest.mark.parametrize("cfg, u_range", [
+    (lz.CycleConfig(3, 2), ((-3.0, 3.0),)),
+    (lz.CycleConfig(4, 3), ((-1.5, 1.5), (-1.5, 1.5))),
+])
+def test_window_scan_memo_equals_fresh_scan(cfg, u_range):
+    # seeded gammas whose window minima fall between the grid points, so
+    # the Nelder-Mead polish moves them
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        g = lz.random_lorentz(rng, cfg.d)
+        prep, delta_min, n_min = bd._window_scan(g.tobytes(), g.shape, u_range, cfg)
+        fresh = PreparedCycle(g, cfg)
+        assert (delta_min, n_min) == bd._delta_scan(fresh, u_range)
+        assert prep.M == fresh.M
+        # a repeat call returns the memoised scan
+        assert bd._window_scan(g.tobytes(), g.shape, u_range, cfg)[0] is prep
+
+
+@pytest.mark.usefixtures("fresh_j_caches")
+def test_j_gamma_table_self_audit_still_runs(monkeypatch):
+    # a 1e-6 error in the last values of the shared table trips its audit
+    T, U, S = _picard()
+    batch = tr.bessel_k_scaled_batch
+
+    def perturbed(order, z):
+        z = np.atleast_1d(z)
+        return batch(order, z) * np.where(z > 0.97 * z.max(), 1.0 + 1e-6, 1.0)
+
+    monkeypatch.setattr(tr, "bessel_k_scaled_batch", perturbed)
+    with pytest.raises(RuntimeError, match="self-audit"):
+        bd.j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CFG, 5.0, 0.3)
+
+
+def test_j_gamma_checks_run_on_every_call(monkeypatch):
+    # the Lorentz and G0 checks are not memoised with the window scan
+    T, U, S = _picard()
+    calls = []
+
+    def spy(name, check):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return check(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(bd, "require_lorentz", spy("lorentz", bd.require_lorentz))
+    monkeypatch.setattr(bd, "check_membership", spy("G0", bd.check_membership))
+    for _ in range(2):
+        bd.j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CFG, 5.0, 0.3)
+    assert calls == ["lorentz", "G0"] * 2
 
 
 def test_nested_quadrature_over_a_box():

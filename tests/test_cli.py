@@ -236,3 +236,31 @@ def test_csv_rows_equal_json_rows(argv, key, tmp_path, picard_path):
         assert set(rec) == set(columns)
         # a float's repr reads back as the same float, so this is exact equality
         assert row == [rec[c] if isinstance(rec[c], str) else repr(rec[c]) for c in columns]
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("gens", ["1", "list"], ids=["json-number", "json-list-file"])
+def test_bad_generator_input_exits_2(gens, tmp_path, capsys):
+    if gens == "list":
+        gens = str(tmp_path / "gens.json")
+        (tmp_path / "gens.json").write_text(json.dumps([1, 2]))
+    assert _run(["delta", "--gens", gens]) == 2
+    assert "a generator set is a JSON object" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["delta", "count"])
+@pytest.mark.parametrize("max_len, message", [
+    ("13", "exceeds the cost guard"),
+    ("0", "max_word_length must be at least 1"),
+    ("-1", "max_word_length must be at least 1"),
+], ids=["above-cap", "zero", "negative"])
+def test_bad_max_len_exits_2(command, max_len, message, tmp_path, picard_path, capsys):
+    out = tmp_path / "o.csv"
+    assert _run([command, "--gens", picard_path, "--max-len", max_len, "--out", str(out)]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()

@@ -99,6 +99,7 @@ def test_interpolation_table_audit():
         assert float(table.log_k(zi)) == pytest.approx(tr.log_bessel_k(0.3, float(zi)), abs=1e-8)
 
 
+@pytest.mark.usefixtures("fresh_j_caches")
 def test_interpolation_audit_covers_the_table_end(monkeypatch):
     # a 1e-6 error in the last table values must trip the self-audit
     batch = tr.bessel_k_scaled_batch
