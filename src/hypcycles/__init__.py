@@ -19,8 +19,6 @@ from .lorentz import (
     make_boost,
     make_scale,
     make_unipotent,
-    matrix_from_json,
-    matrix_to_json,
     minkowski_form,
     spin_cover_so13,
 )
@@ -39,7 +37,6 @@ from .decompose import (
 from .transform import (
     KScaledInterpolator,
     SpectralParam,
-    TestFunction,
     bessel_k,
     bessel_k_asymptotic,
     bessel_k_imag_scaled,
@@ -62,6 +59,7 @@ from .cycles import (
     verify_f_geometric,
 )
 from .orbits import (
+    Ball,
     GeneratorSet,
     OrbitEntry,
     OrbitTable,

@@ -77,7 +77,7 @@ class SpectrumModel:
     @classmethod
     def synthetic_weyl(cls, d, volume, r_max):
         """r_j solving N(r_j) = j for the leading Weyl term, up to r_max."""
-        c = volume / ((4.0 * np.pi) ** (d / 2.0) * math.gamma(d / 2.0 + 1.0))
+        c = weyl_count(1.0, d, volume)
         j_max = int(np.floor(c * r_max ** d))
         j = np.arange(1, j_max + 1, dtype=float)
         return cls(d=d, volume=volume, r=(j / c) ** (1.0 / d),

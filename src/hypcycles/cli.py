@@ -274,7 +274,7 @@ def cmd_verify(config):
                                  quant=config.tol("quant"))
     err = 0.0
     count = 0
-    for _, g in ball[1:13]:
+    for g in ball.mats[1:13]:
         u = rng.uniform(-1.5, 1.5, size=cfg.n - 1)
         r = float(np.exp(rng.uniform(-1, 1)))
         _, _, gap = cycles.verify_f_geometric(g, u, r, cfg)
@@ -298,10 +298,10 @@ def _experiment_table(config):
     if gens.d != config.d:
         raise ConfigError(f"generator dimension {gens.d} does not match --d {config.d}")
     cfg = config.cfg
-    try:
-        ball = orbits.ball_enumerate(gens, config.max_word_length, quant=config.tol("quant"))
-    except ValueError as exc:   # the word-length cost guard
-        raise ConfigError(str(exc))
+    if config.max_word_length > orbits.LENGTH_CAP:
+        raise ConfigError(f"--max-len {config.max_word_length} exceeds the cost guard "
+                          f"of {orbits.LENGTH_CAP}")
+    ball = orbits.ball_enumerate(gens, config.max_word_length, quant=config.tol("quant"))
     table = orbits.coset_reduce(ball, cfg, mode="double", tol=config.tol("coset"),
                                 quant=config.tol("quant"))
     u = np.asarray(config.u if config.u else np.zeros(cfg.n - 1))

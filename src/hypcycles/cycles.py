@@ -300,8 +300,9 @@ def min_dist_geodesic_to_cycle(gamma, u, cfg, log_r_range=(-8.0, 8.0), grid=121)
     return float(best)
 
 
-def check_u11_gap(gamma_ball, cfg, tol=1e-9):
-    """Largest |u11| over elements outside the cycle subgroup.
+def check_u11_gap(ball, cfg, tol=1e-9):
+    """Largest |u11| over the elements of a word ball (an orbits.Ball)
+    outside the cycle subgroup.
 
     Elements making |u11| >= 1 - tol are flagged: they signal directions
     fixed at the cycle boundary (parabolic behavior), where the strict gap
@@ -310,8 +311,7 @@ def check_u11_gap(gamma_ball, cfg, tol=1e-9):
     """
     max_u11 = None
     violations = []
-    for idx, item in enumerate(gamma_ball):
-        word, g = item if isinstance(item, tuple) else (str(idx), item)
+    for word, g in zip(ball.words, ball.mats):
         if check_membership(g, "G0", cfg, tol=1e-8):
             continue
         u11 = float(ank(g).k[1, 1])

@@ -9,7 +9,6 @@ the unipotent directions live in coordinates 2..d.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,8 +195,6 @@ def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
         if np.max(np.abs(w[cfg.n - 1:])) > tol:
             return False
         k = make_boost(-np.log(s), d) @ make_unipotent(-w, d) @ g
-        e0 = np.zeros(d + 1)
-        e0[0] = 1.0
         return float(np.max(np.abs(k - np.eye(d + 1)))) <= max(tol, 1e2 * TOL_GROUP)
     raise ValueError(f"unknown subgroup {subgroup!r}")
 
@@ -270,19 +267,6 @@ def spin_cover_so13(m, tol=1e-10):
         g[2, j] = X[0, 1].real
         g[3, j] = X[0, 1].imag
     return require_lorentz(g, tol=1e-8, what="spin cover image")
-
-
-def matrix_to_json(g):
-    g = np.asarray(g, dtype=float)
-    d = g.shape[0] - 1
-    return {"d": d, "matrix": [float(x) for x in g.ravel()]}
-
-
-def matrix_from_json(obj, tol=TOL_GROUP):
-    d = int(obj["d"])
-    entries = np.asarray(obj["matrix"], dtype=float)
-    g = entries.reshape(d + 1, d + 1)
-    return require_lorentz(g, tol=tol, what="deserialized matrix")
 
 
 def random_rotation(rng, d):

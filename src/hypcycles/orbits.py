@@ -1,6 +1,13 @@
 """Word balls in finitely generated discrete subgroups, coset reduction
 relative to the cycle subgroup, delta spectra, and the counting function.
 
+A word ball is one ``Ball`` record of arrays: the shortest words (the
+identity "e" first), the (N, d+1, d+1) stack of their matrices, their word
+lengths and a class id per element, numbered by first appearance.  A fresh
+ball has one class per element; coset reduction returns the same ball
+with left (or double) class ids, so the trivial class is always class 0 and
+each class is represented by its first member.
+
 Elements are deduplicated by quantized matrix entries, with an audit on two
 offset grids that catches rounding-boundary splits; each level of the word
 ball is one stacked product.  Cosets of the cycle subgroup are grouped on
@@ -9,7 +16,8 @@ the same grids by class keys, projectors of normal rows (left) or columns
 are labelled by their smallest member through min-label propagation.
 Stacks are formed CHUNK matrices at a time.  Double cosets take the cycle
 subgroup from a bounded ball, so double-coset reduction is approximate by
-construction and reports the ball radius used.
+construction and reports the ball radius used.  Only the delta spectrum
+builds one ``OrbitEntry`` row per class representative.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ import numpy as np
 
 from .cycles import cycle_invariants
 from .lorentz import (
-    CycleConfig,
     _block_offdiag_max,
     group_residual,
     is_lorentz,
@@ -113,6 +120,25 @@ class GeneratorSet:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class Ball:
+    """A word ball: ``words`` (a tuple, the identity "e" first), ``mats``
+    (their (N, d+1, d+1) stack), ``lengths`` (word lengths) and ``ids``
+    (class ids numbered by first appearance; ``np.arange(N)`` when fresh),
+    with the cycle-subgroup radius of a double reduction."""
+    words: tuple
+    mats: np.ndarray
+    lengths: np.ndarray
+    ids: np.ndarray
+    gamma0_max_len: int = 0
+
+    def __len__(self):
+        return len(self.words)
+
+    def class_ids(self):
+        return sorted(set(self.ids.tolist()))
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class OrbitEntry:
     word: str
@@ -127,30 +153,9 @@ class OrbitEntry:
 
 @dataclass(frozen=True, eq=False)
 class OrbitTable:
+    """A delta spectrum: one OrbitEntry per nontrivial class representative."""
     entries: tuple
-    cfg: CycleConfig = None
-    mode: str = "none"
     gamma0_max_len: int = 0
-
-    def __len__(self):
-        return len(self.entries)
-
-    def class_ids(self):
-        return sorted({e.coset_id for e in self.entries})
-
-    def representatives(self):
-        """First (minimal-word) entry of each class, in class-id order."""
-        reps = {}
-        for e in self.entries:
-            if e.coset_id not in reps:
-                reps[e.coset_id] = e
-        return [reps[i] for i in sorted(reps)]
-
-    def trivial_class_id(self):
-        for e in self.entries:
-            if e.word == "e":
-                return e.coset_id
-        return None
 
 
 def _key(mat, quant):
@@ -178,10 +183,10 @@ def ball_enumerate(gens, max_word_length, quant=QUANT, length_cap=LENGTH_CAP):
     steps = np.asarray(steps)
     eye = np.eye(gens.d + 1)
     seen = {_key(eye, quant)}
-    out = [("e", eye, 0)]
     frontier, words = eye[None], [""]
+    levels, all_words = [frontier], ["e"]
     bases = max(1, CHUNK // len(steps))
-    for length in range(1, max_word_length + 1):
+    for _ in range(max_word_length):
         fresh, new_words = [], []
         for c in range(0, len(frontier), bases):
             prods = (frontier[c:c + bases, None] @ steps[None]).reshape(-1, *eye.shape)
@@ -196,29 +201,32 @@ def ball_enumerate(gens, max_word_length, quant=QUANT, length_cap=LENGTH_CAP):
             break
         # the copy drops the level's duplicate products
         frontier, words = np.concatenate(fresh), new_words
-        out += [(w, m, length) for w, m in zip(words, frontier)]
+        levels.append(frontier)
+        all_words += words
 
-    _audit_dedup(out)
-    return [(w, m) for w, m, _ in out]
+    mats = np.concatenate(levels)
+    lengths = np.repeat(np.arange(len(levels)), [len(m) for m in levels])
+    keep = _audit_dedup(all_words, mats)
+    return Ball(words=tuple(all_words[i] for i in keep.tolist()), mats=mats[keep],
+                lengths=lengths[keep], ids=np.arange(len(keep)))
 
 
-def _audit_dedup(items):
+def _audit_dedup(words, mats):
     """Catch rounding-boundary splits: group coarsely (two offset grids),
-    merge pairs closer than 1e-12, reject ambiguous ones."""
-    drop = set()
-    for idxs in _grid_buckets(np.asarray([m.ravel() for _, m, _ in items])):
+    drop the later member of pairs closer than 1e-12, reject ambiguous
+    ones.  Returns the indices kept, ascending."""
+    keep = np.ones(len(mats), dtype=bool)
+    for idxs in _grid_buckets(mats.reshape(len(mats), -1)):
         for i, j in combinations(idxs, 2):
-            a, b = items[i], items[j]
-            gap = np.max(np.abs(a[1] - b[1]))
+            gap = np.max(np.abs(mats[i] - mats[j]))
             if gap < 1e-12:
-                drop.add(j)
+                keep[j] = False
             elif gap < 1e-8:
                 raise RuntimeError(
-                    f"dedup ambiguity between words {a[0]!r} and {b[0]!r} "
+                    f"dedup ambiguity between words {words[i]!r} and {words[j]!r} "
                     f"(entry gap {gap:.3e}); tighten the quantization"
                 )
-    for idx in sorted(drop, reverse=True):
-        del items[idx]
+    return np.flatnonzero(keep)
 
 
 def _grid_buckets(rows):
@@ -293,8 +301,9 @@ def _components(labels, a, b):
 
 def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=COSET_TOL, quant=QUANT):
     """Partition a deduplicated ball into left (or double) classes mod the
-    cycle subgroup, keeping the first (minimal, lexicographic) word of each
-    class as its representative.
+    cycle subgroup: returns the ball with class ids numbered by first
+    appearance, so that each class's first (minimal, lexicographic) word
+    represents it.
 
     A left class G0 gamma is keyed by N^T N, N = gamma[n+1:, :]; a key hit
     that the block test of gamma' gamma^{-1} rejects at ``tol`` raises.
@@ -302,34 +311,30 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=COSET_TOL, quant=
     if mode not in ("left", "double"):
         raise ValueError("mode must be 'left' or 'double'")
     split = cfg.n + 1
-    words = [w or "e" for w, _ in ball]
-    lengths = [len(w) if w != "e" else 0 for w in words]
-    mats = np.asarray([m for _, m in ball]).reshape(-1, cfg.d + 1, cfg.d + 1)
-    n_el = len(ball)
+    words, mats, n_el = ball.words, ball.mats, len(ball)
 
     bucket, a, b = _pairs(_key_buckets(np.swapaxes(mats[:, split:, :], 1, 2)))
     _confirm(words, bucket, a, b, lambda s: mats[b[s]] @ lorentz_inverse(mats[a[s]]),
              split, tol, "left-class")
     labels = _components(np.arange(n_el), a, b)
     if mode == "double":
-        labels = _merge_double(labels, words, lengths, mats, split, gamma0_max_len, tol, quant)
+        labels = _merge_double(labels, ball, split, gamma0_max_len, tol, quant)
 
     # roots are first members: counting them numbers classes by first appearance
     ids = (np.cumsum(labels == np.arange(n_el)) - 1)[labels]
-    entries = tuple(map(OrbitEntry, words, mats, lengths, ids.tolist()))
-    return OrbitTable(entries=entries, cfg=cfg, mode=mode,
-                      gamma0_max_len=gamma0_max_len if mode == "double" else 0)
+    return replace(ball, ids=ids, gamma0_max_len=gamma0_max_len if mode == "double" else 0)
 
 
-def _merge_double(labels, words, lengths, mats, split, gamma0_max_len, tol, quant):
+def _merge_double(labels, ball, split, gamma0_max_len, tol, quant):
     """Merge left classes lying in one double coset, gamma0 ranging over the
     bounded cycle-subgroup ball: a hash join links rep and rep gamma0 when
     the latter is in the ball, and a key hit of C(gamma0 B) = gamma0 C(B)
     gamma0^T on C(A), A and B live representatives and C = gamma[:, n+1:]
     gamma[:, n+1:]^T, puts A^{-1} gamma0 B in the cycle subgroup.  Returns
     the merged labels."""
+    words, mats = ball.words, ball.mats
     in_g0 = _block_offdiag_max(mats, split) <= tol
-    g0_stack = mats[(np.asarray(lengths) <= gamma0_max_len) & in_g0]
+    g0_stack = mats[(ball.lengths <= gamma0_max_len) & in_g0]
     reps = np.flatnonzero(labels == np.arange(len(mats)))
     index = {k: i for i, k in enumerate(_keys(mats, quant))}
     # ball index of rep @ gamma0, rep-major, -1 where it is not in the ball
@@ -361,21 +366,21 @@ def _merge_double(labels, words, lengths, mats, split, gamma0_max_len, tol, quan
     return _components(labels, a, b)
 
 
-def delta_spectrum(table, u, cfg, tol=1e-9):
-    """Delta values of the nontrivial class representatives, sorted
-    nondecreasing.  Returns a new table whose entries are the
-    representatives with delta and (M, N_u, Q_u) filled in."""
+def delta_spectrum(ball, u, cfg, tol=1e-9):
+    """Delta values of the nontrivial class representatives of a reduced
+    ball, sorted nondecreasing, as a table of OrbitEntry rows with delta
+    and (M, N_u, Q_u) filled in."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    trivial = table.trivial_class_id()
+    # ids number classes by first appearance: a representative is where the
+    # running maximum steps up, and class 0, the identity's, is trivial
+    reps = np.flatnonzero(np.diff(np.maximum.accumulate(ball.ids), prepend=0) > 0)
     rows = []
-    for e in table.representatives():
-        if e.coset_id == trivial:
-            continue
-        inv = cycle_invariants(e.matrix, u, cfg, tol=tol)
-        rows.append(replace(e, delta=float(inv.delta), M=inv.M, N_u=inv.N_u, Q_u=inv.Q_u))
+    for i in reps.tolist():
+        inv = cycle_invariants(ball.mats[i], u, cfg, tol=tol)
+        rows.append(OrbitEntry(ball.words[i], ball.mats[i], int(ball.lengths[i]),
+                               int(ball.ids[i]), float(inv.delta), inv.M, inv.N_u, inv.Q_u))
     rows.sort(key=lambda e: (e.delta, e.word))
-    return OrbitTable(entries=tuple(rows), cfg=cfg, mode=table.mode,
-                      gamma0_max_len=table.gamma0_max_len)
+    return OrbitTable(entries=tuple(rows), gamma0_max_len=ball.gamma0_max_len)
 
 
 def counting_function(table, x_grid):

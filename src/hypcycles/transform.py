@@ -74,20 +74,6 @@ def phi_mu(mu, x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """exp(-mu cosh x), callable on distances."""
-
-    mu: float
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-
-    def __call__(self, x):
-        return phi_mu(self.mu, x)
-
-
 # ---------------------------------------------------------------------------
 # modified Bessel function of the second kind, arbitrary order
 

@@ -96,7 +96,7 @@ def test_c3_distance_duality_and_roundtrips():
 def test_c4_cycle_geometry():
     rng = np.random.default_rng(4)
     ball = ob.ball_enumerate(ob.picard_generators(), 4)
-    mats = [m for _, m in ball]
+    mats = ball.mats
 
     worst_gap = 0.0
     worst_inf = 0.0
@@ -124,15 +124,16 @@ def test_c4_cycle_geometry():
 
     # delta constant on left cosets
     table = ob.coset_reduce(ball, CFG, mode="left")
+    trivial = table.ids[table.words.index("e")]
     by_class = {}
-    for e in table.entries:
-        by_class.setdefault(e.coset_id, []).append(e)
+    for cid, m in zip(table.ids.tolist(), table.mats):
+        by_class.setdefault(cid, []).append(m)
     worst_spread = 0.0
     u0 = np.array([0.4])
     for cid, members in by_class.items():
-        if cid == table.trivial_class_id() or len(members) < 2:
+        if cid == trivial or len(members) < 2:
             continue
-        vals = [cy.delta_u(m.matrix, u0, CFG) for m in members[:3]]
+        vals = [cy.delta_u(m, u0, CFG) for m in members[:3]]
         worst_spread = max(worst_spread, max(vals) - min(vals))
     ok = worst_gap < 1e-6 and worst_inf < 1e-9 and worst_spread < 1e-8
     assert _report(4, ok, f"closed form vs brute-force distance over {n_draws} draws "

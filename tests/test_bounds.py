@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,16 @@ def test_synthetic_weyl_spectrum():
     # N(r_j) = j by construction
     for j in (1, 10, 100):
         assert bd.weyl_count(float(spec.r[j - 1]), 3, 1.0) == pytest.approx(j, rel=1e-10)
+
+
+@pytest.mark.parametrize("d, volume, r_max", [(3, 1.0, 50.0), (2, 4.7, 30.0), (5, 0.3, 12.0)])
+def test_synthetic_weyl_is_bit_identical_to_the_weyl_formula(d, volume, r_max):
+    # the coefficient restated here, as the model once computed it
+    c = volume / ((4.0 * np.pi) ** (d / 2.0) * math.gamma(d / 2.0 + 1.0))
+    j = np.arange(1, int(np.floor(c * r_max ** d)) + 1, dtype=float)
+    spec = bd.SpectrumModel.synthetic_weyl(d, volume, r_max)
+    assert len(spec.r) == len(j) > 0
+    assert (spec.r == (j / c) ** (1.0 / d)).all()
 
 
 def test_f_total_integral():

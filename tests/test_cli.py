@@ -262,5 +262,8 @@ def test_bad_generator_input_exits_2(gens, tmp_path, capsys):
 def test_bad_max_len_exits_2(command, max_len, message, tmp_path, picard_path, capsys):
     out = tmp_path / "o.csv"
     assert _run([command, "--gens", picard_path, "--max-len", max_len, "--out", str(out)]) == 2
-    assert message in _one_error_line(capsys)
+    err = _one_error_line(capsys)
+    assert message in err
+    # the CLI has no length_cap to pass, so its message must not offer one
+    assert "length_cap" not in err
     assert not out.exists()

@@ -4,7 +4,7 @@ import pytest
 from hypcycles import cycles as cy
 from hypcycles import decompose as dc
 from hypcycles import lorentz as lz
-from hypcycles.orbits import picard_generators
+from hypcycles.orbits import Ball, picard_generators
 
 CFG = lz.CycleConfig(3, 2)
 
@@ -138,18 +138,24 @@ def test_compact_factor_ambiguity_does_not_move_f():
     assert inv2.f(r) == pytest.approx(inv.f(r), rel=1e-12)
 
 
+def _ball(**named):
+    """A Ball of the named elements."""
+    return Ball(words=tuple(named), mats=np.asarray(list(named.values())),
+                lengths=np.asarray([len(w) for w in named]), ids=np.arange(len(named)))
+
+
 def test_check_u11_gap_reports():
     T, U, S = _picard()
     # vacuous over a block-only ball
-    mx, viol = cy.check_u11_gap([("T", T), ("S", S)], CFG)
+    mx, viol = cy.check_u11_gap(_ball(T=T, S=S), CFG)
     assert mx is None and viol == []
     # the parabolic generator fixing the boundary direction hits u11 = 1;
     # this is the documented failure mode of non-cocompact stand-ins
-    mx, viol = cy.check_u11_gap([("U", U), ("SU", S @ U), ("UT", U @ T)], CFG)
+    mx, viol = cy.check_u11_gap(_ball(U=U, SU=S @ U, UT=U @ T), CFG)
     assert mx == pytest.approx(1.0, abs=1e-12)
     assert ("U", pytest.approx(1.0, abs=1e-12)) in [(w, v) for w, v in viol]
     # loxodromic-type elements stay strictly inside
-    mx, viol = cy.check_u11_gap([("SU", S @ U), ("SUS", S @ U @ S)], CFG)
+    mx, viol = cy.check_u11_gap(_ball(SU=S @ U, SUS=S @ U @ S), CFG)
     assert mx is not None and mx < 1.0 - 1e-9
 
 

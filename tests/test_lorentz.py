@@ -126,14 +126,6 @@ def test_spin_cover_homomorphism():
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_json_roundtrip():
-    g = lz.make_unipotent([0.25, -1.5]) @ lz.make_boost(0.4, 3)
-    obj = lz.matrix_to_json(g)
-    assert obj["d"] == 3 and len(obj["matrix"]) == 16
-    back = lz.matrix_from_json(obj)
-    assert np.max(np.abs(back - g)) < 1e-15
-
-
 def test_cycle_config_validation():
     cfg = lz.CycleConfig(5, 3)
     assert cfg.rho == 2.0 and cfg.rho0 == 1.0

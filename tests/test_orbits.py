@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -17,17 +18,16 @@ def test_cyclic_ball():
     gens = ob.cyclic_boost_generators(1.0, 3)
     ball = ob.ball_enumerate(gens, 3)
     assert len(ball) == 7
-    words = {w for w, _ in ball}
+    words = set(ball.words)
     assert words == {"e", "A", "a", "AA", "aa", "AAA", "aaa"}
 
 
 def test_dedup_collapses_inverse_pairs():
     gens = ob.picard_generators()
     ball = ob.ball_enumerate(gens, 2)
-    words = [w for w, _ in ball]
     # Tt never appears: it collapses onto e
-    assert all(not (w[:1] == "T" and w[1:2] == "t") for w in words)
-    mats = np.asarray([m for _, m in ball])
+    assert all(not (w[:1] == "T" and w[1:2] == "t") for w in ball.words)
+    mats = ball.mats
     # dedup soundness: entries pairwise separated
     for i in range(len(ball)):
         gaps = np.max(np.abs(mats - mats[i]), axis=(1, 2))
@@ -38,9 +38,9 @@ def test_dedup_collapses_inverse_pairs():
 def test_ball_closure_under_generators():
     gens = ob.picard_generators()
     ball = ob.ball_enumerate(gens, 3)
-    keys = {ob._key(m, 1e-9) for _, m in ball}
+    keys = {ob._key(m, 1e-9) for m in ball.mats}
     moves = gens.moves()
-    for w, m in ball:
+    for w, m in zip(ball.words, ball.mats):
         if (len(w) if w != "e" else 0) < 3:
             for _, g in moves:
                 assert ob._key(m @ g, 1e-9) in keys
@@ -65,8 +65,11 @@ def _ball_per_word(gens, max_word_length, quant=ob.QUANT):
                     out.append((wbase + lab, m, length))
                     new.append((wbase + lab, m))
         frontier = new
-    ob._audit_dedup(out)
-    return [(w, m) for w, m, _ in out]
+    words = [w for w, _, _ in out]
+    mats = np.asarray([m for _, m, _ in out])
+    keep = ob._audit_dedup(words, mats)
+    return ob.Ball(words=tuple(words[i] for i in keep), mats=mats[keep],
+                   lengths=np.asarray([n for _, _, n in out])[keep], ids=np.arange(len(keep)))
 
 
 def _conjugated_picard(x, v):
@@ -78,12 +81,12 @@ def _conjugated_picard(x, v):
 
 
 def _ball_outcome(enumerate_ball, gens, length):
-    """(words, matrix bytes) of a ball, or the message it raises."""
+    """(words, matrix bytes, word lengths) of a ball, or the message it raises."""
     try:
         ball = enumerate_ball(gens, length)
     except RuntimeError as exc:
         return str(exc)
-    return [w for w, _ in ball], np.asarray([m for _, m in ball]).tobytes()
+    return ball.words, ball.mats.tobytes(), ball.lengths.tolist()
 
 
 @pytest.mark.parametrize("make_gens, length", [
@@ -132,9 +135,37 @@ def test_dedup_audit_keeps_an_element_alone_in_its_cells():
     # every entry lies in the lower half of its audit cell, so its cell index
     # is the same on both offset grids; a bucket shared by the two grids would
     # pair the element with itself and drop it as its own duplicate
-    items = [("e", np.eye(4) + 2e-7, 0)]
-    ob._audit_dedup(items)
-    assert len(items) == 1
+    assert ob._audit_dedup(["e"], (np.eye(4) + 2e-7)[None]).tolist() == [0]
+
+
+@pytest.mark.parametrize("make_gens, length", [
+    (ob.picard_generators, 6),
+    (lambda: ob.cyclic_boost_generators(1.0, 3), 5),
+], ids=["picard", "cyclic"])
+def test_ball_record_through_coset_reduction(make_gens, length):
+    ball = ob.ball_enumerate(make_gens(), length)
+    n_el = len(ball)
+    assert ball.words[0] == "e" and ball.lengths[0] == 0
+    assert ball.lengths.tolist() == [0] + [len(w) for w in ball.words[1:]]
+    assert ball.mats.shape == (n_el, 4, 4)
+    assert ball.ids.tolist() == list(range(n_el))
+    for mode in ("left", "double"):
+        table = ob.coset_reduce(ball, CFG, mode=mode)
+        assert table.words == ball.words
+        assert table.mats.tobytes() == ball.mats.tobytes()
+        assert table.lengths.tolist() == ball.lengths.tolist()
+        assert table.gamma0_max_len == (4 if mode == "double" else 0)
+        first = {}
+        for i, cid in enumerate(table.ids.tolist()):
+            first.setdefault(cid, i)
+        assert list(first) == list(range(len(first)))   # numbered by first appearance
+        del first[table.ids[0]]                          # the identity's class
+        spec = ob.delta_spectrum(table, [0.0], CFG)
+        got = {e.coset_id: (e.word, e.word_length, e.matrix.tobytes()) for e in spec.entries}
+        assert got == {cid: (ball.words[i], len(ball.words[i]), ball.mats[i].tobytes())
+                       for cid, i in first.items()}
+        assert all(type(e.coset_id) is int and type(e.word_length) is int
+                   and type(e.delta) is float for e in spec.entries)
 
 
 def test_ball_regression_counts():
@@ -157,7 +188,7 @@ def test_coset_reduce_block_ball_is_single_class():
     ball = ob.ball_enumerate(gens, 4)
     table = ob.coset_reduce(ball, CFG, mode="left")
     assert len(table.class_ids()) == 1
-    assert table.trivial_class_id() == 0
+    assert table.words[0] == "e" and table.ids[0] == 0
 
 
 def test_left_cosets_are_merged_by_construction():
@@ -165,7 +196,7 @@ def test_left_cosets_are_merged_by_construction():
     mats = dict(zip(gens.labels, gens.matrices))
     ball = ob.ball_enumerate(gens, 4)
     table = ob.coset_reduce(ball, CFG, mode="left")
-    index = {ob._key(e.matrix, 1e-9): e for e in table.entries}
+    index = {ob._key(m, 1e-9): cid for m, cid in zip(table.mats, table.ids.tolist())}
     # g0 gamma lands in the class of gamma for block elements g0
     for g0w, gw in [("T", "U"), ("S", "U"), ("TS", "UT")]:
         g0 = np.linalg.multi_dot([mats[c] for c in g0w]) if len(g0w) > 1 else mats[g0w]
@@ -173,7 +204,7 @@ def test_left_cosets_are_merged_by_construction():
         a = index.get(ob._key(g0 @ g, 1e-9))
         b = index.get(ob._key(g, 1e-9))
         assert a is not None and b is not None
-        assert a.coset_id == b.coset_id
+        assert a == b
 
 
 @pytest.mark.parametrize("length, n_left, n_double", [(4, 39, 15), (6, 217, 46)],
@@ -195,14 +226,14 @@ def test_coset_reduce_under_conjugation_is_right_or_raises():
     # unconjugated one; entries grow to ~e^6, past what the absolute block
     # tolerance resolves, and then a reduction must raise, never differ
     ball = ob.ball_enumerate(ob.picard_generators(), 6)
-    want = {mode: [e.coset_id for e in ob.coset_reduce(ball, CFG, mode=mode).entries]
+    want = {mode: ob.coset_reduce(ball, CFG, mode=mode).ids.tolist()
             for mode in ("left", "double")}
     raises = dict.fromkeys(want, 0)
     for x in np.linspace(-3.0, 3.0, 7):
         for v in np.linspace(-3.0, 3.0, 7):
             h = lz.make_boost(x, 3) @ lz.make_unipotent(np.array([v, 0.0]), 3)
             h_inv = lz.lorentz_inverse(h)
-            conj = [(w, h_inv @ g @ h) for w, g in ball]
+            conj = dataclasses.replace(ball, mats=np.asarray([h_inv @ g @ h for g in ball.mats]))
             for mode, ids in want.items():
                 try:
                     table = ob.coset_reduce(conj, CFG, mode=mode)
@@ -210,7 +241,7 @@ def test_coset_reduce_under_conjugation_is_right_or_raises():
                     assert re.search(r"key collision between words '\w+' and '\w+'", str(exc))
                     raises[mode] += 1
                     continue
-                assert [e.coset_id for e in table.entries] == ids, (mode, x, v)
+                assert table.ids.tolist() == ids, (mode, x, v)
     # the raises of a block test of each key hit on its own: confirming the
     # hits in stacks must not lose a relation to rounding more often
     assert raises["left"] <= 2 and raises["double"] <= 16, raises
@@ -220,9 +251,9 @@ def test_double_reduction_sound_and_complete():
     gens = ob.picard_generators()
     ball = ob.ball_enumerate(gens, 3)
     table = ob.coset_reduce(ball, CFG, mode="double", gamma0_max_len=3)
-    g0ball = [m for w, m in ball if lz.check_membership(m, "G0", CFG, tol=1e-8)
-              and (len(w) if w != "e" else 0) <= 3]
-    mats = [m for _, m in ball]
+    g0ball = [m for w, m in zip(ball.words, ball.mats)
+              if lz.check_membership(m, "G0", CFG, tol=1e-8) and (len(w) if w != "e" else 0) <= 3]
+    mats = list(ball.mats)
     n_el = len(mats)
 
     def edge(i, j):
@@ -246,7 +277,7 @@ def test_double_reduction_sound_and_complete():
         if (new == reach).all():
             break
         reach = new
-    got = np.asarray([e.coset_id for e in table.entries])
+    got = table.ids
     # soundness: everything the reducer merged has a certificate chain
     for cid in set(got.tolist()):
         members = np.nonzero(got == cid)[0]
@@ -255,8 +286,8 @@ def test_double_reduction_sound_and_complete():
     # completeness against the stated rep-pair scan: representatives of
     # distinct classes admit no direct single-certificate merge
     reps = {}
-    for i, e in enumerate(table.entries):
-        reps.setdefault(e.coset_id, i)
+    for i, cid in enumerate(got.tolist()):
+        reps.setdefault(cid, i)
     rep_list = sorted(reps.values())
     for ai in range(len(rep_list)):
         for bi in range(ai + 1, len(rep_list)):
@@ -274,16 +305,17 @@ def test_delta_spectrum_sorted_and_left_constant():
     deltas = [e.delta for e in spec.entries]
     assert deltas == sorted(deltas)
     assert all(d >= 1.0 - 1e-12 for d in deltas)
-    assert table.trivial_class_id() not in {e.coset_id for e in spec.entries}
+    trivial = table.ids[table.words.index("e")]
+    assert trivial not in {e.coset_id for e in spec.entries}
     # left-coset mates share delta
     by_class = {}
-    for e in table.entries:
-        by_class.setdefault(e.coset_id, []).append(e)
+    for cid, m in zip(table.ids.tolist(), table.mats):
+        by_class.setdefault(cid, []).append(m)
     checked = 0
     for cid, members in by_class.items():
-        if cid == table.trivial_class_id() or len(members) < 2:
+        if cid == trivial or len(members) < 2:
             continue
-        vals = [cy.delta_u(m.matrix, u, CFG) for m in members[:4]]
+        vals = [cy.delta_u(m, u, CFG) for m in members[:4]]
         assert max(vals) - min(vals) < 1e-8
         checked += 1
         if checked > 10:

@@ -32,13 +32,6 @@ def test_phi_mu_values_and_validation():
         tr.phi_mu(1.0, -0.5)
 
 
-def test_test_function_dataclass():
-    f = tr.TestFunction(mu=2.0)
-    assert f(0.0) == pytest.approx(np.exp(-2.0))
-    with pytest.raises(ValueError):
-        tr.TestFunction(mu=0.0)
-
-
 def test_spectral_param_validation():
     sp = tr.SpectralParam.for_dim(0.3, 3)
     assert sp.rho == 1.0 and sp.lam == pytest.approx(1.0 - 0.09)
