@@ -101,14 +101,14 @@ def spectral_tail_bound(spec, mu, cutoff):
 # total mass of the test function over the group
 
 
-def f_total_integral(d, mu, rel_tol=1e-9):
+def f_total_integral(d, mu):
     """(closed, quadrature, rel_err) for the group integral of the test
     function: closed form 2^d (pi/2mu)^((d-1)/2) K_{(d-1)/2}(mu); the
     quadrature side is the transform integral with the character dropped,
-    i.e. evaluated at nu = -rho."""
+    i.e. evaluated at nu = -rho, to a relative 1e-9."""
     rho = (d - 1) / 2.0
     closed = 2.0 ** d * (np.pi / (2.0 * mu)) ** rho * bessel_k(rho, mu)
-    quad = selberg_transform_quadrature(d, mu, -rho, rel_tol=rel_tol)
+    quad = selberg_transform_quadrature(d, mu, -rho, rel_tol=1e-9)
     quad = float(np.real(quad))
     err = abs(closed - quad) / max(abs(closed), 1e-300)
     return float(closed), quad, float(err)
@@ -150,15 +150,16 @@ class BoxDomain:
         return self.v_volume * float(radial)
 
 
-def sigma0_model(cfg, mu, nu, box, rel_tol=1e-8):
+def sigma0_model(cfg, mu, nu, box):
     """Main-term model integral over the window: closed form
 
         2^n (pi/2mu)^((n-1)/2) K_nubar(mu) * int_box r^(2 Re nu - 1) dr dv
 
-    against direct quadrature of the layered integral.  Returns
-    (closed, quadrature, rel_err).  Both sides are the n-dimensional
-    spherical transform at nubar times the window integral, so the
-    transform's quadrature cost guard n <= 6 applies.
+    against direct quadrature of the layered integral (the transform to a
+    relative 1e-8, the radial factor to 1e-10).  Returns (closed,
+    quadrature, rel_err).  Both sides are the n-dimensional spherical
+    transform at nubar times the window integral, so the transform's
+    quadrature cost guard n <= transform.MAX_QUAD_DIM applies.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -169,11 +170,10 @@ def sigma0_model(cfg, mu, nu, box, rel_tol=1e-8):
     closed = selberg_transform_closed(n, mu, nu_bar) * i_nu
     # the layered integral over (u, s) is the transform integral at -nubar
     # after the substitution s = 1/r
-    inner = selberg_transform_quadrature(n, mu, -nu_bar, rel_tol=rel_tol)
+    inner = selberg_transform_quadrature(n, mu, -nu_bar, rel_tol=1e-8)
     r_lo, r_hi = box.r_bounds
     a = 2.0 * nu_c.real
-    radial = quad_gk(lambda r: r ** (a - 1.0), r_lo, r_hi,
-                     rel_tol=max(rel_tol * 1e-2, 1e-13)).value
+    radial = quad_gk(lambda r: r ** (a - 1.0), r_lo, r_hi, rel_tol=1e-10).value
     quad = inner * box.v_volume * radial
 
     closed_s, quad_s = complex(closed), complex(quad)
@@ -196,22 +196,22 @@ class JGammaResult:
     n_min: float
 
 
-def _delta_grid(prep, u_range, grid=33):
-    """The grid^(n-1) points of the window with delta_u and N_u at each,
+def _delta_grid(prep, u_range):
+    """The 33^(n-1) points of the window with delta_u and N_u at each,
     from one batch evaluation."""
-    axes = [np.linspace(lo, hi, grid) for lo, hi in u_range]
+    axes = [np.linspace(lo, hi, 33) for lo, hi in u_range]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     invs = prep.invariants_batch(pts)
     return pts, invs.delta, invs.N_u
 
 
-def _delta_scan(prep, u_range, grid=33):
+def _delta_scan(prep, u_range):
     """Minimum of delta_u over the window, plus the refined minimum of N_u
     (the convergence witness); grid scans polished by Nelder-Mead."""
     from scipy.optimize import minimize
 
-    pts, deltas, n_vals = _delta_grid(prep, u_range, grid)
+    pts, deltas, n_vals = _delta_grid(prep, u_range)
     lo_clip = [lo for lo, _ in u_range]
     hi_clip = [hi for _, hi in u_range]
 
@@ -242,15 +242,16 @@ def _k_table(order, a, b):
     return KScaledInterpolator(order, 2.0 ** a, 2.0 ** b)
 
 
-def j_gamma_quadrature(gamma, u_range, cfg, mu, nu, rel_tol=1e-7):
+def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     """The reduced error-term integral
 
         J = 2^n (pi/2mu)^((n-1)/2) *
             int (sqrt f)^nu K_nu(mu sqrt f) s1^(nu+rho0) r^(nu+rho0-n) dr du
 
     over the direction window ``u_range``, computed in log scale so the
-    exp(-mu sqrt(delta_min)) size survives large mu.  Real spectral
-    parameter only (the integral is complex otherwise).
+    exp(-mu sqrt(delta_min)) size survives large mu: the window integrals
+    to a relative 1e-7, the height integrals inside them to 1e-8.  Real
+    spectral parameter only (the integral is complex otherwise).
 
     Convergence needs both M(gamma) > 0 and inf_u N_u(gamma) > 0 on the
     window -- the positivity a good double-coset representative enjoys.
@@ -305,9 +306,9 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu, rel_tol=1e-7):
                           + (nu_r + rho0 - n + 1.0) * x)
 
         return quad_family(integrand, np.log(r_lo) - 2.0, np.log(r_hi) + 2.0,
-                           rel_tol=rel_tol * 1e-1).value
+                           rel_tol=1e-8).value
 
-    val = _nested_quad(inner, u_range, rel_tol)[0]
+    val = _nested_quad(inner, u_range, 1e-7)[0]
     pref = 2.0 ** n * (np.pi / (2.0 * mu)) ** ((n - 1) / 2.0)
     log_value = float(np.log(pref) + np.log(val) - mu * sqrt_dmin)
     return JGammaResult(log_value=log_value,

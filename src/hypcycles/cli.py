@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -71,7 +72,16 @@ class RunConfig:
             raise ValueError("need 2 <= n <= d-1")
         if self.max_word_length < 1:
             raise ValueError("max_word_length must be at least 1")
+        if not all(math.isfinite(mu) and mu > 0 for mu in self.mu_list):
+            raise ValueError("mu_list entries must be finite and positive, "
+                             f"got {list(self.mu_list)!r}")
+        if self.u and (len(self.u) != self.n - 1 or not all(map(math.isfinite, self.u))):
+            raise ValueError(f"u must hold n-1 = {self.n - 1} finite numbers, "
+                             f"got {list(self.u)!r}")
         for name, t in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise ValueError(f"unknown tolerance {name!r}; "
+                                 f"known: {', '.join(DEFAULT_TOLERANCES)}")
             if not _is_number(t):
                 raise ValueError(f"tolerance {name} must be a number, got {t!r}")
             if t <= 0:
@@ -350,6 +360,9 @@ def cmd_count(config):
 
 
 def cmd_transform(config):
+    if config.d > transform.MAX_QUAD_DIM:
+        raise ConfigError(f"--d {config.d} exceeds the transform quadrature's cost guard "
+                          f"d <= {transform.MAX_QUAD_DIM}")
     records = []
     worst = 0.0
     for mu in config.mu_list:

@@ -68,13 +68,14 @@ class KakFactors:
         return self.k1 @ make_boost(self.t, self.k1.shape[0] - 1) @ self.k2
 
 
-def nak(g, tol=1e-9):
-    """NAK factors from the first column of g.
+def nak(g):
+    """NAK factors from the first column of g, a group element to within
+    lorentz.TOL_GROUP.
 
     With p = g . o one has p0 - p1 = 1/s and p[2:] = w/s, which determines
     the NA part; the compact factor is whatever is left over.
     """
-    g = require_lorentz(g, tol=tol)
+    g = require_lorentz(g)
     d = g.shape[0] - 1
     p = g[:, 0]
     s = 1.0 / (p[0] - p[1])      # p0 - p1 = sqrt(1+|p'|^2) - p1 > 0 on the sheet
@@ -84,9 +85,9 @@ def nak(g, tol=1e-9):
     return NakFactors(w=w, x=x, k=k)
 
 
-def ank(g, tol=1e-9):
+def ank(g):
     """ANK factors: if g = n_w a_s k then g = a_s n_{w/s} k."""
-    f = nak(g, tol=tol)
+    f = nak(g)
     return AnkFactors(r0=f.s, w0=f.w / f.s, k=f.k)
 
 
@@ -112,13 +113,14 @@ def _complete_frame(v):
     return H
 
 
-def kak(g, tol=1e-9):
-    """Cartan factors g = k1 a_t k2 with t = arccosh(g00) >= 0.
+def kak(g):
+    """Cartan factors g = k1 a_t k2 with t = arccosh(g00) >= 0, for g a
+    group element to within lorentz.TOL_GROUP.
 
     The decomposition is unique only modulo the centralizer of the boost
     axis; the frame completion makes a fixed deterministic choice.
     """
-    g = require_lorentz(g, tol=tol)
+    g = require_lorentz(g)
     d = g.shape[0] - 1
     t = float(np.arccosh(max(g[0, 0], 1.0)))
     p = g[:, 0]
@@ -175,7 +177,9 @@ def to_horospherical(p):
     return p[2:] * r, float(r)
 
 
-def random_point(rng, d, u_scale=2.0, logr_scale=1.0):
-    u = u_scale * rng.uniform(-1, 1, size=d - 1)
-    r = float(np.exp(logr_scale * rng.uniform(-1, 1)))
+def random_point(rng, d):
+    """Random point n_u a_r . o with u uniform in [-2, 2]^(d-1) and log r
+    uniform in [-1, 1]."""
+    u = 2.0 * rng.uniform(-1, 1, size=d - 1)
+    r = float(np.exp(rng.uniform(-1, 1)))
     return from_horospherical(u, r)

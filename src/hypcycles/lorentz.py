@@ -199,58 +199,47 @@ def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
     raise ValueError(f"unknown subgroup {subgroup!r}")
 
 
-def commutation_identities(r, u, k=None, kprime=None, tol=1e-12):
+def commutation_identities(r, u, k=None):
     """Check the three structural identities used throughout:
 
     1. a_r n_u = n_{u r} a_r
     2. diag(1,1,k) n_u = n_{u k^T} diag(1,1,k)          (k in SO(d-1))
-    3. diag(1,-1,k') a_r = a_{1/r} diag(1,-1,k')        (k' in O(d-1), det -1)
+    3. diag(1,-1,k') a_r = a_{1/r} diag(1,-1,k')        (k' = k with its first
+                                                          row negated, det -1)
 
-    Returns a tuple of three booleans (entrywise agreement within ``tol``).
+    Returns a tuple of three booleans (entrywise agreement within 1e-12).
     """
     if r <= 0:
         raise ValueError("r must be positive")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = u.size + 1
     a = make_scale(r, d)
-    lhs1 = a @ make_unipotent(u, d)
-    rhs1 = make_unipotent(u * r, d) @ a
-    ok1 = float(np.max(np.abs(lhs1 - rhs1))) <= tol
-
-    if k is None:
-        k = np.eye(d - 1)
-    k = np.asarray(k, dtype=float)
+    k = np.eye(d - 1) if k is None else np.asarray(k, dtype=float)
     mk = embed_m_rotation(k)
-    lhs2 = mk @ make_unipotent(u, d)
-    rhs2 = make_unipotent(u @ k.T, d) @ mk
-    ok2 = float(np.max(np.abs(lhs2 - rhs2))) <= tol
-
-    if kprime is None:
-        kprime = k.copy()
-        kprime[0] *= -1.0
-    kprime = np.asarray(kprime, dtype=float)
     mkp = np.eye(d + 1)
     mkp[1, 1] = -1.0
-    mkp[2:, 2:] = kprime
-    lhs3 = mkp @ a
-    rhs3 = make_scale(1.0 / r, d) @ mkp
-    ok3 = float(np.max(np.abs(lhs3 - rhs3))) <= tol
-    return ok1, ok2, ok3
+    mkp[2:, 2:] = k
+    mkp[2, 2:] *= -1.0
+    sides = [(a @ make_unipotent(u, d), make_unipotent(u * r, d) @ a),
+             (mk @ make_unipotent(u, d), make_unipotent(u @ k.T, d) @ mk),
+             (mkp @ a, make_scale(1.0 / r, d) @ mkp)]
+    return tuple(float(np.max(np.abs(lhs - rhs))) <= 1e-12 for lhs, rhs in sides)
 
 
-def spin_cover_so13(m, tol=1e-10):
+def spin_cover_so13(m):
     """Image of m in SL(2,C) under the double cover onto SO0(1,3).
 
     The action X -> m X m* on Hermitian matrices is read in the basis
     X = [[x0+x1, x2+i x3], [x2-i x3, x0-x1]], so det X is the Minkowski
     norm and the diagonal/upper-triangular subgroups of SL(2,C) land on
-    the boost axis A and the unipotent group N of our conventions.
+    the boost axis A and the unipotent group N of our conventions.  The
+    determinant of m must be 1 to within 1e-10.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 complex matrix")
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > 1e-10:
         raise ValueError(f"matrix must have det 1 (got {det})")
     basis = (
         np.eye(2, dtype=complex),
@@ -279,15 +268,16 @@ def random_rotation(rng, d):
     return q
 
 
-def random_lorentz(rng, d, n_factors=6, scale=0.8):
-    """Random word in boosts, unipotents and rotations (covers G = NAK)."""
+def random_lorentz(rng, d, n_factors=6):
+    """Random word in boosts, unipotents and rotations (covers G = NAK);
+    boost rapidities and unipotent entries are uniform in [-0.8, 0.8]."""
     g = np.eye(d + 1)
     for _ in range(n_factors):
         kind = rng.integers(0, 3)
         if kind == 0:
-            g = g @ make_boost(scale * rng.uniform(-1, 1), d)
+            g = g @ make_boost(0.8 * rng.uniform(-1, 1), d)
         elif kind == 1:
-            g = g @ make_unipotent(scale * rng.uniform(-1, 1, size=d - 1), d)
+            g = g @ make_unipotent(0.8 * rng.uniform(-1, 1, size=d - 1), d)
         else:
             g = g @ embed_rotation(random_rotation(rng, d))
     return g

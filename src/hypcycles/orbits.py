@@ -158,31 +158,28 @@ class OrbitTable:
     gamma0_max_len: int = 0
 
 
-def _key(mat, quant):
-    return np.round(mat / quant).astype(np.int64).tobytes()
-
-
 def _keys(stack, quant):
-    """_key of each matrix of a stack."""
+    """The dedup key of each matrix of a stack: its entries rounded to
+    cells of size ``quant``, as bytes."""
     cells = np.round(stack / quant).astype(np.int64).reshape(len(stack), -1)
     return cells.view(f"V{cells.shape[1] * cells.itemsize}").ravel().tolist()
 
 
-def ball_enumerate(gens, max_word_length, quant=QUANT, length_cap=LENGTH_CAP):
+def ball_enumerate(gens, max_word_length, quant=QUANT):
     """Breadth-first word ball: all distinct elements of word length up to
-    ``max_word_length``, each with a shortest representing word (ties broken
-    lexicographically by construction order).  Each level's products
-    base @ move are formed as stacked products, base-major like the words.
+    ``max_word_length`` (at most LENGTH_CAP), each with a shortest
+    representing word (ties broken lexicographically by construction
+    order).  Each level's products base @ move are formed as stacked
+    products, base-major like the words.
     """
-    if max_word_length > length_cap:
+    if max_word_length > LENGTH_CAP:
         raise ValueError(
-            f"max_word_length {max_word_length} exceeds the cost guard {length_cap}; "
-            "pass length_cap explicitly to override"
+            f"max_word_length {max_word_length} exceeds the cost guard {LENGTH_CAP}"
         )
     letters, steps = zip(*gens.moves())
     steps = np.asarray(steps)
     eye = np.eye(gens.d + 1)
-    seen = {_key(eye, quant)}
+    seen = set(_keys(eye[None], quant))
     frontier, words = eye[None], [""]
     levels, all_words = [frontier], ["e"]
     bases = max(1, CHUNK // len(steps))
@@ -366,7 +363,7 @@ def _merge_double(labels, ball, split, gamma0_max_len, tol, quant):
     return _components(labels, a, b)
 
 
-def delta_spectrum(ball, u, cfg, tol=1e-9):
+def delta_spectrum(ball, u, cfg):
     """Delta values of the nontrivial class representatives of a reduced
     ball, sorted nondecreasing, as a table of OrbitEntry rows with delta
     and (M, N_u, Q_u) filled in."""
@@ -376,7 +373,7 @@ def delta_spectrum(ball, u, cfg, tol=1e-9):
     reps = np.flatnonzero(np.diff(np.maximum.accumulate(ball.ids), prepend=0) > 0)
     rows = []
     for i in reps.tolist():
-        inv = cycle_invariants(ball.mats[i], u, cfg, tol=tol)
+        inv = cycle_invariants(ball.mats[i], u, cfg)
         rows.append(OrbitEntry(ball.words[i], ball.mats[i], int(ball.lengths[i]),
                                int(ball.ids[i]), float(inv.delta), inv.M, inv.N_u, inv.Q_u))
     rows.sort(key=lambda e: (e.delta, e.word))
@@ -401,14 +398,14 @@ def counting_function(table, x_grid):
     return pts, slope
 
 
-def ordering_statistic(table, cfg, beta=0.5):
-    """delta_j * j^(-1/((d-n)/2 + beta)) over the sorted spectrum; a
+def ordering_statistic(table, cfg):
+    """delta_j * j^(-1/((d-n)/2 + 1/2)) over the sorted spectrum; a
     positive lower bound restates the growth of the ordered deltas."""
     deltas = np.asarray(sorted(e.delta for e in table.entries))
     if deltas.size == 0:
         raise ValueError("empty orbit table")
     j = np.arange(1, deltas.size + 1, dtype=float)
-    expo = 1.0 / ((cfg.d - cfg.n) / 2.0 + beta)
+    expo = 1.0 / ((cfg.d - cfg.n) / 2.0 + 0.5)
     stats = deltas * j ** (-expo)
     return float(stats.min()), stats
 

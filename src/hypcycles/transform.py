@@ -22,6 +22,12 @@ from .quadrature import quad_family, quad_gk
 
 MAX_REAL_ORDER = 50.0
 _EXP_CUT = 770.0           # exp(-770) underflows with margin
+# relative accuracy of the adaptive Bessel evaluators and of the closed form
+BESSEL_REL_TOL = 1e-9
+# relative accuracy of each side's quadrature in the integral identities
+GR_REL_TOL = 1e-10
+# largest dimension the nested transform quadrature accepts (cost guard)
+MAX_QUAD_DIM = 6
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +94,11 @@ def _normalize_order(order):
     return nu
 
 
-def _cosh_cutoff(x, a, target=_EXP_CUT):
-    """Smallest T with x*(cosh T - 1) - a*T beyond the underflow target."""
-    T = float(np.arccosh(1.0 + (target + 10.0) / x))
+def _cosh_cutoff(x, a):
+    """Smallest T with x*(cosh T - 1) - a*T beyond the underflow target _EXP_CUT."""
+    T = float(np.arccosh(1.0 + (_EXP_CUT + 10.0) / x))
     for _ in range(6):
-        T = float(np.arccosh(1.0 + (target + 10.0 + max(a, 0.0) * T) / x))
+        T = float(np.arccosh(1.0 + (_EXP_CUT + 10.0 + max(a, 0.0) * T) / x))
     return T + 0.5
 
 
@@ -112,8 +118,8 @@ def _scaled_integrand(t, x, nu):
     return 0.5 * np.exp(expo) * (np.exp(1j * b * t) + np.exp(-2.0 * a * t - 1j * b * t))
 
 
-def bessel_k_scaled(order, x, rel_tol=1e-9):
-    """exp(x) * K_order(x) by adaptive quadrature; safe for large x.
+def bessel_k_scaled(order, x):
+    """exp(x) * K_order(x) by quadrature to BESSEL_REL_TOL; safe for large x.
 
     An array x gives an array, its arguments integrated as one family, each
     refined exactly as it would be alone.
@@ -126,29 +132,29 @@ def bessel_k_scaled(order, x, rel_tol=1e-9):
     nu = _normalize_order(order)
     T = [_cosh_cutoff(v, nu.real) for v in args]
     val = quad_family(lambda t, k: _scaled_integrand(t, xs[k], nu), 0.0, T,
-                      rel_tol=rel_tol, abs_tol=1e-300).value
+                      rel_tol=BESSEL_REL_TOL).value
     if not _complex_order(order):
         val = val.real
     return val.reshape(x.shape) if x.ndim else val[0].item()
 
 
-def bessel_k(order, x, rel_tol=1e-9):
-    """K_order(x) for real, imaginary, or general complex order.
+def bessel_k(order, x):
+    """K_order(x) to BESSEL_REL_TOL for real, imaginary or complex order.
 
     Returns a complex number when the order is passed as complex (its
     imaginary part measures how well reality survives for imaginary order),
     a float otherwise.
     """
-    scaled = bessel_k_scaled(order, x, rel_tol=rel_tol)
+    scaled = bessel_k_scaled(order, x)
     return scaled * np.exp(-x)
 
 
-def log_bessel_k(order, x, rel_tol=1e-9):
-    """log K_order(x) for real order (K > 0 there); stable for large x."""
+def log_bessel_k(order, x):
+    """log K_order(x) to BESSEL_REL_TOL for real order; stable for large x."""
     nu = complex(order)
     if abs(nu.imag) > 1e-14:
         raise ValueError("log_bessel_k is defined for real order only")
-    scaled = bessel_k_scaled(float(nu.real), x, rel_tol=rel_tol)
+    scaled = bessel_k_scaled(float(nu.real), x)
     return float(np.log(scaled) - x)
 
 
@@ -164,8 +170,8 @@ def bessel_k_asymptotic(order, x):
     return float(np.sqrt(np.pi / (2.0 * x)) * np.exp(-x))
 
 
-def bessel_k_imag_scaled(r, x, rel_tol=1e-9):
-    """exp(pi r / 2) K_{ir}(x) for r >= 0, x > 0, without cancellation.
+def bessel_k_imag_scaled(r, x):
+    """exp(pi r / 2) K_{ir}(x), r >= 0, x > 0, to BESSEL_REL_TOL without cancellation.
 
     K_{ir}(x) is of size exp(-pi r/2), far below what the direct cosh
     representation can resolve in doubles once r is large.  Rotating that
@@ -188,7 +194,7 @@ def bessel_k_imag_scaled(r, x, rel_tol=1e-9):
     if x >= 0.5 * np.pi * r:
         # monotone regime: the direct representation resolves K itself and
         # the exponent pi r/2 - x is nonpositive, so no overflow either way
-        scaled = bessel_k_scaled(complex(0.0, r) if r else 0.0, x, rel_tol=rel_tol)
+        scaled = bessel_k_scaled(complex(0.0, r) if r else 0.0, x)
         return float(np.real(scaled) * np.exp(0.5 * np.pi * r - x))
     tc = max(float(np.arccosh(max(2.0 * r / x, 1.0))), 0.6)
     sh, ch = np.sinh(tc), np.cosh(tc)
@@ -213,7 +219,7 @@ def bessel_k_imag_scaled(r, x, rel_tol=1e-9):
 
     # the three legs as one family; the vertical one runs along i ds
     val = quad_family(legs, [0.0, 0.0, tc], [tc, np.pi / 2.0, max(u_hi, tc + 1.0)],
-                      rel_tol=rel_tol).value
+                      rel_tol=BESSEL_REL_TOL).value
     return float(np.real(val[0] + 1j * val[1] + val[2]))
 
 
@@ -253,12 +259,12 @@ def bessel_k_scaled_batch(order, z):
 class KScaledInterpolator:
     """Cubic log-log spline of exp(z) K_nu(z) for real nu on [z_lo, z_hi].
 
-    Built from the batch evaluator and self-audited against the adaptive
-    one at off-grid points spread over [z_lo, z_hi]; raises if the audit
-    misses ``check_tol``.
+    Built from the batch evaluator at 500 log-spaced nodes and self-audited
+    against the adaptive one at off-grid points spread over [z_lo, z_hi];
+    raises if the audit misses a relative 1e-8.
     """
 
-    def __init__(self, order, z_lo, z_hi, n=500, check_tol=1e-8):
+    def __init__(self, order, z_lo, z_hi):
         from scipy.interpolate import CubicSpline
 
         nu = complex(order)
@@ -268,6 +274,7 @@ class KScaledInterpolator:
         if not (0 < z_lo < z_hi):
             raise ValueError("need 0 < z_lo < z_hi")
         self.z_lo, self.z_hi = float(z_lo), float(z_hi)
+        n = 500
         logz = np.linspace(np.log(z_lo), np.log(z_hi), n)
         vals = bessel_k_scaled_batch(self.order, np.exp(logz))
         self._spline = CubicSpline(logz, np.log(vals))
@@ -276,7 +283,7 @@ class KScaledInterpolator:
         cells = np.linspace(0, n - 2, 6).round().astype(int)
         probe = np.exp(0.5 * (logz[cells] + logz[cells + 1]))
         ref = bessel_k_scaled(self.order, probe)
-        if np.any(np.abs(self(probe) - ref) > check_tol * np.abs(ref)):
+        if np.any(np.abs(self(probe) - ref) > 1e-8 * np.abs(ref)):
             raise RuntimeError("Bessel interpolation table failed its self-audit")
 
     def __call__(self, z):
@@ -298,10 +305,10 @@ def _rel_err(lhs, rhs):
     return abs(lhs - rhs) / scale
 
 
-def gr_identity_3_471_9(alpha, beta, order, rel_tol=1e-10):
+def gr_identity_3_471_9(alpha, beta, order):
     """int_0^inf x^(nu-1) exp(-alpha/x - beta x) dx  vs  2 (a/b)^(nu/2) K_nu(2 sqrt(ab)).
 
-    Both sides returned together with their relative difference.
+    Both sides, each to GR_REL_TOL, returned with their relative difference.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
@@ -316,19 +323,19 @@ def gr_identity_3_471_9(alpha, beta, order, rel_tol=1e-10):
     def f(y):
         return np.exp(nu * y - alpha * np.exp(-y) - beta * np.exp(y))
 
-    res = quad_gk(f, y_lo - 0.5, y_hi + 0.5, rel_tol=rel_tol)
+    res = quad_gk(f, y_lo - 0.5, y_hi + 0.5, rel_tol=GR_REL_TOL)
     lhs = res.value
     rhs = 2.0 * (alpha / beta) ** (nu / 2.0) * complex(bessel_k(complex(nu), 2.0 * np.sqrt(alpha * beta)))
     return lhs, rhs, _rel_err(lhs, rhs)
 
 
-def gr_identity_6_726_4(a, b, c, order, sign=+1, rel_tol=1e-10):
+def gr_identity_6_726_4(a, b, c, order, sign=+1):
     """int_0^inf (x^2+b^2)^(-s nu/2) K_nu(a sqrt(x^2+b^2)) cos(cx) dx  vs
 
     sqrt(pi/2) a^(-s nu) b^(1/2 - s nu) (a^2+c^2)^(s nu/2 - 1/4)
                                         K_(s nu - 1/2)(b sqrt(a^2+c^2))
 
-    where s = sign picks the upper (+1) or lower (-1) row of the identity.
+    where s = sign picks the upper (+1) or lower (-1) row; integral to GR_REL_TOL.
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
@@ -344,7 +351,7 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1, rel_tol=1e-10):
         kv = bessel_k_scaled_batch(complex(nu), z) * np.exp(-z)
         return (x * x + b * b) ** (-s * nu / 2.0) * kv * np.cos(c * x)
 
-    res = quad_gk(f, 0.0, X, rel_tol=rel_tol)
+    res = quad_gk(f, 0.0, X, rel_tol=GR_REL_TOL)
     lhs = res.value
     w = b * np.sqrt(a * a + c * c)
     rhs = (np.sqrt(np.pi / 2.0) * a ** (-s * nu) * b ** (0.5 - s * nu)
@@ -353,12 +360,13 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1, rel_tol=1e-10):
     return lhs, rhs, _rel_err(lhs, rhs)
 
 
-def gr_identity_6_592_12(a, b, c, order=None, rel_tol=1e-10):
+def gr_identity_6_592_12(a, b, c, order=None):
     """int_1^inf x^(-b/2) (x-1)^(c-1) K_z(a sqrt(x)) dx  vs  2^c Gamma(c) a^(-c) K_(b-c)(a).
 
     The identity couples the Bessel order to the power: it holds with
     z = -b (equivalently z = b, K being even in its order).  The order
     argument is optional and only validated against that constraint.
+    The integral is taken to GR_REL_TOL.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -384,7 +392,7 @@ def gr_identity_6_592_12(a, b, c, order=None, rel_tol=1e-10):
         kv = bessel_k_scaled_batch(z_order, zarg) * np.exp(-zarg)
         return 2.0 * tau ** (2.0 * c - 1.0) * x ** (-b / 2.0) * kv
 
-    res = quad_gk(f, 0.0, tau_max, rel_tol=rel_tol)
+    res = quad_gk(f, 0.0, tau_max, rel_tol=GR_REL_TOL)
     lhs = res.value
     rhs = 2.0 ** c * math.gamma(c) * a ** (-c) * float(bessel_k(float(b - c), a))
     return float(lhs), float(rhs), _rel_err(lhs, rhs)
@@ -394,15 +402,15 @@ def gr_identity_6_592_12(a, b, c, order=None, rel_tol=1e-10):
 # the spherical transform of exp(-mu cosh x)
 
 
-def selberg_transform_closed(d, mu, nu, rel_tol=1e-9):
-    """Closed form 2^d (pi/2mu)^((d-1)/2) K_nu(mu)."""
+def selberg_transform_closed(d, mu, nu):
+    """Closed form 2^d (pi/2mu)^((d-1)/2) K_nu(mu), K to BESSEL_REL_TOL."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     if d < 2 or int(d) != d:
         raise ValueError("d must be an integer >= 2")
     nu_c = _nu_value(nu)
     pref = 2.0 ** d * (np.pi / (2.0 * mu)) ** ((d - 1) / 2.0)
-    return pref * bessel_k(nu_c, mu, rel_tol=rel_tol)
+    return pref * bessel_k(nu_c, mu)
 
 
 def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
@@ -410,15 +418,15 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
 
         int_{R^(d-1)} int_0^inf exp[-mu((|u|^2+1)/2 r + (1/2)/r)] r^(nu+rho-1) dr du
 
-    after reducing the u-integral to its radial part.  Agreement with the
-    closed form is the primary oracle pair of this module.
+    after reducing the u-integral to its radial part (d <= MAX_QUAD_DIM).
+    Agreement with the closed form is the primary oracle pair of this module.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     if int(d) != d or d < 2:
         raise ValueError("d must be an integer >= 2")
-    if d > 6:
-        raise ValueError(f"unsupported dimension d={d} (quadrature cost guard, d <= 6)")
+    if d > MAX_QUAD_DIM:
+        raise ValueError(f"unsupported dimension d={d} (quadrature cost guard, d <= {MAX_QUAD_DIM})")
     nu_c = complex(_nu_value(nu))
     rho = (d - 1) / 2.0
     sphere = 2.0 * np.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)

@@ -151,7 +151,7 @@ def test_c5_counting_law():
     deltas = [e.delta for e in spec.entries]
     grid = np.geomspace(1.0, max(deltas) * 1.05, 60)
     _, slope = ob.counting_function(spec, grid)
-    stat_min, _ = ob.ordering_statistic(spec, CFG, beta=0.5)
+    stat_min, _ = ob.ordering_statistic(spec, CFG)
     elapsed = time.time() - t0
     bound = (CFG.d - CFG.n) / 2.0 + 0.3
     # 214 double classes less the trivial one, pinned at the bundled run

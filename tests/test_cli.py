@@ -267,3 +267,39 @@ def test_bad_max_len_exits_2(command, max_len, message, tmp_path, picard_path, c
     # the CLI has no length_cap to pass, so its message must not offer one
     assert "length_cap" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["transform", "--mu", "1", "--out", str(out)]
+    if source == "flag":
+        argv += ["--tol", "quadd=1e-3"]
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"tolerances": {"quadd": 1e-3}}))
+        argv += ["--config", str(cfgfile)]
+    assert _run(argv) == 2
+    err = _one_error_line(capsys)
+    assert "unknown tolerance 'quadd'" in err
+    assert all(name in err for name in cli.DEFAULT_TOLERANCES)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transform", "--mu", "0"], "mu_list entries must be finite and positive"),
+    (["verify", "--mu", "0"], "mu_list entries must be finite and positive"),
+    (["asymptote", "--mu", "-5"], "mu_list entries must be finite and positive"),
+    (["transform", "--mu", "1,inf"], "mu_list entries must be finite and positive"),
+    (["transform", "--d", "8"], "cost guard d <= 6"),
+    (["delta", "--u", "1,2"], "u must hold n-1 = 1 finite numbers"),
+    (["count", "--u", "nan"], "u must hold n-1 = 1 finite numbers"),
+], ids=["transform-mu-0", "verify-mu-0", "asymptote-mu-neg", "mu-inf", "transform-d-8",
+        "delta-u-too-long", "count-u-nan"])
+def test_out_of_range_numbers_exit_2(argv, message, tmp_path, picard_path, capsys):
+    out = tmp_path / "o.csv"
+    if argv[0] in ("delta", "count"):
+        argv = [*argv, "--gens", picard_path]
+    assert _run([*argv, "--out", str(out)]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()

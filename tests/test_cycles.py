@@ -71,7 +71,7 @@ def test_verify_f_geometric_matches_brute_force():
 
 def test_verify_f_geometric_block_element_is_zero():
     T, _, S = _picard()
-    closed, brute, gap = cy.verify_f_geometric(T @ S, [0.5], 1.2, CFG, tol=1e-8)
+    closed, brute, gap = cy.verify_f_geometric(T @ S, [0.5], 1.2, CFG)
     assert closed == pytest.approx(0.0, abs=1e-12)
     assert brute < 1e-6
 
@@ -169,7 +169,7 @@ def test_invariants_validation():
 
 @pytest.mark.parametrize("d, n", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 4)])
 def test_invariants_batch_rows_equal_scalar_invariants(d, n):
-    # every row of one batch call, bit for bit against the scalar method
+    # every row of one batch call, bit for bit against its batch of one
     cfg = lz.CycleConfig(d, n)
     rng = np.random.default_rng(10 * d + n)
     for _ in range(4):
@@ -186,7 +186,17 @@ def test_invariants_batch_rows_equal_scalar_invariants(d, n):
             assert inv.M == batch.M
             for key in ("beta", "N_u", "Q_u", "delta"):
                 assert getattr(inv, key) == getattr(batch, key)[i], (key, i)
+            assert np.array_equal(inv.n_coeffs, batch.n_coeffs[i]), i
             assert inv.f(r[i]) == f_rows[i] and inv.s1(r[i]) == s1_rows[i]
+
+
+def test_invariants_of_one_direction_are_python_floats():
+    # the CLI writes these with repr, where an np.float64 would change the bytes
+    T, U, S = _picard()
+    inv = cy.PreparedCycle(U @ S @ U, CFG).invariants([0.3])
+    for key in ("M", "beta", "N_u", "Q_u"):
+        assert type(getattr(inv, key)) is float, key
+    assert inv.n_coeffs.shape == (CFG.d - CFG.n,)
 
 
 def test_invariants_batch_validation():

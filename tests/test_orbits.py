@@ -35,15 +35,20 @@ def test_dedup_collapses_inverse_pairs():
         assert gaps.min() > 1e-8
 
 
+def _key(mat, quant=ob.QUANT):
+    """The dedup key of one matrix."""
+    return ob._keys(mat[None], quant)[0]
+
+
 def test_ball_closure_under_generators():
     gens = ob.picard_generators()
     ball = ob.ball_enumerate(gens, 3)
-    keys = {ob._key(m, 1e-9) for m in ball.mats}
+    keys = set(ob._keys(ball.mats, 1e-9))
     moves = gens.moves()
     for w, m in zip(ball.words, ball.mats):
         if (len(w) if w != "e" else 0) < 3:
             for _, g in moves:
-                assert ob._key(m @ g, 1e-9) in keys
+                assert _key(m @ g, 1e-9) in keys
 
 
 def _ball_per_word(gens, max_word_length, quant=ob.QUANT):
@@ -51,7 +56,7 @@ def _ball_per_word(gens, max_word_length, quant=ob.QUANT):
     for the stacked products of ball_enumerate."""
     moves = gens.moves()
     eye = np.eye(gens.d + 1)
-    seen = {ob._key(eye, quant)}
+    seen = {_key(eye, quant)}
     out = [("e", eye, 0)]
     frontier = [("", eye)]
     for length in range(1, max_word_length + 1):
@@ -59,7 +64,7 @@ def _ball_per_word(gens, max_word_length, quant=ob.QUANT):
         for wbase, base in frontier:
             for lab, g in moves:
                 m = base @ g
-                k = ob._key(m, quant)
+                k = _key(m, quant)
                 if k not in seen:
                     seen.add(k)
                     out.append((wbase + lab, m, length))
@@ -196,13 +201,13 @@ def test_left_cosets_are_merged_by_construction():
     mats = dict(zip(gens.labels, gens.matrices))
     ball = ob.ball_enumerate(gens, 4)
     table = ob.coset_reduce(ball, CFG, mode="left")
-    index = {ob._key(m, 1e-9): cid for m, cid in zip(table.mats, table.ids.tolist())}
+    index = dict(zip(ob._keys(table.mats, 1e-9), table.ids.tolist()))
     # g0 gamma lands in the class of gamma for block elements g0
     for g0w, gw in [("T", "U"), ("S", "U"), ("TS", "UT")]:
         g0 = np.linalg.multi_dot([mats[c] for c in g0w]) if len(g0w) > 1 else mats[g0w]
         g = np.linalg.multi_dot([mats[c] for c in gw]) if len(gw) > 1 else mats[gw]
-        a = index.get(ob._key(g0 @ g, 1e-9))
-        b = index.get(ob._key(g, 1e-9))
+        a = index.get(_key(g0 @ g, 1e-9))
+        b = index.get(_key(g, 1e-9))
         assert a is not None and b is not None
         assert a == b
 
