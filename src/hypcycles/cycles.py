@@ -10,8 +10,10 @@ with coefficients read off the ANK factorization gamma = a_{r0} n_{w0} k.
 Minimizing over r gives delta_u = 2 sqrt(M N_u) + Q_u, the squared-cosh of
 the distance between the translated geodesic and the cycle.  A PreparedCycle
 evaluates them at an array of directions into one CycleInvariants record;
-one direction is the batch of one.  Everything here is checked against
-brute-force minimization over the cycle.
+one direction is the batch of one.  ``invariants_stack`` evaluates a stack
+of elements at one direction with one group check, one ANK factorization
+and one coefficient pass; a PreparedCycle is its stack of one.  Everything
+here is checked against brute-force minimization over the cycle.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import ank, from_horospherical, minkowski_pairing, to_horospherical
-from .lorentz import check_membership, require_lorentz
+from .decompose import ank_stack, from_horospherical, minkowski_pairing, nak_stack, to_horospherical
+from .lorentz import _block_offdiag_max, lorentz_mask, require_lorentz
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,8 @@ class CycleInvariants:
 
     At one direction beta, N_u and Q_u are floats and n_coeffs a vector;
     from ``PreparedCycle.invariants_batch`` they carry a leading axis of
-    length m, one entry per direction.
+    length m, one entry per direction, and from ``invariants_stack`` every
+    field carries one, one entry per element.
     """
 
     r0: float
@@ -83,37 +86,69 @@ def _dot(a, b):
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-class PreparedCycle:
-    """Factorization data of one gamma, a group element to within
-    lorentz.TOL_GROUP, reusable across many directions u.
+def _prepare(gammas, cfg):
+    """(r0, w0, block, half_col, m, M) of the ANK factorizations of a stack
+    of group elements, each with a leading axis: the parts of the
+    coefficients that do not depend on the direction.
 
     The rotation block (u_ij) of the ANK compact factor is 1-indexed in the
     formulas; as stored here u_ij = block[i-1, j-1], so the often-needed
     column entries u_{i+1,1} sit at block[i, 0].
     """
+    r0, w0, k = ank_stack(gammas)
+    block = np.ascontiguousarray(k[:, 1:, 1:])
+    u11 = block[:, 0, 0]
+    half_col = 0.5 * block[:, 1:, 0]
+    m = ((0.5 * (1.0 - u11))[:, None] * w0 + half_col)[:, cfg.n - 1:]
+    return r0, w0, block, half_col, m, _dot(m, m)
+
+
+def _coefficients(prep, U, n):
+    """beta, n_coeffs, N_u, Q_u at the directions U, shape (m, n-1), of
+    prepared data of one gamma (no leading axis), which meets every row, or
+    of a stack, whose members meet one row each or all the one row."""
+    _, w0, block, half_col, m, _ = prep
+    u11 = block[..., 0, 0]
+    usq = _dot(U, U)
+    # beta = (1-u11)|u|^2/2 - sum_{i=2..n} u_{1i} u_{i-1}
+    beta = 0.5 * (1.0 - u11) * usq - _dot(U, block[..., 0, 1:n])
+    # alpha_i = u_{i+1,1}|u|^2/2 + sum_{j=2..n} u_{i+1,j} u_{j-1},  i = 1..d-1
+    alpha = half_col * usq[:, None] + (block[..., 1:, 1:n] @ U[..., None])[..., 0]
+
+    n_all = (0.5 * (1.0 + u11) + beta)[:, None] * w0 + (alpha - half_col)
+    n_coeffs = n_all[:, n - 1:]
+    return beta, n_coeffs, _dot(n_coeffs, n_coeffs), 1.0 + 2.0 * _dot(n_coeffs, m)
+
+
+def _check_dimension(gamma, cfg):
+    if gamma.shape[-1] != cfg.d + 1:
+        raise ValueError("matrix dimension does not match CycleConfig")
+
+
+def _check_direction(u, cfg):
+    if u.size != cfg.n - 1:
+        raise ValueError(f"direction u must have n-1 = {cfg.n - 1} components")
+
+
+class PreparedCycle:
+    """Factorization data of one gamma, a group element to within
+    lorentz.TOL_GROUP, reusable across many directions u: the stack of one
+    of ``invariants_stack``."""
 
     def __init__(self, gamma, cfg):
         gamma = require_lorentz(gamma)
-        if gamma.shape[0] != cfg.d + 1:
-            raise ValueError("matrix dimension does not match CycleConfig")
+        _check_dimension(gamma, cfg)
         self.cfg = cfg
-        fac = ank(gamma)
-        self.r0 = float(fac.r0)
-        self.w0 = fac.w0.copy()
-        self.block = fac.k[1:, 1:].copy()
-        self.u11 = float(self.block[0, 0])
-        # the parts of the coefficients that do not depend on the direction
-        self._half_col = 0.5 * self.block[1:, 0]
-        self.m = (0.5 * (1.0 - self.u11) * self.w0 + self._half_col)[cfg.n - 1:]
+        self._prep = tuple(part[0] for part in _prepare(gamma[None], cfg))
+        r0, _, block, _, self.m, M = self._prep
+        self.r0, self.u11, self.M = float(r0), float(block[0, 0]), float(M)
         self.m.flags.writeable = False      # shared by every record
-        self.M = float(self.m @ self.m)
 
     def invariants(self, u):
         """The invariants at one direction u (n-1 components): the batch of
         one, with beta, N_u and Q_u as floats."""
         u = np.asarray(u, dtype=float)
-        if u.size != self.cfg.n - 1:
-            raise ValueError(f"direction u must have n-1 = {self.cfg.n - 1} components")
+        _check_direction(u, self.cfg)
         one = self.invariants_batch(u.reshape(1, -1))
         return CycleInvariants(self.r0, self.u11, self.m, self.M, float(one.beta[0]),
                                one.n_coeffs[0], float(one.N_u[0]), float(one.Q_u[0]))
@@ -125,25 +160,37 @@ class PreparedCycle:
         U = np.ascontiguousarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.cfg.n - 1:
             raise ValueError(f"directions U must have shape (m, n-1 = {self.cfg.n - 1})")
-        return CycleInvariants(self.r0, self.u11, self.m, self.M, *self._coefficients(U))
-
-    def _coefficients(self, U):
-        """beta, n_coeffs, N_u, Q_u at the directions U, shape (m, n-1)."""
-        n, u11, block, half_col = self.cfg.n, self.u11, self.block, self._half_col
-        usq = _dot(U, U)
-        # beta = (1-u11)|u|^2/2 - sum_{i=2..n} u_{1i} u_{i-1}
-        beta = 0.5 * (1.0 - u11) * usq - _dot(U, block[0, 1:n])
-        # alpha_i = u_{i+1,1}|u|^2/2 + sum_{j=2..n} u_{i+1,j} u_{j-1},  i = 1..d-1
-        alpha = half_col * usq[:, None] + (block[1:, 1:n] @ U[..., None])[..., 0]
-
-        n_all = (0.5 * (1.0 + u11) + beta)[:, None] * self.w0 + (alpha - half_col)
-        n_coeffs = n_all[:, n - 1:]
-        return beta, n_coeffs, _dot(n_coeffs, n_coeffs), 1.0 + 2.0 * _dot(n_coeffs, self.m)
+        return CycleInvariants(self.r0, self.u11, self.m, self.M,
+                               *_coefficients(self._prep, U, self.cfg.n))
 
 
 def cycle_invariants(gamma, u, cfg):
     """M, N_u, Q_u and friends for gamma acting on the direction u."""
     return PreparedCycle(gamma, cfg).invariants(u)
+
+
+def invariants_stack(gammas, u, cfg):
+    """The invariants of each gamma of a stack (k, d+1, d+1) at one direction
+    u, in one record whose every field has a leading axis of length k: row i
+    equals cycle_invariants(gammas[i], u, cfg) bit for bit.
+
+    The checks raise what a loop of cycle_invariants over the stack would
+    raise first: the first gamma's group and dimension checks come before
+    the direction check, the other gammas' group checks after it.  An empty
+    stack still has its dimension and direction checked.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    u = np.asarray(u, dtype=float)
+    ok = lorentz_mask(gammas)
+    if len(gammas) and not ok[0]:
+        require_lorentz(gammas[0])
+    _check_dimension(gammas, cfg)
+    _check_direction(u, cfg)
+    for i in np.flatnonzero(~ok).tolist():
+        require_lorentz(gammas[i])
+    prep = _prepare(gammas, cfg)
+    r0, _, block, _, m, M = prep
+    return CycleInvariants(r0, block[:, 0, 0], m, M, *_coefficients(prep, u.reshape(1, -1), cfg.n))
 
 
 def f_gamma(inv, r):
@@ -274,14 +321,20 @@ def check_u11_gap(ball, cfg):
     expected of cocompact groups fails.  Returns (max_abs_u11, violations);
     max is None when every element lies in the cycle subgroup.
     """
-    max_u11 = None
-    violations = []
-    for word, g in zip(ball.words, ball.mats):
-        if check_membership(g, "G0", cfg, tol=1e-8):
-            continue
-        u11 = float(ank(g).k[1, 1])
-        if max_u11 is None or abs(u11) > max_u11:
-            max_u11 = abs(u11)
-        if abs(u11) >= 1.0 - 1e-9:
-            violations.append((word, u11))
-    return max_u11, violations
+    mats = np.asarray(ball.mats, dtype=float)
+    if len(mats) and mats.shape[-1] != cfg.d + 1:
+        # the first element decides, as in a loop of check_membership and ank
+        if lorentz_mask(mats[:1], 1e-8)[0]:
+            raise ValueError("CycleConfig dimension does not match matrix")
+        require_lorentz(mats[0])
+    # G0 membership as check_membership(g, "G0", cfg, tol=1e-8) decides it
+    outside = np.flatnonzero(~(lorentz_mask(mats, 1e-8)
+                               & (_block_offdiag_max(mats, cfg.n + 1) <= 1e-8)))
+    if not outside.size:
+        return None, []
+    for i in outside[~lorentz_mask(mats[outside])].tolist():
+        require_lorentz(mats[i])
+    u11 = nak_stack(mats[outside])[2][:, 1, 1].tolist()
+    violations = [(ball.words[i], v) for i, v in zip(outside.tolist(), u11)
+                  if abs(v) >= 1.0 - 1e-9]
+    return max(map(abs, u11)), violations

@@ -68,27 +68,41 @@ class KakFactors:
         return self.k1 @ make_boost(self.t, self.k1.shape[0] - 1) @ self.k2
 
 
-def nak(g):
-    """NAK factors from the first column of g, a group element to within
-    lorentz.TOL_GROUP.
+def nak_stack(g):
+    """NAK factors (w, x, k) of each matrix of a stack (m, d+1, d+1) of group
+    elements, unchecked: w of shape (m, d-1), x (m,) and k (m, d+1, d+1).
 
     With p = g . o one has p0 - p1 = 1/s and p[2:] = w/s, which determines
     the NA part; the compact factor is whatever is left over.
     """
-    g = require_lorentz(g)
-    d = g.shape[0] - 1
-    p = g[:, 0]
-    s = 1.0 / (p[0] - p[1])      # p0 - p1 = sqrt(1+|p'|^2) - p1 > 0 on the sheet
-    w = p[2:] * s
-    x = float(np.log(s))
+    d = g.shape[-1] - 1
+    s = 1.0 / (g[:, 0, 0] - g[:, 1, 0])      # p0 - p1 = sqrt(1+|p'|^2) - p1 > 0 on the sheet
+    w = g[:, 2:, 0] * s[:, None]
+    x = np.log(s)
     k = make_boost(-x, d) @ make_unipotent(-w, d) @ g
-    return NakFactors(w=w, x=x, k=k)
+    return w, x, k
+
+
+def ank_stack(g):
+    """ANK factors (r0, w0, k) of each matrix of a stack of group elements,
+    unchecked: if g = n_w a_s k then g = a_s n_{w/s} k."""
+    w, x, k = nak_stack(g)
+    r0 = np.exp(x)
+    return r0, w / r0[:, None], k
+
+
+def nak(g):
+    """NAK factors of g, a group element to within lorentz.TOL_GROUP: the
+    stack of one."""
+    w, x, k = nak_stack(require_lorentz(g)[None])
+    return NakFactors(w=w[0], x=float(x[0]), k=k[0])
 
 
 def ank(g):
-    """ANK factors: if g = n_w a_s k then g = a_s n_{w/s} k."""
-    f = nak(g)
-    return AnkFactors(r0=f.s, w0=f.w / f.s, k=f.k)
+    """ANK factors of g, a group element to within lorentz.TOL_GROUP: the
+    stack of one."""
+    r0, w0, k = ank_stack(require_lorentz(g)[None])
+    return AnkFactors(r0=float(r0[0]), w0=w0[0], k=k[0])
 
 
 def _complete_frame(v):

@@ -29,14 +29,23 @@ def basepoint(d):
     return xi
 
 
+def _eyes(shape, d):
+    """A stack of identities of size d+1 with leading axes ``shape``."""
+    g = np.zeros((*shape, d + 1, d + 1))
+    g.reshape(*shape, (d + 1) ** 2)[..., ::d + 2] = 1.0
+    return g
+
+
 def make_boost(x, d):
-    """Boost by rapidity ``x`` in the (0,1) plane, identity elsewhere."""
+    """Boost by rapidity ``x`` in the (0,1) plane, identity elsewhere; an
+    array of rapidities gives the stack of their boosts."""
     if d < 2:
         raise ValueError("need d >= 2")
-    g = np.eye(d + 1)
+    x = np.asarray(x, dtype=float)
+    g = _eyes(x.shape, d)
     c, s = np.cosh(x), np.sinh(x)
-    g[0, 0] = g[1, 1] = c
-    g[0, 1] = g[1, 0] = s
+    g[..., 0, 0] = g[..., 1, 1] = c
+    g[..., 0, 1] = g[..., 1, 0] = s
     return g
 
 
@@ -48,22 +57,24 @@ def make_scale(r, d):
 
 
 def make_unipotent(u, d=None):
-    """Upper-triangular horospherical translation by ``u`` in R^(d-1)."""
+    """Upper-triangular horospherical translation by ``u`` in R^(d-1); rows
+    of an array u give the stack of their translations."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if d is None:
-        d = u.size + 1
-    if u.size != d - 1:
+        d = u.shape[-1] + 1
+    if u.shape[-1] != d - 1:
         raise ValueError("u must have d-1 components")
-    q = 0.5 * float(u @ u)
-    g = np.eye(d + 1)
-    g[0, 0] = 1.0 + q
-    g[0, 1] = -q
-    g[1, 0] = q
-    g[1, 1] = 1.0 - q
-    g[0, 2:] = u
-    g[1, 2:] = u
-    g[2:, 0] = u
-    g[2:, 1] = -u
+    # |u|^2 row by row through dot, as for a single vector
+    q = 0.5 * (u[..., None, :] @ u[..., :, None])[..., 0, 0]
+    g = _eyes(u.shape[:-1], d)
+    g[..., 0, 0] = 1.0 + q
+    g[..., 0, 1] = -q
+    g[..., 1, 0] = q
+    g[..., 1, 1] = 1.0 - q
+    g[..., 0, 2:] = u
+    g[..., 1, 2:] = u
+    g[..., 2:, 0] = u
+    g[..., 2:, 1] = -u
     return g
 
 
@@ -92,24 +103,34 @@ def lorentz_inverse(g):
 
 
 def group_residual(g):
-    """Entrywise residual max|g^T J g - J|."""
+    """Entrywise residual max|g^T J g - J|; per matrix of a stack."""
     g = np.asarray(g, dtype=float)
-    J = minkowski_form(g.shape[0] - 1)
-    return float(np.max(np.abs(g.T @ J @ g - J)))
+    J = minkowski_form(g.shape[-1] - 1)
+    res = np.abs(np.swapaxes(g, -1, -2) @ J @ g - J).max(axis=(-2, -1))
+    return float(res) if g.ndim == 2 else res
+
+
+def lorentz_mask(g, tol=TOL_GROUP):
+    """is_lorentz of each matrix of a stack (m, d+1, d+1) of square matrices."""
+    g = np.asarray(g, dtype=float)
+    ok = ~(group_residual(g) > tol)
+    sub = g[ok]
+    # det is exactly +-1 on the group; the tolerance only needs to separate
+    # the two components, but must absorb LU roundoff on large products.  It
+    # is formed per matrix in scalar arithmetic: numpy's array power rounds
+    # differently.
+    eps = np.finfo(float).eps
+    det_tol = [min(0.5, max(tol, 1e3 * eps * x ** g.shape[-1]))
+               for x in np.abs(sub).max(axis=(-2, -1))]
+    ok[ok] = ~(np.abs(np.linalg.det(sub) - 1.0) > det_tol) & (sub[:, 0, 0] >= 1.0 - tol)
+    return ok
 
 
 def is_lorentz(g, tol=TOL_GROUP):
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 3:
         return False
-    if group_residual(g) > tol:
-        return False
-    # det is exactly +-1 on the group; the tolerance only needs to separate
-    # the two components, but must absorb LU roundoff on large products
-    det_tol = min(0.5, max(tol, 1e3 * np.finfo(float).eps * np.abs(g).max() ** g.shape[0]))
-    if abs(np.linalg.det(g) - 1.0) > det_tol:
-        return False
-    return g[0, 0] >= 1.0 - tol
+    return bool(lorentz_mask(g[None], tol)[0])
 
 
 def require_lorentz(g, tol=TOL_GROUP, what="matrix"):

@@ -14,27 +14,39 @@ ball is one stacked product.  Cosets of the cycle subgroup are grouped on
 the same grids by class keys, projectors of normal rows (left) or columns
 (double), and the key hits are confirmed in stacked block tests.  Classes
 are labelled by their smallest member through min-label propagation.
+
+Every key is a row of int64 cells, hashed to one uint64 (a wrapping sum of
+the cells times fixed odd multipliers); rows sort by the hash and compare
+whole, so a hash collision never merges two rows.  The audit and the class
+keys group rows this way, and the word ball's elements seen so far and the
+double pass's join of rep gamma0 on the ball are hash-sorted indexes.  The
+left labels are cached on the ball, so a double reduction after a left one
+on the same ball pays for one left pass.
+
 Stacks are formed CHUNK matrices at a time.  Double cosets take the cycle
 subgroup from a bounded ball, so double-coset reduction is approximate by
 construction and reports the ball radius used.  Only the delta spectrum
-builds one ``OrbitEntry`` row per class representative.
+builds one ``OrbitEntry`` row per class representative, from one stacked
+factorization of all representatives.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
-from .cycles import cycle_invariants
+from .cycles import invariants_stack
 from .lorentz import (
     _block_offdiag_max,
     group_residual,
     is_lorentz,
     lorentz_inverse,
     make_boost,
+    minkowski_form,
     spin_cover_so13,
 )
 
@@ -131,6 +143,9 @@ class Ball:
     lengths: np.ndarray
     ids: np.ndarray
     gamma0_max_len: int = 0
+    # left labels by (block split, tolerance), filled by coset_reduce; a
+    # replaced ball starts empty
+    _left_labels: dict = field(init=False, repr=False, default_factory=dict)
 
     def __len__(self):
         return len(self.words)
@@ -158,11 +173,71 @@ class OrbitTable:
     gamma0_max_len: int = 0
 
 
-def _keys(stack, quant):
-    """The dedup key of each matrix of a stack: its entries rounded to
-    cells of size ``quant``, as bytes."""
-    cells = np.round(stack / quant).astype(np.int64).reshape(len(stack), -1)
-    return cells.view(f"V{cells.shape[1] * cells.itemsize}").ravel().tolist()
+def _cells(stack, quant):
+    """The dedup cells of each matrix of a stack: its entries rounded to
+    cells of size ``quant``, one int64 row per matrix."""
+    return np.round(stack / quant).astype(np.int64).reshape(len(stack), -1)
+
+
+@functools.cache
+def _multipliers(width):
+    """The odd uint64 multipliers of the cell hash, read-only: splitmix64
+    outputs of the column numbers 1..width, their low bit set."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31)) | np.uint64(1)
+    z.flags.writeable = False
+    return z
+
+
+def _hash(cells):
+    """One uint64 per int64 cell row: the wrapping sum of its cells times
+    the multipliers.  Equal rows hash equal; rows compare whole wherever
+    their hashes do, so a hash shared by unequal rows never merges them."""
+    return cells.view(np.uint64) @ _multipliers(cells.shape[1])
+
+
+def _runs(cells, hashes):
+    """An order of the cell rows in which equal rows are adjacent, and the
+    start of each run of equal rows in it; the members of a run come in no
+    particular order.  Rows sort by their hashes; should unequal rows share
+    one, they sort by their cells."""
+    def starts(order):
+        ordered = cells[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        return new
+
+    order = np.argsort(hashes)
+    new = starts(order)
+    if (new[1:] & (hashes[order[1:]] == hashes[order[:-1]])).any():
+        order = np.lexsort(cells.T)
+        new = starts(order)
+    return order, np.flatnonzero(new)
+
+
+def _lookup(index, cells, hashes):
+    """Position in ``index`` = (hashes, cells) sorted by hash of each query
+    row (``cells``, ``hashes``), or -1 where it is absent; a hash run of
+    several rows is walked to the row equal to the query."""
+    index_hashes, index_cells = index
+    pos = np.empty(len(cells), dtype=np.intp)
+    by_hash = np.argsort(hashes)    # sorted queries search faster
+    pos[by_hash] = np.searchsorted(index_hashes, hashes[by_hash])
+    found = np.full(len(cells), -1, dtype=np.intp)
+    live = np.arange(len(cells))
+    while live.size:
+        p = pos[live]
+        hit = p < len(index_hashes)
+        live, p = live[hit], p[hit]
+        hit = index_hashes[p] == hashes[live]
+        live, p = live[hit], p[hit]
+        equal = (index_cells[p] == cells[live]).all(axis=1)
+        found[live[equal]] = p[equal]
+        live = live[~equal]
+        pos[live] += 1
+    return found
 
 
 def ball_enumerate(gens, max_word_length, quant=QUANT):
@@ -170,7 +245,9 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     ``max_word_length`` (at most LENGTH_CAP), each with a shortest
     representing word (ties broken lexicographically by construction
     order).  Each level's products base @ move are formed as stacked
-    products, base-major like the words.
+    products, base-major like the words, and looked up by their cells in
+    the hash-sorted index of the earlier levels, which takes in each level
+    once; the first of a level's equal products is kept.
     """
     if max_word_length > LENGTH_CAP:
         raise ValueError(
@@ -179,27 +256,36 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     letters, steps = zip(*gens.moves())
     steps = np.asarray(steps)
     eye = np.eye(gens.d + 1)
-    seen = set(_keys(eye[None], quant))
+    cells = _cells(eye[None], quant)
+    index = (_hash(cells), cells)
     frontier, words = eye[None], [""]
     levels, all_words = [frontier], ["e"]
     bases = max(1, CHUNK // len(steps))
-    for _ in range(max_word_length):
-        fresh, new_words = [], []
+    for length in range(1, max_word_length + 1):
+        if not len(frontier):
+            break
+        fresh = []      # (products, hashes, positions in the level) not seen before
         for c in range(0, len(frontier), bases):
             prods = (frontier[c:c + bases, None] @ steps[None]).reshape(-1, *eye.shape)
-            hits = []
-            for i, k in enumerate(_keys(prods, quant)):
-                if k not in seen:
-                    seen.add(k)
-                    hits.append(i)
-                    new_words.append(words[c + i // len(steps)] + letters[i % len(steps)])
-            fresh.append(prods[hits])
-        if not fresh:
-            break
-        # the copy drops the level's duplicate products
-        frontier, words = np.concatenate(fresh), new_words
+            cells = _cells(prods, quant)
+            hashes = _hash(cells)
+            new = np.flatnonzero(_lookup(index, cells, hashes) < 0)
+            fresh.append((prods[new], hashes[new], c * len(steps) + new))
+        prods, hashes, pos = (np.concatenate(part) for part in zip(*fresh))
+        del fresh
+        cells = _cells(prods, quant)
+        order, starts = _runs(cells, hashes)
+        keep = np.sort(np.minimum.reduceat(order, starts))  # the first of each run
+        frontier = prods[keep]
+        base, move = np.divmod(pos[keep], len(steps))
+        words = [words[i] + letters[j] for i, j in zip(base.tolist(), move.tolist())]
         levels.append(frontier)
         all_words += words
+        if length < max_word_length:
+            hashes = np.concatenate([index[0], hashes[keep]])
+            by_hash = np.argsort(hashes)
+            index = (hashes[by_hash], np.concatenate([index[1], cells[keep]])[by_hash])
+    index = prods = cells = None    # freed before the audit
 
     mats = np.concatenate(levels)
     lengths = np.repeat(np.arange(len(levels)), [len(m) for m in levels])
@@ -213,8 +299,9 @@ def _audit_dedup(words, mats):
     drop the later member of pairs closer than 1e-12, reject ambiguous
     ones.  Returns the indices kept, ascending."""
     keep = np.ones(len(mats), dtype=bool)
-    for idxs in _grid_buckets(mats.reshape(len(mats), -1)):
-        for i, j in combinations(idxs, 2):
+    members, bounds = _grid_buckets(mats.reshape(len(mats), -1))
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for i, j in combinations(members[a:b].tolist(), 2):
             gap = np.max(np.abs(mats[i] - mats[j]))
             if gap < 1e-12:
                 keep[j] = False
@@ -227,21 +314,26 @@ def _audit_dedup(words, mats):
 
 
 def _grid_buckets(rows):
-    """Index arrays, ascending and in order of first member, of the rows
-    sharing a cell of one of two grids of spacing KEY_RES, offset by half a
-    cell, so that values one grid splits at a boundary meet on the other."""
-    buckets = []
+    """The rows sharing a cell of one of two grids of spacing KEY_RES,
+    offset by half a cell, so that values one grid splits at a boundary
+    meet on the other: (members, bounds), bucket k being the ascending
+    members[bounds[k]:bounds[k + 1]], buckets in order of first member
+    (the unshifted grid's first)."""
+    n = len(rows)
+    keys = []   # per bucket member: (first member, grid, member) as one int
     for grid, off in enumerate((0.0, 0.5)):
         cells = rows / KEY_RES
         cells += off
         cells = np.round(cells, out=cells).astype(np.int64)
-        order = np.lexsort(cells.T)  # stable: members stay ascending
-        cells = cells[order]
-        edges = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1]).any(axis=1), True])
-        multi = np.diff(edges) > 1
-        buckets += [(order[a], grid, order[a:b])
-                    for a, b in zip(edges[:-1][multi].tolist(), edges[1:][multi].tolist())]
-    return [idxs for *_, idxs in sorted(buckets, key=lambda b: b[:2])]
+        order, starts = _runs(cells, _hash(cells))
+        size = np.diff(np.r_[starts, n])
+        multi = np.repeat(size > 1, size)
+        first = np.repeat(np.minimum.reduceat(order, starts), size)
+        keys.append(((2 * first + grid) * n + order)[multi])
+    bucket, members = np.divmod(np.sort(np.concatenate(keys)), max(n, 1))
+    edges = np.ones(len(bucket) + 1, dtype=bool)
+    edges[1:-1] = bucket[1:] != bucket[:-1]
+    return members, np.flatnonzero(edges)
 
 
 def _key_buckets(cols):
@@ -254,13 +346,20 @@ def _key_buckets(cols):
     return _grid_buckets(proj)
 
 
-def _pairs(buckets):
+def _pairs(members, bounds):
     """(bucket, first, other) index arrays pairing the first member of each
     bucket with each of its other members, in bucket order."""
-    sizes = np.asarray([len(bk) - 1 for bk in buckets], dtype=np.intp)
-    first = np.asarray([bk[0] for bk in buckets], dtype=np.intp)
-    other = np.concatenate([bk[1:] for bk in buckets] or [first])
-    return np.repeat(np.arange(len(buckets)), sizes), np.repeat(first, sizes), other
+    sizes = np.diff(bounds) - 1
+    first = members[bounds[:-1]]
+    return (np.repeat(np.arange(len(sizes)), sizes), np.repeat(first, sizes),
+            np.delete(members, bounds[:-1]))
+
+
+def _inverse(stack):
+    """J g^T J of each matrix of a stack by sign flips: the values of
+    lorentz_inverse but for the signs of zeros, which no block test sees."""
+    sign = np.diag(minkowski_form(stack.shape[-1] - 1))
+    return np.swapaxes(stack, -1, -2) * np.outer(sign, sign)
 
 
 def _confirm(words, bucket, a, b, quotient, split, tol, what):
@@ -303,45 +402,57 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=COSET_TOL, quant=
     represents it.
 
     A left class G0 gamma is keyed by N^T N, N = gamma[n+1:, :]; a key hit
-    that the block test of gamma' gamma^{-1} rejects at ``tol`` raises.
+    that the block test of gamma' gamma^{-1} rejects at ``tol`` raises.  The
+    left labels are kept on the ball, so a double reduction after a left one
+    starts from them.
     """
     if mode not in ("left", "double"):
         raise ValueError("mode must be 'left' or 'double'")
     split = cfg.n + 1
-    words, mats, n_el = ball.words, ball.mats, len(ball)
-
-    bucket, a, b = _pairs(_key_buckets(np.swapaxes(mats[:, split:, :], 1, 2)))
-    _confirm(words, bucket, a, b, lambda s: mats[b[s]] @ lorentz_inverse(mats[a[s]]),
-             split, tol, "left-class")
-    labels = _components(np.arange(n_el), a, b)
+    labels = ball._left_labels.get((split, tol))
+    if labels is None:
+        words, mats = ball.words, ball.mats
+        bucket, a, b = _pairs(*_key_buckets(np.swapaxes(mats[:, split:, :], 1, 2)))
+        _confirm(words, bucket, a, b, lambda s: mats[b[s]] @ _inverse(mats[a[s]]),
+                 split, tol, "left-class")
+        labels = _components(np.arange(len(ball)), a, b)
+        labels.flags.writeable = False
+        ball._left_labels[split, tol] = labels
     if mode == "double":
         labels = _merge_double(labels, ball, split, gamma0_max_len, tol, quant)
 
     # roots are first members: counting them numbers classes by first appearance
-    ids = (np.cumsum(labels == np.arange(n_el)) - 1)[labels]
+    ids = (np.cumsum(labels == np.arange(len(ball))) - 1)[labels]
     return replace(ball, ids=ids, gamma0_max_len=gamma0_max_len if mode == "double" else 0)
 
 
 def _merge_double(labels, ball, split, gamma0_max_len, tol, quant):
     """Merge left classes lying in one double coset, gamma0 ranging over the
-    bounded cycle-subgroup ball: a hash join links rep and rep gamma0 when
-    the latter is in the ball, and a key hit of C(gamma0 B) = gamma0 C(B)
-    gamma0^T on C(A), A and B live representatives and C = gamma[:, n+1:]
-    gamma[:, n+1:]^T, puts A^{-1} gamma0 B in the cycle subgroup.  Returns
-    the merged labels."""
+    bounded cycle-subgroup ball: a join on the ball's hash-sorted cells
+    links rep and rep gamma0 when the latter is in the ball, and a key hit
+    of C(gamma0 B) = gamma0 C(B) gamma0^T on C(A), A and B live
+    representatives and C = gamma[:, n+1:] gamma[:, n+1:]^T, puts
+    A^{-1} gamma0 B in the cycle subgroup.  Returns the merged labels."""
     words, mats = ball.words, ball.mats
     in_g0 = _block_offdiag_max(mats, split) <= tol
     g0_stack = mats[(ball.lengths <= gamma0_max_len) & in_g0]
     reps = np.flatnonzero(labels == np.arange(len(mats)))
-    index = {k: i for i, k in enumerate(_keys(mats, quant))}
+    # sorted from the last element back, so that of equal cells the last
+    # is found, as in a map from cells to elements
+    cells = _cells(mats[::-1], quant)
+    hashes = _hash(cells)
+    by_hash = np.argsort(hashes, kind="stable")
+    index = (hashes[by_hash], cells[by_hash])
     # ball index of rep @ gamma0, rep-major, -1 where it is not in the ball
     found = []
     step = max(1, CHUNK // max(1, len(g0_stack)))
     for c in range(0, len(reps), step):
-        prods = mats[reps[c:c + step], None] @ g0_stack[None]
-        found += [index.get(k, -1) for k in _keys(prods.reshape(-1, *mats.shape[1:]), quant)]
-    del index  # the key pass below is the memory peak
-    found = np.asarray(found, dtype=np.intp)
+        cells = _cells((mats[reps[c:c + step], None] @ g0_stack[None]).reshape(-1, *mats.shape[1:]),
+                       quant)
+        at = _lookup(index, cells, _hash(cells))
+        found.append(np.where(at < 0, -1, len(mats) - 1 - by_hash[at]))
+    del index, cells  # the key pass below is the memory peak
+    found = np.concatenate(found or [np.zeros(0, dtype=np.intp)])
     hit = np.flatnonzero(found >= 0)
     labels = _components(labels, reps[hit // len(g0_stack)], found[hit])
 
@@ -350,15 +461,16 @@ def _merge_double(labels, ball, split, gamma0_max_len, tol, quant):
     live = np.flatnonzero(labels == np.arange(len(mats)))
     hs = np.concatenate([np.eye(mats.shape[1])[None], g0_stack])
     moved = np.einsum("hij,ljk->hlik", hs, mats[live][:, :, split:])
-    # buckets come by first member: those past the anchors have none
-    bucket, first, other = _pairs([bk for bk in _key_buckets(moved.reshape(-1, *moved.shape[2:]))
-                                   if bk[0] < len(live)])
+    members, bounds = _key_buckets(moved.reshape(-1, *moved.shape[2:]))
     del moved
+    # buckets come by first member: those past the anchors hold none
+    anchored = np.searchsorted(members[bounds[:-1]], len(live))
+    bucket, first, other = _pairs(members[:bounds[anchored]], bounds[:anchored + 1])
     h, b = np.divmod(other, len(live))
     a, b = live[first], live[b]
     keep = b != a
     bucket, a, h, b = bucket[keep], a[keep], h[keep], b[keep]
-    _confirm(words, bucket, a, b, lambda s: lorentz_inverse(mats[a[s]]) @ hs[h[s]] @ mats[b[s]],
+    _confirm(words, bucket, a, b, lambda s: _inverse(mats[a[s]]) @ hs[h[s]] @ mats[b[s]],
              split, tol, "double-class")
     return _components(labels, a, b)
 
@@ -371,11 +483,12 @@ def delta_spectrum(ball, u, cfg):
     # ids number classes by first appearance: a representative is where the
     # running maximum steps up, and class 0, the identity's, is trivial
     reps = np.flatnonzero(np.diff(np.maximum.accumulate(ball.ids), prepend=0) > 0)
-    rows = []
-    for i in reps.tolist():
-        inv = cycle_invariants(ball.mats[i], u, cfg)
-        rows.append(OrbitEntry(ball.words[i], ball.mats[i], int(ball.lengths[i]),
-                               int(ball.ids[i]), float(inv.delta), inv.M, inv.N_u, inv.Q_u))
+    if not reps.size:       # nothing to check or evaluate
+        return OrbitTable(entries=(), gamma0_max_len=ball.gamma0_max_len)
+    inv = invariants_stack(ball.mats[reps], u, cfg)
+    rows = [OrbitEntry(ball.words[i], ball.mats[i], *row) for i, *row in zip(
+        reps.tolist(), ball.lengths[reps].tolist(), ball.ids[reps].tolist(),
+        inv.delta.tolist(), inv.M.tolist(), inv.N_u.tolist(), inv.Q_u.tolist())]
     rows.sort(key=lambda e: (e.delta, e.word))
     return OrbitTable(entries=tuple(rows), gamma0_max_len=ball.gamma0_max_len)
 

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hypcycles import cycles as cy
 from hypcycles import decompose as dc
 from hypcycles import lorentz as lz
-from hypcycles.orbits import Ball, picard_generators
+from hypcycles.orbits import Ball, ball_enumerate, fuchsian_generators, picard_generators
 
 CFG = lz.CycleConfig(3, 2)
 
@@ -157,6 +159,49 @@ def test_check_u11_gap_reports():
     # loxodromic-type elements stay strictly inside
     mx, viol = cy.check_u11_gap(_ball(SU=S @ U, SUS=S @ U @ S), CFG)
     assert mx is not None and mx < 1.0 - 1e-9
+
+
+def _u11_gap_per_element(ball, cfg):
+    """check_u11_gap as a loop of check_membership and ank over the
+    elements: the oracle for its stacked factorization."""
+    max_u11, violations = None, []
+    for word, g in zip(ball.words, ball.mats):
+        if lz.check_membership(g, "G0", cfg, tol=1e-8):
+            continue
+        u11 = float(dc.ank(g).k[1, 1])
+        if max_u11 is None or abs(u11) > max_u11:
+            max_u11 = abs(u11)
+        if abs(u11) >= 1.0 - 1e-9:
+            violations.append((word, u11))
+    return max_u11, violations
+
+
+def _outcome(check, ball, cfg):
+    try:
+        return check(ball, cfg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_check_u11_gap_equals_the_per_element_loop():
+    pic, modular = picard_generators(), fuchsian_generators()
+    balls = [(ball_enumerate(pic, 6), CFG), (ball_enumerate(modular, 6), CFG)]
+    h = lz.make_boost(3.0, 3) @ lz.make_unipotent(np.array([3.0, 0.0]), 3)
+    # entries near e^6: some elements fail the group check
+    balls.append((replace(balls[0][0], mats=lz.lorentz_inverse(h) @ balls[0][0].mats @ h), CFG))
+    rng = np.random.default_rng(3)
+    for d, n in ((4, 3), (5, 3)):
+        mats = np.asarray([np.eye(d + 1)] + [lz.random_lorentz(rng, d) for _ in range(30)])
+        ball = Ball(words=tuple(f"g{i}" for i in range(31)), mats=mats,
+                    lengths=np.ones(31, dtype=int), ids=np.arange(31))
+        balls += [(ball, lz.CycleConfig(d, n)), (ball, lz.CycleConfig(d + 1, n))]
+        mats = mats.copy()
+        mats[4] = np.diag([2.0] + [1.0] * d)
+        balls.append((replace(ball, mats=mats), lz.CycleConfig(d, n)))
+    outcomes = [_outcome(cy.check_u11_gap, ball, cfg) for ball, cfg in balls]
+    assert outcomes == [_outcome(_u11_gap_per_element, ball, cfg) for ball, cfg in balls]
+    assert outcomes[1] == (None, []) and len(outcomes[0][1]) > 0
+    assert sum(isinstance(o, str) for o in outcomes) == 5
 
 
 def test_invariants_validation():

@@ -35,15 +35,20 @@ def test_dedup_collapses_inverse_pairs():
         assert gaps.min() > 1e-8
 
 
+def _keys(stack, quant):
+    """The dedup keys of a stack: each matrix's cells as bytes."""
+    return [row.tobytes() for row in ob._cells(stack, quant)]
+
+
 def _key(mat, quant=ob.QUANT):
     """The dedup key of one matrix."""
-    return ob._keys(mat[None], quant)[0]
+    return _keys(mat[None], quant)[0]
 
 
 def test_ball_closure_under_generators():
     gens = ob.picard_generators()
     ball = ob.ball_enumerate(gens, 3)
-    keys = set(ob._keys(ball.mats, 1e-9))
+    keys = set(_keys(ball.mats, 1e-9))
     moves = gens.moves()
     for w, m in zip(ball.words, ball.mats):
         if (len(w) if w != "e" else 0) < 3:
@@ -136,6 +141,72 @@ def test_components_label_each_class_by_its_smallest_member(case):
     assert ob._components(first, a[half:], b[half:]).tolist() == want
 
 
+def _grid_buckets_lexsort(rows):
+    """The buckets of _grid_buckets by a lexsort over whole cell rows, as
+    lists: the oracle for the hashed cell keys."""
+    buckets = []
+    for grid, off in enumerate((0.0, 0.5)):
+        cells = rows / ob.KEY_RES
+        cells += off
+        cells = np.round(cells, out=cells).astype(np.int64)
+        order = np.lexsort(cells.T)  # stable: members stay ascending
+        cells = cells[order]
+        edges = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1]).any(axis=1), True])
+        buckets += [(order[a], grid, order[a:b].tolist())
+                    for a, b in zip(edges[:-1], edges[1:]) if b - a > 1]
+    return [idxs for *_, idxs in sorted(buckets, key=lambda b: b[:2])]
+
+
+def _as_lists(members, bounds):
+    return [members[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _picard8_left():
+    ob.coset_reduce(ob.ball_enumerate(ob.picard_generators(), 8), CFG, mode="left")
+
+
+def _conjugated_picard6_double():
+    ob.coset_reduce(ob.ball_enumerate(_conjugated_picard(-1.0, 2.0), 6), CFG, mode="double")
+
+
+@pytest.mark.parametrize("run, n_calls", [(_picard8_left, 2), (_conjugated_picard6_double, 3)],
+                         ids=["picard8 audit, left keys", "conj picard6 audit, left, double keys"])
+def test_grid_buckets_equal_the_lexsort_buckets(monkeypatch, run, n_calls):
+    # every row set the pipeline buckets: the dedup audit's matrix entries
+    # and the class keys of the left (and double) pass
+    seen = []
+    grid_buckets = ob._grid_buckets
+    monkeypatch.setattr(ob, "_grid_buckets", lambda rows: seen.append(rows.copy()) or grid_buckets(rows))
+    run()
+    assert len(seen) == n_calls
+    for rows in seen:
+        got = _as_lists(*grid_buckets(rows))
+        assert got == _grid_buckets_lexsort(rows)
+    assert got      # the class keys do share cells
+
+
+def test_grid_buckets_split_rows_whose_hashes_collide():
+    # cell rows (2^62, s 2^62, 0, 0) and (0, 0, 0, 0) share the hash
+    # 2^62 (k0 + s k1) = 0 mod 2^64 when the odd multipliers have
+    # k0 + s k1 = 0 mod 4
+    k0, k1 = (int(k) for k in ob._multipliers(4)[:2])
+    s = 1 if (k0 + k1) % 4 == 0 else -1
+    a = np.zeros(4)
+    b = np.array([2.0 ** 62, s * 2.0 ** 62, 0.0, 0.0]) * ob.KEY_RES
+    rows = np.stack([a, b, a, b])
+    cells = ob._cells(rows, ob.KEY_RES)
+    assert cells[1].tolist() == [2 ** 62, s * 2 ** 62, 0, 0]
+    hashes = ob._hash(cells)
+    assert hashes[0] == hashes[1]
+    assert _as_lists(*ob._grid_buckets(rows)) == _grid_buckets_lexsort(rows) \
+        == [[0, 2], [0, 2], [1, 3], [1, 3]]
+    # a lookup walks the shared hash to the equal row
+    index = (hashes[:2], cells[:2])
+    absent = np.array([[1, 2, 3, 4]])
+    queries = np.concatenate([cells[[1, 0, 1]], absent])
+    assert ob._lookup(index, queries, ob._hash(queries)).tolist() == [1, 0, 1, -1]
+
+
 def test_dedup_audit_keeps_an_element_alone_in_its_cells():
     # every entry lies in the lower half of its audit cell, so its cell index
     # is the same on both offset grids; a bucket shared by the two grids would
@@ -201,7 +272,7 @@ def test_left_cosets_are_merged_by_construction():
     mats = dict(zip(gens.labels, gens.matrices))
     ball = ob.ball_enumerate(gens, 4)
     table = ob.coset_reduce(ball, CFG, mode="left")
-    index = dict(zip(ob._keys(table.mats, 1e-9), table.ids.tolist()))
+    index = dict(zip(_keys(table.mats, 1e-9), table.ids.tolist()))
     # g0 gamma lands in the class of gamma for block elements g0
     for g0w, gw in [("T", "U"), ("S", "U"), ("TS", "UT")]:
         g0 = np.linalg.multi_dot([mats[c] for c in g0w]) if len(g0w) > 1 else mats[g0w]
@@ -223,6 +294,29 @@ def test_coset_regression_counts(length, n_left, n_double):
     assert len(double.class_ids()) == n_double
     # double classes only merge left classes
     assert len(double.class_ids()) <= len(left.class_ids())
+
+
+def test_double_reduction_starts_from_the_cached_left_labels(monkeypatch):
+    gens = ob.picard_generators()
+    alone = ob.coset_reduce(ob.ball_enumerate(gens, 6), CFG, mode="double")
+    calls = []
+    key_buckets = ob._key_buckets
+    monkeypatch.setattr(ob, "_key_buckets", lambda cols: calls.append(len(cols)) or key_buckets(cols))
+    ball = ob.ball_enumerate(gens, 6)
+    left = ob.coset_reduce(ball, CFG, mode="left")
+    double = ob.coset_reduce(ball, CFG, mode="double")
+    assert double.ids.tolist() == alone.ids.tolist()
+    assert left.ids.tolist() == ob.coset_reduce(ball, CFG, mode="left").ids.tolist()
+    # one left pass, keyed once per element, then the double pass's keys
+    assert calls.count(len(ball)) == 1 and len(calls) == 2
+    # a ball with new matrices does not inherit the labels
+    h = lz.make_boost(0.5, 3) @ lz.make_unipotent(np.array([-0.5, 0.0]), 3)
+    conj = dataclasses.replace(ball, mats=lz.lorentz_inverse(h) @ ball.mats @ h)
+    calls.clear()
+    got = ob.coset_reduce(conj, CFG, mode="double")
+    assert calls.count(len(ball)) == 1
+    fresh = ob.Ball(words=ball.words, mats=conj.mats, lengths=ball.lengths, ids=ball.ids)
+    assert got.ids.tolist() == ob.coset_reduce(fresh, CFG, mode="double").ids.tolist()
 
 
 def test_coset_reduce_under_conjugation_is_right_or_raises():
@@ -299,6 +393,82 @@ def test_double_reduction_sound_and_complete():
             i, j = rep_list[ai], rep_list[bi]
             if got[i] != got[j]:
                 assert not edge(i, j)
+
+
+def _spectrum_per_representative(ball, u, cfg):
+    """delta_spectrum's rows from cycle_invariants of each class's first
+    member, the identity's class left out: the oracle for the stacked
+    factorization.  Returns the message of the first check that fails."""
+    first = {}
+    for i, cid in enumerate(ball.ids.tolist()):
+        first.setdefault(cid, i)
+    del first[ball.ids[0]]
+    rows = []
+    try:
+        for i in first.values():
+            inv = cy.cycle_invariants(ball.mats[i], u, cfg)
+            rows.append((ball.words[i], int(ball.lengths[i]), int(ball.ids[i]),
+                         float(inv.delta), inv.M, inv.N_u, inv.Q_u))
+    except ValueError as exc:
+        return str(exc)
+    return sorted(rows, key=lambda r: (r[3], r[0]))
+
+
+def _spectrum_rows(ball, u, cfg):
+    try:
+        spec = ob.delta_spectrum(ball, u, cfg)
+    except ValueError as exc:
+        return str(exc)
+    return [(e.word, e.word_length, e.coset_id, e.delta, e.M, e.N_u, e.Q_u)
+            for e in spec.entries]
+
+
+def _random_ball(d, n_el, seed):
+    """The identity and n_el random_lorentz elements, each its own class."""
+    rng = np.random.default_rng(seed)
+    mats = np.asarray([np.eye(d + 1)] + [lz.random_lorentz(rng, d) for _ in range(n_el)])
+    return ob.Ball(words=("e",) + tuple(f"g{i}" for i in range(n_el)), mats=mats,
+                   lengths=np.r_[0, np.ones(n_el, dtype=int)], ids=np.arange(n_el + 1))
+
+
+def _spectrum_cases():
+    picard8 = ob.coset_reduce(ob.ball_enumerate(ob.picard_generators(), 8), CFG, mode="double")
+    conj6 = ob.coset_reduce(ob.ball_enumerate(_conjugated_picard(-1.0, 2.0), 6), CFG, mode="left")
+    # entries near e^6: some representatives fail the group check
+    ball6 = ob.coset_reduce(ob.ball_enumerate(ob.picard_generators(), 6), CFG, mode="left")
+    h = lz.make_boost(3.0, 3) @ lz.make_unipotent(np.array([3.0, 0.0]), 3)
+    big = dataclasses.replace(ball6, mats=lz.lorentz_inverse(h) @ ball6.mats @ h)
+    # one class, so no representative: nothing is checked, as in a loop
+    modular = ob.coset_reduce(ob.ball_enumerate(ob.fuchsian_generators(), 4), CFG, mode="left")
+    yield "modular, no representative, wrong u", modular, np.zeros(3), CFG
+    yield "picard8", picard8, np.array([0.3]), CFG
+    yield "conj picard6", conj6, np.array([-0.4]), CFG
+    yield "conj picard6 entries e^6", big, np.array([0.0]), CFG
+    for d, n in ((4, 3), (5, 3)):
+        cfg = lz.CycleConfig(d, n)
+        ball = _random_ball(d, 40, 10 * d + n)
+        u = np.random.default_rng(d).normal(size=n - 1)
+        yield f"random {d},{n}", ball, u, cfg
+        yield f"random {d},{n} wrong u", ball, np.zeros(n), cfg
+        for bad in (1, 7):
+            mats = ball.mats.copy()
+            mats[bad] = np.diag([2.0] + [1.0] * d)
+            off = dataclasses.replace(ball, mats=mats)
+            yield f"random {d},{n} off the group at {bad}", off, u, cfg
+            yield f"random {d},{n} off the group at {bad}, wrong u", off, np.zeros(n), cfg
+
+
+def test_delta_spectrum_rows_equal_per_representative_invariants():
+    raised = 0
+    for name, ball, u, cfg in _spectrum_cases():
+        want = _spectrum_per_representative(ball, u, cfg)
+        got = _spectrum_rows(ball, u, cfg)
+        assert got == want, name
+        if isinstance(got, str):
+            raised += 1
+        else:
+            assert all(type(v) is float for row in got for v in row[3:]), name
+    assert raised == 11     # all but the four group elements with the right u
 
 
 def test_delta_spectrum_sorted_and_left_constant():
