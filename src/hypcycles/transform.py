@@ -256,17 +256,60 @@ def bessel_k_scaled_batch(order, z):
     return out if _complex_order(order) else out.real
 
 
+def _not_a_knot_cubic(x, y):
+    """Coefficients c (4, n-1) of the not-a-knot cubic spline through (x, y):
+    on cell i it is sum_k c[k, i] (t - x[i])^(3-k).
+
+    The slopes solve the tridiagonal system of de Boor, *A Practical Guide
+    to Splines*, ch. IV, whose first and last rows make the third
+    derivative continuous across the second and the last-but-one nodes; one
+    Thomas sweep solves it.  Needs n >= 4 nodes.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    lower = np.empty(n)         # lower[i] multiplies s[i-1] in row i
+    diag = np.empty(n)
+    upper = np.empty(n)         # upper[i] multiplies s[i+1] in row i
+    rhs = np.empty(n)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    lower[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+
+    # forward elimination, then back substitution; a scalar loop runs
+    # faster on Python floats than on numpy elements
+    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 class KScaledInterpolator:
     """Cubic log-log spline of exp(z) K_nu(z) for real nu on [z_lo, z_hi].
 
-    Built from the batch evaluator at 500 log-spaced nodes and self-audited
-    against the adaptive one at off-grid points spread over [z_lo, z_hi];
-    raises if the audit misses a relative 1e-8.
+    Built from the batch evaluator at 500 log-spaced nodes with not-a-knot
+    ends (``_not_a_knot_cubic``) and self-audited against the adaptive
+    evaluator at off-grid points spread over [z_lo, z_hi]; raises if the
+    audit misses a relative 1e-8.  A query finds its cell on the uniform
+    log grid by one division and evaluates the cubic by Horner's rule; an
+    argument outside [z_lo, z_hi] raises ValueError instead of extrapolating.
     """
 
     def __init__(self, order, z_lo, z_hi):
-        from scipy.interpolate import CubicSpline
-
         nu = complex(order)
         if abs(nu.imag) > 1e-14:
             raise ValueError("interpolation table needs a real order")
@@ -277,7 +320,9 @@ class KScaledInterpolator:
         n = 500
         logz = np.linspace(np.log(z_lo), np.log(z_hi), n)
         vals = bessel_k_scaled_batch(self.order, np.exp(logz))
-        self._spline = CubicSpline(logz, np.log(vals))
+        self._nodes = logz
+        self._step = (logz[-1] - logz[0]) / (n - 1)
+        self._coef = _not_a_knot_cubic(logz, np.log(vals))
         # six probes, at the midpoints of cells spread over the whole table
         # (the first and the last included, where the spline ends are weakest)
         cells = np.linspace(0, n - 2, 6).round().astype(int)
@@ -286,14 +331,24 @@ class KScaledInterpolator:
         if np.any(np.abs(self(probe) - ref) > 1e-8 * np.abs(ref)):
             raise RuntimeError("Bessel interpolation table failed its self-audit")
 
-    def __call__(self, z):
+    def _log_scaled(self, z):
+        """The spline of log(exp(z) K_nu(z)) at z, by Horner's rule."""
         z = np.asarray(z, dtype=float)
-        return np.exp(self._spline(np.log(z)))
+        if not (np.all(z >= self.z_lo) and np.all(z <= self.z_hi)):
+            raise ValueError(f"argument outside the table [{self.z_lo}, {self.z_hi}]")
+        x = np.log(z)
+        cell = np.clip(np.floor((x - self._nodes[0]) / self._step).astype(np.intp),
+                       0, len(self._nodes) - 2)
+        t = x - self._nodes[cell]
+        c = self._coef[:, cell]
+        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
+    def __call__(self, z):
+        return np.exp(self._log_scaled(z))
 
     def log_k(self, z):
         """log K_nu(z), vectorized."""
-        z = np.asarray(z, dtype=float)
-        return self._spline(np.log(z)) - z
+        return self._log_scaled(z) - np.asarray(z, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -281,3 +285,86 @@ def test_delta_grid_equals_per_point_loop(cfg, u_range):
     loop = [prep.invariants(u) for u in pts]
     assert np.array_equal(deltas, [inv.delta for inv in loop])
     assert np.array_equal(n_vals, [inv.N_u for inv in loop])
+
+
+NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400}
+
+
+def _rosenbrock(u):
+    return float((1.0 - u[0]) ** 2 + 100.0 * (u[1] - u[0] ** 2) ** 2)
+
+
+def _nm_cases():
+    rng = np.random.default_rng(2)
+    a, b = rng.normal(size=2), rng.uniform(0.5, 3.0, size=2)
+    return {
+        "1d-quadratic": (lambda u: float(b[0] * (u[0] - a[0]) ** 2), rng.normal(size=1)),
+        "1d-wavy-from-zero": (lambda u: float(np.cos(3.0 * u[0]) + 0.1 * u[0] ** 2), np.zeros(1)),
+        "2d-quadratic": (lambda u: float(np.sum(b * (u - a) ** 2)), rng.normal(size=2)),
+        "2d-rosenbrock": (_rosenbrock, np.array([-1.2, 1.0])),
+        "2d-wavy": (lambda u: float(np.sum(np.cos(3.0 * u)) + 0.1 * u @ u), rng.normal(size=2)),
+    }
+
+
+def _scipy_nelder_mead_equal_to_port(f, x0):
+    """scipy's Nelder-Mead result, asserted bit-equal to the port's."""
+    from scipy.optimize import minimize
+
+    ref = minimize(f, x0, method="Nelder-Mead", options=NM_OPTIONS)
+    x, fun = bd._nelder_mead(f, x0)
+    assert fun == ref.fun
+    assert np.array_equal(x, ref.x)
+    return ref
+
+
+def test_nelder_mead_is_scipys_step_for_step():
+    shrink_evals = {}
+    for name, (f, x0) in _nm_cases().items():
+        ref = _scipy_nelder_mead_equal_to_port(f, x0)
+        # evaluations beyond the one or two of every iteration are shrink steps
+        shrink_evals[name] = ref.nfev - (len(x0) + 1 + 2 * (ref.nit - 1))
+    # the shrink branch is exercised in one and in two dimensions
+    assert shrink_evals["1d-wavy-from-zero"] > 0
+    assert shrink_evals["2d-wavy"] > 0
+
+
+@pytest.mark.parametrize("cfg, u_range", [
+    (lz.CycleConfig(3, 2), ((-3.0, 3.0),)),
+    (lz.CycleConfig(4, 3), ((-1.5, 1.5), (-1.5, 1.5))),
+])
+def test_delta_scan_polish_is_scipys(cfg, u_range):
+    # the seeded gammas of test_window_scan_memo_equals_fresh_scan: both
+    # objectives of the scan, polished by the port and by scipy, and the
+    # scan's result is the one the scipy polish gives
+    rng = np.random.default_rng(11)
+    lo, hi = [lo for lo, _ in u_range], [hi for _, hi in u_range]
+    for _ in range(3):
+        prep = PreparedCycle(lz.random_lorentz(rng, cfg.d), cfg)
+        pts, deltas, n_vals = bd._delta_grid(prep, u_range)
+        mins = []
+        for values, field in ((deltas, "delta"), (n_vals, "N_u")):
+            i0 = int(np.argmin(values))
+
+            def objective(u, field=field):
+                return getattr(prep.invariants(np.clip(u, lo, hi)), field)
+
+            ref = _scipy_nelder_mead_equal_to_port(objective, pts[i0])
+            mins.append(float(min(values[i0], ref.fun)))
+        assert bd._delta_scan(prep, u_range) == (max(mins[0], 1.0), max(mins[1], 0.0))
+
+
+@pytest.mark.parametrize("code", [
+    "from hypcycles import CycleConfig, j_gamma_quadrature, picard_generators; "
+    "T, U, S = picard_generators().matrices; "
+    "j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CycleConfig(3, 2), 20.0, 0.3)",
+    "import runpy; runpy.run_path('demos/06_large_mu_asymptotics.py', run_name='__main__')",
+], ids=["j-call", "demo-06"])
+def test_j_loads_no_scipy(code):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(root / "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"

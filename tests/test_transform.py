@@ -92,6 +92,28 @@ def test_interpolation_table_audit():
         assert float(table.log_k(zi)) == pytest.approx(tr.log_bessel_k(0.3, float(zi)), abs=1e-8)
 
 
+@pytest.mark.parametrize("order, z_lo, z_hi", [(0.3, 0.5, 900.0), (0.0, 2.0, 1024.0)])
+def test_interpolation_coefficients_are_scipys_not_a_knot(order, z_lo, z_hi):
+    from scipy.interpolate import CubicSpline
+
+    table = tr.KScaledInterpolator(order, z_lo, z_hi)
+    nodes = table._nodes
+    ref = CubicSpline(nodes, np.log(tr.bessel_k_scaled_batch(order, np.exp(nodes)))).c
+    assert table._coef.shape == ref.shape == (4, 499)
+    np.testing.assert_allclose(table._coef, ref, rtol=1e-12, atol=0.0)
+
+
+def test_interpolation_table_rejects_arguments_outside_it():
+    table = tr.KScaledInterpolator(0.3, 0.5, 900.0)
+    # both ends are in the table
+    assert np.all(np.isfinite(table.log_k(np.array([0.5, 900.0]))))
+    for z in (0.5 * (1.0 - 1e-12), 900.0 * (1.0 + 1e-12), np.array([1.0, 901.0]), np.nan):
+        with pytest.raises(ValueError, match="outside the table"):
+            table(z)
+        with pytest.raises(ValueError, match="outside the table"):
+            table.log_k(z)
+
+
 @pytest.mark.usefixtures("fresh_j_caches")
 def test_interpolation_audit_covers_the_table_end(monkeypatch):
     # a 1e-6 error in the last table values must trip the self-audit
