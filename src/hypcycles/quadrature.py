@@ -2,7 +2,10 @@
 
 A single (G7, K15) panel rule (QUADPACK dqk15) is refined by bisection in
 waves: every panel whose error estimate exceeds its share of the global
-budget is split, and all new panels are evaluated in one batched call.
+budget is split, and all new panels are evaluated in one batched call.  An
+interval starts as its two halves, not as one panel (as vectorised quadgk
+starts from a subdivision, Shampine 2008): nearly every interval splits its
+first panel anyway, and the halves are exactly the panels that split makes.
 
 ``quad_family`` integrates a family of m integrands f(x, k) over their own
 intervals [a_k, b_k].  Each member is refined as if it were alone (its own
@@ -13,8 +16,11 @@ outer rule instead of one scalar call per outer node.  ``quad_gk`` is the
 family of one.
 
 A member's panels keep their own order inside the shared arrays and its sums
-run over them in that order, so its result is a pure function of its own
-integrand values: bit-reproducible, and the same in any family as alone.
+run over them in that order, and each panel's Kronrod and Gauss sums are
+taken row by row (``einsum``, whose rows do not depend on the batch, where a
+BLAS matrix-vector product's do), so a member's result is a pure function of
+its own integrand values: bit-reproducible, and the same in any family as
+alone.
 """
 
 from __future__ import annotations
@@ -92,9 +98,11 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
 
     ``f(x, k)`` takes equal-shaped arrays of nodes and member indices and
     returns the values of member ``k[i]`` at ``x[i]``.  ``a`` and ``b``
-    broadcast to the family size.  Returns a :class:`FamilyResult`; raises
-    RuntimeError naming the interval of a member that reaches ``max_panels``
-    unconverged or whose estimates are not finite.
+    broadcast to the family size.  Each member starts as the two halves of
+    its interval, which count toward ``max_panels`` (at least 2).  Returns a
+    :class:`FamilyResult`; raises RuntimeError naming the interval of a
+    member that reaches ``max_panels`` unconverged or whose estimates are
+    not finite.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -102,13 +110,18 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
         a, b = np.broadcast_arrays(a, b)
     width = b - a               # not finite when a bound is not
     if not np.isfinite(width).all():
-        raise ValueError("quad_gk needs finite integration bounds")
+        raise ValueError("quad_family needs finite integration bounds")
     if (width <= 0.0).any():
-        raise ValueError("quad_gk needs b > a")
+        raise ValueError("quad_family needs b > a")
+    if max_panels < 2:
+        raise ValueError("quad_family needs max_panels >= 2")
     m = a.size
     ids = np.arange(m)          # the unconverged members; owner indexes into ids
-    owner = np.arange(m)
-    lo, hi = a, b
+    # each member starts as its two halves, in the order a split of [a, b] makes
+    owner = np.tile(ids, 2)
+    mid = 0.5 * (a + b)
+    lo = np.concatenate([a, mid])
+    hi = np.concatenate([mid, b])
     vals, errs = _eval_panels(f, lo, hi, owner)
     value = np.zeros(m, dtype=vals.dtype)
     error = np.zeros(m)
@@ -123,8 +136,8 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
         if np.count_nonzero(done):
             value[ids[done]] = total[done]
             error[ids[done]] = err_total[done]
-            # each split evaluates two panels and adds one
-            neval[ids[done]] = 15 * (2 * count[done] - 1)
+            # the two halves, then two panels for each split, which adds one
+            neval[ids[done]] = 30 * (count[done] - 1)
             todo = ~done
             if not np.count_nonzero(todo):
                 return FamilyResult(value, error, neval)
@@ -181,7 +194,7 @@ def _raise(ids, a, b, bad, detail):
     """Raise for the first flagged member, naming its interval."""
     j = int(np.flatnonzero(bad)[0])
     k = ids[j]
-    raise RuntimeError(f"quad_gk did not converge on [{float(a[k])!r}, {float(b[k])!r}]: "
+    raise RuntimeError(f"quad_family did not converge on [{float(a[k])!r}, {float(b[k])!r}]: "
                        + detail(j))
 
 
@@ -189,9 +202,10 @@ def _eval_panels(f, lo, hi, owner):
     """K15/G7 values and error estimates for a batch of panels."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * XK[None, :]
+    nodes = np.multiply.outer(half, XK)
+    nodes += mid[:, None]
     fv = np.asarray(f(nodes.ravel(), owner.repeat(XK.size))).reshape(nodes.shape)
-    k15 = (fv * WK[None, :]).sum(axis=1) * half
-    g7 = (fv * WG[None, :]).sum(axis=1) * half
+    k15 = np.einsum("ij,j->i", fv, WK) * half
+    g7 = np.einsum("ij,j->i", fv, WG) * half
     errs = np.abs(k15 - g7)
     return k15, errs

@@ -323,6 +323,8 @@ class KScaledInterpolator:
         self._nodes = logz
         self._step = (logz[-1] - logz[0]) / (n - 1)
         self._coef = _not_a_knot_cubic(logz, np.log(vals))
+        # one contiguous row per cell, so a query gathers its cubic in one take
+        self._cells = np.ascontiguousarray(self._coef.T)
         # six probes, at the midpoints of cells spread over the whole table
         # (the first and the last included, where the spline ends are weakest)
         cells = np.linspace(0, n - 2, 6).round().astype(int)
@@ -337,11 +339,12 @@ class KScaledInterpolator:
         if not (np.all(z >= self.z_lo) and np.all(z <= self.z_hi)):
             raise ValueError(f"argument outside the table [{self.z_lo}, {self.z_hi}]")
         x = np.log(z)
-        cell = np.clip(np.floor((x - self._nodes[0]) / self._step).astype(np.intp),
-                       0, len(self._nodes) - 2)
+        cell = np.floor((x - self._nodes[0]) / self._step).astype(np.intp)
+        # minimum/maximum, not np.clip, which builds two np.iinfo per call on integers
+        cell = np.maximum(np.minimum(cell, len(self._nodes) - 2), 0)
         t = x - self._nodes[cell]
-        c = self._coef[:, cell]
-        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+        c = self._cells[cell]
+        return ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
 
     def __call__(self, z):
         return np.exp(self._log_scaled(z))

@@ -71,7 +71,71 @@ def test_nonfinite_integrand_raises():
 
 
 def test_family_bounds_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quad_family needs b > a"):
         quad_family(lambda x, k: x, [0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quad_family needs finite"):
         quad_family(lambda x, k: x, 0.0, [1.0, np.inf])
+    with pytest.raises(ValueError, match="quad_family needs max_panels >= 2"):
+        quad_family(lambda x, k: x, 0.0, 1.0, max_panels=1)
+
+
+# real members of very different difficulty, and complex oscillating ones
+_REAL_SCALE = np.array([0.3, 2.0, 17.0, 90.0, 1e-3, 6.5, 41.0])
+_CPLX_FREQ = np.array([0.5, 3.0, 20.5, 77.0, 1.25, 9.0])
+MEMBERS = {
+    "real": (lambda x, c: np.exp(-c * x) * np.cos(3.0 * x) / (1.0 + x * x),
+             _REAL_SCALE, 0.05 * np.arange(_REAL_SCALE.size), 4.0 + _REAL_SCALE ** 0.25),
+    "complex": (lambda x, c: np.exp(1j * c * x) * (1.0 + x),
+                _CPLX_FREQ, -0.1 * np.arange(_CPLX_FREQ.size), np.full(_CPLX_FREQ.size, np.pi)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MEMBERS))
+def test_member_is_the_same_in_any_family(kind):
+    g, c, a, b = MEMBERS[kind]
+
+    def run(sel):
+        sel = np.asarray(sel)
+        return quad_family(lambda x, k: g(x, c[sel][k]), a[sel], b[sel], rel_tol=1e-11)
+
+    m = c.size
+    alone = [run([j]) for j in range(m)]
+    rng = np.random.default_rng(7)
+    families = [np.arange(m), np.arange(m)[::-1], rng.permutation(m), [1, 4], [5, 0, 3]]
+    families += [np.concatenate([np.arange(m)] * 3)]     # every member three times
+    for sel in families:
+        res = run(sel)
+        for i, j in enumerate(sel):
+            assert res.value[i] == alone[j].value[0]
+            assert res.error[i] == alone[j].error[0]
+            assert res.neval[i] == alone[j].neval[0]
+
+
+def test_members_start_from_their_halves():
+    a = np.array([0.0, -1.0, 2.0])
+    b = np.array([1.0, 3.0, 2.5])
+    calls = []
+
+    def cubic(x, k):
+        calls.append((x.copy(), k.copy()))
+        return (x - k) ** 3 + 2.0 * x
+
+    res = quad_family(cubic, a, b, rel_tol=1e-12)
+    # K15 is exact on a cubic: each member converges on its two halves
+    assert (res.neval == 30).all()
+    assert len(calls) == 1
+    x, k = calls[0]
+    assert x.size == 2 * 15 * a.size
+    for j in range(a.size):
+        mid = 0.5 * (a[j] + b[j])
+        mine = x[k == j]
+        assert (np.count_nonzero(mine < mid), np.count_nonzero(mine > mid)) == (15, 15)
+        assert ((mine > a[j]) & (mine < b[j])).all()
+
+    # the halves count toward the panel cap: a member that must split fails at once
+    calls.clear()
+    step = lambda x, k: cubic(x, k) + (x > 1.0 / 3.0)
+    with pytest.raises(RuntimeError,
+                       match=r"^quad_family did not converge on \[0\.0, 1\.0\]: 2 panels"):
+        quad_family(step, a, b, rel_tol=1e-12, max_panels=2)
+    assert len(calls) == 1
