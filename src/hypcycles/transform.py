@@ -6,8 +6,10 @@ All Bessel values come from one integral representation,
     K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt,      x > 0,
 
 evaluated by adaptive Gauss-Kronrod panels on [0, T] with T chosen so the
-integrand has underflowed at the cut.  Half-integer closed forms and the
-classical integral identities (Gradshteyn-Ryzhik 3.471.9, 6.726.4, 6.592.12)
+integrand has underflowed at the cut (so are the integral identities and the
+transform quadrature's outer range; its inner Gaussian integrals stop at a
+proven tail bound instead).  Half-integer closed forms and the classical
+integral identities (Gradshteyn-Ryzhik 3.471.9, 6.726.4, 6.592.12)
 serve as cross-checks, each computed against direct quadrature.
 """
 
@@ -28,6 +30,11 @@ BESSEL_REL_TOL = 1e-9
 GR_REL_TOL = 1e-10
 # largest dimension the nested transform quadrature accepts (cost guard)
 MAX_QUAD_DIM = 6
+# the transform quadrature's inner Gaussian integrals: cut at z s^2 = _INNER_CUT
+# (tail bound in selberg_transform_quadrature), relative tolerance never below
+# _INNER_TOL_FLOOR
+_INNER_CUT = 40.0
+_INNER_TOL_FLOOR = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +485,12 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
 
     after reducing the u-integral to its radial part (d <= MAX_QUAD_DIM).
     Agreement with the closed form is the primary oracle pair of this module.
+
+    The radial part int_0^inf s^(d-2) exp(-z s^2) ds is itself a quadrature,
+    cut at z s^2 = _INNER_CUT = 40, where the relative tail
+    Q((d-1)/2, 40) = Gamma((d-1)/2, 40)/Gamma((d-1)/2) is at most 8.4e-16
+    for d <= MAX_QUAD_DIM: under 1% of the inner tolerance, which is never
+    below _INNER_TOL_FLOOR = 1e-13.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -495,13 +508,13 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
         X = float(np.arccosh(2.0 * (_EXP_CUT + 40.0 + c * X) / mu + 1.0))
     X += 1.0
 
-    inner_tol = max(rel_tol * 1e-2, 1e-13)
+    inner_tol = max(rel_tol * 1e-2, _INNER_TOL_FLOOR)
 
     def outer(x):
         # the inner Gaussian integrals at every node of the wave, one family
         r = np.exp(x)
         z = 0.5 * mu * r
-        rad_hi = np.sqrt((_EXP_CUT + 20.0) / z)
+        rad_hi = np.sqrt(_INNER_CUT / z)
         radial = quad_family(lambda s, k: s ** (d - 2) * np.exp(-z[k] * s * s),
                              0.0, rad_hi, rel_tol=inner_tol).value
         return radial * np.exp(-0.5 * mu * (r + 1.0 / r) + (nu_c + rho) * x)
