@@ -40,7 +40,7 @@ print("(the last one equals pi/e =", np.pi / np.e, ")")
 
 print("\n=== Bessel asymptotics and imaginary order ===")
 for x in (10.0, 20.0, 40.0, 80.0):
-    ratio = bessel_k(0.0, x) / bessel_k_asymptotic(0.0, x)
+    ratio = bessel_k(0.0, x) / bessel_k_asymptotic(x)
     print(f"K_0({x:>4}) / sqrt(pi/2x)e^-x = {ratio:.8f}")
 print("K_(2i)(1) =", bessel_k(2j, 1.0), " (real up to roundoff)")
 print("exp(pi r/2) K_(ir)(1), r = 5..40 (cancellation-free evaluation):")

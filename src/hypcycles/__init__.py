@@ -36,7 +36,6 @@ from .decompose import (
 )
 from .transform import (
     KScaledInterpolator,
-    SpectralParam,
     bessel_k,
     bessel_k_asymptotic,
     bessel_k_imag_scaled,

@@ -37,7 +37,6 @@ from .quadrature import quad_family, quad_gk
 from .transform import (
     _EXP_CUT,
     KScaledInterpolator,
-    _nu_value,
     bessel_k,
     bessel_k_scaled,
     selberg_transform_closed,
@@ -142,7 +141,7 @@ class BoxDomain:
 
     def i_nu(self, nu):
         """Exact window integral of r^(2 Re nu - 1) dr dv."""
-        a = 2.0 * complex(_nu_value(nu)).real
+        a = 2.0 * complex(nu).real
         r_lo, r_hi = self.r_bounds
         if abs(a) < 1e-14:
             radial = np.log(r_hi / r_lo)
@@ -165,7 +164,7 @@ def sigma0_model(cfg, mu, nu, box):
     if mu <= 0:
         raise ValueError("mu must be positive")
     n = cfg.n
-    nu_c = complex(_nu_value(nu))
+    nu_c = complex(nu)
     nu_bar = nu_c.conjugate()
     i_nu = box.i_nu(nu_c)
     closed = selberg_transform_closed(n, mu, nu_bar) * i_nu
@@ -332,7 +331,7 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     gamma = require_lorentz(gamma)
     if check_membership(gamma, "G0", cfg, tol=1e-8):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
-    nu_c = complex(_nu_value(nu))
+    nu_c = complex(nu)
     if abs(nu_c.imag) > 1e-12:
         raise ValueError("j_gamma_quadrature is defined for real spectral parameter")
     nu_r = float(nu_c.real)
@@ -453,7 +452,7 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     if mu_grid[-1] > 60.0:
         raise ValueError("mu_grid capped at 60")
     d, n = cfg.d, cfg.n
-    nu_bar = complex(_nu_value(nu)).conjugate()
+    nu_bar = complex(nu).conjugate()
     i_nu = box.i_nu(nu)
     rows = []
     for mu in mu_grid:

@@ -68,8 +68,6 @@ class RunConfig:
             check, what = _FIELD_CHECKS[f.type]
             if not check(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be {what}, got {getattr(self, f.name)!r}")
-        if not (2 <= self.n <= self.d - 1):
-            raise ValueError("need 2 <= n <= d-1")
         if self.max_word_length < 1:
             raise ValueError("max_word_length must be at least 1")
         if not all(math.isfinite(mu) and mu > 0 for mu in self.mu_list):
@@ -95,7 +93,11 @@ class RunConfig:
 
     @property
     def cfg(self):
-        return lorentz.CycleConfig(self.d, self.n)
+        """The cycle configuration, for the commands that read n."""
+        try:
+            return lorentz.CycleConfig(self.d, self.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
     def tol(self, name):
         return self.tolerances[name]
@@ -215,6 +217,7 @@ def _write(config, obj, comments, columns, rows):
 
 
 def cmd_verify(config):
+    cfg = config.cfg
     rng = np.random.default_rng(SEED)
     checks = []
 
@@ -279,7 +282,6 @@ def cmd_verify(config):
         else _load_generators(config)
     if gens.d != config.d:
         raise ConfigError(f"generator dimension {gens.d} does not match --d {config.d}")
-    cfg = config.cfg
     ball = orbits.ball_enumerate(gens, min(3, config.max_word_length),
                                  quant=config.tol("quant"))
     err = 0.0
@@ -312,14 +314,14 @@ def _experiment_table(config):
         raise ConfigError(f"--max-len {config.max_word_length} exceeds the cost guard "
                           f"of {orbits.LENGTH_CAP}")
     ball = orbits.ball_enumerate(gens, config.max_word_length, quant=config.tol("quant"))
-    table = orbits.coset_reduce(ball, cfg, mode="double", tol=config.tol("coset"),
-                                quant=config.tol("quant"))
+    reduced = orbits.coset_reduce(ball, cfg, mode="double", tol=config.tol("coset"),
+                                  quant=config.tol("quant"))
     u = np.asarray(config.u if config.u else np.zeros(cfg.n - 1))
-    return orbits.delta_spectrum(table, u, cfg)
+    return reduced, orbits.delta_spectrum(reduced, u, cfg)
 
 
 def cmd_delta(config):
-    spec = _experiment_table(config)
+    reduced, spec = _experiment_table(config)
     if not spec.entries:
         sys.stderr.write("no nontrivial classes\n")
         return 1
@@ -330,13 +332,13 @@ def cmd_delta(config):
     _write(config, rows,
            [_tol_comment(config, ["coset", "quant"]),
             f"d={config.d} n={config.n} max_len={config.max_word_length} "
-            f"u={list(config.u)!r} mode=double gamma0_max_len={spec.gamma0_max_len}"],
+            f"u={list(config.u)!r} mode=double gamma0_max_len={reduced.gamma0_max_len}"],
            ["word", "word_length", "M", "N_u", "Q_u", "delta_u", "dist"], rows)
     return 0
 
 
 def cmd_count(config):
-    spec = _experiment_table(config)
+    _, spec = _experiment_table(config)
     if not spec.entries:
         sys.stderr.write("no nontrivial classes\n")
         return 1

@@ -99,17 +99,11 @@ class GeneratorSet:
         return sorted(out, key=lambda kv: kv[0])
 
     @classmethod
-    def from_json(cls, source):
+    def from_json(cls, path):
         """Load {"d": ..., "generators": [{"label": ..., "matrix": [[...]]}]}
-        from a dict, a JSON string, or a file path."""
-        if isinstance(source, str):
-            try:
-                obj = json.loads(source)
-            except json.JSONDecodeError:
-                with open(source) as fh:
-                    obj = json.load(fh)
-        else:
-            obj = source
+        from a JSON file."""
+        with open(path) as fh:
+            obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError(f"a generator set is a JSON object, got {type(obj).__name__}")
         d = int(obj["d"])
@@ -170,7 +164,6 @@ class OrbitEntry:
 class OrbitTable:
     """A delta spectrum: one OrbitEntry per nontrivial class representative."""
     entries: tuple
-    gamma0_max_len: int = 0
 
 
 def _cells(stack, quant):
@@ -484,13 +477,13 @@ def delta_spectrum(ball, u, cfg):
     # running maximum steps up, and class 0, the identity's, is trivial
     reps = np.flatnonzero(np.diff(np.maximum.accumulate(ball.ids), prepend=0) > 0)
     if not reps.size:       # nothing to check or evaluate
-        return OrbitTable(entries=(), gamma0_max_len=ball.gamma0_max_len)
+        return OrbitTable(entries=())
     inv = invariants_stack(ball.mats[reps], u, cfg)
     rows = [OrbitEntry(ball.words[i], ball.mats[i], *row) for i, *row in zip(
         reps.tolist(), ball.lengths[reps].tolist(), ball.ids[reps].tolist(),
         inv.delta.tolist(), inv.M.tolist(), inv.N_u.tolist(), inv.Q_u.tolist())]
     rows.sort(key=lambda e: (e.delta, e.word))
-    return OrbitTable(entries=tuple(rows), gamma0_max_len=ball.gamma0_max_len)
+    return OrbitTable(entries=tuple(rows))
 
 
 def counting_function(table, x_grid):

@@ -16,7 +16,6 @@ serve as cross-checks, each computed against direct quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,42 +37,7 @@ _INNER_TOL_FLOOR = 1e-13
 
 
 # ---------------------------------------------------------------------------
-# spectral parameters and the test function
-
-
-@dataclass(frozen=True)
-class SpectralParam:
-    """Spectral parameter nu of a spherical representation: real in
-    (-rho, rho) or purely imaginary; lam = rho^2 - nu^2 is the Laplace
-    eigenvalue."""
-
-    nu: complex
-    rho: float
-
-    def __post_init__(self):
-        nu = complex(self.nu)
-        real_ok = abs(nu.imag) < 1e-12 and -self.rho < nu.real < self.rho
-        imag_ok = abs(nu.real) < 1e-12
-        if not (real_ok or imag_ok):
-            raise ValueError(
-                f"nu = {nu} must be real in (-rho, rho) = (-{self.rho}, {self.rho}) "
-                "or purely imaginary"
-            )
-
-    @classmethod
-    def for_dim(cls, nu, d):
-        return cls(nu=complex(nu), rho=(d - 1) / 2.0)
-
-    @property
-    def lam(self):
-        lam = self.rho ** 2 - complex(self.nu) ** 2
-        return float(lam.real)
-
-
-def _nu_value(nu):
-    if isinstance(nu, SpectralParam):
-        return complex(nu.nu)
-    return nu
+# the test function
 
 
 def phi_mu(mu, x):
@@ -109,13 +73,6 @@ def _cosh_cutoff(x, a):
     return T + 0.5
 
 
-def _complex_order(order):
-    """Whether an order is passed as complex (a SpectralParam counts as
-    complex): a complex order gives a complex result, a real one a real
-    result."""
-    return isinstance(order, SpectralParam) or np.iscomplexobj(order)
-
-
 def _scaled_integrand(t, x, nu):
     """exp(x) * exp(-x cosh t) cosh(nu t), overflow-safe for Re(nu) >= 0."""
     a, b = nu.real, nu.imag
@@ -127,6 +84,8 @@ def _scaled_integrand(t, x, nu):
 
 def bessel_k_scaled(order, x):
     """exp(x) * K_order(x) by quadrature to BESSEL_REL_TOL; safe for large x.
+
+    A complex-typed order gives a complex result, any other a real one.
 
     An array x gives an array, its arguments integrated as one family, each
     refined exactly as it would be alone.
@@ -140,37 +99,28 @@ def bessel_k_scaled(order, x):
     T = [_cosh_cutoff(v, nu.real) for v in args]
     val = quad_family(lambda t, k: _scaled_integrand(t, xs[k], nu), 0.0, T,
                       rel_tol=BESSEL_REL_TOL).value
-    if not _complex_order(order):
-        val = val.real
+    # an order with zero imaginary part integrates in reals, complex-typed or not
+    val = val.astype(complex, copy=False) if np.iscomplexobj(order) else val.real
     return val.reshape(x.shape) if x.ndim else val[0].item()
 
 
 def bessel_k(order, x):
     """K_order(x) to BESSEL_REL_TOL for real, imaginary or complex order.
 
-    Returns a complex number when the order is passed as complex (its
-    imaginary part measures how well reality survives for imaginary order),
-    a float otherwise.
+    Returns a complex number when the order is complex-typed (its imaginary
+    part measures how well reality survives for imaginary order), a float
+    otherwise.
     """
     scaled = bessel_k_scaled(order, x)
     return scaled * np.exp(-x)
 
 
-def log_bessel_k(order, x):
-    """log K_order(x) to BESSEL_REL_TOL for real order; stable for large x."""
-    nu = complex(order)
-    if abs(nu.imag) > 1e-14:
-        raise ValueError("log_bessel_k is defined for real order only")
-    scaled = bessel_k_scaled(float(nu.real), x)
-    return float(np.log(scaled) - x)
+def bessel_k_asymptotic(x):
+    """Leading large-argument behavior sqrt(pi/2x) e^{-x} of K_nu(x), any nu.
 
-
-def bessel_k_asymptotic(order, x):
-    """Leading large-argument behavior sqrt(pi/2x) e^{-x} of K_order(x).
-
-    `order` is ignored: this is the first term of the Hankel expansion
-    (DLMF 10.40.2) only, so K_order(x) / bessel_k_asymptotic(order, x) - 1
-    is (4 order^2 - 1)/(8x) + O(x^-2), e.g. -1.25% for order i at x = 50.
+    This is the first term of the Hankel expansion (DLMF 10.40.2) only, so
+    K_nu(x) / bessel_k_asymptotic(x) - 1 is (4 nu^2 - 1)/(8x) + O(x^-2),
+    e.g. -1.25% for nu = i at x = 50.
     """
     if x <= 0:
         raise ValueError("x must be positive")
@@ -260,7 +210,7 @@ def bessel_k_scaled_batch(order, z):
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
     out = _scaled_integrand(t[None, :], z[:, None], nu) @ w
-    return out if _complex_order(order) else out.real
+    return out.astype(complex, copy=False) if np.iscomplexobj(order) else out.real
 
 
 def _not_a_knot_cubic(x, y):
@@ -377,7 +327,7 @@ def gr_identity_3_471_9(alpha, beta, order):
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    nu = complex(_nu_value(order))
+    nu = complex(order)
     # substitute x = e^y; doubly exponential decay at both ends
     y_hi = np.log((_EXP_CUT + 40.0) / beta + 1.0)
     y_lo = -np.log((_EXP_CUT + 40.0) / alpha + 1.0)
@@ -406,7 +356,7 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1):
         raise ValueError("a and b must be positive")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    nu = complex(_nu_value(order))
+    nu = complex(order)
     s = float(sign)
     # power-factor growth is at most polynomial against exp(-a x) decay
     X = (_EXP_CUT + 60.0 + (abs(nu.real) + 1.0) * 20.0) / a + b + 1.0
@@ -425,26 +375,18 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1):
     return lhs, rhs, _rel_err(lhs, rhs)
 
 
-def gr_identity_6_592_12(a, b, c, order=None):
+def gr_identity_6_592_12(a, b, c):
     """int_1^inf x^(-b/2) (x-1)^(c-1) K_z(a sqrt(x)) dx  vs  2^c Gamma(c) a^(-c) K_(b-c)(a).
 
     The identity couples the Bessel order to the power: it holds with
-    z = -b (equivalently z = b, K being even in its order).  The order
-    argument is optional and only validated against that constraint.
-    The integral is taken to GR_REL_TOL.
+    z = -b (equivalently z = b, K being even in its order), so the order is
+    not an argument.  The integral is taken to GR_REL_TOL.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     if c <= 0:
         raise ValueError("c must be positive")
     z_order = -float(b)
-    if order is not None:
-        nu = complex(_nu_value(order))
-        if abs(nu.imag) > 1e-12 or min(abs(nu.real - z_order), abs(nu.real + z_order)) > 1e-9:
-            raise ValueError(
-                "the identity requires order = -b (up to sign); "
-                f"got order={order} with b={b}"
-            )
     # substitute x = 1 + tau^2 to absorb the endpoint power
     p = abs(2.0 * c - 1.0) + abs(b) + 2.0
     tau_max = (_EXP_CUT + 40.0) / a + 1.0
@@ -473,9 +415,8 @@ def selberg_transform_closed(d, mu, nu):
         raise ValueError("mu must be positive")
     if d < 2 or int(d) != d:
         raise ValueError("d must be an integer >= 2")
-    nu_c = _nu_value(nu)
     pref = 2.0 ** d * (np.pi / (2.0 * mu)) ** ((d - 1) / 2.0)
-    return pref * bessel_k(nu_c, mu)
+    return pref * bessel_k(nu, mu)
 
 
 def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
@@ -498,7 +439,7 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
         raise ValueError("d must be an integer >= 2")
     if d > MAX_QUAD_DIM:
         raise ValueError(f"unsupported dimension d={d} (quadrature cost guard, d <= {MAX_QUAD_DIM})")
-    nu_c = complex(_nu_value(nu))
+    nu_c = complex(nu)
     rho = (d - 1) / 2.0
     sphere = 2.0 * np.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
 
@@ -520,6 +461,6 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
         return radial * np.exp(-0.5 * mu * (r + 1.0 / r) + (nu_c + rho) * x)
 
     val = sphere * quad_gk(outer, -X, X, rel_tol=rel_tol).value
-    if _complex_order(nu):
+    if np.iscomplexobj(nu):
         return complex(val)
     return float(np.real(val))

@@ -244,13 +244,30 @@ def _one_error_line(capsys):
     return err
 
 
-@pytest.mark.parametrize("gens", ["1", "list"], ids=["json-number", "json-list-file"])
-def test_bad_generator_input_exits_2(gens, tmp_path, capsys):
+@pytest.mark.parametrize("gens, message", [
+    ("1", "cannot load generators"),
+    ("list", "a generator set is a JSON object"),
+], ids=["json-number", "json-list-file"])
+def test_bad_generator_input_exits_2(gens, message, tmp_path, capsys):
+    # --gens names a file; "1" is a path that does not exist, not JSON
     if gens == "list":
         gens = str(tmp_path / "gens.json")
         (tmp_path / "gens.json").write_text(json.dumps([1, 2]))
     assert _run(["delta", "--gens", gens]) == 2
-    assert "a generator set is a JSON object" in _one_error_line(capsys)
+    assert message in _one_error_line(capsys)
+
+
+def test_transform_runs_in_d_2(tmp_path):
+    # transform never reads n, so no cycle dimension can block it
+    out = tmp_path / "t.json"
+    for extra in ([], ["--n", "1"]):
+        assert _run(["transform", "--d", "2", "--mu", "1", "--format", "json",
+                     "--out", str(out), *extra]) == 0
+        rec = json.loads(out.read_text())["records"][0]
+        # 2^d (pi/2mu)^((d-1)/2) K_0(1) at d = 2, mu = 1
+        assert rec["h_closed"] == pytest.approx(4 * np.sqrt(np.pi / 2) * 0.42102443824070833,
+                                                rel=1e-10)
+        assert rec["rel_err"] < 1e-12
 
 
 @pytest.mark.parametrize("command", ["delta", "count"])
@@ -294,8 +311,13 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
     (["transform", "--d", "8"], "cost guard d <= 6"),
     (["delta", "--u", "1,2"], "u must hold n-1 = 1 finite numbers"),
     (["count", "--u", "nan"], "u must hold n-1 = 1 finite numbers"),
+    (["asymptote", "--d", "3", "--n", "3", "--mu", "10"], "2 <= n <= d-1"),
+    (["count", "--n", "4"], "2 <= n <= d-1"),
+    (["delta", "--n", "1"], "2 <= n <= d-1"),
+    (["verify", "--n", "3"], "2 <= n <= d-1"),
 ], ids=["transform-mu-0", "verify-mu-0", "asymptote-mu-neg", "mu-inf", "transform-d-8",
-        "delta-u-too-long", "count-u-nan"])
+        "delta-u-too-long", "count-u-nan", "asymptote-n-3", "count-n-4", "delta-n-1",
+        "verify-n-3"])
 def test_out_of_range_numbers_exit_2(argv, message, tmp_path, picard_path, capsys):
     out = tmp_path / "o.csv"
     if argv[0] in ("delta", "count"):
