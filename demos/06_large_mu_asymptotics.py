@@ -51,7 +51,7 @@ print("\n=== spectral tail under the Weyl counting law (d = 3, vol = 1) ===")
 spec = SpectrumModel.synthetic_weyl(3, 1.0, 90.0)
 print(f"synthetic spectrum size: {len(spec.r)} (frequencies up to 90)")
 for R in (10.0, 20.0, 40.0):
-    tail, _ = spectral_tail_bound(spec, 1.0, R)
+    tail, _ = spectral_tail_bound(spec, R)
     print(f"  tail beyond R = {R:>4}: {tail:.3e}")
 
 print("\n=== exp(mu)-rescaled main term: the limit shape ===")

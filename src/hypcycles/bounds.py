@@ -64,7 +64,6 @@ class SpectrumModel:
     volume: float
     r: np.ndarray
     mult: np.ndarray
-    synthetic: bool = False
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -81,14 +80,13 @@ class SpectrumModel:
         j_max = int(np.floor(c * r_max ** d))
         j = np.arange(1, j_max + 1, dtype=float)
         return cls(d=d, volume=volume, r=(j / c) ** (1.0 / d),
-                   mult=np.ones(j_max, dtype=int), synthetic=True)
+                   mult=np.ones(j_max, dtype=int))
 
 
-def spectral_tail_bound(spec, mu, cutoff):
+def spectral_tail_bound(spec, cutoff):
     """Tail sum_{r_j > R} r_j^d exp(-(pi/2) r_j) of the kernel-convergence
     chain (absolute constants set to 1; the bound is uniform in mu), plus
     the mass sitting between R and 2R."""
-    del mu  # the Gamma/Stirling bound is uniform in the argument
     r = np.asarray(spec.r, dtype=float)
     m = np.asarray(spec.mult, dtype=float)
     terms = m * r ** spec.d * np.exp(-0.5 * np.pi * r)

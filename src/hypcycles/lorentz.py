@@ -96,10 +96,10 @@ def embed_m_rotation(k):
 
 
 def lorentz_inverse(g):
-    """Inverse via the form: g^-1 = J g^T J (exact for group elements), stacks too."""
+    """Inverse via the form: g^-1 = J g^T J by sign flips (exact for group elements), stacks too."""
     g = np.asarray(g)
-    J = minkowski_form(g.shape[-1] - 1)
-    return J @ np.swapaxes(g, -1, -2) @ J
+    sign = np.diag(minkowski_form(g.shape[-1] - 1))
+    return np.swapaxes(g, -1, -2) * np.outer(sign, sign)
 
 
 def group_residual(g):

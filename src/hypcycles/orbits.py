@@ -46,7 +46,6 @@ from .lorentz import (
     is_lorentz,
     lorentz_inverse,
     make_boost,
-    minkowski_form,
     spin_cover_so13,
 )
 
@@ -301,7 +300,7 @@ def _audit_dedup(words, mats):
             elif gap < 1e-8:
                 raise RuntimeError(
                     f"dedup ambiguity between words {words[i]!r} and {words[j]!r} "
-                    f"(entry gap {gap:.3e}); tighten the quantization"
+                    f"(entry gap {gap:.3e}); a larger quant (CLI --tol quant=) may merge them"
                 )
     return np.flatnonzero(keep)
 
@@ -346,13 +345,6 @@ def _pairs(members, bounds):
     first = members[bounds[:-1]]
     return (np.repeat(np.arange(len(sizes)), sizes), np.repeat(first, sizes),
             np.delete(members, bounds[:-1]))
-
-
-def _inverse(stack):
-    """J g^T J of each matrix of a stack by sign flips: the values of
-    lorentz_inverse but for the signs of zeros, which no block test sees."""
-    sign = np.diag(minkowski_form(stack.shape[-1] - 1))
-    return np.swapaxes(stack, -1, -2) * np.outer(sign, sign)
 
 
 def _confirm(words, bucket, a, b, quotient, split, tol, what):
@@ -406,7 +398,7 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=COSET_TOL, quant=
     if labels is None:
         words, mats = ball.words, ball.mats
         bucket, a, b = _pairs(*_key_buckets(np.swapaxes(mats[:, split:, :], 1, 2)))
-        _confirm(words, bucket, a, b, lambda s: mats[b[s]] @ _inverse(mats[a[s]]),
+        _confirm(words, bucket, a, b, lambda s: mats[b[s]] @ lorentz_inverse(mats[a[s]]),
                  split, tol, "left-class")
         labels = _components(np.arange(len(ball)), a, b)
         labels.flags.writeable = False
@@ -430,11 +422,9 @@ def _merge_double(labels, ball, split, gamma0_max_len, tol, quant):
     in_g0 = _block_offdiag_max(mats, split) <= tol
     g0_stack = mats[(ball.lengths <= gamma0_max_len) & in_g0]
     reps = np.flatnonzero(labels == np.arange(len(mats)))
-    # sorted from the last element back, so that of equal cells the last
-    # is found, as in a map from cells to elements
-    cells = _cells(mats[::-1], quant)
+    cells = _cells(mats, quant)
     hashes = _hash(cells)
-    by_hash = np.argsort(hashes, kind="stable")
+    by_hash = np.argsort(hashes)
     index = (hashes[by_hash], cells[by_hash])
     # ball index of rep @ gamma0, rep-major, -1 where it is not in the ball
     found = []
@@ -443,7 +433,7 @@ def _merge_double(labels, ball, split, gamma0_max_len, tol, quant):
         cells = _cells((mats[reps[c:c + step], None] @ g0_stack[None]).reshape(-1, *mats.shape[1:]),
                        quant)
         at = _lookup(index, cells, _hash(cells))
-        found.append(np.where(at < 0, -1, len(mats) - 1 - by_hash[at]))
+        found.append(np.where(at < 0, -1, by_hash[at]))
     del index, cells  # the key pass below is the memory peak
     found = np.concatenate(found or [np.zeros(0, dtype=np.intp)])
     hit = np.flatnonzero(found >= 0)
@@ -463,7 +453,7 @@ def _merge_double(labels, ball, split, gamma0_max_len, tol, quant):
     a, b = live[first], live[b]
     keep = b != a
     bucket, a, h, b = bucket[keep], a[keep], h[keep], b[keep]
-    _confirm(words, bucket, a, b, lambda s: _inverse(mats[a[s]]) @ hs[h[s]] @ mats[b[s]],
+    _confirm(words, bucket, a, b, lambda s: lorentz_inverse(mats[a[s]]) @ hs[h[s]] @ mats[b[s]],
              split, tol, "double-class")
     return _components(labels, a, b)
 

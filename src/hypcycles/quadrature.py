@@ -11,16 +11,18 @@ first panel anyway, and the halves are exactly the panels that split makes.
 intervals [a_k, b_k].  Each member is refined as if it were alone (its own
 target max(rel_tol |I_k|, abs_tol), error budget and panel cap); only the
 integrand calls are shared, one array call per wave for every panel of every
-unconverged member.  A nested integral thus costs one family per wave of its
-outer rule instead of one scalar call per outer node.  ``quad_gk`` is the
-family of one.
+unconverged member, while a converged member's panels stay as they are.  A
+nested integral thus costs one family per wave of its outer rule instead of
+one scalar call per outer node.  ``quad_gk`` is the family of one.
 
 A member's panels keep their own order inside the shared arrays and its sums
 run over them in that order, and each panel's Kronrod and Gauss sums are
 taken row by row (``einsum``, whose rows do not depend on the batch, where a
 BLAS matrix-vector product's do), so a member's result is a pure function of
 its own integrand values: bit-reproducible, and the same in any family as
-alone.
+alone.  A split that would take a member past ``max_panels`` raises before
+any panel is evaluated, so a converged value never depends on ``max_panels``:
+it is the value an uncapped run gives.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ def quad_gk(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
 
     ``f`` must accept an ndarray of nodes and return values of the same
     shape.  Returns a :class:`QuadResult` whose error estimate is at most
-    ``max(rel_tol*|I|, abs_tol)``; raises RuntimeError when ``max_panels``
-    panels are reached first, so non-convergence is never silent.
+    ``max(rel_tol*|I|, abs_tol)``; raises RuntimeError when convergence would
+    take more than ``max_panels`` panels, so non-convergence is never silent.
     """
     res = quad_family(lambda x, k: f(x), a, b, rel_tol, abs_tol, max_panels)
     return QuadResult(res.value[0], res.error[0], int(res.neval[0]), True)
@@ -101,8 +103,8 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
     broadcast to the family size.  Each member starts as the two halves of
     its interval, which count toward ``max_panels`` (at least 2).  Returns a
     :class:`FamilyResult`; raises RuntimeError naming the interval of a
-    member that reaches ``max_panels`` unconverged or whose estimates are
-    not finite.
+    member whose next split would take it past ``max_panels`` or whose
+    estimates are not finite.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -116,62 +118,43 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
     if max_panels < 2:
         raise ValueError("quad_family needs max_panels >= 2")
     m = a.size
-    ids = np.arange(m)          # the unconverged members; owner indexes into ids
     # each member starts as its two halves, in the order a split of [a, b] makes
-    owner = np.tile(ids, 2)
+    owner = np.tile(np.arange(m), 2)
     mid = 0.5 * (a + b)
     lo = np.concatenate([a, mid])
     hi = np.concatenate([mid, b])
     vals, errs = _eval_panels(f, lo, hi, owner)
-    value = np.zeros(m, dtype=vals.dtype)
-    error = np.zeros(m)
-    neval = np.zeros(m, dtype=int)
 
     while True:
-        count = np.bincount(owner, minlength=ids.size)
-        total = _member_sum(vals, owner, ids.size)
-        err_total = np.bincount(owner, weights=errs, minlength=ids.size)
+        # a converged member's panels stay unsplit, so its sums stay as they are
+        count = np.bincount(owner, minlength=m)
+        total = _member_sum(vals, owner, m)
+        err_total = np.bincount(owner, weights=errs, minlength=m)
         target = np.maximum(rel_tol * np.abs(total), abs_tol)
-        done = err_total <= target
-        if np.count_nonzero(done):
-            value[ids[done]] = total[done]
-            error[ids[done]] = err_total[done]
+        todo = ~(err_total <= target)
+        if not np.count_nonzero(todo):
             # the two halves, then two panels for each split, which adds one
-            neval[ids[done]] = 30 * (count[done] - 1)
-            todo = ~done
-            if not np.count_nonzero(todo):
-                return FamilyResult(value, error, neval)
-            keep = todo[owner]
-            owner = (np.cumsum(todo) - 1)[owner[keep]]
-            lo, hi, vals, errs = lo[keep], hi[keep], vals[keep], errs[keep]
-            ids, count, err_total, target = ids[todo], count[todo], err_total[todo], target[todo]
-        finite = np.isfinite(err_total + target)
-        if np.count_nonzero(finite) < finite.size:
-            _raise(ids, a, b, ~finite, lambda j:
+            return FamilyResult(total, err_total, 30 * (count - 1))
+        bad = todo & ~np.isfinite(err_total + target)
+        if np.count_nonzero(bad):
+            _raise(a, b, bad, lambda j:
                    f"non-finite integrand or error estimate {err_total[j]:.3e}")
-        most = count.max()
-        if most >= max_panels:
-            _raise(ids, a, b, count >= max_panels, lambda j:
-                   f"{max_panels} panels reached with error {err_total[j]:.3e} "
-                   f"> target {target[j]:.3e}")
 
         # every unconverged member has a panel above its budget: the budgets
         # add up to half the target, which its error total exceeds
-        split = errs > (target / (2.0 * count))[owner]
-        if 2 * most > max_panels:
-            room = np.maximum(1, max_panels - count)
-            for j in np.flatnonzero(np.bincount(owner[split], minlength=ids.size) > room):
-                # keep only the worst offenders when close to the panel cap
-                mine = np.flatnonzero(owner == j)
-                split[mine] = False
-                split[mine[np.argsort(errs[mine])[::-1][:room[j]]]] = True
+        split = todo[owner] & (errs > (target / (2.0 * count))[owner])
+        grown = count + np.bincount(owner[split], minlength=m)
+        if grown.max() > max_panels:
+            _raise(a, b, grown > max_panels, lambda j:
+                   f"{max_panels} panels cannot hold the {grown[j]} its next split needs "
+                   f"(error {err_total[j]:.3e} > target {target[j]:.3e})")
 
         # a member's panels stay in the order [unsplit, left halves, right halves]
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         new_owner = np.concatenate([owner[split]] * 2)
-        new_vals, new_errs = _eval_panels(f, new_lo, new_hi, ids[new_owner])
+        new_vals, new_errs = _eval_panels(f, new_lo, new_hi, new_owner)
         whole = ~split
         lo = np.concatenate([lo[whole], new_lo])
         hi = np.concatenate([hi[whole], new_hi])
@@ -190,11 +173,10 @@ def _member_sum(vals, owner, m):
     return out
 
 
-def _raise(ids, a, b, bad, detail):
+def _raise(a, b, bad, detail):
     """Raise for the first flagged member, naming its interval."""
     j = int(np.flatnonzero(bad)[0])
-    k = ids[j]
-    raise RuntimeError(f"quad_family did not converge on [{float(a[k])!r}, {float(b[k])!r}]: "
+    raise RuntimeError(f"quad_family did not converge on [{float(a[j])!r}, {float(b[j])!r}]: "
                        + detail(j))
 
 

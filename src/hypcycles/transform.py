@@ -279,9 +279,8 @@ class KScaledInterpolator:
         vals = bessel_k_scaled_batch(self.order, np.exp(logz))
         self._nodes = logz
         self._step = (logz[-1] - logz[0]) / (n - 1)
-        self._coef = _not_a_knot_cubic(logz, np.log(vals))
         # one contiguous row per cell, so a query gathers its cubic in one take
-        self._cells = np.ascontiguousarray(self._coef.T)
+        self._cells = np.ascontiguousarray(_not_a_knot_cubic(logz, np.log(vals)).T)
         # six probes, at the midpoints of cells spread over the whole table
         # (the first and the last included, where the spline ends are weakest)
         cells = np.linspace(0, n - 2, 6).round().astype(int)

@@ -205,7 +205,7 @@ def test_c7_main_term_model():
 
 def test_c8_spectral_tail():
     spec = bd.SpectrumModel.synthetic_weyl(3, 1.0, 90.0)
-    tail40, _ = bd.spectral_tail_bound(spec, 1.0, 40.0)
+    tail40, _ = bd.spectral_tail_bound(spec, 40.0)
     sel = spec.r <= 10.0
     partial10 = float(np.sum(spec.mult[sel] * spec.r[sel] ** 3
                              * np.exp(-0.5 * np.pi * spec.r[sel])))

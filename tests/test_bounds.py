@@ -219,9 +219,9 @@ def test_nested_quadrature_over_a_box():
 
 def test_spectral_tail_bound():
     spec = bd.SpectrumModel.synthetic_weyl(3, 1.0, 90.0)
-    t10, between10 = bd.spectral_tail_bound(spec, 1.0, 10.0)
-    t20, _ = bd.spectral_tail_bound(spec, 1.0, 20.0)
-    t40, _ = bd.spectral_tail_bound(spec, 1.0, 40.0)
+    t10, between10 = bd.spectral_tail_bound(spec, 10.0)
+    t20, _ = bd.spectral_tail_bound(spec, 20.0)
+    t40, _ = bd.spectral_tail_bound(spec, 40.0)
     assert t10 > t20 > t40 > 0
     assert between10 == pytest.approx(t10 - t20, rel=1e-12)
     # doubling the cutoff shrinks the tail at the exponential rate
@@ -234,7 +234,7 @@ def test_spectral_tail_bound():
     ref, _ = sciquad(lambda x: c * x ** 2 * x ** 3 * np.exp(-0.5 * np.pi * x), 20.0, 90.0)
     assert 0.5 < t20 / ref < 2.0
     # empty tail
-    t, _ = bd.spectral_tail_bound(spec, 1.0, 1000.0)
+    t, _ = bd.spectral_tail_bound(spec, 1000.0)
     assert t == 0.0
 
 

@@ -115,6 +115,16 @@ def test_stacked_ball_matches_per_word_ball(make_gens, length):
         assert got.startswith("dedup ambiguity between words")
 
 
+def test_dedup_ambiguity_names_the_setting_that_resolves_it():
+    # conjugation grows the entries until two distinct rounding cells hold
+    # one element; a coarser cell merges them, a finer one cannot
+    gens = _conjugated_picard(-2.0, -1.0)
+    with pytest.raises(RuntimeError,
+                       match=r"^dedup ambiguity .* a larger quant \(CLI --tol quant=\)"):
+        ob.ball_enumerate(gens, 6)
+    assert len(ob.ball_enumerate(gens, 6, quant=1e-7)) == 1454
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),

@@ -139,3 +139,23 @@ def test_members_start_from_their_halves():
                        match=r"^quad_family did not converge on \[0\.0, 1\.0\]: 2 panels"):
         quad_family(step, a, b, rel_tol=1e-12, max_panels=2)
     assert len(calls) == 1
+
+
+# sin(200x) e^(-0.1x) on [0, 10] at rel_tol 1e-9 converges on exactly 1,012 panels
+def _chirp(x):
+    return np.sin(200.0 * x) * np.exp(-0.1 * x)
+
+
+@pytest.mark.parametrize("max_panels", [1012, 1013, 2048, 4096])
+def test_a_cap_the_member_fits_in_gives_the_uncapped_value(max_panels):
+    uncapped = quad_gk(_chirp, 0.0, 10.0, rel_tol=1e-9, max_panels=1 << 20)
+    assert uncapped.neval == 30 * (1012 - 1)
+    got = quad_gk(_chirp, 0.0, 10.0, rel_tol=1e-9, max_panels=max_panels)
+    assert (got.value, got.error, got.neval) == (uncapped.value, uncapped.error, uncapped.neval)
+
+
+def test_a_cap_the_member_does_not_fit_in_raises():
+    # no rationing of splits near the cap: a converged value never depends on it
+    with pytest.raises(RuntimeError,
+                       match=r"did not converge on \[0\.0, 10\.0\]: 1011 panels cannot hold"):
+        quad_gk(_chirp, 0.0, 10.0, rel_tol=1e-9, max_panels=1011)

@@ -88,8 +88,8 @@ def test_interpolation_coefficients_are_scipys_not_a_knot(order, z_lo, z_hi):
     table = tr.KScaledInterpolator(order, z_lo, z_hi)
     nodes = table._nodes
     ref = CubicSpline(nodes, np.log(tr.bessel_k_scaled_batch(order, np.exp(nodes)))).c
-    assert table._coef.shape == ref.shape == (4, 499)
-    np.testing.assert_allclose(table._coef, ref, rtol=1e-12, atol=0.0)
+    assert table._cells.T.shape == ref.shape == (4, 499)
+    np.testing.assert_allclose(table._cells.T, ref, rtol=1e-12, atol=0.0)
 
 
 def test_interpolation_table_rejects_arguments_outside_it():
