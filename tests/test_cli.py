@@ -37,7 +37,7 @@ def test_transform_json_record(tmp_path):
 
 def test_transform_respects_tol_override(tmp_path):
     out = tmp_path / "t.csv"
-    rc = _run(["transform", "--d", "3", "--mu", "1", "--tol", "transform=1e-15",
+    rc = _run(["transform", "--d", "3", "--mu", "1", "--tol", "transform=1e-17",
                "--out", str(out)])
     assert rc == 1  # below achievable quadrature precision: documented failure
     assert "tolerances" in out.read_text().splitlines()[0]
