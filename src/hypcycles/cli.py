@@ -82,8 +82,8 @@ class RunConfig:
                                  f"known: {', '.join(DEFAULT_TOLERANCES)}")
             if not _is_number(t):
                 raise ValueError(f"tolerance {name} must be a number, got {t!r}")
-            if t <= 0:
-                raise ValueError("tolerances must be positive")
+            if not (math.isfinite(t) and t > 0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {t!r}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 

@@ -3,9 +3,10 @@
 A single (G10, K21) panel rule (QUADPACK dqk21) is refined by bisection in
 waves: every panel whose error estimate exceeds its share of the global
 budget is split, and all new panels are evaluated in one batched call.  An
-interval starts as its two halves, not as one panel (as vectorised quadgk
+interval starts as its four quarters, not as one panel (as vectorised quadgk
 starts from a subdivision, Shampine 2008): nearly every interval splits its
-first panel anyway, and the halves are exactly the panels that split makes.
+first panel and then both halves anyway, and the quarters are exactly the
+panels, in the order, that those two waves of splits make.
 
 ``quad_family`` integrates a family of m integrands f(x, k) over their own
 intervals [a_k, b_k].  Each member is refined as if it were alone (its own
@@ -107,8 +108,8 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
 
     ``f(x, k)`` takes equal-shaped arrays of nodes and member indices and
     returns the values of member ``k[i]`` at ``x[i]``.  ``a`` and ``b``
-    broadcast to the family size.  Each member starts as the two halves of
-    its interval, which count toward ``max_panels`` (at least 2).  Returns a
+    broadcast to the family size.  Each member starts as the four quarters
+    of its interval, which count toward ``max_panels`` (at least 4).  Returns a
     :class:`FamilyResult`; raises RuntimeError naming the interval of a
     member whose next split would take it past ``max_panels`` or whose
     estimates are not finite.
@@ -122,14 +123,15 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
         raise ValueError("quad_family needs finite integration bounds")
     if (width <= 0.0).any():
         raise ValueError("quad_family needs b > a")
-    if max_panels < 2:
-        raise ValueError("quad_family needs max_panels >= 2")
+    if not rel_tol >= 0.0:         # NaN fails every comparison
+        raise ValueError(f"quad_family needs rel_tol >= 0, got {rel_tol!r}")
+    if not abs_tol > 0.0:
+        raise ValueError(f"quad_family needs abs_tol > 0, got {abs_tol!r}")
+    if max_panels < 4:
+        raise ValueError("quad_family needs max_panels >= 4")
     m = a.size
-    # each member starts as its two halves, in the order a split of [a, b] makes
-    owner = np.tile(np.arange(m), 2)
-    mid = 0.5 * (a + b)
-    lo = np.concatenate([a, mid])
-    hi = np.concatenate([mid, b])
+    # each member starts as its quarters, in the order two waves of splits make
+    lo, hi, owner = _bisect(*_bisect(a, b, np.arange(m)))
     vals, errs = _eval_panels(f, lo, hi, owner)
 
     while True:
@@ -140,8 +142,8 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
         target = np.maximum(rel_tol * np.abs(total), abs_tol)
         todo = ~(err_total <= target)
         if not np.count_nonzero(todo):
-            # the two halves, then two panels for each split, which adds one
-            return FamilyResult(total, err_total, 2 * XK.size * (count - 1))
+            # the four quarters, then two panels for each split, which adds one
+            return FamilyResult(total, err_total, XK.size * (2 * count - 4))
         bad = todo & ~np.isfinite(err_total + target)
         if np.count_nonzero(bad):
             _raise(a, b, bad, lambda j:
@@ -157,10 +159,7 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
                    f"(error {err_total[j]:.3e} > target {target[j]:.3e})")
 
         # a member's panels stay in the order [unsplit, left halves, right halves]
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_owner = np.concatenate([owner[split]] * 2)
+        new_lo, new_hi, new_owner = _bisect(lo[split], hi[split], owner[split])
         new_vals, new_errs = _eval_panels(f, new_lo, new_hi, new_owner)
         whole = ~split
         lo = np.concatenate([lo[whole], new_lo])
@@ -168,6 +167,12 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
         vals = np.concatenate([vals[whole], new_vals])
         errs = np.concatenate([errs[whole], new_errs])
         owner = np.concatenate([owner[whole], new_owner])
+
+
+def _bisect(lo, hi, owner):
+    """The halves of a batch of panels: every left half, then every right half."""
+    mid = 0.5 * (lo + hi)
+    return np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([owner, owner])
 
 
 def _member_sum(vals, owner, m):

@@ -176,6 +176,26 @@ def test_window_scan_memo_equals_fresh_scan(cfg, u_range):
 
 
 @pytest.mark.usefixtures("fresh_j_caches")
+def test_j_gamma_quadrature_work_is_pinned(monkeypatch):
+    # the Bessel table's and the nested window's families; perfbench's
+    # tracer wraps only quad_gk, so this count is the one record of J's work
+    T, U, S = _picard()
+    family = bd.quad_family
+    total = []
+
+    def counted(*args, **kwargs):
+        res = family(*args, **kwargs)
+        total.append(int(res.neval.sum()))
+        return res
+
+    monkeypatch.setattr(bd, "quad_family", counted)
+    monkeypatch.setattr(tr, "quad_family", counted)
+    res = bd.j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CFG, 20.0, 0.3)
+    assert sum(total) == 49812
+    assert res.log_value == -63.8655458334437
+
+
+@pytest.mark.usefixtures("fresh_j_caches")
 def test_j_gamma_table_self_audit_still_runs(monkeypatch):
     # a 1e-6 error in the last values of the shared table trips its audit
     T, U, S = _picard()

@@ -325,3 +325,18 @@ def test_out_of_range_numbers_exit_2(argv, message, tmp_path, picard_path, capsy
     assert _run([*argv, "--out", str(out)]) == 2
     assert message in _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, tol", [
+    ("transform", "quad=nan"),
+    ("verify", "gr=nan"),
+    ("transform", "transform=inf"),
+    ("transform", "quad=-1"),
+])
+def test_nonfinite_or_nonpositive_tolerance_exits_2(command, tol, tmp_path, capsys):
+    # NaN passes a `t <= 0` test; it must be refused like a negative value
+    out = tmp_path / "t.csv"
+    assert _run([command, "--d", "3", "--mu", "1", "--tol", tol, "--out", str(out)]) == 2
+    name = tol.split("=")[0]
+    assert f"tolerance {name} must be finite and positive" in _one_error_line(capsys)
+    assert not out.exists()

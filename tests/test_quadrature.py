@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from hypcycles import quadrature
+from hypcycles import transform as tr
 from hypcycles.quadrature import WG, WK, XK, quad_family, quad_gk
 
 # inner Gaussian integrals of the transform, s^p exp(-z s^2) on [0, S(z)],
@@ -75,8 +77,13 @@ def test_family_bounds_validated():
         quad_family(lambda x, k: x, [0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="quad_family needs finite"):
         quad_family(lambda x, k: x, 0.0, [1.0, np.inf])
-    with pytest.raises(ValueError, match="quad_family needs max_panels >= 2"):
-        quad_family(lambda x, k: x, 0.0, 1.0, max_panels=1)
+    with pytest.raises(ValueError, match="quad_family needs max_panels >= 4"):
+        quad_family(lambda x, k: x, 0.0, 1.0, max_panels=3)
+    # a tolerance no comparison can meet is named before any evaluation
+    for kwargs, name in [({"rel_tol": np.nan}, "rel_tol"), ({"rel_tol": -1e-9}, "rel_tol"),
+                         ({"abs_tol": np.nan}, "abs_tol"), ({"abs_tol": 0.0}, "abs_tol")]:
+        with pytest.raises(ValueError, match=f"quad_family needs {name}"):
+            quad_gk(lambda x: pytest.fail("evaluated"), 0.0, 1.0, **kwargs)
 
 
 # real members of very different difficulty, and complex oscillating ones
@@ -111,7 +118,7 @@ def test_member_is_the_same_in_any_family(kind):
             assert res.neval[i] == alone[j].neval[0]
 
 
-def test_members_start_from_their_halves():
+def test_members_start_from_their_quarters():
     a = np.array([0.0, -1.0, 2.0])
     b = np.array([1.0, 3.0, 2.5])
     calls = []
@@ -121,23 +128,24 @@ def test_members_start_from_their_halves():
         return (x - k) ** 3 + 2.0 * x
 
     res = quad_family(cubic, a, b, rel_tol=1e-12)
-    # K21 is exact on a cubic: each member converges on its two halves
-    assert (res.neval == 42).all()
+    # K21 is exact on a cubic: each member converges on its four quarters
+    assert (res.neval == 84).all()
     assert len(calls) == 1
     x, k = calls[0]
-    assert x.size == 2 * 21 * a.size
+    assert x.size == 4 * 21 * a.size
     for j in range(a.size):
         mid = 0.5 * (a[j] + b[j])
+        cuts = [a[j], 0.5 * (a[j] + mid), mid, 0.5 * (mid + b[j]), b[j]]
         mine = x[k == j]
-        assert (np.count_nonzero(mine < mid), np.count_nonzero(mine > mid)) == (21, 21)
-        assert ((mine > a[j]) & (mine < b[j])).all()
+        assert not np.isin(mine, cuts).any()
+        assert (np.histogram(mine, bins=cuts)[0] == 21).all()
 
-    # the halves count toward the panel cap: a member that must split fails at once
+    # the quarters count toward the panel cap: a member that must split fails at once
     calls.clear()
     step = lambda x, k: cubic(x, k) + (x > 1.0 / 3.0)
     with pytest.raises(RuntimeError,
-                       match=r"^quad_family did not converge on \[0\.0, 1\.0\]: 2 panels"):
-        quad_family(step, a, b, rel_tol=1e-12, max_panels=2)
+                       match=r"^quad_family did not converge on \[0\.0, 1\.0\]: 4 panels"):
+        quad_family(step, a, b, rel_tol=1e-12, max_panels=4)
     assert len(calls) == 1
 
 
@@ -149,7 +157,7 @@ def _chirp(x):
 @pytest.mark.parametrize("max_panels", [256, 257, 1012, 1013, 2048, 4096])
 def test_a_cap_the_member_fits_in_gives_the_uncapped_value(max_panels):
     uncapped = quad_gk(_chirp, 0.0, 10.0, rel_tol=1e-9, max_panels=1 << 20)
-    assert uncapped.neval == 42 * (256 - 1)
+    assert uncapped.neval == 21 * (2 * 256 - 4)
     got = quad_gk(_chirp, 0.0, 10.0, rel_tol=1e-9, max_panels=max_panels)
     assert (got.value, got.error, got.neval) == (uncapped.value, uncapped.error, uncapped.neval)
 
@@ -159,6 +167,75 @@ def test_a_cap_the_member_does_not_fit_in_raises():
     with pytest.raises(RuntimeError,
                        match=r"did not converge on \[0\.0, 10\.0\]: 255 panels cannot hold"):
         quad_gk(_chirp, 0.0, 10.0, rel_tol=1e-9, max_panels=255)
+
+
+def _halves_start(f, a, b, rel_tol):
+    """One member refined from its two halves, the start before the quarters:
+    value, error, evaluations and every node evaluated, in order."""
+    nodes = []
+
+    def g(x, k):
+        nodes.append(x.copy())
+        return f(x)
+
+    mid = 0.5 * (a + b)
+    lo, hi = np.array([a, mid]), np.array([mid, b])
+    vals, errs = quadrature._eval_panels(g, lo, hi, np.zeros(2, dtype=int))
+    while True:
+        owner = np.zeros(lo.size, dtype=int)
+        total = quadrature._member_sum(vals, owner, 1)[0]
+        err_total = np.bincount(owner, weights=errs)[0]
+        target = max(rel_tol * abs(total), 1e-300)
+        if err_total <= target:
+            return total, err_total, 2 * XK.size * (lo.size - 1), np.concatenate(nodes)
+        split = errs > target / (2.0 * lo.size)
+        new_lo, new_hi, new_owner = quadrature._bisect(lo[split], hi[split], owner[split])
+        new_vals, new_errs = quadrature._eval_panels(g, new_lo, new_hi, new_owner)
+        whole = ~split
+        lo, hi = np.concatenate([lo[whole], new_lo]), np.concatenate([hi[whole], new_hi])
+        vals = np.concatenate([vals[whole], new_vals])
+        errs = np.concatenate([errs[whole], new_errs])
+
+
+def _both_starts(f, a, b, rel_tol):
+    nodes = []
+
+    def g(x):
+        nodes.append(x.copy())
+        return f(x)
+
+    return quad_gk(g, a, b, rel_tol=rel_tol), np.concatenate(nodes), _halves_start(f, a, b, rel_tol)
+
+
+def _radial(d, z):
+    return lambda s: s ** (d - 2) * np.exp(-z * s * s), 0.0, math.sqrt(40.0 / z), 1e-12
+
+
+# members whose two halves both split: the quarters start is their second wave
+BOTH_HALVES_SPLIT = {
+    "chirp": (_chirp, 0.0, 10.0, 1e-9),
+    **{f"radial-d{d}": _radial(d, 1.0) for d in range(3, 7)},
+    "gaussian": (lambda x: np.exp(-x * x), -8.0, 8.0, 1e-9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOTH_HALVES_SPLIT))
+def test_quarters_start_keeps_the_halves_start_tree(name):
+    res, nodes, (value, error, neval, ref_nodes) = _both_starts(*BOTH_HALVES_SPLIT[name])
+    assert (res.value, res.error, res.neval + 42) == (value, error, neval)
+    # the same panels, evaluated in the same order, less the halves
+    assert np.array_equal(nodes, ref_nodes[42:])
+
+
+def test_quarters_start_where_a_half_converged_unsplit():
+    # exp(1) K_2.5(1): one half of [0, T] converged unsplit from the halves
+    nu = tr._normalize_order(2.5)
+    f = lambda t: tr._scaled_integrand(t, 1.0, nu)
+    res, nodes, (value, error, neval, ref_nodes) = _both_starts(
+        f, 0.0, tr._cosh_cutoff(1.0, nu.real), tr.BESSEL_REL_TOL)
+    assert res.neval != neval - 42 and not np.array_equal(nodes, ref_nodes[42:])
+    assert (res.value, res.error) != (value, error)
+    assert abs(res.value - value) <= min(res.error, error)
 
 
 def test_rule_constants_are_the_gauss_kronrod_pair():

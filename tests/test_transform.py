@@ -355,9 +355,9 @@ def test_transform_quadrature_at_the_dimension_ends(d):
             assert abs(hc - hq) <= 1e-8 * abs(hc), (mu, nu)
 
 
-@pytest.mark.parametrize("d, neval", [(3, 37044), (6, 37044)])
+@pytest.mark.parametrize("d, neval", [(3, 21168), (6, 21168)])
 def test_transform_inner_work_is_pinned(monkeypatch, d, neval):
-    # 4 inner families, 294 members in all; perfbench's tracer wraps only
+    # 3 inner families, 252 members in all; perfbench's tracer wraps only
     # quad_gk, so this count is the one record of the inner work
     total = []
 
