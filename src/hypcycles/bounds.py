@@ -7,9 +7,9 @@ J nests its window coordinates and the height r as quadrature families:
 each wave of window points gets its cycle invariants from one
 ``PreparedCycle.invariants_batch`` call and integrates all of its height
 integrals as one family.  The window minimum delta_min comes from a grid
-evaluated in one batch call and polished by a Nelder-Mead simplex
-(``_nelder_mead``, scipy's method ported to numpy), an oracle kept
-independent of the closed-form minimum.  J imports no scipy.
+evaluated in one batch call and polished by the Nelder-Mead simplex of
+``cycles._nelder_mead`` (scipy's method ported to numpy), an oracle kept
+independent of the closed-form minimum.
 
 Calls share what does not depend on mu.  The window scan is memoised per
 (gamma, window, CycleConfig), so a mu sweep of one gamma scans once; the
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import PreparedCycle
+from .cycles import PreparedCycle, _nelder_mead
 from .lorentz import check_membership, require_lorentz
 from .quadrature import quad_family, quad_gk
 from .transform import (
@@ -202,75 +202,6 @@ def _delta_grid(prep, u_range):
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     invs = prep.invariants_batch(pts)
     return pts, invs.delta, invs.N_u
-
-
-def _nelder_mead(func, x0):
-    """(x, func(x)) at the best vertex the Nelder-Mead simplex reaches from x0.
-
-    The unbounded, non-adaptive method of Nelder & Mead, Comput. J. 7
-    (1965), step for step as ``scipy.optimize.minimize(method="Nelder-Mead")``
-    takes it with the options below, so both return the same point and value
-    to the bit: an initial simplex of 5% steps (0.00025 where a coordinate
-    is 0), reflection, expansion, contraction and shrink coefficients 1, 2,
-    1/2, 1/2, and a stop once the simplex spans at most xatol and its values
-    at most fatol, or after maxiter iterations.
-    """
-    xatol, fatol, maxiter = 1e-10, 1e-12, 400
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).ravel()
-    N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
-    for k in range(N):
-        y = x0.copy()
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([func(v) for v in sim], dtype=float)
-    ind = np.argsort(fsim)
-    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = func(xr)
-        doshrink = False
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = func(xe)
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            # contraction outside the simplex
-            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-            fxc = func(xc)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                doshrink = True
-        else:
-            # contraction inside the simplex
-            xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = func(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                doshrink = True
-        if doshrink:
-            for j in range(1, N + 1):
-                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                fsim[j] = func(sim[j])
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim)
 
 
 def _delta_scan(prep, u_range):

@@ -13,7 +13,10 @@ evaluates them at an array of directions into one CycleInvariants record;
 one direction is the batch of one.  ``invariants_stack`` evaluates a stack
 of elements at one direction with one group check, one ANK factorization
 and one coefficient pass; a PreparedCycle is its stack of one.  Everything
-here is checked against brute-force minimization over the cycle.
+here is checked against brute-force minimization over the cycle, by the
+Nelder-Mead simplex ``_nelder_mead`` (scipy's method ported to numpy and
+pinned to it in the tests).  It is the package's one search routine: J's
+window scan in ``bounds`` polishes with it too, and no module imports scipy.
 """
 
 from __future__ import annotations
@@ -224,52 +227,95 @@ def _pairing_to_cycle(point, v, log_t, cfg):
     return minkowski_pairing(point, q)
 
 
+def _nelder_mead(func, x0):
+    """(x, func(x)) at the best vertex the Nelder-Mead simplex reaches from x0.
+
+    The unbounded, non-adaptive method of Nelder & Mead, Comput. J. 7
+    (1965), step for step as ``scipy.optimize.minimize(method="Nelder-Mead")``
+    takes it with the options below, so both return the same point and value
+    to the bit: an initial simplex of 5% steps (0.00025 where a coordinate
+    is 0), reflection, expansion, contraction and shrink coefficients 1, 2,
+    1/2, 1/2, and a stop once the simplex spans at most xatol and its values
+    at most fatol.  Raises RuntimeError, naming the best vertex and value,
+    where scipy would report failure: after maxiter iterations.
+    """
+    xatol, fatol, maxiter = 1e-10, 1e-12, 400
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).ravel()
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([func(v) for v in sim], dtype=float)
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        doshrink = False
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            # contraction outside the simplex
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = func(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                doshrink = True
+        else:
+            # contraction inside the simplex
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = func(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                doshrink = True
+        if doshrink:
+            for j in range(1, N + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    else:
+        raise RuntimeError(f"Nelder-Mead did not converge in {maxiter} iterations; "
+                           f"best vertex {sim[0].tolist()}, value {fsim[0]}")
+    return sim[0], np.min(fsim)
+
+
 def min_dist_to_cycle(point, cfg):
     """Brute-force distance from a point to the cycle submanifold.
 
     Minimizes the Minkowski pairing (smooth even at distance zero) over
-    (v, log t), by coordinate descent from the point's horospherical
-    coordinates followed by Nelder-Mead refinement (xatol = fatol = 1e-12,
-    at most 500 iterations).  Raises RuntimeError with the iterate trace if
-    the refinement fails to converge.
+    (v, log t) with the Nelder-Mead simplex ``_nelder_mead`` (xatol 1e-10,
+    fatol 1e-12, at most 400 iterations), started from the point's
+    horospherical coordinates.  Raises RuntimeError if the simplex reaches
+    its iteration cap.
     """
-    from scipy.optimize import minimize, minimize_scalar
-
     point = np.asarray(point, dtype=float)
     n = cfg.n
     v1, s1 = to_horospherical(point)
     t = float(np.sqrt(s1 * s1 + float(v1[n - 1:] @ v1[n - 1:])))
     z = np.concatenate([v1[:n - 1], [np.log(t)]])
-
-    def objective(zz):
-        return _pairing_to_cycle(point, zz[:-1], zz[-1], cfg)
-
-    # two sweeps of per-coordinate line search, then simplex refinement
-    for _ in range(2):
-        for i in range(z.size):
-            def line(s, i=i):
-                zz = z.copy()
-                zz[i] = s
-                return objective(zz)
-            try:
-                res = minimize_scalar(line, bracket=(z[i] - 0.5, z[i], z[i] + 0.5),
-                                      options={"xtol": 1e-12, "maxiter": 80})
-            except ValueError:
-                continue        # flat or one-sided bracket: leave to the simplex
-            if res.success and res.fun <= objective(z):
-                z[i] = res.x
-
-    trace = []
-    res = minimize(objective, z, method="Nelder-Mead",
-                   callback=lambda zz: trace.append(zz.copy()),
-                   options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 500,
-                            "maxfev": 2000})
-    best = min(objective(z), res.fun)
-    if not res.success and abs(res.fun - objective(z)) > 1e-8 * max(1.0, abs(res.fun)):
-        raise RuntimeError(
-            "cycle-distance minimizer did not converge; "
-            f"last iterates: {trace[-5:]!r}"
-        )
+    # the start is a vertex of the first simplex, so the value is never above it
+    _, best = _nelder_mead(lambda zz: _pairing_to_cycle(point, zz[:-1], zz[-1], cfg), z)
     return float(np.arccosh(max(best, 1.0)))
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from hypcycles import bounds as bd
+from hypcycles import cycles as cy
+from hypcycles import decompose as dc
 from hypcycles import lorentz as lz
 from hypcycles import transform as tr
 from hypcycles.cycles import PreparedCycle
@@ -323,7 +325,19 @@ def _nm_cases():
         "2d-quadratic": (lambda u: float(np.sum(b * (u - a) ** 2)), rng.normal(size=2)),
         "2d-rosenbrock": (_rosenbrock, np.array([-1.2, 1.0])),
         "2d-wavy": (lambda u: float(np.sum(np.cos(3.0 * u)) + 0.1 * u @ u), rng.normal(size=2)),
+        **{f"distance-d{d}-n{n}": _distance_case(rng, lz.CycleConfig(d, n))
+           for d, n in ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4))},
     }
+
+
+def _distance_case(rng, cfg):
+    """The objective of min_dist_to_cycle at a seeded point off the cycle,
+    with its start: the point's horospherical coordinates."""
+    point = lz.random_lorentz(rng, cfg.d) @ dc.from_horospherical(
+        rng.uniform(-1.0, 1.0, size=cfg.d - 1), float(np.exp(rng.uniform(-1.0, 1.0))))
+    v, s = dc.to_horospherical(point)
+    z = np.concatenate([v[:cfg.n - 1], [np.log(np.sqrt(s * s + v[cfg.n - 1:] @ v[cfg.n - 1:]))]])
+    return (lambda z: cy._pairing_to_cycle(point, z[:-1], z[-1], cfg)), z
 
 
 def _scipy_nelder_mead_equal_to_port(f, x0):
@@ -331,7 +345,7 @@ def _scipy_nelder_mead_equal_to_port(f, x0):
     from scipy.optimize import minimize
 
     ref = minimize(f, x0, method="Nelder-Mead", options=NM_OPTIONS)
-    x, fun = bd._nelder_mead(f, x0)
+    x, fun = cy._nelder_mead(f, x0)
     assert fun == ref.fun
     assert np.array_equal(x, ref.x)
     return ref
@@ -346,6 +360,20 @@ def test_nelder_mead_is_scipys_step_for_step():
     # the shrink branch is exercised in one and in two dimensions
     assert shrink_evals["1d-wavy-from-zero"] > 0
     assert shrink_evals["2d-wavy"] > 0
+
+
+def test_nelder_mead_raises_at_its_iteration_cap():
+    # where scipy reports failure, after maxiter iterations, the port raises
+    from scipy.optimize import minimize
+
+    def unbounded(u):
+        return -float(u[0])
+
+    ref = minimize(unbounded, np.ones(1), method="Nelder-Mead", options=NM_OPTIONS)
+    assert not ref.success and ref.nit == NM_OPTIONS["maxiter"]
+    with pytest.raises(RuntimeError, match="did not converge in 400 iterations") as exc:
+        cy._nelder_mead(unbounded, np.ones(1))
+    assert f"value {ref.fun}" in str(exc.value)
 
 
 @pytest.mark.parametrize("cfg, u_range", [
@@ -378,11 +406,17 @@ def test_delta_scan_polish_is_scipys(cfg, u_range):
     "T, U, S = picard_generators().matrices; "
     "j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CycleConfig(3, 2), 20.0, 0.3)",
     "import runpy; runpy.run_path('demos/06_large_mu_asymptotics.py', run_name='__main__')",
-], ids=["j-call", "demo-06"])
-def test_j_loads_no_scipy(code):
+    "from hypcycles import cli; "
+    "assert cli.main(['verify', '--d', '3', '--mu', '1', '--out', {out!r}]) == 0",
+    "import runpy; runpy.run_path('demos/04_cycle_distances.py', run_name='__main__')",
+], ids=["j-call", "demo-06", "verify", "demo-04"])
+def test_j_loads_no_scipy(code, tmp_path):
+    # scipy is blocked, so importing any part of it raises ImportError
     root = pathlib.Path(__file__).resolve().parent.parent
-    code += ("; import sys; print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
+    code = ("import sys; sys.modules['scipy'] = None; "
+            + code.format(out=str(tmp_path / "verify.csv"))
+            + "; print(sorted(m for m, mod in sys.modules.items() if mod is not None "
+            "and (m == 'scipy' or m.startswith('scipy.'))))")
     env = dict(os.environ, PYTHONPATH=str(root / "src") + os.pathsep
                + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,

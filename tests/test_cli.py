@@ -315,9 +315,15 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
     (["count", "--n", "4"], "2 <= n <= d-1"),
     (["delta", "--n", "1"], "2 <= n <= d-1"),
     (["verify", "--n", "3"], "2 <= n <= d-1"),
+    (["transform", "--d", "3", "--mu", "1", "--nu-re", "nan"], "nu_re and nu_im must be finite"),
+    (["asymptote", "--d", "3", "--n", "2", "--mu", "10", "--nu-re", "nan"],
+     "nu_re and nu_im must be finite"),
+    (["transform", "--d", "3", "--mu", "1", "--nu-im", "inf"], "nu_re and nu_im must be finite"),
+    (["verify", "--d", "3", "--mu", "1", "--nu-re", "nan"], "nu_re and nu_im must be finite"),
 ], ids=["transform-mu-0", "verify-mu-0", "asymptote-mu-neg", "mu-inf", "transform-d-8",
         "delta-u-too-long", "count-u-nan", "asymptote-n-3", "count-n-4", "delta-n-1",
-        "verify-n-3"])
+        "verify-n-3", "transform-nu-re-nan", "asymptote-nu-re-nan", "transform-nu-im-inf",
+        "verify-nu-re-nan"])
 def test_out_of_range_numbers_exit_2(argv, message, tmp_path, picard_path, capsys):
     out = tmp_path / "o.csv"
     if argv[0] in ("delta", "count"):
