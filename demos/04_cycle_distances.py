@@ -39,7 +39,7 @@ print("\n=== delta as a geodesic-to-cycle distance ===")
 closed = np.arccosh(np.sqrt(cycle_invariants(g, [0.4], cfg).delta))
 brute = min_dist_geodesic_to_cycle(g, [0.4], cfg)
 print(f"arccosh sqrt(delta) = {closed:.8f}")
-print(f"nested minimization = {brute:.8f}")
+print(f"brute-force minimum = {brute:.8f}")
 
 print("\n=== a cusp-type element: the degenerate profile ===")
 inv = cycle_invariants(U, [0.0], cfg)

@@ -208,7 +208,7 @@ def _delta_scan(prep, u_range):
     """Minimum of delta_u over the window, plus the refined minimum of N_u
     (the convergence witness): grid scans, each polished by the Nelder-Mead
     simplex from its best grid point (objectives clipped to the window,
-    xatol 1e-10, fatol 1e-12, at most 400 iterations)."""
+    xatol 1e-10, fatol 1e-12, at most 200 x dimension iterations)."""
     pts, deltas, n_vals = _delta_grid(prep, u_range)
     lo_clip = [lo for lo, _ in u_range]
     hi_clip = [hi for _, hi in u_range]
@@ -264,8 +264,6 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     if abs(nu_c.imag) > 1e-12:
         raise ValueError("j_gamma_quadrature is defined for real spectral parameter")
     nu_r = float(nu_c.real)
-    if np.isscalar(u_range[0]):
-        u_range = (tuple(u_range),)
     if len(u_range) != cfg.n - 1:
         raise ValueError("u_range must give one interval per cycle direction")
 

@@ -12,11 +12,12 @@ the distance between the translated geodesic and the cycle.  A PreparedCycle
 evaluates them at an array of directions into one CycleInvariants record;
 one direction is the batch of one.  ``invariants_stack`` evaluates a stack
 of elements at one direction with one group check, one ANK factorization
-and one coefficient pass; a PreparedCycle is its stack of one.  Everything
-here is checked against brute-force minimization over the cycle, by the
-Nelder-Mead simplex ``_nelder_mead`` (scipy's method ported to numpy and
-pinned to it in the tests).  It is the package's one search routine: J's
-window scan in ``bounds`` polishes with it too, and no module imports scipy.
+and one coefficient pass; a PreparedCycle is its stack of one.  f and
+delta_u are checked against brute-force minimization over the cycle (for
+delta_u, jointly with the height) by one Nelder-Mead simplex ``_nelder_mead``
+(scipy's method ported to numpy and pinned to it in the tests), the
+package's one search routine: J's window scan in ``bounds`` polishes with
+it too, and no module imports scipy.
 """
 
 from __future__ import annotations
@@ -237,12 +238,13 @@ def _nelder_mead(func, x0):
     is 0), reflection, expansion, contraction and shrink coefficients 1, 2,
     1/2, 1/2, and a stop once the simplex spans at most xatol and its values
     at most fatol.  Raises RuntimeError, naming the best vertex and value,
-    where scipy would report failure: after maxiter iterations.
+    where scipy would report failure: after maxiter = 200 x dimension
+    iterations, scipy's default budget.
     """
-    xatol, fatol, maxiter = 1e-10, 1e-12, 400
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     x0 = np.asarray(x0, dtype=float).ravel()
     N = len(x0)
+    xatol, fatol, maxiter = 1e-10, 1e-12, 200 * N
     sim = np.empty((N + 1, N))
     sim[0] = x0
     for k in range(N):
@@ -300,22 +302,28 @@ def _nelder_mead(func, x0):
     return sim[0], np.min(fsim)
 
 
+def _cycle_start(point, cfg):
+    """(v, log t) of the cycle point below ``point``: its horospherical
+    v_1..v_{n-1} at height t = sqrt(s^2 + v_n^2 + ... + v_{d-1}^2)."""
+    n = cfg.n
+    v1, s1 = to_horospherical(point)
+    t = float(np.sqrt(s1 * s1 + float(v1[n - 1:] @ v1[n - 1:])))
+    return np.concatenate([v1[:n - 1], [np.log(t)]])
+
+
 def min_dist_to_cycle(point, cfg):
     """Brute-force distance from a point to the cycle submanifold.
 
     Minimizes the Minkowski pairing (smooth even at distance zero) over
     (v, log t) with the Nelder-Mead simplex ``_nelder_mead`` (xatol 1e-10,
-    fatol 1e-12, at most 400 iterations), started from the point's
-    horospherical coordinates.  Raises RuntimeError if the simplex reaches
-    its iteration cap.
+    fatol 1e-12, at most 200 x dimension iterations), started from the
+    cycle point below the point.  Raises RuntimeError if the simplex
+    reaches its iteration cap.
     """
     point = np.asarray(point, dtype=float)
-    n = cfg.n
-    v1, s1 = to_horospherical(point)
-    t = float(np.sqrt(s1 * s1 + float(v1[n - 1:] @ v1[n - 1:])))
-    z = np.concatenate([v1[:n - 1], [np.log(t)]])
     # the start is a vertex of the first simplex, so the value is never above it
-    _, best = _nelder_mead(lambda zz: _pairing_to_cycle(point, zz[:-1], zz[-1], cfg), z)
+    _, best = _nelder_mead(lambda z: _pairing_to_cycle(point, z[:-1], z[-1], cfg),
+                           _cycle_start(point, cfg))
     return float(np.arccosh(max(best, 1.0)))
 
 
@@ -334,28 +342,22 @@ def verify_f_geometric(gamma, u, r, cfg):
 
 
 def min_dist_geodesic_to_cycle(gamma, u, cfg):
-    """Brute-force distance between gamma . (n_u A . o) and the cycle:
-    scan log r in [-8, 8] on a 121-point grid, zoom in on the best height
-    five times with 17 points, brute-minimize over the cycle at each
-    candidate.  Oracle for delta_u."""
+    """Brute-force distance between gamma . (n_u A . o) and the cycle, the
+    oracle for delta_u (it reads no invariant): one ``_nelder_mead`` search
+    of the pairing over (v, log t, log r), the cycle point and the geodesic
+    height together, from r = 1 and the cycle point below gamma n_u . o.
+    Defined where M N_u > 0, so that the minimum is attained; raises
+    RuntimeError at the simplex's cap of 200 x dimension iterations."""
+    gamma = np.asarray(gamma, dtype=float)
     u_pad = pad_direction(u, cfg)
 
-    def through(x):
-        p = np.asarray(gamma) @ from_horospherical(u_pad, float(np.exp(x)))
-        return min_dist_to_cycle(p, cfg)
+    def pairing(z):
+        point = gamma @ from_horospherical(u_pad, float(np.exp(z[-1])))
+        return _pairing_to_cycle(point, z[:-2], z[-2], cfg)
 
-    lo, hi, grid = -8.0, 8.0, 121
-    best, best_x = np.inf, 0.0
-    for _ in range(6):          # grid zoom; robust when the min sits at a boundary
-        logs = np.linspace(lo, hi, grid)
-        vals = [through(float(x)) for x in logs]
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best, best_x = vals[i], float(logs[i])
-        step = logs[1] - logs[0]
-        lo, hi = best_x - step, best_x + step
-        grid = 17
-    return float(best)
+    _, best = _nelder_mead(pairing, np.append(
+        _cycle_start(gamma @ from_horospherical(u_pad, 1.0), cfg), 0.0))
+    return float(np.arccosh(max(best, 1.0)))
 
 
 def check_u11_gap(ball, cfg):

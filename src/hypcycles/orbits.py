@@ -64,7 +64,6 @@ CHUNK = 1024
 class GeneratorSet:
     labels: tuple
     matrices: tuple
-    includes_inverses: bool = False
 
     def __post_init__(self):
         if len(self.labels) != len(self.matrices):
@@ -84,23 +83,22 @@ class GeneratorSet:
 
     def moves(self):
         """(label, matrix) pairs including inverses; an inverse equal to an
-        existing move (involutions) is dropped, labels invert by swapcase."""
+        existing move (an involution, or an inverse the set lists) is
+        dropped, labels invert by swapcase."""
         out = [(lab, np.asarray(g, dtype=float)) for lab, g in zip(self.labels, self.matrices)]
-        if not self.includes_inverses:
-            have = list(out)
-            for lab, g in zip(self.labels, self.matrices):
-                gi = lorentz_inverse(np.asarray(g, dtype=float))
-                if any(np.max(np.abs(gi - h)) < 1e-12 for _, h in have):
-                    continue
-                inv_lab = lab.swapcase() if lab.swapcase() != lab else lab + "~"
-                out.append((inv_lab, gi))
-                have.append((inv_lab, gi))
+        for lab, g in zip(self.labels, self.matrices):
+            gi = lorentz_inverse(np.asarray(g, dtype=float))
+            if any(np.max(np.abs(gi - h)) < 1e-12 for _, h in out):
+                continue
+            inv_lab = lab.swapcase() if lab.swapcase() != lab else lab + "~"
+            out.append((inv_lab, gi))
         return sorted(out, key=lambda kv: kv[0])
 
     @classmethod
     def from_json(cls, path):
         """Load {"d": ..., "generators": [{"label": ..., "matrix": [[...]]}]}
-        from a JSON file."""
+        from a JSON file; other keys, such as the "includes_inverses" of
+        older files, are ignored."""
         with open(path) as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):
@@ -111,13 +109,11 @@ class GeneratorSet:
             labels.append(str(item["label"]))
             g = np.asarray(item["matrix"], dtype=float).reshape(d + 1, d + 1)
             mats.append(g)
-        return cls(labels=tuple(labels), matrices=tuple(mats),
-                   includes_inverses=bool(obj.get("includes_inverses", False)))
+        return cls(labels=tuple(labels), matrices=tuple(mats))
 
     def to_json(self):
         return {
             "d": self.d,
-            "includes_inverses": self.includes_inverses,
             "generators": [
                 {"label": lab, "matrix": [[float(x) for x in row] for row in np.asarray(g)]}
                 for lab, g in zip(self.labels, self.matrices)

@@ -105,6 +105,9 @@ def test_j_gamma_basics():
     # complex spectral parameter rejected
     with pytest.raises(ValueError):
         bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, 5.0, 1j)
+    # a window is one interval per cycle direction, also at n = 2
+    with pytest.raises(ValueError, match="one interval per cycle direction"):
+        bd.j_gamma_quadrature(g, (-3.0, 3.0), CFG, 5.0, 0.3)
     # so is a mu that is not positive, before any table range is formed
     for mu in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="mu must be positive"):
@@ -309,7 +312,13 @@ def test_delta_grid_equals_per_point_loop(cfg, u_range):
     assert np.array_equal(n_vals, [inv.N_u for inv in loop])
 
 
-NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400}
+NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-12}
+
+
+def _nm_options(x0):
+    """The port's options for scipy.  maxiter is passed as the port's cap,
+    200 x dimension: scipy's default would cap the evaluations too."""
+    return dict(NM_OPTIONS, maxiter=200 * len(x0))
 
 
 def _rosenbrock(u):
@@ -344,7 +353,7 @@ def _scipy_nelder_mead_equal_to_port(f, x0):
     """scipy's Nelder-Mead result, asserted bit-equal to the port's."""
     from scipy.optimize import minimize
 
-    ref = minimize(f, x0, method="Nelder-Mead", options=NM_OPTIONS)
+    ref = minimize(f, x0, method="Nelder-Mead", options=_nm_options(x0))
     x, fun = cy._nelder_mead(f, x0)
     assert fun == ref.fun
     assert np.array_equal(x, ref.x)
@@ -363,17 +372,20 @@ def test_nelder_mead_is_scipys_step_for_step():
 
 
 def test_nelder_mead_raises_at_its_iteration_cap():
-    # where scipy reports failure, after maxiter iterations, the port raises
+    # where scipy reports failure, after maxiter = 200 x dimension
+    # iterations, the port raises
     from scipy.optimize import minimize
 
     def unbounded(u):
         return -float(u[0])
 
-    ref = minimize(unbounded, np.ones(1), method="Nelder-Mead", options=NM_OPTIONS)
-    assert not ref.success and ref.nit == NM_OPTIONS["maxiter"]
-    with pytest.raises(RuntimeError, match="did not converge in 400 iterations") as exc:
-        cy._nelder_mead(unbounded, np.ones(1))
-    assert f"value {ref.fun}" in str(exc.value)
+    for dim, cap in ((1, 200), (5, 1000)):
+        x0 = np.ones(dim)
+        ref = minimize(unbounded, x0, method="Nelder-Mead", options=_nm_options(x0))
+        assert not ref.success and ref.nit == cap
+        with pytest.raises(RuntimeError, match=f"did not converge in {cap} iterations") as exc:
+            cy._nelder_mead(unbounded, x0)
+        assert f"value {ref.fun}" in str(exc.value)
 
 
 @pytest.mark.parametrize("cfg, u_range", [

@@ -6,7 +6,14 @@ import pytest
 from hypcycles import cycles as cy
 from hypcycles import decompose as dc
 from hypcycles import lorentz as lz
-from hypcycles.orbits import Ball, ball_enumerate, fuchsian_generators, picard_generators
+from hypcycles.orbits import (
+    Ball,
+    ball_enumerate,
+    coset_reduce,
+    delta_spectrum,
+    fuchsian_generators,
+    picard_generators,
+)
 
 CFG = lz.CycleConfig(3, 2)
 
@@ -102,14 +109,42 @@ def test_delta_u_left_invariance():
                 assert cy.delta_u(g0 @ g, u, CFG) == pytest.approx(base, abs=1e-9)
 
 
+def _geodesic_oracle_gap(g, u, cfg):
+    inv = cy.cycle_invariants(g, u, cfg)
+    closed = np.arccosh(max(np.sqrt(inv.delta), 1.0))
+    return abs(closed - cy.min_dist_geodesic_to_cycle(g, u, cfg))
+
+
 def test_delta_u_equals_nested_minimization():
     T, U, S = _picard()
     for g, u in [(U @ S @ T, [0.5]), (T @ U @ S @ U, [0.0])]:
         inv = cy.cycle_invariants(g, u, CFG)
         assert inv.M * inv.N_u > 1e-10  # nondegenerate: interior minimum
-        closed = np.arccosh(max(np.sqrt(inv.delta), 1.0))
-        brute = cy.min_dist_geodesic_to_cycle(g, u, CFG)
-        assert abs(closed - brute) < 1e-6
+        assert _geodesic_oracle_gap(g, u, CFG) < 1e-6
+
+
+def test_delta_spectrum_against_the_distance_oracle():
+    # every representative of the Picard length-6 double spectrum whose
+    # minimum over the height is attained (M N_u > 0), at two directions
+    ball = coset_reduce(ball_enumerate(picard_generators(), 6), CFG, mode="double")
+    for u in (0.0, 0.3):
+        reps = [e for e in delta_spectrum(ball, [u], CFG).entries if e.M * e.N_u > 1e-10]
+        assert len(reps) == 33
+        for e in reps:
+            assert _geodesic_oracle_gap(e.matrix, [u], CFG) < 1e-6, e.word
+    # and 12 seeded elements per (d, n), d <= 5, skipping degenerate draws only
+    for d in range(3, 6):
+        for n in range(2, d):
+            cfg = lz.CycleConfig(d, n)
+            rng = np.random.default_rng(100 * d + n)
+            checked = 0
+            while checked < 12:
+                g = lz.random_lorentz(rng, d)
+                u = rng.uniform(-1.0, 1.0, size=n - 1)
+                inv = cy.cycle_invariants(g, u, cfg)
+                if inv.M * inv.N_u > 1e-10:
+                    assert _geodesic_oracle_gap(g, u, cfg) < 1e-6, (d, n, checked)
+                    checked += 1
 
 
 def test_delta_lower_bound_and_cauchy_schwarz():

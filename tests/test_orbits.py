@@ -99,6 +99,29 @@ def _ball_outcome(enumerate_ball, gens, length):
     return ball.words, ball.mats.tobytes(), ball.lengths.tolist()
 
 
+def _straddling_copies(gap):
+    """The identity and two copies of Picard 'USU' that differ by ``gap`` in
+    entry (0, 0), placed either side of a boundary of the QUANT cells."""
+    _, U, S = ob.picard_generators().matrices
+    g = U @ S @ U
+    edge = (np.floor(g[0, 0] / ob.QUANT) + 0.5) * ob.QUANT
+    a, b = g.copy(), g.copy()
+    a[0, 0], b[0, 0] = edge - gap / 2, edge + gap / 2
+    return np.stack([np.eye(4), a, b])
+
+
+def test_dedup_audit_merges_a_rounding_boundary_split():
+    # copies 3e-13 apart fall in different dedup cells, so the word ball
+    # keeps both; the audit drops the later one
+    stack = _straddling_copies(3e-13)
+    cells = ob._cells(stack, ob.QUANT)
+    assert not np.array_equal(cells[1], cells[2])
+    assert ob._audit_dedup(["e", "USU", "uSu"], stack).tolist() == [0, 1]
+    # copies 1e-10 apart are neither one element nor clearly two
+    with pytest.raises(RuntimeError, match="dedup ambiguity between words 'USU' and 'uSu'"):
+        ob._audit_dedup(["e", "USU", "uSu"], _straddling_copies(1e-10))
+
+
 @pytest.mark.parametrize("make_gens, length", [
     (ob.picard_generators, 6),
     (ob.fuchsian_generators, 8),
@@ -538,6 +561,27 @@ def test_ordering_statistic_positive():
     mn, stats = ob.ordering_statistic(spec, CFG)
     assert mn > 0
     assert len(stats) == len(spec.entries)
+
+
+def test_generator_set_listing_its_inverses_gives_the_same_ball(tmp_path):
+    # a file that lists the inverses (older files flag it with
+    # "includes_inverses") has the moves and the ball of the bundled set
+    gens = ob.picard_generators()
+    obj = gens.to_json()
+    obj["includes_inverses"] = True
+    obj["generators"] += [
+        {"label": lab, "matrix": [[float(x) for x in row] for row in g]}
+        for lab, g in gens.moves() if lab not in gens.labels]
+    assert [g["label"] for g in obj["generators"]] == ["T", "U", "S", "t", "u"]
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(obj))
+    listed = ob.GeneratorSet.from_json(str(path))
+    moves, listed_moves = gens.moves(), listed.moves()
+    assert [lab for lab, _ in listed_moves] == [lab for lab, _ in moves]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(listed_moves, moves))
+    ball, listed_ball = ob.ball_enumerate(gens, 6), ob.ball_enumerate(listed, 6)
+    assert listed_ball.words == ball.words
+    assert np.array_equal(listed_ball.mats, ball.mats)
 
 
 def test_generator_set_json_roundtrip(tmp_path):
