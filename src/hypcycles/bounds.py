@@ -37,6 +37,7 @@ from .quadrature import quad_family, quad_gk
 from .transform import (
     _EXP_CUT,
     KScaledInterpolator,
+    _exp_in_place,
     bessel_k,
     bessel_k_scaled,
     selberg_transform_closed,
@@ -292,11 +293,17 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
             r = np.exp(x)
             sf = np.sqrt(node.f(r, k))
             z = mu * sf
-            return np.exp(nu_r * np.log(sf) + table.log_k(np.minimum(z, z_hi))
-                          + mu * sqrt_dmin
-                          - np.where(z > z_hi, z - z_hi, 0.0)
-                          + (nu_r + rho0) * np.log(node.s1(r, k))
-                          + (nu_r + rho0 - n + 1.0) * x)
+            # the log-integrand summed term by term in one buffer
+            out = np.log(sf)
+            out *= nu_r
+            out += table.log_k(np.minimum(z, z_hi))
+            out += mu * sqrt_dmin
+            out -= np.maximum(z - z_hi, 0.0)
+            s1 = np.log(node.s1(r, k))
+            s1 *= nu_r + rho0
+            out += s1
+            out += (nu_r + rho0 - n + 1.0) * x
+            return _exp_in_place(out)
 
         return quad_family(integrand, np.log(r_lo) - 2.0, np.log(r_hi) + 2.0,
                            rel_tol=1e-8).value

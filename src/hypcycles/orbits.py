@@ -164,7 +164,8 @@ class OrbitTable:
 def _cells(stack, quant):
     """The dedup cells of each matrix of a stack: its entries rounded to
     cells of size ``quant``, one int64 row per matrix."""
-    return np.round(stack / quant).astype(np.int64).reshape(len(stack), -1)
+    c = stack / quant
+    return np.round(c, out=c).astype(np.int64).reshape(len(stack), -1)
 
 
 @functools.cache
@@ -252,16 +253,15 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     for length in range(1, max_word_length + 1):
         if not len(frontier):
             break
-        fresh = []      # (products, hashes, positions in the level) not seen before
+        fresh = []      # (products, cells, hashes, positions in the level) not seen before
         for c in range(0, len(frontier), bases):
             prods = (frontier[c:c + bases, None] @ steps[None]).reshape(-1, *eye.shape)
             cells = _cells(prods, quant)
             hashes = _hash(cells)
             new = np.flatnonzero(_lookup(index, cells, hashes) < 0)
-            fresh.append((prods[new], hashes[new], c * len(steps) + new))
-        prods, hashes, pos = (np.concatenate(part) for part in zip(*fresh))
+            fresh.append((prods[new], cells[new], hashes[new], c * len(steps) + new))
+        prods, cells, hashes, pos = (np.concatenate(part) for part in zip(*fresh))
         del fresh
-        cells = _cells(prods, quant)
         order, starts = _runs(cells, hashes)
         keep = np.sort(np.minimum.reduceat(order, starts))  # the first of each run
         frontier = prods[keep]
@@ -277,6 +277,7 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
 
     mats = np.concatenate(levels)
     lengths = np.repeat(np.arange(len(levels)), [len(m) for m in levels])
+    del levels, frontier
     keep = _audit_dedup(all_words, mats)
     return Ball(words=tuple(all_words[i] for i in keep.tolist()), mats=mats[keep],
                 lengths=lengths[keep], ids=np.arange(len(keep)))

@@ -73,13 +73,28 @@ def _cosh_cutoff(x, a):
     return T + 0.5
 
 
+def _exp_in_place(a):
+    """exp of the float array a, written into a.  Where a <= -_EXP_CUT, exp
+    is 0.0, which numpy's exp reaches only by a slow path, so those entries
+    are set to 0.0 directly; the bytes are those of np.exp(a)."""
+    np.exp(a, out=a, where=a > -_EXP_CUT)
+    # the entries skipped are still negative, and no exp is
+    return np.maximum(a, 0.0, out=a)
+
+
 def _scaled_integrand(t, x, nu):
     """exp(x) * exp(-x cosh t) cosh(nu t), overflow-safe for Re(nu) >= 0."""
     a, b = nu.real, nu.imag
-    expo = x * (1.0 - np.cosh(t)) + a * t
+    # the operations of the out-of-place formula, in its order, in one buffer
+    # of the broadcast shape (a 0-d array, since out= refuses a numpy scalar)
+    expo = np.asarray(x * (1.0 - np.cosh(t)))
+    expo += a * t
+    _exp_in_place(expo)
     if b == 0.0:
-        return 0.5 * np.exp(expo) * (1.0 + np.exp(-2.0 * a * t))
-    return 0.5 * np.exp(expo) * (np.exp(1j * b * t) + np.exp(-2.0 * a * t - 1j * b * t))
+        expo *= 0.5
+        expo *= 1.0 + np.exp(-2.0 * a * t)
+        return expo[()]
+    return 0.5 * expo * (np.exp(1j * b * t) + np.exp(-2.0 * a * t - 1j * b * t))
 
 
 def bessel_k_scaled(order, x):
@@ -194,11 +209,13 @@ def bessel_k_scaled_batch(order, z):
     adaptive evaluator in the test suite.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z <= 0):
-        raise ValueError("z must be positive")
+    z_lo, z_hi = float(z.min()), float(z.max())
+    # NaN fails both comparisons, so it raises too
+    if not (z_lo > 0.0 and z_hi < math.inf):
+        raise ValueError("z must be finite and positive")
     nu = _normalize_order(order)
-    T = _cosh_cutoff(float(z.min()), nu.real)
-    h0 = min(0.05, 0.3 / np.sqrt(float(z.max())))
+    T = _cosh_cutoff(z_lo, nu.real)
+    h0 = min(0.05, 0.3 / np.sqrt(z_hi))
     edges = [0.0, h0]
     while edges[-1] < T:
         h0 *= 1.4
@@ -271,8 +288,8 @@ class KScaledInterpolator:
         if abs(nu.imag) > 1e-14:
             raise ValueError("interpolation table needs a real order")
         self.order = float(nu.real)
-        if not (0 < z_lo < z_hi):
-            raise ValueError("need 0 < z_lo < z_hi")
+        if not (0 < z_lo < z_hi < np.inf):
+            raise ValueError(f"need finite 0 < z_lo < z_hi, got z_lo={z_lo}, z_hi={z_hi}")
         self.z_lo, self.z_hi = float(z_lo), float(z_hi)
         n = 500
         logz = np.linspace(np.log(z_lo), np.log(z_hi), n)
@@ -292,14 +309,16 @@ class KScaledInterpolator:
     def _log_scaled(self, z):
         """The spline of log(exp(z) K_nu(z)) at z, by Horner's rule."""
         z = np.asarray(z, dtype=float)
-        if not (np.all(z >= self.z_lo) and np.all(z <= self.z_hi)):
+        # a NaN fails the comparison, so it raises too
+        if z.size and not (z.min() >= self.z_lo and z.max() <= self.z_hi):
             raise ValueError(f"argument outside the table [{self.z_lo}, {self.z_hi}]")
         x = np.log(z)
         cell = np.floor((x - self._nodes[0]) / self._step).astype(np.intp)
         # minimum/maximum, not np.clip, which builds two np.iinfo per call on integers
         cell = np.maximum(np.minimum(cell, len(self._nodes) - 2), 0)
         t = x - self._nodes[cell]
-        c = self._cells[cell]
+        # take gathers whole rows several times faster than fancy indexing
+        c = np.take(self._cells, cell, axis=0)
         return ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
 
     def __call__(self, z):

@@ -103,6 +103,37 @@ def test_interpolation_table_rejects_arguments_outside_it():
             table.log_k(z)
 
 
+def _log_scaled_by_fancy_index(table, z):
+    """The table lookup with a fancy-index row gather and out-of-place
+    Horner: the reference for KScaledInterpolator._log_scaled."""
+    x = np.log(np.asarray(z, dtype=float))
+    cell = np.floor((x - table._nodes[0]) / table._step).astype(np.intp)
+    cell = np.maximum(np.minimum(cell, len(table._nodes) - 2), 0)
+    t = x - table._nodes[cell]
+    c = table._cells[cell]
+    return ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
+
+
+@pytest.mark.parametrize("order, z_lo, z_hi", [(0.3, 0.5, 900.0), (0.0, 2.0, 1024.0)])
+def test_interpolation_lookup_is_the_fancy_index_lookup(order, z_lo, z_hi):
+    table = tr.KScaledInterpolator(order, z_lo, z_hi)
+    rng = np.random.default_rng(27)
+    z = np.exp(rng.uniform(np.log(z_lo), np.log(z_hi), size=7000))
+    for q in (z, z.reshape(70, 100), np.array([z_lo, z_hi]), np.exp(table._nodes[:5]),
+              np.array(z[0]), float(z[1]), np.empty(0)):
+        got = table._log_scaled(q)
+        ref = _log_scaled_by_fancy_index(table, q)
+        assert np.shape(got) == np.shape(ref) and np.array_equal(got, ref)
+        assert np.array_equal(table.log_k(q), ref - np.asarray(q))
+
+
+@pytest.mark.parametrize("z_lo, z_hi", [(1.0, np.inf), (np.nan, 10.0), (1.0, np.nan),
+                                        (0.0, 10.0), (10.0, 1.0)])
+def test_interpolation_table_needs_finite_ordered_bounds(z_lo, z_hi):
+    with pytest.raises(ValueError, match=r"need finite 0 < z_lo < z_hi, got z_lo=.*, z_hi="):
+        tr.KScaledInterpolator(0.3, z_lo, z_hi)
+
+
 @pytest.mark.usefixtures("fresh_j_caches")
 def test_interpolation_audit_covers_the_table_end(monkeypatch):
     # a 1e-6 error in the last table values must trip the self-audit
@@ -188,6 +219,99 @@ def test_bessel_k_scaled_array_equals_scalar_calls():
             assert gi == one, (order, xi)
     with pytest.raises(ValueError):
         tr.bessel_k_scaled(0.3, np.array([1.0, 0.0]))
+
+
+def _scaled_integrand_out_of_place(t, x, nu):
+    """The Bessel integrand as one out-of-place expression: the reference
+    for transform._scaled_integrand, which evaluates it in one buffer."""
+    a, b = nu.real, nu.imag
+    expo = x * (1.0 - np.cosh(t)) + a * t
+    if b == 0.0:
+        return 0.5 * np.exp(expo) * (1.0 + np.exp(-2.0 * a * t))
+    return 0.5 * np.exp(expo) * (np.exp(1j * b * t) + np.exp(-2.0 * a * t - 1j * b * t))
+
+
+def test_exp_in_place_gives_the_bytes_of_np_exp():
+    # the entries at or below -_EXP_CUT are set to 0.0, not computed: exp
+    # underflows there, which this pins on the platform's numpy
+    v = np.concatenate([np.linspace(-800.0, 710.0, 30001), np.linspace(-746.0, -700.0, 4001),
+                        [-tr._EXP_CUT, np.nextafter(-tr._EXP_CUT, 0.0), -1e300, -np.inf,
+                         np.inf, np.nan, -0.0, 0.0, 1e300]])
+    with np.errstate(over="ignore"):
+        # numpy's exp may round differently on strided and contiguous
+        # arrays, so each layout is compared with np.exp on itself
+        for layout in (lambda w: w, lambda w: w[::-3], lambda w: w[:34000].reshape(40, 850),
+                       lambda w: w[3:4].reshape(()), lambda w: w[-4:-3].reshape(())):
+            a = layout(v.copy())
+            ref = np.exp(a)
+            got = tr._exp_in_place(a)
+            assert got is a and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+ORDERS = (0.0, 0.3, 1.7, 2.5, 1j, 2.5j, 0.4 + 1.1j)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_scaled_integrand_is_the_out_of_place_expression(order):
+    nu = tr._normalize_order(order)
+    rng = np.random.default_rng(25)
+    z = np.exp(rng.uniform(np.log(0.05), np.log(900.0), size=40))
+    t = np.sort(rng.uniform(0.0, 8.0, size=90))
+    k = rng.integers(0, len(z), size=len(t))
+    for args in ((t[None, :], z[:, None]),     # the batch rule's (z x t) grid
+                 (t, z[k]),                    # the adaptive family's nodes
+                 (0.7, 2.0), (np.float64(0.7), np.float64(2.0)), (np.array(3.1), 0.4)):
+        got = tr._scaled_integrand(*args, nu)
+        ref = _scaled_integrand_out_of_place(*args, nu)
+        assert np.shape(got) == np.shape(ref) and np.asarray(got).dtype == np.asarray(ref).dtype
+        assert np.array_equal(got, ref), (order, np.shape(ref))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_bessel_paths_equal_the_out_of_place_integrand(order, monkeypatch):
+    z = np.exp(np.random.default_rng(26).uniform(np.log(0.05), np.log(900.0), size=60))
+    got = (tr.bessel_k_scaled_batch(order, z), tr.bessel_k_scaled(order, z[:12]),
+           tr.bessel_k_scaled(order, float(z[0])))
+    monkeypatch.setattr(tr, "_scaled_integrand", _scaled_integrand_out_of_place)
+    ref = (tr.bessel_k_scaled_batch(order, z), tr.bessel_k_scaled(order, z[:12]),
+           tr.bessel_k_scaled(order, float(z[0])))
+    for g, r in zip(got, ref):
+        assert type(g) is type(r) and np.array_equal(g, r)
+
+
+def test_bessel_batch_peaks_near_one_integrand_matrix(monkeypatch):
+    """The batch rule holds one (z x t) matrix at a time.  On these 500
+    arguments (a 500 x 270 grid) the real-order rule peaks at 1.13 matrices;
+    built as one out-of-place expression it peaked at 3.07."""
+    import tracemalloc
+
+    z = np.geomspace(0.5, 900.0, 500)
+    shapes = []
+    integrand = tr._scaled_integrand
+
+    def spy(t, x, nu):
+        shapes.append(np.broadcast_shapes(np.shape(t), np.shape(x)))
+        return integrand(t, x, nu)
+
+    for order in (0.0, 0.3, 2.5):
+        monkeypatch.setattr(tr, "_scaled_integrand", spy)
+        tr.bessel_k_scaled_batch(order, z)
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            tr.bessel_k_scaled_batch(order, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * np.prod(shapes[-1]), (order, peak, shapes[-1])
+
+
+@pytest.mark.parametrize("z", [[1.0, np.nan], [1.0, np.inf], [1.0, -np.inf], [0.0, 1.0], [-1.0]])
+def test_bessel_batch_rejects_nonfinite_or_nonpositive_arguments(z):
+    # a NaN once cut the panel ladder short (a wrong value at z = 1) and
+    # +inf left it unable to grow (no return)
+    with pytest.raises(ValueError, match="finite and positive"):
+        tr.bessel_k_scaled_batch(0.3, z)
 
 
 def test_asymptotic_ratio_behavior():
