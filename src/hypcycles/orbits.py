@@ -337,11 +337,13 @@ def _key_buckets(cols):
 
 def _pairs(members, bounds):
     """(bucket, first, other) index arrays pairing the first member of each
-    bucket with each of its other members, in bucket order."""
+    bucket with each of its other members, in bucket order; a pair that
+    both grids bucket is kept at its first occurrence only."""
     sizes = np.diff(bounds) - 1
-    first = members[bounds[:-1]]
-    return (np.repeat(np.arange(len(sizes)), sizes), np.repeat(first, sizes),
-            np.delete(members, bounds[:-1]))
+    first = np.repeat(members[bounds[:-1]], sizes)
+    other = np.delete(members, bounds[:-1])
+    keep = np.sort(np.unique(first * (other.max(initial=0) + 1) + other, return_index=True)[1])
+    return np.repeat(np.arange(len(sizes)), sizes)[keep], first[keep], other[keep]
 
 
 def _confirm(words, bucket, a, b, quotient, split, tol, what):

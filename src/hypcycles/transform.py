@@ -10,7 +10,10 @@ integrand has underflowed at the cut (so are the integral identities and the
 transform quadrature's outer range; its inner Gaussian integrals stop at a
 proven tail bound instead).  Half-integer closed forms and the classical
 integral identities (Gradshteyn-Ryzhik 3.471.9, 6.726.4, 6.592.12)
-serve as cross-checks, each computed against direct quadrature.
+serve as cross-checks, each computed against direct quadrature in a
+variable whose integrand decays doubly exponentially (Takahasi and Mori,
+Publ. RIMS 9, 1974): x = e^y for 3.471.9, x = sinh(y)/a for 6.726.4, and
+x = 1 + tau^2 with tau = exp((pi/2) sinh t) for 6.592.12.
 """
 
 from __future__ import annotations
@@ -90,11 +93,12 @@ def _scaled_integrand(t, x, nu):
     expo = np.asarray(x * (1.0 - np.cosh(t)))
     expo += a * t
     _exp_in_place(expo)
+    expo *= 0.5
     if b == 0.0:
-        expo *= 0.5
         expo *= 1.0 + np.exp(-2.0 * a * t)
         return expo[()]
-    return 0.5 * expo * (np.exp(1j * b * t) + np.exp(-2.0 * a * t - 1j * b * t))
+    # the product is the one complex array of the broadcast shape
+    return expo * (np.exp(1j * b * t) + np.exp(-2.0 * a * t - 1j * b * t))
 
 
 def bessel_k_scaled(order, x):
@@ -369,6 +373,9 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1):
                                         K_(s nu - 1/2)(b sqrt(a^2+c^2))
 
     where s = sign picks the upper (+1) or lower (-1) row; integral to GR_REL_TOL.
+    With c b large the integral is exponentially small against its O(1)
+    oscillating integrand, and that tolerance can be out of reach: the
+    quadrature then raises at its panel cap.
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
@@ -379,12 +386,14 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1):
     # power-factor growth is at most polynomial against exp(-a x) decay
     X = (_EXP_CUT + 60.0 + (abs(nu.real) + 1.0) * 20.0) / a + b + 1.0
 
-    def f(x):
+    # substitute x = sinh(y)/a: the exp(-a x) decay becomes doubly exponential
+    def f(y):
+        x = np.sinh(y) / a
         z = a * np.sqrt(x * x + b * b)
         kv = bessel_k_scaled_batch(complex(nu), z) * np.exp(-z)
-        return (x * x + b * b) ** (-s * nu / 2.0) * kv * np.cos(c * x)
+        return (x * x + b * b) ** (-s * nu / 2.0) * kv * np.cos(c * x) * np.cosh(y) / a
 
-    res = quad_gk(f, 0.0, X, rel_tol=GR_REL_TOL)
+    res = quad_gk(f, 0.0, np.arcsinh(a * X), rel_tol=GR_REL_TOL)
     lhs = res.value
     w = b * np.sqrt(a * a + c * c)
     rhs = (np.sqrt(np.pi / 2.0) * a ** (-s * nu) * b ** (0.5 - s * nu)
@@ -410,14 +419,22 @@ def gr_identity_6_592_12(a, b, c):
     tau_max = (_EXP_CUT + 40.0) / a + 1.0
     for _ in range(4):
         tau_max = (_EXP_CUT + 40.0 + p * np.log1p(tau_max)) / a + 1.0
+    # then tau = exp((pi/2) sinh t), so that both ends decay doubly
+    # exponentially.  Below t_lo, tau^(2c) < exp(-_EXP_CUT - 40): the part cut
+    # off is below exp(-810)/c times the sup of x^(-b/2) K(a sqrt x) on [1, 2],
+    # and the integral over tau in [0, 1] is above 1/c times its inf there
+    t_hi = np.arcsinh(np.log(tau_max) / (np.pi / 2.0))
+    t_lo = -np.arcsinh((_EXP_CUT + 40.0) / (2.0 * c) / (np.pi / 2.0))
 
-    def f(tau):
-        x = 1.0 + tau * tau
+    def f(t):
+        # every power of tau from log tau, since tau itself underflows near t_lo
+        log_tau = (np.pi / 2.0) * np.sinh(t)
+        x = 1.0 + np.exp(2.0 * log_tau)
         zarg = a * np.sqrt(x)
         kv = bessel_k_scaled_batch(z_order, zarg) * np.exp(-zarg)
-        return 2.0 * tau ** (2.0 * c - 1.0) * x ** (-b / 2.0) * kv
+        return np.pi * np.cosh(t) * np.exp(2.0 * c * log_tau) * x ** (-b / 2.0) * kv
 
-    res = quad_gk(f, 0.0, tau_max, rel_tol=GR_REL_TOL)
+    res = quad_gk(f, t_lo, t_hi, rel_tol=GR_REL_TOL)
     lhs = res.value
     rhs = 2.0 ** c * math.gamma(c) * a ** (-c) * float(bessel_k(float(b - c), a))
     return float(lhs), float(rhs), _rel_err(lhs, rhs)

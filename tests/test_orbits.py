@@ -379,6 +379,59 @@ def test_coset_reduce_under_conjugation_is_right_or_raises():
     assert raises["left"] <= 2 and raises["double"] <= 16, raises
 
 
+def _pairs_with_repeats(members, bounds):
+    """_pairs keeping every occurrence: a pair that both offset grids bucket
+    comes twice.  The reference for the repeat-free pairs."""
+    sizes = np.diff(bounds) - 1
+    return (np.repeat(np.arange(len(sizes)), sizes), np.repeat(members[bounds[:-1]], sizes),
+            np.delete(members, bounds[:-1]))
+
+
+def test_each_key_hit_is_block_tested_once(monkeypatch):
+    # the left pass at Picard length 6 finds 2474 key hits, 1237 distinct
+    seen = []
+    pairs = ob._pairs
+    monkeypatch.setattr(ob, "_pairs", lambda members, bounds: seen.append(
+        (members, bounds)) or pairs(members, bounds))
+    ob.coset_reduce(ob.ball_enumerate(ob.picard_generators(), 6), CFG, mode="double")
+    assert len(seen) == 2
+    for members, bounds in seen:
+        ref = _pairs_with_repeats(members, bounds)
+        got = pairs(members, bounds)
+        first, tested = [], set()
+        for i, hit in enumerate(zip(ref[1].tolist(), ref[2].tolist())):
+            if hit not in tested:
+                tested.add(hit)
+                first.append(i)
+        assert all(np.array_equal(g, r[first]) for g, r in zip(got, ref))
+    assert len(_pairs_with_repeats(*seen[0])[0]) == 2474 and len(pairs(*seen[0])[0]) == 1237
+
+
+@pytest.mark.parametrize("x, v, n_raised", [(0.0, 0.0, 0), (3.0, -3.0, 2), (-3.0, -3.0, 1),
+                                              (2.0, -2.0, 1)])
+def test_repeat_free_pairs_give_the_same_classes_and_errors(monkeypatch, x, v, n_raised):
+    # a repeat's first occurrence comes in an earlier bucket, so the first
+    # bucket holding a failure, its worst hit and the message stay the same
+    h = lz.make_boost(x, 3) @ lz.make_unipotent(np.array([v, 0.0]), 3)
+    ball = ob.ball_enumerate(ob.picard_generators(), 6)
+    conj = dataclasses.replace(ball, mats=lz.lorentz_inverse(h) @ ball.mats @ h)
+
+    def outcomes():
+        out = []
+        for mode in ("left", "double"):
+            try:
+                # a fresh record, so no left labels cached by a run carry over
+                out.append(ob.coset_reduce(dataclasses.replace(conj), CFG, mode=mode).ids.tolist())
+            except RuntimeError as exc:
+                out.append(str(exc))
+        return out
+
+    got = outcomes()
+    assert sum(isinstance(o, str) for o in got) == n_raised
+    monkeypatch.setattr(ob, "_pairs", _pairs_with_repeats)
+    assert got == outcomes()
+
+
 def test_double_reduction_sound_and_complete():
     gens = ob.picard_generators()
     ball = ob.ball_enumerate(gens, 3)
