@@ -38,7 +38,6 @@ from .transform import (
     _EXP_CUT,
     KScaledInterpolator,
     _exp_in_place,
-    bessel_k,
     bessel_k_scaled,
     selberg_transform_closed,
     selberg_transform_quadrature,
@@ -69,9 +68,13 @@ class SpectrumModel:
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
         m = np.asarray(self.mult)
+        if r.shape != m.shape:
+            raise ValueError(f"r and mult need equal shapes, got {r.shape} and {m.shape}")
+        if not np.isfinite(r).all():
+            raise ValueError("frequencies must be finite")
         if np.any(np.diff(r) < 0):
             raise ValueError("frequencies must be nondecreasing")
-        if np.any(m < 1):
+        if not np.all(m >= 1):     # NaN fails the comparison, so it raises too
             raise ValueError("multiplicities must be >= 1")
 
     @classmethod
@@ -106,7 +109,7 @@ def f_total_integral(d, mu):
     quadrature side is the transform integral with the character dropped,
     i.e. evaluated at nu = -rho, to a relative 1e-9."""
     rho = (d - 1) / 2.0
-    closed = 2.0 ** d * (np.pi / (2.0 * mu)) ** rho * bessel_k(rho, mu)
+    closed = selberg_transform_closed(d, mu, rho)
     quad = selberg_transform_quadrature(d, mu, -rho, rel_tol=1e-9)
     quad = float(np.real(quad))
     err = abs(closed - quad) / max(abs(closed), 1e-300)
@@ -256,8 +259,9 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     height factor s1 can blow up at the same spot); such inputs are
     returned with ``degenerate`` set instead of a value.
     """
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    # NaN fails both comparisons, so it raises too
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     gamma = require_lorentz(gamma)
     if check_membership(gamma, "G0", cfg, tol=1e-8):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
@@ -270,6 +274,9 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
 
     n, rho0 = cfg.n, cfg.rho0
     u_range = tuple((float(lo), float(hi)) for lo, hi in u_range)
+    # checked before the memoised scan, so that no bad window is stored
+    if not all(-math.inf < lo < hi < math.inf for lo, hi in u_range):
+        raise ValueError(f"u_range needs finite intervals with lo < hi, got {u_range}")
     prep, delta_min, n_min = _window_scan(gamma.tobytes(), gamma.shape, u_range, cfg)
     if prep.M < 1e-12 or n_min < 1e-8:
         return JGammaResult(log_value=np.nan, value=np.nan, delta_min=delta_min,

@@ -118,10 +118,10 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
-    width = b - a               # not finite when a bound is not
-    if not np.isfinite(width).all():
+    # the bounds themselves, not b - a, which warns when both are infinite
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("quad_family needs finite integration bounds")
-    if (width <= 0.0).any():
+    if not (b > a).all():
         raise ValueError("quad_family needs b > a")
     if not rel_tol >= 0.0:         # NaN fails every comparison
         raise ValueError(f"quad_family needs rel_tol >= 0, got {rel_tol!r}")

@@ -234,54 +234,27 @@ def bessel_k_scaled_batch(order, z):
     return out.astype(complex, copy=False) if np.iscomplexobj(order) else out.real
 
 
-def _not_a_knot_cubic(x, y):
-    """Coefficients c (4, n-1) of the not-a-knot cubic spline through (x, y):
-    on cell i it is sum_k c[k, i] (t - x[i])^(3-k).
-
-    The slopes solve the tridiagonal system of de Boor, *A Practical Guide
-    to Splines*, ch. IV, whose first and last rows make the third
-    derivative continuous across the second and the last-but-one nodes; one
-    Thomas sweep solves it.  Needs n >= 4 nodes.
-    """
-    n = len(x)
+def _hermite_cells(x, y, s):
+    """Coefficients c (4, n-1) of the cubic Hermite interpolant of values y
+    and slopes s at the nodes x: on cell i it is sum_k c[k, i] (t - x[i])^(3-k)."""
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    lower = np.empty(n)         # lower[i] multiplies s[i-1] in row i
-    diag = np.empty(n)
-    upper = np.empty(n)         # upper[i] multiplies s[i+1] in row i
-    rhs = np.empty(n)
-    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
-    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    diag[0], upper[0] = dx[1], d
-    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    lower[-1], diag[-1] = d, dx[-2]
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-
-    # forward elimination, then back substitution; a scalar loop runs
-    # faster on Python floats than on numpy elements
-    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
-    for i in range(1, n):
-        w = lower[i] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    s = [0.0] * n
-    s[-1] = rhs[-1] / diag[-1]
-    for i in range(n - 2, -1, -1):
-        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
-    s = np.array(s)
-
     t = (s[:-1] + s[1:] - 2.0 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 class KScaledInterpolator:
-    """Cubic log-log spline of exp(z) K_nu(z) for real nu on [z_lo, z_hi].
+    """Cubic log-log interpolant of exp(z) K_nu(z) for real nu on [z_lo, z_hi].
 
-    Built from the batch evaluator at 500 log-spaced nodes with not-a-knot
-    ends (``_not_a_knot_cubic``) and self-audited against the adaptive
-    evaluator at off-grid points spread over [z_lo, z_hi]; raises if the
+    At 500 log-spaced nodes the batch evaluator gives y = log(exp(z) K_nu(z))
+    and, from the recurrence K_nu' = -K_(nu-1) - (nu/z) K_nu (DLMF 10.29.2,
+    with nu >= 0 since K is even in its order), its exact slope in x = log z,
+
+        dy/dx = z - z K_(nu-1)(z) / K_nu(z) - nu,
+
+    so each cell is the cubic Hermite interpolant of its own two nodes
+    (``_hermite_cells``).  The table is self-audited against the adaptive
+    evaluator at off-grid points spread over [z_lo, z_hi] and raises if the
     audit misses a relative 1e-8.  A query finds its cell on the uniform
     log grid by one division and evaluates the cubic by Horner's rule; an
     argument outside [z_lo, z_hi] raises ValueError instead of extrapolating.
@@ -297,21 +270,27 @@ class KScaledInterpolator:
         self.z_lo, self.z_hi = float(z_lo), float(z_hi)
         n = 500
         logz = np.linspace(np.log(z_lo), np.log(z_hi), n)
-        vals = bessel_k_scaled_batch(self.order, np.exp(logz))
+        z = np.exp(logz)
+        vals = bessel_k_scaled_batch(self.order, z)
+        # order |nu| - 1, not |nu| + 1, which would pass MAX_REAL_ORDER at |nu| = 50
+        nu = abs(self.order)
+        slopes = z - z * bessel_k_scaled_batch(nu - 1.0, z) / vals - nu
         self._nodes = logz
         self._step = (logz[-1] - logz[0]) / (n - 1)
         # one contiguous row per cell, so a query gathers its cubic in one take
-        self._cells = np.ascontiguousarray(_not_a_knot_cubic(logz, np.log(vals)).T)
-        # six probes, at the midpoints of cells spread over the whole table
-        # (the first and the last included, where the spline ends are weakest)
+        self._cells = np.ascontiguousarray(_hermite_cells(logz, np.log(vals), slopes).T)
+        # six probes, a quarter of the way into cells spread over the whole
+        # table, the first and the last included: slopes off by the same c at
+        # both ends of a cell move its cubic by h c tau (1 - tau) (1 - 2 tau),
+        # which vanishes at the midpoint tau = 1/2 but not at tau = 1/4
         cells = np.linspace(0, n - 2, 6).round().astype(int)
-        probe = np.exp(0.5 * (logz[cells] + logz[cells + 1]))
+        probe = np.exp(0.75 * logz[cells] + 0.25 * logz[cells + 1])
         ref = bessel_k_scaled(self.order, probe)
         if np.any(np.abs(self(probe) - ref) > 1e-8 * np.abs(ref)):
             raise RuntimeError("Bessel interpolation table failed its self-audit")
 
     def _log_scaled(self, z):
-        """The spline of log(exp(z) K_nu(z)) at z, by Horner's rule."""
+        """The cubic of log(exp(z) K_nu(z)) at z, by Horner's rule."""
         z = np.asarray(z, dtype=float)
         # a NaN fails the comparison, so it raises too
         if z.size and not (z.min() >= self.z_lo and z.max() <= self.z_hi):

@@ -63,6 +63,10 @@ def test_f_total_integral():
     for d in (3, 4, 5):
         for mu in (0.5, 1.0, 2.0):
             assert bd.f_total_integral(d, mu)[2] < 1e-6
+    # the closed side is selberg_transform_closed, with its check
+    for mu in (0.0, -1.0):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            bd.f_total_integral(3, mu)
 
 
 def test_box_domain():
@@ -108,8 +112,8 @@ def test_j_gamma_basics():
     # a window is one interval per cycle direction, also at n = 2
     with pytest.raises(ValueError, match="one interval per cycle direction"):
         bd.j_gamma_quadrature(g, (-3.0, 3.0), CFG, 5.0, 0.3)
-    # so is a mu that is not positive, before any table range is formed
-    for mu in (0.0, -1.0, np.nan):
+    # so is a mu that is not positive and finite, before any table range is formed
+    for mu in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="mu must be positive"):
             bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, mu, 0.3)
     # M = 0 flagged degenerate
@@ -118,6 +122,18 @@ def test_j_gamma_basics():
     # N_u vanishing inside the window (cusp-type representative) flagged too
     res = bd.j_gamma_quadrature(U @ S @ T, ((-3.0, 3.0),), CFG, 5.0, 0.3)
     assert res.degenerate and res.n_min < 1e-8
+
+
+@pytest.mark.usefixtures("fresh_j_caches")
+@pytest.mark.parametrize("u_range", [((-3.0, np.nan),), ((-np.inf, 3.0),), ((3.0, -3.0),),
+                                     ((1.0, 1.0),)],
+                         ids=["nan", "inf", "reversed", "empty"])
+def test_j_gamma_refuses_a_bad_window_before_the_scan(u_range):
+    _, U, S = _picard()
+    with pytest.raises(ValueError, match="u_range needs finite intervals with lo < hi"):
+        bd.j_gamma_quadrature(U @ S @ U, u_range, CFG, 5.0, 0.3)
+    # nothing was scanned or memoised
+    assert bd._window_scan.cache_info().currsize == 0
 
 
 def test_j_gamma_decay_and_ordering():
@@ -261,6 +277,21 @@ def test_spectral_tail_bound():
     # empty tail
     t, _ = bd.spectral_tail_bound(spec, 1000.0)
     assert t == 0.0
+
+
+@pytest.mark.parametrize("r, mult, match", [
+    ([1.0, 2.0], [3], "equal shapes"),
+    ([1.0, 2.0], [[1, 1]], "equal shapes"),
+    ([1.0, np.nan], [1, 1], "finite"),
+    ([np.nan, 1.0], [1, 1], "finite"),
+    ([1.0, np.inf], [1, 1], "finite"),
+    ([1.0, 2.0], [1, np.nan], ">= 1"),
+])
+def test_spectrum_model_refuses_inputs_that_give_a_wrong_tail(r, mult, match):
+    # a broadcast multiplicity, or a NaN frequency or multiplicity, would
+    # pass silently into spectral_tail_bound
+    with pytest.raises(ValueError, match=match):
+        bd.SpectrumModel(3, 1.0, r=r, mult=mult)
 
 
 def test_rescaled_limit_shape():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,8 +76,13 @@ def test_nonfinite_integrand_raises():
 def test_family_bounds_validated():
     with pytest.raises(ValueError, match="quad_family needs b > a"):
         quad_family(lambda x, k: x, [0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match="quad_family needs finite"):
-        quad_family(lambda x, k: x, 0.0, [1.0, np.inf])
+    # every non-finite pair is refused without a numpy warning, (inf, inf)
+    # and (-inf, -inf) included, whose difference b - a is NaN
+    for a, b in [(0.0, [1.0, np.inf]), (np.inf, np.inf), (-np.inf, -np.inf), (np.nan, 1.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="quad_family needs finite"):
+                quad_family(lambda x, k: x, a, b)
     with pytest.raises(ValueError, match="quad_family needs max_panels >= 4"):
         quad_family(lambda x, k: x, 0.0, 1.0, max_panels=3)
     # a tolerance no comparison can meet is named before any evaluation

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import kv
@@ -81,15 +83,43 @@ def test_interpolation_table_audit():
         assert float(table.log_k(zi)) == pytest.approx(np.log(tr.bessel_k_scaled(0.3, float(zi))) - zi, abs=1e-8)
 
 
-@pytest.mark.parametrize("order, z_lo, z_hi", [(0.3, 0.5, 900.0), (0.0, 2.0, 1024.0)])
-def test_interpolation_coefficients_are_scipys_not_a_knot(order, z_lo, z_hi):
-    from scipy.interpolate import CubicSpline
-
+@pytest.mark.parametrize("order, z_lo, z_hi", [(0.3, 4.0, 1024.0), (0.0, 2.0, 256.0),
+                                                (1.2, 8.0, 2048.0)])
+def test_interpolation_slopes_are_mpmaths_derivative(order, z_lo, z_hi):
+    # the slope column is d/dx log(e^z K_nu(z)) at z = e^x, from the
+    # recurrence; mpmath differentiates log K_nu itself at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
     table = tr.KScaledInterpolator(order, z_lo, z_hi)
-    nodes = table._nodes
-    ref = CubicSpline(nodes, np.log(tr.bessel_k_scaled_batch(order, np.exp(nodes)))).c
-    assert table._cells.T.shape == ref.shape == (4, 499)
-    np.testing.assert_allclose(table._cells.T, ref, rtol=1e-12, atol=0.0)
+    for i in np.linspace(0, len(table._nodes) - 2, 25).round().astype(int):
+        z = mpmath.mpf(float(np.exp(table._nodes[i])))
+        ref = float(z + z * mpmath.diff(lambda w: mpmath.log(mpmath.besselk(order, w)), z))
+        assert abs(table._cells[i, 2] - ref) <= 1e-12 * (1.0 + abs(ref)), (order, i)
+
+
+@pytest.mark.parametrize("order, z_lo, z_hi", [(0.3, 4.0, 1024.0), (1.2, 8.0, 2048.0)])
+def test_interpolation_end_cells_against_mpmath(order, z_lo, z_hi):
+    # the first and last three cells at a quarter, half and three quarters
+    # of their width, where a spline with end conditions in place of slopes is weakest
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    table = tr.KScaledInterpolator(order, z_lo, z_hi)
+    x, last = table._nodes, len(table._nodes) - 2
+    for i in (0, 1, 2, last - 2, last - 1, last):
+        for tau in (0.25, 0.5, 0.75):
+            z = float(np.exp((1.0 - tau) * x[i] + tau * x[i + 1]))
+            ref = float(mpmath.log(mpmath.besselk(order, z)))
+            assert abs(float(table.log_k(z)) - ref) <= 2e-12, (order, i, tau)
+
+
+@pytest.mark.usefixtures("fresh_j_caches")
+def test_interpolation_audit_catches_a_constant_slope_shift(monkeypatch):
+    # equal slope errors at both ends of a cell cancel at its midpoint, so
+    # the audit probes a quarter of the way in
+    cells = tr._hermite_cells
+    monkeypatch.setattr(tr, "_hermite_cells", lambda x, y, s: cells(x, y, s + 1e-5))
+    with pytest.raises(RuntimeError, match="self-audit"):
+        tr.KScaledInterpolator(0.3, 0.5, 900.0)
 
 
 def test_interpolation_table_rejects_arguments_outside_it():
@@ -148,6 +178,22 @@ def test_interpolation_audit_covers_the_table_end(monkeypatch):
         tr.KScaledInterpolator(0.3, 0.5, 900.0)
 
 
+@pytest.mark.usefixtures("fresh_j_caches")
+def test_interpolation_audit_covers_the_slope_order(monkeypatch):
+    # a 1e-6 error in the last order-(nu - 1) values, which enter the
+    # slopes alone, must trip the self-audit too
+    batch = tr.bessel_k_scaled_batch
+
+    def perturbed(order, z):
+        z = np.atleast_1d(z)
+        scale = np.where(z > 880.0, 1.0 + 1e-6, 1.0) if order == 0.3 - 1.0 else 1.0
+        return batch(order, z) * scale
+
+    monkeypatch.setattr(tr, "bessel_k_scaled_batch", perturbed)
+    with pytest.raises(RuntimeError, match="self-audit"):
+        tr.KScaledInterpolator(0.3, 0.5, 900.0)
+
+
 def test_bessel_against_mpmath_grid():
     # mpmath at 30 digits as a third route against the integral form
     # K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt (DLMF 10.32.9) that
@@ -174,6 +220,15 @@ def test_bessel_imag_scaled_reference_and_overlap():
         for x in (0.5, 1.0, 2.5):
             direct = float(np.real(tr.bessel_k(complex(0, r), x))) * np.exp(0.5 * np.pi * r)
             assert tr.bessel_k_imag_scaled(r, x) == pytest.approx(direct, rel=1e-7)
+
+
+def test_bessel_imag_scaled_refuses_an_infinite_order_without_warnings():
+    # its contour bounds are all infinite, which the quadrature refuses
+    # before it forms a difference of them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite integration bounds"):
+            tr.bessel_k_imag_scaled(np.inf, 1.0)
 
 
 def _imag_scaled_per_leg(r, x, rel_tol=1e-9):
