@@ -276,7 +276,8 @@ def cmd_verify(config):
         for mu in config.mu_list:
             for nu in (0.0, 1j):
                 hc = transform.selberg_transform_closed(dd, mu, nu)
-                hq = transform.selberg_transform_quadrature(dd, mu, nu)
+                hq = transform.selberg_transform_quadrature(dd, mu, nu,
+                                                            rel_tol=config.tol("quad"))
                 err = max(err, abs(hc - hq) / max(abs(hc), 1e-300))
     record("transform_agreement", err, config.tol("transform"), 2 * len(config.mu_list) * 2)
 

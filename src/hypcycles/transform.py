@@ -6,9 +6,9 @@ All Bessel values come from one integral representation,
     K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt,      x > 0,
 
 evaluated by adaptive Gauss-Kronrod panels on [0, T] with T chosen so the
-integrand has underflowed at the cut (so are the integral identities and the
-transform quadrature's outer range; its inner Gaussian integrals stop at a
-proven tail bound instead).  Half-integer closed forms and the classical
+integrand has underflowed at the cut (so are the integral identities; the
+transform quadrature's outer and inner integrals stop at proven relative
+tail bounds instead).  Half-integer closed forms and the classical
 integral identities (Gradshteyn-Ryzhik 3.471.9, 6.726.4, 6.592.12)
 serve as cross-checks, each computed against direct quadrature in a
 variable whose integrand decays doubly exponentially (Takahasi and Mori,
@@ -18,6 +18,7 @@ x = 1 + tau^2 with tau = exp((pi/2) sinh t) for 6.592.12.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -37,6 +38,9 @@ MAX_QUAD_DIM = 6
 # _INNER_TOL_FLOOR
 _INNER_CUT = 40.0
 _INNER_TOL_FLOOR = 1e-13
+# its outer range: cut where the relative tail bound is exp(-_OUTER_CUT), 1% of
+# _INNER_TOL_FLOOR (bound in selberg_transform_quadrature)
+_OUTER_CUT = math.log(1e2 / _INNER_TOL_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +167,11 @@ def bessel_k_imag_scaled(r, x):
     x cosh(Tc) >= 2r.  Agrees with bessel_k on the overlap where the direct
     path still converges.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if r < 0:
-        raise ValueError("r must be nonnegative (K is even in its order)")
+    # a NaN fails the comparison too; x = inf gives the limit 0
+    if not x > 0:
+        raise ValueError(f"x must be positive, got {x!r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"r must be finite and nonnegative (K is even in its order), got {r!r}")
     if x >= 0.5 * np.pi * r:
         # monotone regime: the direct representation resolves K itself and
         # the exponent pi r/2 - x is nonpositive, so no overflow either way
@@ -423,14 +428,45 @@ def gr_identity_6_592_12(a, b, c):
 # the spherical transform of exp(-mu cosh x)
 
 
+def _check_transform_args(d, mu, nu):
+    """Refuse a bad d, mu or nu before any work; a NaN fails the comparison."""
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
+    if not cmath.isfinite(complex(nu)):
+        raise ValueError(f"nu must be finite, got {nu!r}")
+    if int(d) != d or d < 2:
+        raise ValueError("d must be an integer >= 2")
+
+
 def selberg_transform_closed(d, mu, nu):
     """Closed form 2^d (pi/2mu)^((d-1)/2) K_nu(mu), K to BESSEL_REL_TOL."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if d < 2 or int(d) != d:
-        raise ValueError("d must be an integer >= 2")
+    _check_transform_args(d, mu, nu)
     pref = 2.0 ** d * (np.pi / (2.0 * mu)) ** ((d - 1) / 2.0)
     return pref * bessel_k(nu, mu)
+
+
+def _outer_cut(mu, a):
+    """The smallest X, to within a last Newton step (a relative 1e-7), with
+    selberg_transform_quadrature's tail bound B(X) <= exp(-_OUTER_CUT)."""
+    a = abs(a)
+    t = math.acosh(1.0 + 1.0 / mu)
+    # log B falls strictly from +inf at sinh X = a/mu: step right until it is
+    # below the target, then take Newton steps down for as long as it stays so
+    lo = math.asinh(a / mu)
+    X, last = lo + 1.0, None
+    while True:
+        slope = mu * math.sinh(X) - a
+        gap = mu * (math.cosh(X) - 1.0) - a * X - 1.0 - a * t + math.log(t * slope) - _OUTER_CUT
+        if gap < 0.0:
+            if last is not None:
+                return last
+            X += 1.0
+            continue
+        step = gap / (slope + mu * math.cosh(X) / slope)
+        if step <= 1e-12 * X:
+            return X
+        # halfway to lo at most, so that mu sinh X - a stays positive
+        last, X = X, max(X - step, 0.5 * (lo + X))
 
 
 def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
@@ -446,23 +482,27 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
     Q((d-1)/2, 40) = Gamma((d-1)/2, 40)/Gamma((d-1)/2) is at most 8.4e-16
     for d <= MAX_QUAD_DIM: under 1% of the inner tolerance, which is never
     below _INNER_TOL_FLOOR = 1e-13.
+
+    In x = log r the outer integrand g has modulus C exp(-h), h(x) = mu cosh x
+    - a x with a = Re nu (the radial part's z^(-rho) cancels exp(rho x)).  As
+    h is convex, h(+-x) >= mu cosh X - |a| X + (mu sinh X - |a|)(x - X) for
+    x >= X; and h <= mu + 1 + |a| t on [-t, t], t = arccosh(1 + 1/mu).  So
+
+        int_{|x|>X} |g| / int |g|  <=  B(X) = exp(|a| X - mu (cosh X - 1))
+                                          * exp(1 + |a| t) / (t (mu sinh X - |a|)),
+
+    and the outer range is [-X, X] with ``_outer_cut``'s X, the smallest
+    X > asinh(|a|/mu) with B(X) <= exp(-_OUTER_CUT) = 1e-2 _INNER_TOL_FLOOR.
+    Where Im nu makes |int g| smaller by cancellation, the cut still moves
+    the value by at most 1e-15 int |g|, a few roundings of any quadrature of g.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if int(d) != d or d < 2:
-        raise ValueError("d must be an integer >= 2")
+    _check_transform_args(d, mu, nu)
     if d > MAX_QUAD_DIM:
         raise ValueError(f"unsupported dimension d={d} (quadrature cost guard, d <= {MAX_QUAD_DIM})")
     nu_c = complex(nu)
     rho = (d - 1) / 2.0
     sphere = 2.0 * np.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
-
-    c = abs(nu_c.real) + rho + 1.0
-    X = float(np.arccosh((_EXP_CUT + 40.0) * 2.0 / mu + 1.0))
-    for _ in range(4):
-        X = float(np.arccosh(2.0 * (_EXP_CUT + 40.0 + c * X) / mu + 1.0))
-    X += 1.0
-
+    X = _outer_cut(mu, nu_c.real)
     inner_tol = max(rel_tol * 1e-2, _INNER_TOL_FLOOR)
 
     def outer(x):

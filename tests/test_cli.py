@@ -58,6 +58,21 @@ def test_transform_passes_quad_tol(tmp_path, monkeypatch):
     assert seen == [1e-7]
 
 
+def test_verify_passes_quad_tol(tmp_path, monkeypatch):
+    seen = []
+    real = cli.transform.selberg_transform_quadrature
+
+    def spy(d, mu, nu, rel_tol=1e-9):
+        seen.append(rel_tol)
+        return real(d, mu, nu, rel_tol=rel_tol)
+
+    monkeypatch.setattr(cli.transform, "selberg_transform_quadrature", spy)
+    rc = _run(["verify", "--d", "3", "--mu", "1", "--tol", "quad=1e-7",
+               "--out", str(tmp_path / "v.csv")])
+    assert rc == 0
+    assert seen == [1e-7, 1e-7, 1e-7, 1e-7]
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, hypcycles, hypcycles.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")

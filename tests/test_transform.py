@@ -223,12 +223,23 @@ def test_bessel_imag_scaled_reference_and_overlap():
 
 
 def test_bessel_imag_scaled_refuses_an_infinite_order_without_warnings():
-    # its contour bounds are all infinite, which the quadrature refuses
-    # before it forms a difference of them
+    # refused by name before any contour bound is formed from it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite integration bounds"):
+        with pytest.raises(ValueError, match="r must be finite"):
             tr.bessel_k_imag_scaled(np.inf, 1.0)
+
+
+@pytest.mark.parametrize("r, x, name", [(np.nan, 1.0, "r"), (-np.inf, 1.0, "r"),
+                                        (2.0, np.nan, "x"), (2.0, -np.inf, "x")])
+def test_bessel_imag_scaled_names_a_bad_argument(monkeypatch, r, x, name):
+    monkeypatch.setattr(tr, "quad_family", lambda *a, **k: pytest.fail("quadrature reached"))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        tr.bessel_k_imag_scaled(r, x)
+
+
+def test_bessel_imag_scaled_at_infinite_x_is_its_limit():
+    assert tr.bessel_k_imag_scaled(2.0, np.inf) == 0.0
 
 
 def _imag_scaled_per_leg(r, x, rel_tol=1e-9):
@@ -551,6 +562,63 @@ def test_transform_dimension_guard():
         tr.selberg_transform_closed(3, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("func", [tr.selberg_transform_closed, tr.selberg_transform_quadrature],
+                         ids=["closed", "quadrature"])
+@pytest.mark.parametrize("mu, nu, name", [
+    (np.inf, 0.0, "mu"), (np.nan, 0.0, "mu"), (-np.inf, 0.0, "mu"),
+    (1.0, complex(0.0, np.inf), "nu"), (1.0, np.nan, "nu"), (1.0, np.inf, "nu"),
+    (1.0, complex(0.3, np.nan), "nu"),
+])
+def test_transform_refuses_a_non_finite_argument_before_any_work(monkeypatch, func, mu, nu, name):
+    for engine in ("quad_family", "quad_gk"):
+        monkeypatch.setattr(tr, engine, lambda *a, **k: pytest.fail("quadrature reached"))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        func(3, mu, nu)
+
+
+def _outer_log_bound(mu, a, X):
+    """log of the outer tail bound of selberg_transform_quadrature at X."""
+    a = abs(a)
+    t = np.arccosh(1.0 + 1.0 / mu)
+    return (a * X - mu * (np.cosh(X) - 1.0) + 1.0 + a * t
+            - np.log(t * (mu * np.sinh(X) - a)))
+
+
+def test_outer_cut_tail_below_the_inner_tolerance():
+    # the relative tail of |g| = C exp(-mu cosh x + a x) beyond +-X, against
+    # its integral 2 K_a(mu) (DLMF 10.32.9), must stay far below the
+    # tightest inner target; and X is the smallest cut the bound certifies.
+    # Beyond X + 8, mu cosh x > 1e4 on this grid, so that part is negligible
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    # Re nu in {0, +-0.9 rho, +-5} for d = 2..MAX_QUAD_DIM; only a enters
+    rhos = [(d - 1) / 2.0 for d in range(2, tr.MAX_QUAD_DIM + 1)]
+    for a in sorted({0.0, 5.0, -5.0} | {s * 0.9 * rho for rho in rhos for s in (1, -1)}):
+        for mu in (0.01, 0.05, 0.5, 1.0, 5.0, 20.0, 60.0, 200.0):
+            X = tr._outer_cut(mu, a)
+            tail = mpmath.quad(lambda x: 2 * mpmath.exp(-mu * mpmath.cosh(x))
+                               * mpmath.cosh(a * x), [X, X + 1, X + 3, X + 8])
+            assert tail / (2 * mpmath.besselk(a, mu)) <= 1e-2 * tr._INNER_TOL_FLOOR, (mu, a)
+            # up to the rounding of the log bound, summed in another order here
+            assert _outer_log_bound(mu, a, X) <= -tr._OUTER_CUT + 1e-12, (mu, a)
+            assert _outer_log_bound(mu, a, X * (1.0 - 1e-6)) > -tr._OUTER_CUT, (mu, a)
+
+
+def test_outer_cut_matches_a_far_cut():
+    # the cut quadrature against the same quadrature cut at a relative tail
+    # of exp(-810), beyond exp underflow, on the c1 grid: no closed form involved
+    rel_tol = 1e-10
+    cases = [(d, mu, nu) for d in (3, 4, 5) for mu in (0.5, 1.0, 2.0, 5.0)
+             for nu in (0.0, 0.3, 0.45 * (d - 1), 1j, 2j)]
+    cut = [tr.selberg_transform_quadrature(*c, rel_tol=rel_tol) for c in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "_OUTER_CUT", 810.0)
+        assert tr._outer_cut(1.0, 0.0) > 7.0
+        far = [tr.selberg_transform_quadrature(*c, rel_tol=rel_tol) for c in cases]
+    for c, h, f in zip(cases, cut, far):
+        assert abs(h - f) <= rel_tol * abs(f), c
+
+
 def test_inner_cut_tail_below_the_inner_tolerance():
     # int_{s > sqrt(L/z)} s^(d-2) e^(-z s^2) ds over the whole integral is
     # Q((d-1)/2, L); it must stay far below the tightest inner target
@@ -582,20 +650,27 @@ def test_transform_quadrature_at_the_dimension_ends(d):
             assert abs(hc - hq) <= 1e-8 * abs(hc), (mu, nu)
 
 
-@pytest.mark.parametrize("d, neval", [(3, 21168), (6, 21168)])
-def test_transform_inner_work_is_pinned(monkeypatch, d, neval):
-    # 3 inner families, 252 members in all; perfbench's tracer wraps only
-    # quad_gk, so this count is the one record of the inner work
-    total = []
+@pytest.mark.parametrize("d, neval, outer_neval", [(3, 7056, 84), (6, 7056, 84)])
+def test_transform_inner_work_is_pinned(monkeypatch, d, neval, outer_neval):
+    # 1 inner family of 84 members, one per outer node; perfbench's tracer
+    # wraps only quad_gk, so this count is the one record of the inner work
+    total, outer = [], []
 
     def counted(*args, **kwargs):
         res = quad_family(*args, **kwargs)
         total.append(int(res.neval.sum()))
         return res
 
+    def counted_outer(*args, **kwargs):
+        res = quad_gk(*args, **kwargs)
+        outer.append(res.neval)
+        return res
+
     monkeypatch.setattr(tr, "quad_family", counted)
+    monkeypatch.setattr(tr, "quad_gk", counted_outer)
     tr.selberg_transform_quadrature(d, 1.0, 0.0, rel_tol=1e-10)
     assert sum(total) == neval
+    assert outer == [outer_neval]
 
 
 def test_quadrature_engine_basics():
