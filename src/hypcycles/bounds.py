@@ -32,16 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import PreparedCycle, _nelder_mead
-from .lorentz import check_membership, require_lorentz
+from .lorentz import TOL_G0, check_membership, require_lorentz
 from .quadrature import quad_family, quad_gk
-from .transform import (
-    _EXP_CUT,
-    KScaledInterpolator,
-    _exp_in_place,
-    bessel_k_scaled,
-    selberg_transform_closed,
-    selberg_transform_quadrature,
-)
+from .transform import (_EXP_CUT, REAL_ORDER_IM, KScaledInterpolator, _exp_in_place,
+                        bessel_k_scaled, selberg_transform_closed, selberg_transform_quadrature)
+
+# largest mu of the rescaled limit-shape sweep
+SWEEP_MU_CAP = 60.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +177,7 @@ def sigma0_model(cfg, mu, nu, box):
 
     closed_s, quad_s = complex(closed), complex(quad)
     err = abs(closed_s - quad_s) / max(abs(closed_s), 1e-300)
-    if abs(nu_c.imag) < 1e-14:
+    if abs(nu_c.imag) < REAL_ORDER_IM:
         return float(closed_s.real), float(quad_s.real), float(err)
     return closed_s, quad_s, float(err)
 
@@ -263,7 +260,7 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     if not 0.0 < mu < math.inf:
         raise ValueError("mu must be positive and finite")
     gamma = require_lorentz(gamma)
-    if check_membership(gamma, "G0", cfg, tol=1e-8):
+    if check_membership(gamma, "G0", cfg, tol=TOL_G0):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
     nu_c = complex(nu)
     if abs(nu_c.imag) > 1e-12:
@@ -390,14 +387,14 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     mu_grid = [float(m) for m in mu_grid]
     if any(b <= a for a, b in zip(mu_grid, mu_grid[1:])):
         raise ValueError("mu_grid must be strictly increasing")
-    if mu_grid[-1] > 60.0:
-        raise ValueError("mu_grid capped at 60")
+    if mu_grid[-1] > SWEEP_MU_CAP:
+        raise ValueError(f"mu_grid capped at {SWEEP_MU_CAP:g}")
     d, n = cfg.d, cfg.n
     nu_bar = complex(nu).conjugate()
     i_nu = box.i_nu(nu)
     rows = []
     for mu in mu_grid:
-        kscaled = bessel_k_scaled(nu_bar if abs(nu_bar.imag) > 1e-14 else nu_bar.real, mu)
+        kscaled = bessel_k_scaled(nu_bar if abs(nu_bar.imag) > REAL_ORDER_IM else nu_bar.real, mu)
         kscaled = float(np.real(kscaled))
         sign = int(np.sign(kscaled)) or 1
         value_log = ((n - d) * np.log(2.0) + np.log(abs(i_nu))

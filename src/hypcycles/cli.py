@@ -18,13 +18,13 @@ import numpy as np
 from . import bounds, cycles, decompose, lorentz, orbits, transform
 
 DEFAULT_TOLERANCES = {
-    "group": 1e-9,
+    "group": lorentz.TOL_GROUP,
     "roundtrip": 1e-9,
     "dist": 1e-10,
     "gr": 1e-7,
     "transform": 1e-6,
     "geom": 1e-6,
-    "coset": orbits.COSET_TOL,
+    "coset": lorentz.TOL_G0,
     "quant": orbits.QUANT,
     "quad": 1e-9,
 }
@@ -181,15 +181,21 @@ def _config_from_args(args):
         raise ConfigError(str(exc))
 
 
-def _load_generators(config):
-    if config.generators_path is None:
+def _load_generators(config, default=None):
+    """The --gens generator set, else ``default``; its dimension must be --d."""
+    gens = default
+    if config.generators_path is not None:
+        try:
+            gens = orbits.GeneratorSet.from_json(config.generators_path)
+        except (OSError, KeyError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot load generators: {exc}")
+        except ValueError as exc:
+            raise ConfigError(f"invalid generators: {exc}")
+    if gens is None:
         raise ConfigError("this command needs --gens FILE")
-    try:
-        return orbits.GeneratorSet.from_json(config.generators_path)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load generators: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"invalid generators: {exc}")
+    if gens.d != config.d:
+        raise ConfigError(f"generator dimension {gens.d} does not match --d {config.d}")
+    return gens
 
 
 def _tol_comment(config, names):
@@ -220,6 +226,7 @@ def _write(config, obj, comments, columns, rows):
 
 def cmd_verify(config):
     cfg = config.cfg
+    gens = _load_generators(config, orbits.picard_generators())
     rng = np.random.default_rng(SEED)
     checks = []
 
@@ -281,10 +288,6 @@ def cmd_verify(config):
                 err = max(err, abs(hc - hq) / max(abs(hc), 1e-300))
     record("transform_agreement", err, config.tol("transform"), 2 * len(config.mu_list) * 2)
 
-    gens = orbits.picard_generators() if config.generators_path is None \
-        else _load_generators(config)
-    if gens.d != config.d:
-        raise ConfigError(f"generator dimension {gens.d} does not match --d {config.d}")
     ball = orbits.ball_enumerate(gens, min(3, config.max_word_length),
                                  quant=config.tol("quant"))
     err = 0.0
@@ -310,15 +313,12 @@ def cmd_verify(config):
 
 def _experiment_table(config):
     gens = _load_generators(config)
-    if gens.d != config.d:
-        raise ConfigError(f"generator dimension {gens.d} does not match --d {config.d}")
     cfg = config.cfg
     if config.max_word_length > orbits.LENGTH_CAP:
         raise ConfigError(f"--max-len {config.max_word_length} exceeds the cost guard "
                           f"of {orbits.LENGTH_CAP}")
     ball = orbits.ball_enumerate(gens, config.max_word_length, quant=config.tol("quant"))
-    reduced = orbits.coset_reduce(ball, cfg, mode="double", tol=config.tol("coset"),
-                                  quant=config.tol("quant"))
+    reduced = orbits.coset_reduce(ball, cfg, mode="double", tol=config.tol("coset"))
     u = np.asarray(config.u if config.u else np.zeros(cfg.n - 1))
     return reduced, orbits.delta_spectrum(reduced, u, cfg)
 
@@ -393,8 +393,8 @@ def cmd_asymptote(config):
     box = bounds.BoxDomain(v_bounds=tuple((0.0, 1.0) for _ in range(cfg.n - 1)),
                            r_bounds=(1.0, 2.0))
     mu_grid = sorted(set(list(config.mu_list) + [40.0, 60.0]))
-    if mu_grid[-1] > 60.0:
-        raise ConfigError("asymptote sweep is capped at mu = 60")
+    if mu_grid[-1] > bounds.SWEEP_MU_CAP:
+        raise ConfigError(f"asymptote sweep is capped at mu = {bounds.SWEEP_MU_CAP:g}")
     shape = bounds.rescaled_limit_shape(cfg, mu_grid, config.nu, box)
     gap = bounds.plateau_gap(shape, 40.0, 60.0)
     env_frac = bounds.envelope_fraction(shape[-1])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import ank_stack, from_horospherical, minkowski_pairing, nak_stack, to_horospherical
-from .lorentz import _block_offdiag_max, lorentz_mask, require_lorentz
+from .lorentz import TOL_G0, _block_offdiag_max, lorentz_mask, require_lorentz
 
 
 @dataclass(frozen=True)
@@ -372,12 +372,12 @@ def check_u11_gap(ball, cfg):
     mats = np.asarray(ball.mats, dtype=float)
     if len(mats) and mats.shape[-1] != cfg.d + 1:
         # the first element decides, as in a loop of check_membership and ank
-        if lorentz_mask(mats[:1], 1e-8)[0]:
+        if lorentz_mask(mats[:1], TOL_G0)[0]:
             raise ValueError("CycleConfig dimension does not match matrix")
         require_lorentz(mats[0])
-    # G0 membership as check_membership(g, "G0", cfg, tol=1e-8) decides it
-    outside = np.flatnonzero(~(lorentz_mask(mats, 1e-8)
-                               & (_block_offdiag_max(mats, cfg.n + 1) <= 1e-8)))
+    # G0 membership as check_membership(g, "G0", cfg, tol=TOL_G0) decides it
+    outside = np.flatnonzero(~(lorentz_mask(mats, TOL_G0)
+                               & (_block_offdiag_max(mats, cfg.n + 1) <= TOL_G0)))
     if not outside.size:
         return None, []
     for i in outside[~lorentz_mask(mats[outside])].tolist():

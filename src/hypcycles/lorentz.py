@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TOL_GROUP = 1e-9
+# G0 membership tolerance: of the group check and of the largest entry
+# coupling the cycle block to its complement
+TOL_G0 = 1e-8
 
 
 def minkowski_form(d):
@@ -170,10 +173,10 @@ def _block_offdiag_max(g, split):
 
 
 def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
-    """Test whether ``g`` lies in one of G, K, A, N, M, G0, K0, AN0.
+    """Test whether ``g`` lies in one of G, K, A, N, M, G0, AN0.
 
     Shape-based: each subgroup is characterized by which blocks of the
-    matrix are free.  G0/K0/AN0 need a CycleConfig for the block split.
+    matrix are free.  G0/AN0 need a CycleConfig for the block split.
     """
     g = np.asarray(g, dtype=float)
     d = g.shape[0] - 1
@@ -198,7 +201,7 @@ def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
         if np.max(np.abs(g[:2, :2] - np.eye(2))) > tol:
             return False
         return _block_offdiag_max(g, 2) <= tol
-    if subgroup in ("G0", "K0", "AN0"):
+    if subgroup in ("G0", "AN0"):
         if cfg is None:
             raise ValueError(f"{subgroup} membership needs a CycleConfig")
         if cfg.d != d:
@@ -206,9 +209,6 @@ def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
         split = cfg.n + 1
         if subgroup == "G0":
             return _block_offdiag_max(g, split) <= tol
-        if subgroup == "K0":
-            return (check_membership(g, "K", tol=tol)
-                    and _block_offdiag_max(g, split) <= tol)
         # AN0: trivial K-factor and unipotent part supported in the cycle
         p = g[:, 0]
         s = 1.0 / (p[0] - p[1])

@@ -40,22 +40,16 @@ from itertools import combinations
 import numpy as np
 
 from .cycles import invariants_stack
-from .lorentz import (
-    _block_offdiag_max,
-    group_residual,
-    is_lorentz,
-    lorentz_inverse,
-    make_boost,
-    spin_cover_so13,
-)
+from .lorentz import (TOL_G0, _block_offdiag_max, group_residual, is_lorentz, lorentz_inverse,
+                      make_boost, spin_cover_so13)
 
 LENGTH_CAP = 12
 # cell size of the word ball's dedup keys
 QUANT = 1e-9
 # cell size of the dedup audit grids and of the coset class keys
 KEY_RES = 1e-6
-# block-test tolerance confirming a coset class-key hit
-COSET_TOL = 1e-8
+# largest entry gap at which two matrices are one element
+SAME_GAP = 1e-12
 # matrices per stacked product of the batched loops, bounding their temporaries
 CHUNK = 1024
 
@@ -71,7 +65,7 @@ class GeneratorSet:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("generator labels must be unique")
         for lab, g in zip(self.labels, self.matrices):
-            if not is_lorentz(np.asarray(g), 1e-9):
+            if not is_lorentz(np.asarray(g)):
                 raise ValueError(
                     f"generator {lab!r} fails the group invariant "
                     f"g^T J g = J (residual {group_residual(np.asarray(g)):.3e})"
@@ -88,7 +82,7 @@ class GeneratorSet:
         out = [(lab, np.asarray(g, dtype=float)) for lab, g in zip(self.labels, self.matrices)]
         for lab, g in zip(self.labels, self.matrices):
             gi = lorentz_inverse(np.asarray(g, dtype=float))
-            if any(np.max(np.abs(gi - h)) < 1e-12 for _, h in out):
+            if any(np.max(np.abs(gi - h)) < SAME_GAP for _, h in out):
                 continue
             inv_lab = lab.swapcase() if lab.swapcase() != lab else lab + "~"
             out.append((inv_lab, gi))
@@ -126,12 +120,14 @@ class Ball:
     """A word ball: ``words`` (a tuple, the identity "e" first), ``mats``
     (their (N, d+1, d+1) stack), ``lengths`` (word lengths) and ``ids``
     (class ids numbered by first appearance; ``np.arange(N)`` when fresh),
-    with the cycle-subgroup radius of a double reduction."""
+    with the cycle-subgroup radius of a double reduction and the dedup cell
+    size ``quant`` the ball was built with, which coset reduction reuses."""
     words: tuple
     mats: np.ndarray
     lengths: np.ndarray
     ids: np.ndarray
     gamma0_max_len: int = 0
+    quant: float = QUANT
     # left labels by (block split, tolerance), filled by coset_reduce; a
     # replaced ball starts empty
     _left_labels: dict = field(init=False, repr=False, default_factory=dict)
@@ -280,19 +276,19 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     del levels, frontier
     keep = _audit_dedup(all_words, mats)
     return Ball(words=tuple(all_words[i] for i in keep.tolist()), mats=mats[keep],
-                lengths=lengths[keep], ids=np.arange(len(keep)))
+                lengths=lengths[keep], ids=np.arange(len(keep)), quant=quant)
 
 
 def _audit_dedup(words, mats):
     """Catch rounding-boundary splits: group coarsely (two offset grids),
-    drop the later member of pairs closer than 1e-12, reject ambiguous
+    drop the later member of pairs closer than SAME_GAP, reject ambiguous
     ones.  Returns the indices kept, ascending."""
     keep = np.ones(len(mats), dtype=bool)
     members, bounds = _grid_buckets(mats.reshape(len(mats), -1))
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         for i, j in combinations(members[a:b].tolist(), 2):
             gap = np.max(np.abs(mats[i] - mats[j]))
-            if gap < 1e-12:
+            if gap < SAME_GAP:
                 keep[j] = False
             elif gap < 1e-8:
                 raise RuntimeError(
@@ -379,7 +375,7 @@ def _components(labels, a, b):
         np.minimum.at(labels, lb, low)
 
 
-def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=COSET_TOL, quant=QUANT):
+def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=TOL_G0):
     """Partition a deduplicated ball into left (or double) classes mod the
     cycle subgroup: returns the ball with class ids numbered by first
     appearance, so that each class's first (minimal, lexicographic) word
@@ -403,21 +399,21 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=COSET_TOL, quant=
         labels.flags.writeable = False
         ball._left_labels[split, tol] = labels
     if mode == "double":
-        labels = _merge_double(labels, ball, split, gamma0_max_len, tol, quant)
+        labels = _merge_double(labels, ball, split, gamma0_max_len, tol)
 
     # roots are first members: counting them numbers classes by first appearance
     ids = (np.cumsum(labels == np.arange(len(ball))) - 1)[labels]
     return replace(ball, ids=ids, gamma0_max_len=gamma0_max_len if mode == "double" else 0)
 
 
-def _merge_double(labels, ball, split, gamma0_max_len, tol, quant):
+def _merge_double(labels, ball, split, gamma0_max_len, tol):
     """Merge left classes lying in one double coset, gamma0 ranging over the
-    bounded cycle-subgroup ball: a join on the ball's hash-sorted cells
-    links rep and rep gamma0 when the latter is in the ball, and a key hit
-    of C(gamma0 B) = gamma0 C(B) gamma0^T on C(A), A and B live
+    bounded cycle-subgroup ball: a join on the ball's hash-sorted cells (of
+    its own quant) links rep and rep gamma0 when the latter is in the ball,
+    and a key hit of C(gamma0 B) = gamma0 C(B) gamma0^T on C(A), A and B live
     representatives and C = gamma[:, n+1:] gamma[:, n+1:]^T, puts
     A^{-1} gamma0 B in the cycle subgroup.  Returns the merged labels."""
-    words, mats = ball.words, ball.mats
+    words, mats, quant = ball.words, ball.mats, ball.quant
     in_g0 = _block_offdiag_max(mats, split) <= tol
     g0_stack = mats[(ball.lengths <= gamma0_max_len) & in_g0]
     reps = np.flatnonzero(labels == np.arange(len(mats)))

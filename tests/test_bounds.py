@@ -91,9 +91,11 @@ def test_sigma0_model_grid():
         box = bd.BoxDomain(v_bounds=tuple((0.0, 1.0) for _ in range(n - 1)),
                            r_bounds=(1.0, 2.0))
         for mu in (2.0,):
-            for nu in (0.3,):
-                _, _, err = bd.sigma0_model(cfg, mu, nu, box)
+            for nu in (0.3, 0.3 + 0.5j):
+                closed, quad, err = bd.sigma0_model(cfg, mu, nu, box)
                 assert err < 1e-5
+                # a complex order gives a complex pair, a real one a float pair
+                assert {type(closed), type(quad)} == {type(nu)}
 
 
 def test_j_gamma_basics():

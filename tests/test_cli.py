@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -131,9 +132,36 @@ def test_delta_csv_and_determinism(tmp_path, picard_path):
 def test_delta_empty_ball_exits_1(tmp_path, capsys):
     gens = tmp_path / "fuchsian.json"
     gens.write_text(json.dumps(fuchsian_generators().to_json()))
-    rc = _run(["delta", "--gens", gens.as_posix(), "--max-len", "3"])
-    assert rc == 1
-    assert "no nontrivial classes" in capsys.readouterr().err
+    for command in ("delta", "count"):
+        rc = _run([command, "--gens", gens.as_posix(), "--max-len", "3"])
+        assert rc == 1
+        assert "no nontrivial classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "delta"])
+def test_generator_dimension_mismatch_exits_2_before_any_suite(command, picard_path,
+                                                               monkeypatch, capsys):
+    # verify's first suite draws random group elements: none may be drawn
+    monkeypatch.setattr(cli.lorentz, "random_lorentz",
+                        lambda *args: pytest.fail("a suite ran before the generator check"))
+    assert _run([command, "--gens", picard_path, "--d", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: generator dimension 3 does not match --d 4\n"
+    assert captured.out == ""
+
+
+# sha256 of the CSV stdout; a change that moves these bytes says why
+GOLDEN_CSV = {
+    "delta": "0c026d21f2c89dcd2d2c197922b084112e85152c8de5c5725da0164a33227f00",
+    "count": "fe361a105dd29202114f7d7834a1c883e9c241285ec700060770f75ff6284248",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CSV))
+def test_orbit_csv_bytes_are_pinned(command, picard_path, capsys):
+    assert _run([command, "--gens", picard_path, "--max-len", "6", "--u", "0.3"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_CSV[command]
 
 
 def test_delta_requires_gens(capsys):
@@ -327,6 +355,7 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
     (["delta", "--u", "1,2"], "u must hold n-1 = 1 finite numbers"),
     (["count", "--u", "nan"], "u must hold n-1 = 1 finite numbers"),
     (["asymptote", "--d", "3", "--n", "3", "--mu", "10"], "2 <= n <= d-1"),
+    (["asymptote", "--mu", "61"], "asymptote sweep is capped at mu = 60"),
     (["count", "--n", "4"], "2 <= n <= d-1"),
     (["delta", "--n", "1"], "2 <= n <= d-1"),
     (["verify", "--n", "3"], "2 <= n <= d-1"),
@@ -336,9 +365,9 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
     (["transform", "--d", "3", "--mu", "1", "--nu-im", "inf"], "nu_re and nu_im must be finite"),
     (["verify", "--d", "3", "--mu", "1", "--nu-re", "nan"], "nu_re and nu_im must be finite"),
 ], ids=["transform-mu-0", "verify-mu-0", "asymptote-mu-neg", "mu-inf", "transform-d-8",
-        "delta-u-too-long", "count-u-nan", "asymptote-n-3", "count-n-4", "delta-n-1",
-        "verify-n-3", "transform-nu-re-nan", "asymptote-nu-re-nan", "transform-nu-im-inf",
-        "verify-nu-re-nan"])
+        "delta-u-too-long", "count-u-nan", "asymptote-n-3", "asymptote-mu-61", "count-n-4",
+        "delta-n-1", "verify-n-3", "transform-nu-re-nan", "asymptote-nu-re-nan",
+        "transform-nu-im-inf", "verify-nu-re-nan"])
 def test_out_of_range_numbers_exit_2(argv, message, tmp_path, picard_path, capsys):
     out = tmp_path / "o.csv"
     if argv[0] in ("delta", "count"):

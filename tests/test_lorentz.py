@@ -57,7 +57,8 @@ def test_constructors_satisfy_group_invariant():
 
 def test_membership_boost_and_blocks():
     cfg = lz.CycleConfig(3, 2)
-    assert lz.check_membership(lz.make_boost(1.0, 3), "A")
+    for x in (1.0, -0.7):
+        assert lz.check_membership(lz.make_boost(x, 3), "A")
     assert lz.check_membership(lz.make_unipotent([1.0, 0.0]), "G0", cfg)
     assert not lz.check_membership(lz.make_unipotent([0.0, 1.0]), "G0", cfg)
     assert lz.check_membership(lz.make_unipotent([0.5, 0.0]), "N")

@@ -22,6 +22,15 @@ def test_cyclic_ball():
     assert words == {"e", "A", "a", "AA", "aa", "AAA", "aaa"}
 
 
+def test_finite_cyclic_ball_stops_growing():
+    # a rotation of order 4: R and r at length 1, RR at length 2, and no new
+    # element after that, so longer balls hold the same four
+    quarter = lz.embed_rotation(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    gens = ob.GeneratorSet(labels=("R",), matrices=(quarter,))
+    assert [len(ob.ball_enumerate(gens, n)) for n in (1, 2, 4, 6)] == [3, 4, 4, 4]
+    assert ob.ball_enumerate(gens, 6).words == ("e", "R", "r", "RR")
+
+
 def test_dedup_collapses_inverse_pairs():
     gens = ob.picard_generators()
     ball = ob.ball_enumerate(gens, 2)
@@ -79,7 +88,8 @@ def _ball_per_word(gens, max_word_length, quant=ob.QUANT):
     mats = np.asarray([m for _, m, _ in out])
     keep = ob._audit_dedup(words, mats)
     return ob.Ball(words=tuple(words[i] for i in keep), mats=mats[keep],
-                   lengths=np.asarray([n for _, _, n in out])[keep], ids=np.arange(len(keep)))
+                   lengths=np.asarray([n for _, _, n in out])[keep], ids=np.arange(len(keep)),
+                   quant=quant)
 
 
 def _conjugated_picard(x, v):
@@ -146,6 +156,19 @@ def test_dedup_ambiguity_names_the_setting_that_resolves_it():
                        match=r"^dedup ambiguity .* a larger quant \(CLI --tol quant=\)"):
         ob.ball_enumerate(gens, 6)
     assert len(ob.ball_enumerate(gens, 6, quant=1e-7)) == 1454
+
+
+def test_double_join_uses_the_cells_the_ball_was_built_with():
+    # the rep gamma0 join looks products up in the ball's own dedup cells; a
+    # record of the same ball claiming finer cells misses some products and
+    # joins other classes, so the join must read the quant of the ball
+    ball = ob.ball_enumerate(_conjugated_picard(-2.0, -1.0), 6, quant=1e-7)
+    assert ball.quant == 1e-7
+    assert ob.ball_enumerate(ob.picard_generators(), 2).quant == ob.QUANT
+    double = ob.coset_reduce(ball, CFG, mode="double")
+    assert double.quant == 1e-7
+    finer = ob.coset_reduce(dataclasses.replace(ball, quant=1e-11), CFG, mode="double")
+    assert finer.ids.tolist() != double.ids.tolist()
 
 
 @settings(max_examples=200, deadline=None)
