@@ -11,6 +11,11 @@ evaluated in one batch call and polished by the Nelder-Mead simplex of
 ``cycles._nelder_mead`` (scipy's method ported to numpy), an oracle kept
 independent of the closed-form minimum.
 
+Each height integral ends where a proven bound on its relative tail is
+1e-16 (``_height_cut``), not where its integrand underflows.  The Bessel
+table's argument is still clamped at z_hi, which a cut range passes where
+delta_u lies far above delta_min.
+
 Calls share what does not depend on mu.  The window scan is memoised per
 (gamma, window, CycleConfig), so a mu sweep of one gamma scans once; the
 Lorentz and G0 checks still run on every call.  The Bessel table is memoised
@@ -156,9 +161,11 @@ def sigma0_model(cfg, mu, nu, box):
 
     against direct quadrature of the layered integral (the transform to a
     relative 1e-8, the radial factor to 1e-10).  Returns (closed,
-    quadrature, rel_err).  Both sides are the n-dimensional spherical
-    transform at nubar times the window integral, so the transform's
-    quadrature cost guard n <= transform.MAX_QUAD_DIM applies.
+    quadrature, rel_err), the first two complex for a complex-typed nu
+    (``0.3+0j`` included) and floats otherwise, as the transform's are.
+    Both sides are the n-dimensional spherical transform at nubar times the
+    window integral, so the transform's quadrature cost guard
+    n <= transform.MAX_QUAD_DIM applies.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -177,9 +184,10 @@ def sigma0_model(cfg, mu, nu, box):
 
     closed_s, quad_s = complex(closed), complex(quad)
     err = abs(closed_s - quad_s) / max(abs(closed_s), 1e-300)
-    if abs(nu_c.imag) < REAL_ORDER_IM:
-        return float(closed_s.real), float(quad_s.real), float(err)
-    return closed_s, quad_s, float(err)
+    # typed like the transform's result: complex for a complex-typed nu
+    if np.iscomplexobj(nu):
+        return closed_s, quad_s, float(err)
+    return float(closed_s.real), float(quad_s.real), float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +246,70 @@ def _k_table(order, a, b):
     return KScaledInterpolator(order, 2.0 ** a, 2.0 ** b)
 
 
+# log of the bound on each height integral's cut-off relative tail.  A cut
+# is a bias that no error estimate sees, so it sits at a rounding of the
+# value, 1e-8 of the height rel_tol: a 1e-10 bound moved log J by 3.5e-11
+_HEIGHT_TAIL = math.log(1e-16)
+
+
+def _height_cut(mu, nu, rho0, M, N_u, delta):
+    """Ends (x* - T, x* + T) in x = log r of each height integral of J, with
+    x* = log(N_u/M)/4, past which its relative tail is proven at most
+    exp(_HEIGHT_TAIL); all members at once, by three Newton steps.
+
+    In t = x - x*, with q^2 = sqrt(M N_u) and D = delta_u,
+
+        f = (sqrt(M) r - sqrt(N_u)/r)^2 + D = 4 q^2 sinh(t)^2 + D,
+
+    so y = sqrt f is even in t, with y' = 2 q^2 sinh(2t)/y increasing for
+    t >= 0 (y'^2 rises in sinh(t)^2) and y' >= (y^2 - D)/y >= y - sqrt D.
+    The integrand is y^nu K_nu(mu y) P, P = s1^(nu+rho0) r^(nu-rho0), and
+    s1 = r0/(a r + b/r) with a = (1 - u11)/2 >= 0 and b >= 0 (the rotation's
+    first row is a unit vector), so |(log P)'| <= kappa = |nu + rho0| +
+    |nu - rho0|.  K_nu(z) and e^z K_nu(z) = int_0^inf exp(-z (cosh s - 1))
+    cosh(nu s) ds (DLMF 10.32.9) both fall in z.  So on |t| <= tau the
+    integrand is at least min(y^nu) K_nu(mu y_tau) P(0) e^(-kappa tau), on
+    |t| >= T >= tau at most y^nu e^(-mu (y - y_tau)) K_nu(mu y_tau) P(0)
+    e^(kappa |t|), and the relative tail beyond +-T is at most
+    (1/tau) int_T^inf exp(E), with
+
+        E(t) = nu+ log(y/sqrt D) - mu (y - y_tau) + kappa (t + tau),
+
+    nu+ = max(nu, 0) (for nu < 0, y^nu <= y_tau^nu on the tail).  Take T0
+    with mu y(T0) = mu y_tau + A, A = max(20, 2 (nu+ + kappa) + 1).  Past
+    T0, mu - nu+/y >= mu/2 and mu y' >= A, so E' <= E'(T0) = -lam0 <=
+    -(A + 1)/2 and E'' <= -(mu - nu+/y) y'' <= 0.  The tail is then at most
+    exp(E(T))/(tau lam0), and T solves E(T) = log(tau lam0) + _HEIGHT_TAIL
+    on [T0, inf).  E is concave there, so every Newton step from T0 lands
+    at or past the root and stays there: the cut holds after any number of
+    steps.  tau = 2/(kappa + sqrt(kappa^2 + 16 mu q^2/sqrt D)) minimises
+    mu y_tau + kappa tau - log tau to second order in tau.
+    """
+    kappa = abs(nu + rho0) + abs(nu - rho0)
+    nu_p = max(nu, 0.0)
+    q2 = np.sqrt(M * N_u)
+    sqrt_d = np.sqrt(delta)
+    tau = 2.0 / (kappa + np.sqrt(kappa * kappa + 16.0 * mu * q2 / sqrt_d))
+    y_tau = np.sqrt(4.0 * q2 * np.sinh(tau) ** 2 + delta)
+    y0 = y_tau + max(20.0, 2.0 * (nu_p + kappa) + 1.0) / mu
+    t0 = np.arcsinh(np.sqrt((y0 * y0 - delta) / (4.0 * q2)))
+
+    def e_and_slope(t):
+        sh = np.sinh(t)
+        y = np.sqrt(4.0 * q2 * sh * sh + delta)
+        dy = 4.0 * q2 * sh * np.sqrt(1.0 + sh * sh) / y
+        e = nu_p * np.log(y / sqrt_d) - mu * (y - y_tau) + kappa * (t + tau)
+        return e, (nu_p / y - mu) * dy + kappa
+
+    target = np.log(-tau * e_and_slope(t0)[1]) + _HEIGHT_TAIL
+    t = t0
+    for _ in range(3):
+        e, slope = e_and_slope(t)
+        t = np.maximum(t0, t - (e - target) / slope)
+    x_star = 0.25 * np.log(N_u / M)
+    return x_star - t, x_star + t
+
+
 def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     """The reduced error-term integral
 
@@ -248,6 +320,10 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     exp(-mu sqrt(delta_min)) size survives large mu: the window integrals
     to a relative 1e-7, the height integrals inside them to 1e-8.  Real
     spectral parameter only (the integral is complex otherwise).
+
+    Each height integral runs over its own range in log r, centred on the
+    minimum of f and ended where a proven bound on its relative tail is
+    1e-16 (``_height_cut``).
 
     Convergence needs both M(gamma) > 0 and inf_u N_u(gamma) > 0 on the
     window -- the positivity a good double-coset representative enjoys.
@@ -289,8 +365,7 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
         if np.any(node.N_u < 0.25 * n_min):
             raise RuntimeError("window scan missed an N_u degeneration; "
                                "shrink the window or refine the scan")
-        r_hi = ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin) / np.sqrt(node.M)
-        r_lo = np.sqrt(node.N_u) / ((_EXP_CUT + 60.0) / mu + 2.0 * sqrt_dmin)
+        x_lo, x_hi = _height_cut(mu, nu_r, rho0, node.M, node.N_u, node.delta)
 
         def integrand(x, k):
             # f(r) and s1(r) of each value's own window point
@@ -309,8 +384,7 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
             out += (nu_r + rho0 - n + 1.0) * x
             return _exp_in_place(out)
 
-        return quad_family(integrand, np.log(r_lo) - 2.0, np.log(r_hi) + 2.0,
-                           rel_tol=1e-8).value
+        return quad_family(integrand, x_lo, x_hi, rel_tol=1e-8).value
 
     val = _nested_quad(inner, u_range, 1e-7)[0]
     pref = 2.0 ** n * (np.pi / (2.0 * mu)) ** ((n - 1) / 2.0)

@@ -224,9 +224,24 @@ def _write(config, obj, comments, columns, rows):
 # verify
 
 
+def _bundled_picard(d):
+    """The bundled Picard set, for d > 3 acting on coordinates 0, 1, 2 and d
+    (identity elsewhere): its last coordinate stays normal to every cycle."""
+    gens = orbits.picard_generators()
+    if d == gens.d:
+        return gens
+    axes = np.ix_([0, 1, 2, d], [0, 1, 2, d])
+    mats = []
+    for g in gens.matrices:
+        h = np.eye(d + 1)
+        h[axes] = g
+        mats.append(h)
+    return orbits.GeneratorSet(labels=gens.labels, matrices=tuple(mats))
+
+
 def cmd_verify(config):
     cfg = config.cfg
-    gens = _load_generators(config, orbits.picard_generators())
+    gens = _load_generators(config, _bundled_picard(config.d))
     rng = np.random.default_rng(SEED)
     checks = []
 

@@ -14,6 +14,7 @@ from hypcycles import lorentz as lz
 from hypcycles import transform as tr
 from hypcycles.cycles import PreparedCycle
 from hypcycles.orbits import picard_generators
+from hypcycles.quadrature import quad_gk
 
 CFG = lz.CycleConfig(3, 2)
 BOX = bd.BoxDomain(v_bounds=((0.0, 1.0),), r_bounds=(1.0, 2.0))
@@ -91,10 +92,11 @@ def test_sigma0_model_grid():
         box = bd.BoxDomain(v_bounds=tuple((0.0, 1.0) for _ in range(n - 1)),
                            r_bounds=(1.0, 2.0))
         for mu in (2.0,):
-            for nu in (0.3, 0.3 + 0.5j):
+            for nu in (0.3, 0.3 + 0j, 0.3 + 0.5j):
                 closed, quad, err = bd.sigma0_model(cfg, mu, nu, box)
                 assert err < 1e-5
-                # a complex order gives a complex pair, a real one a float pair
+                # a complex-typed order gives a complex pair, 0.3+0j included,
+                # as the transform's closed form does; a real one a float pair
                 assert {type(closed), type(quad)} == {type(nu)}
 
 
@@ -153,14 +155,17 @@ def test_j_gamma_decay_and_ordering():
     assert near.log_value > far.log_value
 
 
+def _two_direction_gamma():
+    rng = np.random.default_rng(5)
+    return (lz.make_unipotent([0.0, 0.0, 1.0], 4)
+            @ lz.embed_rotation(lz.random_rotation(rng, 4))
+            @ lz.make_unipotent([0.0, 1.0, 1.0], 4))
+
+
 def test_j_gamma_two_direction_window():
     # n = 3: the direction window is two-dimensional
     cfg = lz.CycleConfig(4, 3)
-    rng = np.random.default_rng(5)
-    g = (lz.make_unipotent([0.0, 0.0, 1.0], 4)
-         @ lz.embed_rotation(lz.random_rotation(rng, 4))
-         @ lz.make_unipotent([0.0, 1.0, 1.0], 4))
-    res = bd.j_gamma_quadrature(g, ((-1.5, 1.5), (-1.5, 1.5)), cfg, 8.0, 0.2)
+    res = bd.j_gamma_quadrature(_two_direction_gamma(), ((-1.5, 1.5), (-1.5, 1.5)), cfg, 8.0, 0.2)
     assert not res.degenerate
     assert np.isfinite(res.log_value)
     assert res.delta_min > 1.0
@@ -214,8 +219,90 @@ def test_j_gamma_quadrature_work_is_pinned(monkeypatch):
     monkeypatch.setattr(bd, "quad_family", counted)
     monkeypatch.setattr(tr, "quad_family", counted)
     res = bd.j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CFG, 20.0, 0.3)
-    assert sum(total) == 49812
+    # 49,812 while the height integrals ran to where exp underflows
+    assert sum(total) == 15204
     assert res.log_value == -63.8655458334437
+    # the asymptotics benchmark's J calls: three representatives at four mu,
+    # 570,234 with the underflow ranges
+    bd._window_scan.cache_clear()
+    bd._k_table.cache_clear()
+    total.clear()
+    for g in (U @ S @ U, U @ U @ S @ U, U @ S @ U @ U):
+        for mu in (5.0, 10.0, 20.0, 40.0):
+            bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, mu, 0.3)
+    assert sum(total) == 161658
+
+
+def _word(w):
+    """The Picard word w; a lowercase letter is the inverse."""
+    mats = dict(zip("TUS", _picard()))
+    g = np.eye(4)
+    for c in w:
+        g = g @ (mats[c] if c.isupper() else lz.lorentz_inverse(mats[c.upper()]))
+    return g
+
+
+HEIGHT_CUT_CALLS = {
+    # the work pins' calls: the asymptotics benchmark's, the pinned one among them
+    "pinned": [(_word(w), ((-3.0, 3.0),), CFG, mu, 0.3)
+               for w in ("USU", "UUSU", "USUU") for mu in (5.0, 10.0, 20.0, 40.0)],
+    "length-6": [(_word(w), ((-3.0, 3.0),), CFG, mu, nu) for w in ("USUUSU", "UUSUSU", "USTTSU")
+                 for mu in (5.0, 60.0) for nu in (0.0, 1.2)],
+    "negative-nu": [(_word("USU"), ((-1.0, 1.0),), CFG, mu, -0.7) for mu in (5.0, 60.0)],
+    "two-direction": [(_two_direction_gamma(), ((-1.5, 1.5), (-1.5, 1.5)), lz.CycleConfig(4, 3),
+                       8.0, 0.2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEIGHT_CUT_CALLS))
+def test_height_cut_drops_at_most_its_bound(name, monkeypatch):
+    # what the cut drops of each height member's underflow range, log r from
+    # log(sqrt(N_u)/W) - 2 to log(W/sqrt(M)) + 2 with W = (_EXP_CUT + 60)/mu
+    # + 2 sqrt(delta_min), is at most the proven relative tail of the member
+    cut, family = bd._height_cut, bd.quad_family
+    waves = []
+
+    def cut_spy(*args):
+        x_lo, x_hi = cut(*args)
+        waves.append({"M": args[3], "N_u": args[4], "x_lo": x_lo, "x_hi": x_hi})
+        return x_lo, x_hi
+
+    def family_spy(f, a, b, **kwargs):
+        res = family(f, a, b, **kwargs)
+        if waves and a is waves[-1]["x_lo"]:
+            waves[-1].update(f=f, value=res.value)
+        return res
+
+    monkeypatch.setattr(bd, "_height_cut", cut_spy)
+    monkeypatch.setattr(bd, "quad_family", family_spy)
+    assert math.exp(bd._HEIGHT_TAIL) <= 1e-10
+    worst = 0.0
+    for gamma, u_range, cfg, mu, nu in HEIGHT_CUT_CALLS[name]:
+        waves.clear()
+        res = bd.j_gamma_quadrature(gamma, u_range, cfg, mu, nu)
+        assert not res.degenerate
+        w_old = (tr._EXP_CUT + 60.0) / mu + 2.0 * math.sqrt(res.delta_min)
+        for wave in waves:
+            m = len(wave["value"])
+            a = np.concatenate([np.log(np.sqrt(wave["N_u"]) / w_old) - 2.0, wave["x_hi"]])
+            b = np.concatenate([wave["x_lo"],
+                                np.full(m, math.log(w_old / math.sqrt(wave["M"])) + 2.0)])
+            owner = np.tile(np.arange(m), 2)
+            keep = a < b
+            a, b, owner = a[keep], b[keep], owner[keep]
+            f = wave["f"]
+            # one family, each member refined exactly as quad_gk refines it alone
+            piece = family(lambda x, k: f(x, owner[k]), a, b, rel_tol=1e-6).value
+            own = wave["value"][owner]
+            assert (piece <= math.exp(bd._HEIGHT_TAIL) * own).all()
+            # a member that underflows whole drops nothing
+            ratio = piece / np.where(own > 0.0, own, np.inf)
+            i = int(np.argmax(ratio))
+            alone = quad_gk(lambda x: f(x, np.full(x.shape, owner[i])), a[i], b[i], rel_tol=1e-6)
+            assert alone.value == piece[i]
+            worst = max(worst, ratio[i])
+    # the dropped tails come within a factor 1e3 of the bound
+    assert worst > 1e-3 * math.exp(bd._HEIGHT_TAIL)
 
 
 @pytest.mark.usefixtures("fresh_j_caches")

@@ -104,6 +104,22 @@ def test_verify_passes_and_reports(tmp_path):
     assert "fail" not in text
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_verify_runs_at_higher_d_without_gens(d, tmp_path):
+    out = tmp_path / "verify.csv"
+    assert _run(["verify", "--d", str(d), "--mu", "1", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "cycle_distance_oracle,pass" in text and "fail" not in text
+    # the bundled Picard set, moved to dimension d with its normal coordinate
+    # last: T and S stay in the cycle subgroup and U leaves it, as at d = 3
+    gens = cli._bundled_picard(d)
+    assert gens.labels == ("T", "U", "S") and gens.d == d
+    for n in range(2, d):
+        cfg = cli.lorentz.CycleConfig(d, n)
+        assert [bool(cli.lorentz.check_membership(g, "G0", cfg))
+                for g in gens.matrices] == [True, False, True]
+
+
 def test_verify_rejects_corrupt_generators(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
