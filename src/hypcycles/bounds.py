@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .cycles import PreparedCycle, _nelder_mead
 from .lorentz import TOL_G0, check_membership, require_lorentz
 from .quadrature import quad_family, quad_gk
@@ -52,8 +53,7 @@ SWEEP_MU_CAP = 60.0
 
 def weyl_count(x, d, volume):
     """Leading Weyl term vol/((4 pi)^(d/2) Gamma(d/2+1)) x^d."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    _checks.nonnegative(x=x, volume=volume)
     return volume / ((4.0 * np.pi) ** (d / 2.0) * math.gamma(d / 2.0 + 1.0)) * x ** d
 
 
@@ -72,8 +72,7 @@ class SpectrumModel:
         m = np.asarray(self.mult)
         if r.shape != m.shape:
             raise ValueError(f"r and mult need equal shapes, got {r.shape} and {m.shape}")
-        if not np.isfinite(r).all():
-            raise ValueError("frequencies must be finite")
+        _checks.finite(r=r)
         if np.any(np.diff(r) < 0):
             raise ValueError("frequencies must be nondecreasing")
         if not np.all(m >= 1):     # NaN fails the comparison, so it raises too
@@ -82,6 +81,7 @@ class SpectrumModel:
     @classmethod
     def synthetic_weyl(cls, d, volume, r_max):
         """r_j solving N(r_j) = j for the leading Weyl term, up to r_max."""
+        _checks.nonnegative(r_max=r_max)
         c = weyl_count(1.0, d, volume)
         j_max = int(np.floor(c * r_max ** d))
         j = np.arange(1, j_max + 1, dtype=float)
@@ -93,6 +93,7 @@ def spectral_tail_bound(spec, cutoff):
     """Tail sum_{r_j > R} r_j^d exp(-(pi/2) r_j) of the kernel-convergence
     chain (absolute constants set to 1; the bound is uniform in mu), plus
     the mass sitting between R and 2R."""
+    _checks.nonnegative(cutoff=cutoff)
     r = np.asarray(spec.r, dtype=float)
     m = np.asarray(spec.mult, dtype=float)
     terms = m * r ** spec.d * np.exp(-0.5 * np.pi * r)
@@ -132,12 +133,10 @@ class BoxDomain:
     r_bounds: tuple
 
     def __post_init__(self):
-        r_lo, r_hi = self.r_bounds
-        if not (0 < r_lo < r_hi) or not np.isfinite(r_hi):
-            raise ValueError("unbounded box: need 0 < r_lo < r_hi < inf")
-        for lo, hi in self.v_bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError("unbounded box: v intervals must be finite")
+        _checks.positive(r_bounds=self.r_bounds)
+        _checks.finite(v_bounds=self.v_bounds)
+        if not all(lo < hi for lo, hi in (self.r_bounds, *self.v_bounds)):
+            raise ValueError("empty box: need lo < hi on every axis")
 
     @property
     def v_volume(self):
@@ -145,6 +144,7 @@ class BoxDomain:
 
     def i_nu(self, nu):
         """Exact window integral of r^(2 Re nu - 1) dr dv."""
+        _checks.finite(nu=nu)
         a = 2.0 * complex(nu).real
         r_lo, r_hi = self.r_bounds
         if abs(a) < 1e-14:
@@ -167,8 +167,8 @@ def sigma0_model(cfg, mu, nu, box):
     window integral, so the transform's quadrature cost guard
     n <= transform.MAX_QUAD_DIM applies.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if len(box.v_bounds) != cfg.n - 1:
+        raise ValueError("box must give one v-interval per cycle direction")
     n = cfg.n
     nu_c = complex(nu)
     nu_bar = nu_c.conjugate()
@@ -332,9 +332,8 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     height factor s1 can blow up at the same spot); such inputs are
     returned with ``degenerate`` set instead of a value.
     """
-    # NaN fails both comparisons, so it raises too
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
+    _checks.positive(mu=mu)
+    _checks.finite(nu=nu)
     gamma = require_lorentz(gamma)
     if check_membership(gamma, "G0", cfg, tol=TOL_G0):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
@@ -459,8 +458,9 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     rescaled O(e^-mu mu^-(n+1)/2) error bound, (pi/2)^((d-n-1)/2) mu^(-d/2).
     """
     mu_grid = [float(m) for m in mu_grid]
-    if any(b <= a for a, b in zip(mu_grid, mu_grid[1:])):
-        raise ValueError("mu_grid must be strictly increasing")
+    _checks.positive(mu_grid=mu_grid)
+    if not mu_grid or any(b <= a for a, b in zip(mu_grid, mu_grid[1:])):
+        raise ValueError("mu_grid must be nonempty and strictly increasing")
     if mu_grid[-1] > SWEEP_MU_CAP:
         raise ValueError(f"mu_grid capped at {SWEEP_MU_CAP:g}")
     d, n = cfg.d, cfg.n

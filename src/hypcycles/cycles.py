@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .decompose import ank_stack, from_horospherical, minkowski_pairing, nak_stack, to_horospherical
 from .lorentz import TOL_G0, _block_offdiag_max, lorentz_mask, require_lorentz
 
@@ -199,8 +200,7 @@ def invariants_stack(gammas, u, cfg):
 
 def f_gamma(inv, r):
     """M r^2 + N_u r^{-2} + Q_u; >= delta_u with equality at r_star."""
-    if np.any(np.asarray(r) <= 0):
-        raise ValueError("r must be positive")
+    _checks.positive(r=r)
     return inv.f(r)
 
 
@@ -332,8 +332,6 @@ def verify_f_geometric(gamma, u, r, cfg):
 
     Returns (closed_form, brute_force, gap).
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
     inv = cycle_invariants(gamma, u, cfg)
     closed = float(np.arccosh(max(np.sqrt(max(inv.f(r), 1.0)), 1.0)))
     point = np.asarray(gamma) @ from_horospherical(pad_direction(u, cfg), r)

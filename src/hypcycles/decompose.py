@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .lorentz import (
     make_boost,
     make_scale,
@@ -164,8 +165,7 @@ def dist_horospherical(u, r, v, t):
     """Distance in (u, r)-coordinates: arccosh[(|u-v|^2 + r^2 + t^2)/(2rt)]."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if r <= 0 or t <= 0:
-        raise ValueError("horospherical heights must be positive")
+    _checks.positive(r=r, t=t)
     du = u - v
     arg = (du @ du + r * r + t * t) / (2.0 * r * t)
     return float(np.arccosh(max(arg, 1.0)))
@@ -174,8 +174,7 @@ def dist_horospherical(u, r, v, t):
 def from_horospherical(u, r):
     """Point n_u a_r . o of the upper sheet."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if r <= 0:
-        raise ValueError("horospherical height must be positive")
+    _checks.positive(r=r)
     q = 0.5 * float(u @ u) / r
     p = np.empty(u.size + 2)
     p[0] = 0.5 * (r + 1.0 / r) + q

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks
+
 TOL_GROUP = 1e-9
 # G0 membership tolerance: of the group check and of the largest entry
 # coupling the cycle block to its complement
@@ -54,8 +56,7 @@ def make_boost(x, d):
 
 def make_scale(r, d):
     """Boost written multiplicatively: make_boost(log r, d) for r > 0."""
-    if r <= 0:
-        raise ValueError("scale parameter must be positive")
+    _checks.positive(r=r)
     return make_boost(np.log(r), d)
 
 
@@ -116,16 +117,13 @@ def group_residual(g):
 def lorentz_mask(g, tol=TOL_GROUP):
     """is_lorentz of each matrix of a stack (m, d+1, d+1) of square matrices."""
     g = np.asarray(g, dtype=float)
-    ok = ~(group_residual(g) > tol)
+    ok = group_residual(g) <= tol
     sub = g[ok]
-    # det is exactly +-1 on the group; the tolerance only needs to separate
-    # the two components, but must absorb LU roundoff on large products.  It
-    # is formed per matrix in scalar arithmetic: numpy's array power rounds
-    # differently.
-    eps = np.finfo(float).eps
-    det_tol = [min(0.5, max(tol, 1e3 * eps * x ** g.shape[-1]))
-               for x in np.abs(sub).max(axis=(-2, -1))]
-    ok[ok] = ~(np.abs(np.linalg.det(sub) - 1.0) > det_tol) & (sub[:, 0, 0] >= 1.0 - tol)
+    # det is exactly +-1 on the group; the tolerance separates the two components and
+    # absorbs LU roundoff on large products (float_power rounds like a scalar's pow)
+    big = np.float_power(np.abs(sub).max(axis=(-2, -1)), g.shape[-1])
+    det_tol = np.minimum(0.5, np.maximum(tol, 1e3 * np.finfo(float).eps * big))
+    ok[ok] = (np.abs(np.linalg.det(sub) - 1.0) <= det_tol) & (sub[:, 0, 0] >= 1.0 - tol)
     return ok
 
 
@@ -230,8 +228,6 @@ def commutation_identities(r, u, k=None):
 
     Returns a tuple of three booleans (entrywise agreement within 1e-12).
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = u.size + 1
     a = make_scale(r, d)

@@ -234,10 +234,8 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     the hash-sorted index of the earlier levels, which takes in each level
     once; the first of a level's equal products is kept.
     """
-    if max_word_length > LENGTH_CAP:
-        raise ValueError(
-            f"max_word_length {max_word_length} exceeds the cost guard {LENGTH_CAP}"
-        )
+    if not 1 <= max_word_length <= LENGTH_CAP:
+        raise ValueError(f"max_word_length must be in [1, {LENGTH_CAP}], got {max_word_length!r}")
     letters, steps = zip(*gens.moves())
     steps = np.asarray(steps)
     eye = np.eye(gens.d + 1)
@@ -474,10 +472,10 @@ def delta_spectrum(ball, u, cfg):
 def counting_function(table, x_grid):
     """pi(x) = #{classes with delta <= x} on the grid, plus the fitted
     log-log slope over the largest decade with nonzero counts."""
-    if not table.entries:
-        raise ValueError("empty orbit table")
     deltas = np.asarray(sorted(e.delta for e in table.entries))
     pts = [(float(x), int(np.searchsorted(deltas, x, side="right"))) for x in x_grid]
+    if not (table.entries and pts):
+        raise ValueError("empty x_grid" if table.entries else "empty orbit table")
     xs = np.asarray([p[0] for p in pts])
     cs = np.asarray([p[1] for p in pts])
     x_max = xs.max()

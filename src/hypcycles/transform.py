@@ -18,11 +18,11 @@ x = 1 + tau^2 with tau = exp((pi/2) sinh t) for 6.592.12.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
+from . import _checks
 from .quadrature import quad_family, quad_gk
 
 MAX_REAL_ORDER = 50.0
@@ -51,12 +51,9 @@ _OUTER_CUT = math.log(1e2 / _INNER_TOL_FLOOR)
 
 def phi_mu(mu, x):
     """The radial test function exp(-mu cosh x) on distances x >= 0."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
-    out = np.exp(-mu * np.cosh(x))
+    _checks.positive(mu=mu)
+    _checks.nonnegative(x=x)
+    out = np.exp(-mu * np.cosh(np.asarray(x, dtype=float)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -66,6 +63,7 @@ def phi_mu(mu, x):
 
 def _normalize_order(order):
     """K is even in its order; fold Re(order) >= 0 so cosh factors stay tame."""
+    _checks.finite(order=order)
     nu = complex(order)
     if abs(nu.real) > MAX_REAL_ORDER:
         raise ValueError(f"|Re(order)| must be <= {MAX_REAL_ORDER}")
@@ -147,8 +145,7 @@ def bessel_k_asymptotic(x):
     K_nu(x) / bessel_k_asymptotic(x) - 1 is (4 nu^2 - 1)/(8x) + O(x^-2),
     e.g. -1.25% for nu = i at x = 50.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    _checks.positive(x=x)
     return float(np.sqrt(np.pi / (2.0 * x)) * np.exp(-x))
 
 
@@ -169,11 +166,10 @@ def bessel_k_imag_scaled(r, x):
     x cosh(Tc) >= 2r.  Agrees with bessel_k on the overlap where the direct
     path still converges.
     """
-    # a NaN fails the comparison too; x = inf gives the limit 0
+    # x = inf gives the limit 0, so x is refused by hand
     if not x > 0:
         raise ValueError(f"x must be positive, got {x!r}")
-    if not 0 <= r < math.inf:
-        raise ValueError(f"r must be finite and nonnegative (K is even in its order), got {r!r}")
+    _checks.nonnegative(r=r)
     if x >= 0.5 * np.pi * r:
         # monotone regime: the direct representation resolves K itself and
         # the exponent pi r/2 - x is nonpositive, so no overflow either way
@@ -220,10 +216,8 @@ def bessel_k_scaled_batch(order, z):
     adaptive evaluator in the test suite.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    _checks.positive(z=z)
     z_lo, z_hi = float(z.min()), float(z.max())
-    # NaN fails both comparisons, so it raises too
-    if not (z_lo > 0.0 and z_hi < math.inf):
-        raise ValueError("z must be finite and positive")
     nu = _normalize_order(order)
     T = _cosh_cutoff(z_lo, nu.real)
     h0 = min(0.05, 0.3 / np.sqrt(z_hi))
@@ -268,7 +262,7 @@ class KScaledInterpolator:
     """
 
     def __init__(self, order, z_lo, z_hi):
-        nu = complex(order)
+        nu = _normalize_order(order)
         if abs(nu.imag) > REAL_ORDER_IM:
             raise ValueError("interpolation table needs a real order")
         self.order = float(nu.real)
@@ -279,9 +273,8 @@ class KScaledInterpolator:
         logz = np.linspace(np.log(z_lo), np.log(z_hi), n)
         z = np.exp(logz)
         vals = bessel_k_scaled_batch(self.order, z)
-        # order |nu| - 1, not |nu| + 1, which would pass MAX_REAL_ORDER at |nu| = 50
-        nu = abs(self.order)
-        slopes = z - z * bessel_k_scaled_batch(nu - 1.0, z) / vals - nu
+        # order nu - 1 (nu >= 0), not nu + 1, which would pass MAX_REAL_ORDER at nu = 50
+        slopes = z - z * bessel_k_scaled_batch(self.order - 1.0, z) / vals - self.order
         self._nodes = logz
         self._step = (logz[-1] - logz[0]) / (n - 1)
         # one contiguous row per cell, so a query gathers its cubic in one take
@@ -333,8 +326,8 @@ def gr_identity_3_471_9(alpha, beta, order):
 
     Both sides, each to GR_REL_TOL, returned with their relative difference.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    _checks.positive(alpha=alpha, beta=beta)
+    _checks.finite(order=order)
     nu = complex(order)
     # substitute x = e^y; doubly exponential decay at both ends
     y_hi = np.log((_EXP_CUT + 40.0) / beta + 1.0)
@@ -363,8 +356,8 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1):
     oscillating integrand, and that tolerance can be out of reach: the
     quadrature then raises at its panel cap.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
+    _checks.positive(a=a, b=b)
+    _checks.finite(c=c, order=order)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     nu = complex(order)
@@ -395,10 +388,8 @@ def gr_identity_6_592_12(a, b, c):
     z = -b (equivalently z = b, K being even in its order), so the order is
     not an argument.  The integral is taken to GR_REL_TOL.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if c <= 0:
-        raise ValueError("c must be positive")
+    _checks.positive(a=a, c=c)
+    _checks.finite(b=b)
     z_order = -float(b)
     # substitute x = 1 + tau^2 to absorb the endpoint power
     p = abs(2.0 * c - 1.0) + abs(b) + 2.0
@@ -431,11 +422,9 @@ def gr_identity_6_592_12(a, b, c):
 
 
 def _check_transform_args(d, mu, nu):
-    """Refuse a bad d, mu or nu before any work; a NaN fails the comparison."""
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be positive and finite, got {mu!r}")
-    if not cmath.isfinite(complex(nu)):
-        raise ValueError(f"nu must be finite, got {nu!r}")
+    """Refuse a bad d, mu or nu before any work."""
+    _checks.positive(mu=mu)
+    _checks.finite(nu=nu)
     if int(d) != d or d < 2:
         raise ValueError("d must be an integer >= 2")
 

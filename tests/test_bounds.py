@@ -100,6 +100,13 @@ def test_sigma0_model_grid():
                 assert {type(closed), type(quad)} == {type(nu)}
 
 
+def test_sigma0_model_refuses_a_box_of_another_dimension():
+    # one v-interval at n = 3 gave both sides the same wrong volume, and an
+    # agreement of 0.0
+    with pytest.raises(ValueError, match="one v-interval per cycle direction"):
+        bd.sigma0_model(lz.CycleConfig(4, 3), 2.0, 0.3, BOX)
+
+
 def test_j_gamma_basics():
     T, U, S = _picard()
     g = U @ S @ U
@@ -405,6 +412,9 @@ def test_rescaled_limit_shape():
         bd.rescaled_limit_shape(CFG, [10, 70], 0.0, BOX)
     with pytest.raises(ValueError):
         bd.rescaled_limit_shape(CFG, [20, 10], 0.0, BOX)
+    # an empty grid once ended in an IndexError
+    with pytest.raises(ValueError, match="mu_grid must be nonempty"):
+        bd.rescaled_limit_shape(CFG, [], 0.0, BOX)
 
 
 def test_rescaled_limit_shape_tracks_bessel_asymptotics():

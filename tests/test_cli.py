@@ -180,6 +180,24 @@ def test_orbit_csv_bytes_are_pinned(command, picard_path, capsys):
     assert hashlib.sha256(out).hexdigest() == GOLDEN_CSV[command]
 
 
+# sha256 of the CSV stdout of the commands that need no generator file
+GOLDEN_CSV_ARGV = {
+    "verify --d 3 --mu 1":
+        "5569c8ad934071bbe304b7278457b948baa81611750d932a443e185459be62b6",
+    "transform --d 3 --mu 1,2 --nu-im 1":
+        "00586d9ff3c2bea6d02f29a32ce4d74b6fd06ee7f8d65b5ff901d84d5d16bf5e",
+    "asymptote --d 3 --n 2 --mu 10,20,60":
+        "29a66900a1c59fcf689eef50a817521d5b59da30d8f374959b03c89cd03233c4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CSV_ARGV))
+def test_csv_bytes_are_pinned(command, capsys):
+    assert _run(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_CSV_ARGV[command]
+
+
 def test_delta_requires_gens(capsys):
     rc = _run(["delta"])
     assert rc == 2

@@ -55,6 +55,18 @@ def test_constructors_satisfy_group_invariant():
         assert lz.is_lorentz(g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_matrix_with_a_non_finite_entry_is_not_lorentz(bad):
+    # its residual and determinant are NaN, which no tolerance can meet
+    g = lz.make_boost(0.5, 3)
+    g[1, 2] = bad
+    with np.errstate(invalid="ignore"):
+        assert not lz.is_lorentz(g)
+        assert not lz.lorentz_mask(np.stack([lz.make_boost(0.5, 3), g])).tolist()[1]
+        with pytest.raises(ValueError, match="not in the identity component"):
+            lz.require_lorentz(g)
+
+
 def test_membership_boost_and_blocks():
     cfg = lz.CycleConfig(3, 2)
     for x in (1.0, -0.7):

@@ -309,8 +309,10 @@ def test_ball_regression_counts():
 
 def test_length_cap_guard():
     gens = ob.picard_generators()
-    with pytest.raises(ValueError):
-        ob.ball_enumerate(gens, 13)
+    # 0 and -1 once returned the identity ball
+    for length in (13, 0, -1):
+        with pytest.raises(ValueError, match=r"max_word_length must be in \[1, 12\]"):
+            ob.ball_enumerate(gens, length)
     with pytest.raises(ValueError):
         ob.GeneratorSet(labels=("X",), matrices=(np.diag([2.0, 1, 1, 1]),))
 
@@ -620,6 +622,9 @@ def test_counting_function_step_and_monotone():
     assert np.isfinite(slope)
     with pytest.raises(ValueError):
         ob.counting_function(ob.OrbitTable(entries=()), grid)
+    # an empty grid once failed inside a numpy reduction
+    with pytest.raises(ValueError, match="empty x_grid"):
+        ob.counting_function(spec, [])
 
 
 def test_counting_all_unit_deltas_is_step():
