@@ -133,6 +133,7 @@ def _check_dimension(gamma, cfg):
 def _check_direction(u, cfg):
     if u.size != cfg.n - 1:
         raise ValueError(f"direction u must have n-1 = {cfg.n - 1} components")
+    _checks.finite(u=u)
 
 
 class PreparedCycle:

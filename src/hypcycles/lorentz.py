@@ -46,6 +46,7 @@ def make_boost(x, d):
     array of rapidities gives the stack of their boosts."""
     if d < 2:
         raise ValueError("need d >= 2")
+    _checks.finite(x=x)
     x = np.asarray(x, dtype=float)
     g = _eyes(x.shape, d)
     c, s = np.cosh(x), np.sinh(x)
@@ -64,6 +65,7 @@ def make_unipotent(u, d=None):
     """Upper-triangular horospherical translation by ``u`` in R^(d-1); rows
     of an array u give the stack of their translations."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    _checks.finite(u=u)
     if d is None:
         d = u.shape[-1] + 1
     if u.shape[-1] != d - 1:
@@ -116,6 +118,7 @@ def group_residual(g):
 
 def lorentz_mask(g, tol=TOL_GROUP):
     """is_lorentz of each matrix of a stack (m, d+1, d+1) of square matrices."""
+    _checks.nonnegative(tol=tol)
     g = np.asarray(g, dtype=float)
     ok = group_residual(g) <= tol
     sub = g[ok]

@@ -19,26 +19,34 @@ Every key is a row of int64 cells, hashed to one uint64 (a wrapping sum of
 the cells times fixed odd multipliers); rows sort by the hash and compare
 whole, so a hash collision never merges two rows.  The audit and the class
 keys group rows this way, and the word ball's elements seen so far and the
-double pass's join of rep gamma0 on the ball are hash-sorted indexes.  The
-left labels are cached on the ball, so a double reduction after a left one
-on the same ball pays for one left pass.
+double pass's join of rep gamma0 on the ball are indexes of hashes and ball
+positions.  The left labels are cached on the ball, so a double reduction
+after a left one on the same ball pays for one left pass.
 
-Stacks are formed CHUNK matrices at a time.  Double cosets take the cycle
-subgroup from a bounded ball, so double-coset reduction is approximate by
-construction and reports the ball radius used.  Only the delta spectrum
-builds one ``OrbitEntry`` row per class representative, from one stacked
-factorization of all representatives.
+Memory: every stage holds the ball's matrices once, plus O(N) integers.
+Stacks and cell rows are formed CHUNK rows at a time: hashes come from one
+pass over the rows, and cells are formed again only for the rows whose
+hash ties a neighbour's or hits an index entry.  The word ball keeps a
+level's new products as (hash, position) and forms each one it keeps
+once, into the ball's one stack, which grows level by level.
+
+Double cosets take the cycle subgroup from a bounded ball, so double-coset
+reduction is approximate by construction and reports the ball radius used.
+Only the delta spectrum builds one ``OrbitEntry`` row per class
+representative, from one stacked factorization of all representatives.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
+from . import _checks
 from .cycles import invariants_stack
 from .lorentz import (TOL_G0, _block_offdiag_max, group_residual, is_lorentz, lorentz_inverse,
                       make_boost, spin_cover_so13)
@@ -50,7 +58,7 @@ QUANT = 1e-9
 KEY_RES = 1e-6
 # largest entry gap at which two matrices are one element
 SAME_GAP = 1e-12
-# matrices per stacked product of the batched loops, bounding their temporaries
+# matrices or rows per block of the batched loops, bounding their temporaries
 CHUNK = 1024
 
 
@@ -160,8 +168,8 @@ class OrbitTable:
 def _cells(stack, quant):
     """The dedup cells of each matrix of a stack: its entries rounded to
     cells of size ``quant``, one int64 row per matrix."""
-    c = stack / quant
-    return np.round(c, out=c).astype(np.int64).reshape(len(stack), -1)
+    c = stack.reshape(len(stack), math.prod(stack.shape[1:])) / quant
+    return np.round(c, out=c).astype(np.int64)
 
 
 @functools.cache
@@ -183,30 +191,55 @@ def _hash(cells):
     return cells.view(np.uint64) @ _multipliers(cells.shape[1])
 
 
-def _runs(cells, hashes):
-    """An order of the cell rows in which equal rows are adjacent, and the
-    start of each run of equal rows in it; the members of a run come in no
-    particular order.  Rows sort by their hashes; should unequal rows share
-    one, they sort by their cells."""
-    def starts(order):
-        ordered = cells[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        return new
+def _hashes(n, cells_of):
+    """The hashes of n cell rows, ``cells_of(rows)`` giving the cell rows
+    of an index array, formed CHUNK rows at a time."""
+    out = np.empty(n, dtype=np.uint64)
+    for c in range(0, n, CHUNK):
+        out[c:c + CHUNK] = _hash(cells_of(np.arange(c, min(c + CHUNK, n))))
+    return out
 
+
+def _index(hashes, positions):
+    """A lookup index: the hashes sorted, with the positions they belong to."""
+    by_hash = np.argsort(hashes)
+    return hashes[by_hash], positions[by_hash]
+
+
+def _runs(cells_of, hashes):
+    """An order of the rows in which equal cell rows are adjacent, and the
+    start of each run of equal rows in it; the members of a run come in no
+    particular order.  Rows sort by their hashes, and only the rows sharing
+    a hash with a neighbour have their cells (``cells_of`` of an index
+    array) formed, CHUNK rows at a time, to compare with that neighbour;
+    should unequal rows share a hash, all rows sort by their cells."""
     order = np.argsort(hashes)
-    new = starts(order)
-    if (new[1:] & (hashes[order[1:]] == hashes[order[:-1]])).any():
-        order = np.lexsort(cells.T)
-        new = starts(order)
+    ordered = hashes[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    del ordered
+    shared = ~new
+    shared[:-1] |= ~new[1:]
+    shared = np.flatnonzero(shared)
+    for c in range(0, len(shared), CHUNK):
+        at = shared[max(c - 1, 0):c + CHUNK]  # overlapping the last window by a row
+        cells = cells_of(order[at])
+        if (cells[1:] != cells[:-1]).any(axis=1)[~new[at[1:]]].any():
+            cells = cells_of(np.arange(len(order)))
+            order = np.lexsort(cells.T)
+            cells = cells[order]
+            new[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+            break
     return order, np.flatnonzero(new)
 
 
-def _lookup(index, cells, hashes):
-    """Position in ``index`` = (hashes, cells) sorted by hash of each query
-    row (``cells``, ``hashes``), or -1 where it is absent; a hash run of
-    several rows is walked to the row equal to the query."""
-    index_hashes, index_cells = index
+def _lookup(index, cells_at, cells, hashes):
+    """The position held in ``index`` (from ``_index``) for each query row
+    (``cells``, ``hashes``), or -1 where it is absent.  ``cells_at`` gives
+    the cell rows of an array of indexed positions; they are formed only
+    where a query's hash hits, and a hash run of several rows is walked to
+    the row equal to the query."""
+    index_hashes, index_pos = index
     pos = np.empty(len(cells), dtype=np.intp)
     by_hash = np.argsort(hashes)    # sorted queries search faster
     pos[by_hash] = np.searchsorted(index_hashes, hashes[by_hash])
@@ -217,12 +250,39 @@ def _lookup(index, cells, hashes):
         hit = p < len(index_hashes)
         live, p = live[hit], p[hit]
         hit = index_hashes[p] == hashes[live]
-        live, p = live[hit], p[hit]
-        equal = (index_cells[p] == cells[live]).all(axis=1)
+        live, p = live[hit], index_pos[p[hit]]
+        equal = (cells_at(p) == cells[live]).all(axis=1)
         found[live[equal]] = p[equal]
         live = live[~equal]
         pos[live] += 1
     return found
+
+
+def _products(frontier, steps, pos, out=None):
+    """The products frontier[base] @ steps[move] at the positions
+    pos = base * len(steps) + move of a level."""
+    base, move = np.divmod(pos, len(steps))
+    return np.matmul(frontier[base], steps[move], out=out)
+
+
+def _fresh(frontier, steps, index, cells_at, quant):
+    """(hashes, positions) of the level's products base @ move that the
+    index of the earlier levels lacks, the first of equal ones only,
+    positions ascending.  The products are formed CHUNK at a time, and
+    formed again only where hashes tie."""
+    bases = max(1, CHUNK // len(steps))
+    hashes, pos = [], []
+    for c in range(0, len(frontier), bases):
+        prods = (frontier[c:c + bases, None] @ steps[None]).reshape(-1, *steps.shape[1:])
+        cells = _cells(prods, quant)
+        h = _hash(cells)
+        new = np.flatnonzero(_lookup(index, cells_at, cells, h) < 0)
+        hashes.append(h[new])
+        pos.append(c * len(steps) + new)
+    hashes, pos = np.concatenate(hashes), np.concatenate(pos)
+    order, starts = _runs(lambda rows: _cells(_products(frontier, steps, pos[rows]), quant), hashes)
+    keep = np.sort(np.minimum.reduceat(order, starts))  # the first of each run
+    return hashes[keep], pos[keep]
 
 
 def ball_enumerate(gens, max_word_length, quant=QUANT):
@@ -231,49 +291,45 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     representing word (ties broken lexicographically by construction
     order).  Each level's products base @ move are formed as stacked
     products, base-major like the words, and looked up by their cells in
-    the hash-sorted index of the earlier levels, which takes in each level
-    once; the first of a level's equal products is kept.
+    the index of the earlier levels, their hashes and ball positions; the
+    first of a level's equal products is kept, formed once more into the
+    ball's one stack of matrices, and taken into the index.
     """
     if not 1 <= max_word_length <= LENGTH_CAP:
         raise ValueError(f"max_word_length must be in [1, {LENGTH_CAP}], got {max_word_length!r}")
+    _checks.positive(quant=quant)
     letters, steps = zip(*gens.moves())
     steps = np.asarray(steps)
-    eye = np.eye(gens.d + 1)
-    cells = _cells(eye[None], quant)
-    index = (_hash(cells), cells)
-    frontier, words = eye[None], [""]
-    levels, all_words = [frontier], ["e"]
-    bases = max(1, CHUNK // len(steps))
+    mats = np.eye(gens.d + 1)[None]     # the ball so far, level by level
+
+    def cells_at(pos):
+        return _cells(mats[pos], quant)
+
+    index = _index(_hash(cells_at([0])), np.zeros(1, dtype=np.intp))
+    level, sizes, words, all_words = 0, [1], [""], ["e"]  # the last level starts at mats[level]
     for length in range(1, max_word_length + 1):
-        if not len(frontier):
+        if level == len(mats):      # the last level is empty
             break
-        fresh = []      # (products, cells, hashes, positions in the level) not seen before
-        for c in range(0, len(frontier), bases):
-            prods = (frontier[c:c + bases, None] @ steps[None]).reshape(-1, *eye.shape)
-            cells = _cells(prods, quant)
-            hashes = _hash(cells)
-            new = np.flatnonzero(_lookup(index, cells, hashes) < 0)
-            fresh.append((prods[new], cells[new], hashes[new], c * len(steps) + new))
-        prods, cells, hashes, pos = (np.concatenate(part) for part in zip(*fresh))
-        del fresh
-        order, starts = _runs(cells, hashes)
-        keep = np.sort(np.minimum.reduceat(order, starts))  # the first of each run
-        frontier = prods[keep]
-        base, move = np.divmod(pos[keep], len(steps))
+        hashes, pos = _fresh(mats[level:], steps, index, cells_at, quant)
+        grown = np.empty((len(mats) + len(pos), *mats.shape[1:]))
+        grown[:len(mats)] = mats
+        for c in range(0, len(pos), CHUNK):
+            _products(mats[level:], steps, pos[c:c + CHUNK], out=grown[len(mats) + c:][:CHUNK])
+        level, mats = len(mats), grown
+        sizes.append(len(pos))
+        base, move = np.divmod(pos, len(steps))
         words = [words[i] + letters[j] for i, j in zip(base.tolist(), move.tolist())]
-        levels.append(frontier)
         all_words += words
         if length < max_word_length:
-            hashes = np.concatenate([index[0], hashes[keep]])
-            by_hash = np.argsort(hashes)
-            index = (hashes[by_hash], np.concatenate([index[1], cells[keep]])[by_hash])
-    index = prods = cells = None    # freed before the audit
+            index = _index(np.concatenate([index[0], hashes]),
+                           np.concatenate([index[1], np.arange(level, len(mats))]))
+    index = hashes = pos = base = move = None  # freed before the audit
 
-    mats = np.concatenate(levels)
-    lengths = np.repeat(np.arange(len(levels)), [len(m) for m in levels])
-    del levels, frontier
     keep = _audit_dedup(all_words, mats)
-    return Ball(words=tuple(all_words[i] for i in keep.tolist()), mats=mats[keep],
+    if len(keep) < len(mats):
+        mats = mats[keep]
+    lengths = np.repeat(np.arange(len(sizes)), sizes)
+    return Ball(words=tuple(all_words[i] for i in keep.tolist()), mats=mats,
                 lengths=lengths[keep], ids=np.arange(len(keep)), quant=quant)
 
 
@@ -282,7 +338,7 @@ def _audit_dedup(words, mats):
     drop the later member of pairs closer than SAME_GAP, reject ambiguous
     ones.  Returns the indices kept, ascending."""
     keep = np.ones(len(mats), dtype=bool)
-    members, bounds = _grid_buckets(mats.reshape(len(mats), -1))
+    members, bounds = _grid_buckets(len(mats), lambda rows: mats[rows].reshape(len(rows), -1))
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         for i, j in combinations(members[a:b].tolist(), 2):
             gap = np.max(np.abs(mats[i] - mats[j]))
@@ -296,48 +352,75 @@ def _audit_dedup(words, mats):
     return np.flatnonzero(keep)
 
 
-def _grid_buckets(rows):
+def _grid_buckets(n, rows_of):
     """The rows sharing a cell of one of two grids of spacing KEY_RES,
     offset by half a cell, so that values one grid splits at a boundary
     meet on the other: (members, bounds), bucket k being the ascending
     members[bounds[k]:bounds[k + 1]], buckets in order of first member
-    (the unshifted grid's first)."""
-    n = len(rows)
+    (the unshifted grid's first).  ``rows_of`` gives the float rows of an
+    index array of the n rows; one pass over them, CHUNK rows at a time,
+    hashes both grids' cells, and cells are formed again only where hashes
+    tie."""
+    offsets = (0.0, 0.5)
+
+    def cells_of(scaled, off):
+        cells = scaled + off
+        return np.round(cells, out=cells).astype(np.int64)
+
+    hashes = np.empty((len(offsets), n), dtype=np.uint64)
+    for c in range(0, n, CHUNK):
+        scaled = rows_of(np.arange(c, min(c + CHUNK, n))) / KEY_RES
+        for grid, off in enumerate(offsets):
+            hashes[grid, c:c + CHUNK] = _hash(cells_of(scaled, off))
     keys = []   # per bucket member: (first member, grid, member) as one int
-    for grid, off in enumerate((0.0, 0.5)):
-        cells = rows / KEY_RES
-        cells += off
-        cells = np.round(cells, out=cells).astype(np.int64)
-        order, starts = _runs(cells, _hash(cells))
+    for grid, off in enumerate(offsets):
+        order, starts = _runs(lambda rows: cells_of(rows_of(rows) / KEY_RES, off), hashes[grid])
         size = np.diff(np.r_[starts, n])
         multi = np.repeat(size > 1, size)
         first = np.repeat(np.minimum.reduceat(order, starts), size)
         keys.append(((2 * first + grid) * n + order)[multi])
+    del hashes
     bucket, members = np.divmod(np.sort(np.concatenate(keys)), max(n, 1))
     edges = np.ones(len(bucket) + 1, dtype=bool)
     edges[1:-1] = bucket[1:] != bucket[:-1]
     return members, np.flatnonzero(edges)
 
 
-def _key_buckets(cols):
-    """_grid_buckets of the class keys C C^T / tr(C C^T) of the stacked
-    column blocks C (upper triangles): an orthogonal factor acting on the
-    columns cancels, and the scaling frees the key from the entries' size."""
-    i, j = np.triu_indices(cols.shape[1])
-    proj = np.einsum("nik,nik->ni", cols[:, i], cols[:, j])
-    proj /= proj[:, i == j].sum(axis=1, keepdims=True)
-    return _grid_buckets(proj)
+_triu_indices = functools.cache(np.triu_indices)     # formed once per size, not per block
+
+
+def _key_buckets(n, cols_of):
+    """_grid_buckets of the class keys C C^T / tr(C C^T) of n stacked
+    column blocks C (upper triangles), ``cols_of`` giving the blocks of an
+    index array of them: an orthogonal factor acting on the columns
+    cancels, and the scaling frees the key from the entries' size."""
+    def keys(rows):
+        cols = cols_of(rows)
+        i, j = _triu_indices(cols.shape[1])
+        proj = np.einsum("nik,nik->ni", cols[:, i], cols[:, j])
+        proj /= proj[:, i == j].sum(axis=1, keepdims=True)
+        return proj
+    return _grid_buckets(n, keys)
 
 
 def _pairs(members, bounds):
     """(bucket, first, other) index arrays pairing the first member of each
-    bucket with each of its other members, in bucket order; a pair that
-    both grids bucket is kept at its first occurrence only."""
+    bucket with each of its other members, in bucket order.  Only the two
+    grids' buckets of one first member, adjacent, share pairs; a pair both
+    hold is kept in the first of them only."""
+    heads = members[bounds[:-1]]
     sizes = np.diff(bounds) - 1
-    first = np.repeat(members[bounds[:-1]], sizes)
+    bucket = np.repeat(np.arange(len(sizes)), sizes)
     other = np.delete(members, bounds[:-1])
-    keep = np.sort(np.unique(first * (other.max(initial=0) + 1) + other, return_index=True)[1])
-    return np.repeat(np.arange(len(sizes)), sizes)[keep], first[keep], other[keep]
+    twin = np.zeros(len(sizes) + 1, dtype=bool)     # the later of two buckets sharing a head
+    twin[1:-1] = heads[1:] == heads[:-1]
+    # the bucket before a twin holding each member, -1 elsewhere
+    held = np.full(members.max(initial=-1) + 1, -1)
+    earlier = twin[1:][bucket]
+    held[other[earlier]] = bucket[earlier]
+    keep = ~(twin[bucket] & (held[other] == bucket - 1))
+    bucket, other = bucket[keep], other[keep]
+    return bucket, heads[bucket], other
 
 
 def _confirm(words, bucket, a, b, quotient, split, tol, what):
@@ -386,11 +469,13 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=TOL_G0):
     """
     if mode not in ("left", "double"):
         raise ValueError("mode must be 'left' or 'double'")
+    _checks.nonnegative(tol=tol)
     split = cfg.n + 1
     labels = ball._left_labels.get((split, tol))
     if labels is None:
         words, mats = ball.words, ball.mats
-        bucket, a, b = _pairs(*_key_buckets(np.swapaxes(mats[:, split:, :], 1, 2)))
+        bucket, a, b = _pairs(*_key_buckets(
+            len(mats), lambda rows: np.swapaxes(mats[rows, split:, :], 1, 2)))
         _confirm(words, bucket, a, b, lambda s: mats[b[s]] @ lorentz_inverse(mats[a[s]]),
                  split, tol, "left-class")
         labels = _components(np.arange(len(ball)), a, b)
@@ -406,39 +491,42 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=TOL_G0):
 
 def _merge_double(labels, ball, split, gamma0_max_len, tol):
     """Merge left classes lying in one double coset, gamma0 ranging over the
-    bounded cycle-subgroup ball: a join on the ball's hash-sorted cells (of
-    its own quant) links rep and rep gamma0 when the latter is in the ball,
-    and a key hit of C(gamma0 B) = gamma0 C(B) gamma0^T on C(A), A and B live
-    representatives and C = gamma[:, n+1:] gamma[:, n+1:]^T, puts
+    bounded cycle-subgroup ball: a join on the hashes of the ball's cells
+    (of its own quant) links rep and rep gamma0 when the latter is in the
+    ball, and a key hit of C(gamma0 B) = gamma0 C(B) gamma0^T on C(A), A and
+    B live representatives and C = gamma[:, n+1:] gamma[:, n+1:]^T, puts
     A^{-1} gamma0 B in the cycle subgroup.  Returns the merged labels."""
     words, mats, quant = ball.words, ball.mats, ball.quant
     in_g0 = _block_offdiag_max(mats, split) <= tol
     g0_stack = mats[(ball.lengths <= gamma0_max_len) & in_g0]
     reps = np.flatnonzero(labels == np.arange(len(mats)))
-    cells = _cells(mats, quant)
-    hashes = _hash(cells)
-    by_hash = np.argsort(hashes)
-    index = (hashes[by_hash], cells[by_hash])
-    # ball index of rep @ gamma0, rep-major, -1 where it is not in the ball
-    found = []
+
+    def cells_at(pos):
+        return _cells(mats[pos], quant)
+
+    index = _index(_hashes(len(mats), cells_at), np.arange(len(mats)))
+    # (rep, ball index of rep @ gamma0) where the latter is in the ball
+    joined = [np.zeros((2, 0), dtype=np.intp)]
     step = max(1, CHUNK // max(1, len(g0_stack)))
     for c in range(0, len(reps), step):
         cells = _cells((mats[reps[c:c + step], None] @ g0_stack[None]).reshape(-1, *mats.shape[1:]),
                        quant)
-        at = _lookup(index, cells, _hash(cells))
-        found.append(np.where(at < 0, -1, by_hash[at]))
-    del index, cells  # the key pass below is the memory peak
-    found = np.concatenate(found or [np.zeros(0, dtype=np.intp)])
-    hit = np.flatnonzero(found >= 0)
-    labels = _components(labels, reps[hit // len(g0_stack)], found[hit])
+        at = _lookup(index, cells_at, cells, _hash(cells))
+        hit = np.flatnonzero(at >= 0)
+        joined.append(np.stack([reps[c + hit // len(g0_stack)], at[hit]]))
+    del index
+    labels = _components(labels, *np.concatenate(joined, axis=1))
 
     # keys of h B for h in (1, *g0_stack) and B live, h-major, so that the
     # first len(live) of them (h = 1) are the representatives A themselves
     live = np.flatnonzero(labels == np.arange(len(mats)))
     hs = np.concatenate([np.eye(mats.shape[1])[None], g0_stack])
-    moved = np.einsum("hij,ljk->hlik", hs, mats[live][:, :, split:])
-    members, bounds = _key_buckets(moved.reshape(-1, *moved.shape[2:]))
-    del moved
+
+    def moved(rows):
+        h, b = np.divmod(rows, len(live))
+        return np.einsum("rij,rjk->rik", hs[h], mats[live[b], :, split:])
+
+    members, bounds = _key_buckets(len(hs) * len(live), moved)
     # buckets come by first member: those past the anchors hold none
     anchored = np.searchsorted(members[bounds[:-1]], len(live))
     bucket, first, other = _pairs(members[:bounds[anchored]], bounds[:anchored + 1])

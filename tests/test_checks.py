@@ -27,6 +27,10 @@ def _spec():
     return bd.SpectrumModel.synthetic_weyl(3, 1.0, 20.0)
 
 
+def _ball():
+    return ob.ball_enumerate(ob.picard_generators(), 2)
+
+
 # (function call, name of the bad argument); the ids give function and value
 CASES = {
     "phi_mu-mu-nan": (lambda: tr.phi_mu(NAN, 1.0), "mu"),
@@ -78,6 +82,19 @@ CASES = {
         lambda: dc.dist_horospherical([0.0, 0.0], 1.0, [1.0, 0.0], INF), "t"),
     "f_gamma-r-nan": (lambda: cy.f_gamma(_inv(), NAN), "r"),
     "verify_f_geometric-r-nan": (lambda: cy.verify_f_geometric(U @ S @ U, [0.3], NAN, CFG), "r"),
+    "ball_enumerate-quant-nan": (lambda: ob.ball_enumerate(ob.picard_generators(), 3, quant=NAN),
+                                 "quant"),
+    "ball_enumerate-quant-zero": (lambda: ob.ball_enumerate(ob.picard_generators(), 3, quant=0.0),
+                                  "quant"),
+    "ball_enumerate-quant-negative": (
+        lambda: ob.ball_enumerate(ob.picard_generators(), 3, quant=-1e-9), "quant"),
+    "coset_reduce-tol-nan": (lambda: ob.coset_reduce(_ball(), CFG, tol=NAN), "tol"),
+    "is_lorentz-tol-nan": (lambda: lz.is_lorentz(U, tol=NAN), "tol"),
+    "require_lorentz-tol-nan": (lambda: lz.require_lorentz(U, tol=NAN), "tol"),
+    "make_boost-x-nan": (lambda: lz.make_boost(NAN, 3), "x"),
+    "make_unipotent-u-nan": (lambda: lz.make_unipotent([NAN, 0.0]), "u"),
+    "cycle_invariants-u-nan": (lambda: cy.cycle_invariants(U @ S @ U, [NAN], CFG), "u"),
+    "delta_spectrum-u-nan": (lambda: ob.delta_spectrum(_ball(), [NAN], CFG), "u"),
 }
 
 

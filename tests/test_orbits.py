@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,16 +233,17 @@ def test_grid_buckets_equal_the_lexsort_buckets(monkeypatch, run, n_calls):
     # and the class keys of the left (and double) pass
     seen = []
     grid_buckets = ob._grid_buckets
-    monkeypatch.setattr(ob, "_grid_buckets", lambda rows: seen.append(rows.copy()) or grid_buckets(rows))
+    monkeypatch.setattr(ob, "_grid_buckets", lambda n, rows_of: seen.append(
+        rows_of(np.arange(n))) or grid_buckets(n, rows_of))
     run()
     assert len(seen) == n_calls
     for rows in seen:
-        got = _as_lists(*grid_buckets(rows))
+        got = _as_lists(*grid_buckets(len(rows), lambda r: rows[r]))
         assert got == _grid_buckets_lexsort(rows)
     assert got      # the class keys do share cells
 
 
-def test_grid_buckets_split_rows_whose_hashes_collide():
+def test_grid_buckets_split_rows_whose_hashes_collide(monkeypatch):
     # cell rows (2^62, s 2^62, 0, 0) and (0, 0, 0, 0) share the hash
     # 2^62 (k0 + s k1) = 0 mod 2^64 when the odd multipliers have
     # k0 + s k1 = 0 mod 4
@@ -254,13 +256,47 @@ def test_grid_buckets_split_rows_whose_hashes_collide():
     assert cells[1].tolist() == [2 ** 62, s * 2 ** 62, 0, 0]
     hashes = ob._hash(cells)
     assert hashes[0] == hashes[1]
-    assert _as_lists(*ob._grid_buckets(rows)) == _grid_buckets_lexsort(rows) \
-        == [[0, 2], [0, 2], [1, 3], [1, 3]]
+    want = _grid_buckets_lexsort(rows)
+    assert want == [[0, 2], [0, 2], [1, 3], [1, 3]]
+    for chunk in (1, 2, ob.CHUNK):  # tied rows are compared in windows of CHUNK rows
+        monkeypatch.setattr(ob, "CHUNK", chunk)
+        assert _as_lists(*ob._grid_buckets(len(rows), lambda r: rows[r])) == want, chunk
     # a lookup walks the shared hash to the equal row
-    index = (hashes[:2], cells[:2])
+    index = ob._index(hashes[:2], np.arange(2))
     absent = np.array([[1, 2, 3, 4]])
     queries = np.concatenate([cells[[1, 0, 1]], absent])
-    assert ob._lookup(index, queries, ob._hash(queries)).tolist() == [1, 0, 1, -1]
+    assert ob._lookup(index, lambda p: cells[p], queries, ob._hash(queries)).tolist() \
+        == [1, 0, 1, -1]
+
+
+def _pipeline_outcome(gens, length):
+    """(words, matrix bytes, left ids, double ids) of a ball, or the message
+    of the first stage that raises."""
+    out = []
+    try:
+        ball = ob.ball_enumerate(gens, length)
+        out += [ball.words, ball.mats.tobytes()]
+        for mode in ("left", "double"):
+            out.append(ob.coset_reduce(ball, CFG, mode=mode).ids.tolist())
+    except RuntimeError as exc:
+        out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("make_gens, length", [
+    (ob.picard_generators, 5),
+    (lambda: _conjugated_picard(-1.0, 2.0), 5),
+    (lambda: _conjugated_picard(-2.0, -1.0), 4),
+], ids=["picard", "conj(-1,2)", "conj(-2,-1)-raises"])
+def test_the_block_size_changes_no_outcome(monkeypatch, make_gens, length):
+    # stacks, cell rows and tie windows formed a few rows at a time give
+    # the words, matrices, classes and errors of whole CHUNK blocks
+    gens = make_gens()
+    want = _pipeline_outcome(gens, length)
+    assert isinstance(want[-1], str) == (length == 4)
+    for chunk in (1, 7):
+        monkeypatch.setattr(ob, "CHUNK", chunk)
+        assert _pipeline_outcome(gens, length) == want, chunk
 
 
 def test_dedup_audit_keeps_an_element_alone_in_its_cells():
@@ -268,6 +304,38 @@ def test_dedup_audit_keeps_an_element_alone_in_its_cells():
     # is the same on both offset grids; a bucket shared by the two grids would
     # pair the element with itself and drop it as its own duplicate
     assert ob._audit_dedup(["e"], (np.eye(4) + 2e-7)[None]).tolist() == [0]
+
+
+def _traced_peak(run):
+    """(tracemalloc's peak while ``run`` runs, above what was traced when it
+    started; its result)."""
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = run()
+    return tracemalloc.get_traced_memory()[1] - start, out
+
+
+def test_each_orbit_stage_holds_the_ball_once():
+    """Peaks in stacks of the ball's matrices (mats.nbytes) at Picard
+    length 8: the word ball from its start, the dedup audit and the left
+    and double passes above the ball they keep.  Each holds the matrices
+    once plus O(N) integers, and cell rows CHUNK rows at a time; holding a
+    second copy of the stack, or every row's cells, breaks these bounds."""
+    gens = ob.picard_generators()
+    tracemalloc.start()
+    try:
+        enumerated, ball = _traced_peak(lambda: ob.ball_enumerate(gens, 8))
+        audit, _ = _traced_peak(lambda: ob._audit_dedup(ball.words, ball.mats))
+        left, _ = _traced_peak(lambda: ob.coset_reduce(ball, CFG, mode="left"))
+        double, _ = _traced_peak(lambda: ob.coset_reduce(ball, CFG, mode="double"))
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 9492
+    stacks = dict(zip(("enumerate", "audit", "left", "double"),
+                      np.array([enumerated, audit, left, double]) / ball.mats.nbytes))
+    assert stacks["enumerate"] <= 3.5, stacks
+    assert stacks["audit"] <= 1.0 and stacks["left"] <= 1.0, stacks
+    assert stacks["double"] <= 2.0, stacks
 
 
 @pytest.mark.parametrize("make_gens, length", [
@@ -359,7 +427,8 @@ def test_double_reduction_starts_from_the_cached_left_labels(monkeypatch):
     alone = ob.coset_reduce(ob.ball_enumerate(gens, 6), CFG, mode="double")
     calls = []
     key_buckets = ob._key_buckets
-    monkeypatch.setattr(ob, "_key_buckets", lambda cols: calls.append(len(cols)) or key_buckets(cols))
+    monkeypatch.setattr(ob, "_key_buckets",
+                        lambda n, cols_of: calls.append(n) or key_buckets(n, cols_of))
     ball = ob.ball_enumerate(gens, 6)
     left = ob.coset_reduce(ball, CFG, mode="left")
     double = ob.coset_reduce(ball, CFG, mode="double")
@@ -412,6 +481,17 @@ def _pairs_with_repeats(members, bounds):
             np.delete(members, bounds[:-1]))
 
 
+def _assert_pairs_are_first_occurrences(members, bounds):
+    ref = _pairs_with_repeats(members, bounds)
+    first, tested = [], set()
+    for i, hit in enumerate(zip(ref[1].tolist(), ref[2].tolist())):
+        if hit not in tested:
+            tested.add(hit)
+            first.append(i)
+    got = ob._pairs(members, bounds)
+    assert all(np.array_equal(g, r[first]) for g, r in zip(got, ref))
+
+
 def test_each_key_hit_is_block_tested_once(monkeypatch):
     # the left pass at Picard length 6 finds 2474 key hits, 1237 distinct
     seen = []
@@ -420,16 +500,19 @@ def test_each_key_hit_is_block_tested_once(monkeypatch):
         (members, bounds)) or pairs(members, bounds))
     ob.coset_reduce(ob.ball_enumerate(ob.picard_generators(), 6), CFG, mode="double")
     assert len(seen) == 2
+    monkeypatch.undo()
     for members, bounds in seen:
-        ref = _pairs_with_repeats(members, bounds)
-        got = pairs(members, bounds)
-        first, tested = [], set()
-        for i, hit in enumerate(zip(ref[1].tolist(), ref[2].tolist())):
-            if hit not in tested:
-                tested.add(hit)
-                first.append(i)
-        assert all(np.array_equal(g, r[first]) for g, r in zip(got, ref))
+        _assert_pairs_are_first_occurrences(members, bounds)
     assert len(_pairs_with_repeats(*seen[0])[0]) == 2474 and len(pairs(*seen[0])[0]) == 1237
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=80))
+def test_pairs_of_overlapping_buckets_are_first_occurrences(steps):
+    # one coordinate at multiples of 0.3 cells: the two grids' buckets
+    # overlap in every way, a row sharing a bucket with other heads on each
+    rows = np.asarray(steps, dtype=float)[:, None] * (0.3 * ob.KEY_RES)
+    _assert_pairs_are_first_occurrences(*ob._grid_buckets(len(rows), lambda r: rows[r]))
 
 
 @pytest.mark.parametrize("x, v, n_raised", [(0.0, 0.0, 0), (3.0, -3.0, 2), (-3.0, -3.0, 1),
