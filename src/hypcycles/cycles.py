@@ -151,13 +151,14 @@ class PreparedCycle:
         self.m.flags.writeable = False      # shared by every record
 
     def invariants(self, u):
-        """The invariants at one direction u (n-1 components): the batch of
-        one, with beta, N_u and Q_u as floats."""
+        """The invariants at one direction u (n-1 components): the batch's
+        products on one row, with beta, N_u and Q_u as floats."""
         u = np.asarray(u, dtype=float)
         _check_direction(u, self.cfg)
-        one = self.invariants_batch(u.reshape(1, -1))
-        return CycleInvariants(self.r0, self.u11, self.m, self.M, float(one.beta[0]),
-                               one.n_coeffs[0], float(one.N_u[0]), float(one.Q_u[0]))
+        beta, n_coeffs, N_u, Q_u = _coefficients(
+            self._prep, np.ascontiguousarray(u.reshape(1, -1)), self.cfg.n)
+        return CycleInvariants(self.r0, self.u11, self.m, self.M, float(beta[0]),
+                               n_coeffs[0], float(N_u[0]), float(Q_u[0]))
 
     def invariants_batch(self, U):
         """The invariants at every row of the directions U, shape (m, n-1),
@@ -166,6 +167,7 @@ class PreparedCycle:
         U = np.ascontiguousarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.cfg.n - 1:
             raise ValueError(f"directions U must have shape (m, n-1 = {self.cfg.n - 1})")
+        _checks.finite(U=U)
         return CycleInvariants(self.r0, self.u11, self.m, self.M,
                                *_coefficients(self._prep, U, self.cfg.n))
 

@@ -28,7 +28,9 @@ Stacks and cell rows are formed CHUNK rows at a time: hashes come from one
 pass over the rows, and cells are formed again only for the rows whose
 hash ties a neighbour's or hits an index entry.  The word ball keeps a
 level's new products as (hash, position) and forms each one it keeps
-once, into the ball's one stack, which grows level by level.
+once, into the ball's one stack, which grows level by level.  The words
+are spelled on demand from one parent position and one move index per
+enumerated element, so the ball holds no string per element.
 
 Double cosets take the cycle subgroup from a bounded ball, so double-coset
 reduction is approximate by construction and reports the ball radius used.
@@ -41,6 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -123,14 +126,53 @@ class GeneratorSet:
         }
 
 
+class Words(Sequence):
+    """The words of a word ball, a read-only sequence like a tuple of str,
+    spelled on demand: element k of an enumeration is the word of
+    ``parent[k]`` followed by ``letters[move[k]]``, element 0 the identity
+    "e", and the sequence lists the elements at the positions ``kept``."""
+    __slots__ = ("_letters", "_parent", "_move", "_kept")
+
+    def __init__(self, letters, parent, move, kept):
+        self._letters, self._parent, self._move, self._kept = letters, parent, move, kept
+
+    def _spell(self, k):
+        backwards = []
+        while k:
+            backwards.append(self._letters[self._move[k]])
+            k = self._parent[k]
+        return "".join(reversed(backwards)) or "e"
+
+    def __len__(self):
+        return len(self._kept)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._spell, self._kept[i].tolist()))
+        return self._spell(int(self._kept[i]))
+
+    def __iter__(self):
+        return map(self._spell, self._kept.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, Words)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """A word ball: ``words`` (a tuple, the identity "e" first), ``mats``
+    """A word ball: ``words`` (a sequence of str like a tuple, the identity
+    "e" first; a ``Words`` spelling them on demand from parent and move
+    arrays when the ball comes from ``ball_enumerate``), ``mats``
     (their (N, d+1, d+1) stack), ``lengths`` (word lengths) and ``ids``
     (class ids numbered by first appearance; ``np.arange(N)`` when fresh),
     with the cycle-subgroup radius of a double reduction and the dedup cell
     size ``quant`` the ball was built with, which coset reduction reuses."""
-    words: tuple
+    words: Sequence
     mats: np.ndarray
     lengths: np.ndarray
     ids: np.ndarray
@@ -293,7 +335,8 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     products, base-major like the words, and looked up by their cells in
     the index of the earlier levels, their hashes and ball positions; the
     first of a level's equal products is kept, formed once more into the
-    ball's one stack of matrices, and taken into the index.
+    ball's one stack of matrices, and taken into the index; its base's
+    position and its move are kept to spell its word (``Words``).
     """
     if not 1 <= max_word_length <= LENGTH_CAP:
         raise ValueError(f"max_word_length must be in [1, {LENGTH_CAP}], got {max_word_length!r}")
@@ -306,7 +349,8 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
         return _cells(mats[pos], quant)
 
     index = _index(_hash(cells_at([0])), np.zeros(1, dtype=np.intp))
-    level, sizes, words, all_words = 0, [1], [""], ["e"]  # the last level starts at mats[level]
+    level, sizes = 0, [1]   # the last level starts at mats[level]
+    parent, move = [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
     for length in range(1, max_word_length + 1):
         if level == len(mats):      # the last level is empty
             break
@@ -315,21 +359,22 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
         grown[:len(mats)] = mats
         for c in range(0, len(pos), CHUNK):
             _products(mats[level:], steps, pos[c:c + CHUNK], out=grown[len(mats) + c:][:CHUNK])
+        base, step = np.divmod(pos, len(steps))
+        parent.append(level + base)
+        move.append(step)
         level, mats = len(mats), grown
         sizes.append(len(pos))
-        base, move = np.divmod(pos, len(steps))
-        words = [words[i] + letters[j] for i, j in zip(base.tolist(), move.tolist())]
-        all_words += words
         if length < max_word_length:
             index = _index(np.concatenate([index[0], hashes]),
                            np.concatenate([index[1], np.arange(level, len(mats))]))
-    index = hashes = pos = base = move = None  # freed before the audit
+    index = hashes = pos = base = step = None  # freed before the audit
 
-    keep = _audit_dedup(all_words, mats)
+    parent, move = np.concatenate(parent), np.concatenate(move)
+    keep = _audit_dedup(Words(letters, parent, move, np.arange(len(mats))), mats)
     if len(keep) < len(mats):
         mats = mats[keep]
     lengths = np.repeat(np.arange(len(sizes)), sizes)
-    return Ball(words=tuple(all_words[i] for i in keep.tolist()), mats=mats,
+    return Ball(words=Words(letters, parent, move, keep), mats=mats,
                 lengths=lengths[keep], ids=np.arange(len(keep)), quant=quant)
 
 
@@ -497,8 +542,8 @@ def _merge_double(labels, ball, split, gamma0_max_len, tol):
     B live representatives and C = gamma[:, n+1:] gamma[:, n+1:]^T, puts
     A^{-1} gamma0 B in the cycle subgroup.  Returns the merged labels."""
     words, mats, quant = ball.words, ball.mats, ball.quant
-    in_g0 = _block_offdiag_max(mats, split) <= tol
-    g0_stack = mats[(ball.lengths <= gamma0_max_len) & in_g0]
+    g0_stack = mats[ball.lengths <= gamma0_max_len]
+    g0_stack = g0_stack[_block_offdiag_max(g0_stack, split) <= tol]
     reps = np.flatnonzero(labels == np.arange(len(mats)))
 
     def cells_at(pos):

@@ -287,3 +287,11 @@ def test_invariants_batch_validation():
             prep.invariants_batch(bad)
     with pytest.raises(ValueError):
         prep.invariants(np.zeros(2))
+
+
+def test_invariants_batch_refuses_non_finite_directions():
+    _, U, S = _picard()
+    prep = cy.PreparedCycle(U @ S @ U, CFG)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^U must be finite"):
+            prep.invariants_batch([[bad], [0.3]])

@@ -101,10 +101,10 @@ def _conjugated_picard(x, v):
                            matrices=tuple(h_inv @ g @ h for g in pic.matrices))
 
 
-def _ball_outcome(enumerate_ball, gens, length):
+def _ball_outcome(enumerate_ball, gens, length, quant):
     """(words, matrix bytes, word lengths) of a ball, or the message it raises."""
     try:
-        ball = enumerate_ball(gens, length)
+        ball = enumerate_ball(gens, length, quant)
     except RuntimeError as exc:
         return str(exc)
     return ball.words, ball.mats.tobytes(), ball.lengths.tolist()
@@ -133,20 +133,49 @@ def test_dedup_audit_merges_a_rounding_boundary_split():
         ob._audit_dedup(["e", "USU", "uSu"], _straddling_copies(1e-10))
 
 
-@pytest.mark.parametrize("make_gens, length", [
-    (ob.picard_generators, 6),
-    (ob.fuchsian_generators, 8),
-    (lambda: ob.cyclic_boost_generators(1.0, 3), 5),
-    (lambda: _conjugated_picard(-1.0, 2.0), 6),
-    (lambda: _conjugated_picard(2.0, 0.0), 6),
-    (lambda: _conjugated_picard(-2.0, -1.0), 4),
-], ids=["picard", "modular", "cyclic", "conj(-1,2)", "conj(2,0)", "conj(-2,-1)-raises"])
-def test_stacked_ball_matches_per_word_ball(make_gens, length):
+@pytest.mark.parametrize("make_gens, length, quant", [
+    (ob.picard_generators, 6, ob.QUANT),
+    (ob.fuchsian_generators, 8, ob.QUANT),
+    (lambda: ob.cyclic_boost_generators(1.0, 3), 5, ob.QUANT),
+    (lambda: _conjugated_picard(-1.0, 2.0), 6, ob.QUANT),
+    (lambda: _conjugated_picard(2.0, 0.0), 6, ob.QUANT),
+    (lambda: _conjugated_picard(-2.0, -1.0), 4, ob.QUANT),
+    # cells finer than the rounding: the audit drops 379 of the 924
+    # elements, so the kept words sit at positions apart from the enumeration's
+    (lambda: _conjugated_picard(0.3, 0.2), 5, 1e-14),
+], ids=["picard", "modular", "cyclic", "conj(-1,2)", "conj(2,0)", "conj(-2,-1)-raises",
+        "conj(0.3,0.2)-fine-cells"])
+def test_stacked_ball_matches_per_word_ball(make_gens, length, quant):
     gens = make_gens()
-    got = _ball_outcome(ob.ball_enumerate, gens, length)
-    assert got == _ball_outcome(_ball_per_word, gens, length)
+    got = _ball_outcome(ob.ball_enumerate, gens, length, quant)
+    assert got == _ball_outcome(_ball_per_word, gens, length, quant)
     if isinstance(got, str):
         assert got.startswith("dedup ambiguity between words")
+
+
+def test_each_word_spells_its_matrix():
+    # the product of the move matrices along each word is its matrix
+    gens = ob.picard_generators()
+    moves = dict(gens.moves())
+    assert all(len(label) == 1 for label in moves)
+    ball = ob.ball_enumerate(gens, 6)
+    for word, mat in zip(ball.words, ball.mats):
+        prod = np.eye(4)
+        for label in ("" if word == "e" else word):
+            prod = prod @ moves[label]
+        assert np.max(np.abs(prod - mat)) <= 1e-9 * np.max(np.abs(mat)), word
+
+
+def test_words_behave_as_a_tuple():
+    ball = ob.ball_enumerate(ob.picard_generators(), 3)
+    words = tuple(ball.words)
+    assert len(words) == len(ball) and words[:4] == ("e", "S", "T", "U")
+    assert ball.words == words and words == ball.words and ball.words != list(words)
+    assert ball.words[1:7:2] == words[1:7:2] and ball.words[-1] == words[-1]
+    assert "TUS" in ball.words and "Tt" not in ball.words
+    assert ball.words.index("TUS") == words.index("TUS")
+    with pytest.raises(IndexError):
+        ball.words[len(words)]
 
 
 def test_dedup_ambiguity_names_the_setting_that_resolves_it():
@@ -336,6 +365,19 @@ def test_each_orbit_stage_holds_the_ball_once():
     assert stacks["enumerate"] <= 3.5, stacks
     assert stacks["audit"] <= 1.0 and stacks["left"] <= 1.0, stacks
     assert stacks["double"] <= 2.0, stacks
+
+
+def test_the_ball_keeps_no_string_per_element():
+    # the words are spelled on demand from two integer arrays over the
+    # enumeration, so the ball retains little beyond its matrices
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ball = ob.ball_enumerate(ob.picard_generators(), 8)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.4 * ball.mats.nbytes, retained / ball.mats.nbytes
 
 
 @pytest.mark.parametrize("make_gens, length", [
