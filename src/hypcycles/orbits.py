@@ -17,9 +17,12 @@ are labelled by their smallest member through min-label propagation.
 
 Every key is a row of int64 cells, hashed to one uint64 (a wrapping sum of
 the cells times fixed odd multipliers); rows sort by the hash and compare
-whole, so a hash collision never merges two rows.  The audit and the class
-keys group rows this way, and the word ball's elements seen so far and the
-double pass's join of rep gamma0 on the ball are indexes of hashes and ball
+whole, so a hash collision never merges two rows.  Rows are grouped one
+way: each is labelled by the first row whose cells equal its own.  A level
+of the word ball keeps the products that are their own first; the audit
+and the class keys label rows on each of two grids, and a key hit pairs a
+row with its first.  The word ball's elements seen so far and the double
+pass's join of rep gamma0 on the ball are indexes of hashes and ball
 positions.  The left labels are cached on the ball, so a double reduction
 after a left one on the same ball pays for one left pass.
 
@@ -50,7 +53,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _checks
-from .cycles import invariants_stack
+from .cycles import _check_dimension, invariants_stack
 from .lorentz import (TOL_G0, _block_offdiag_max, group_residual, is_lorentz, lorentz_inverse,
                       make_boost, spin_cover_so13)
 
@@ -108,7 +111,9 @@ class GeneratorSet:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError(f"a generator set is a JSON object, got {type(obj).__name__}")
-        d = int(obj["d"])
+        d = obj["d"]
+        if type(d) is not int:
+            raise ValueError(f"d must be a JSON integer, got {d!r}")
         labels, mats = [], []
         for item in obj["generators"]:
             labels.append(str(item["label"]))
@@ -233,12 +238,15 @@ def _hash(cells):
     return cells.view(np.uint64) @ _multipliers(cells.shape[1])
 
 
-def _hashes(n, cells_of):
-    """The hashes of n cell rows, ``cells_of(rows)`` giving the cell rows
-    of an index array, formed CHUNK rows at a time."""
-    out = np.empty(n, dtype=np.uint64)
+def _hashes(n, rows_of, grids):
+    """The hashes of n rows on each grid, one row of hashes per grid:
+    ``rows_of`` gives the rows of an index array, formed once per CHUNK
+    rows, and each grid maps them to their cell rows."""
+    out = np.empty((len(grids), n), dtype=np.uint64)
     for c in range(0, n, CHUNK):
-        out[c:c + CHUNK] = _hash(cells_of(np.arange(c, min(c + CHUNK, n))))
+        rows = rows_of(np.arange(c, min(c + CHUNK, n)))
+        for g, cells_of in enumerate(grids):
+            out[g, c:c + CHUNK] = _hash(cells_of(rows))
     return out
 
 
@@ -248,13 +256,13 @@ def _index(hashes, positions):
     return hashes[by_hash], positions[by_hash]
 
 
-def _runs(cells_of, hashes):
-    """An order of the rows in which equal cell rows are adjacent, and the
-    start of each run of equal rows in it; the members of a run come in no
-    particular order.  Rows sort by their hashes, and only the rows sharing
-    a hash with a neighbour have their cells (``cells_of`` of an index
-    array) formed, CHUNK rows at a time, to compare with that neighbour;
-    should unequal rows share a hash, all rows sort by their cells."""
+def _firsts(cells_of, hashes):
+    """The first of each row's equal rows: the smallest row whose cells
+    (``cells_of`` of an index array) equal its own, one label per row.
+    Rows sort by their hashes, and only the rows sharing a hash with a
+    neighbour have their cells formed, CHUNK rows at a time, to compare
+    with that neighbour; should unequal rows share a hash, all rows sort by
+    their cells."""
     order = np.argsort(hashes)
     ordered = hashes[order]
     new = np.ones(len(order), dtype=bool)
@@ -272,7 +280,9 @@ def _runs(cells_of, hashes):
             cells = cells[order]
             new[1:] = (cells[1:] != cells[:-1]).any(axis=1)
             break
-    return order, np.flatnonzero(new)
+    first = np.empty(len(order), dtype=np.intp)
+    first[order] = np.minimum.reduceat(order, np.flatnonzero(new))[np.cumsum(new) - 1]
+    return first
 
 
 def _lookup(index, cells_at, cells, hashes):
@@ -322,8 +332,8 @@ def _fresh(frontier, steps, index, cells_at, quant):
         hashes.append(h[new])
         pos.append(c * len(steps) + new)
     hashes, pos = np.concatenate(hashes), np.concatenate(pos)
-    order, starts = _runs(lambda rows: _cells(_products(frontier, steps, pos[rows]), quant), hashes)
-    keep = np.sort(np.minimum.reduceat(order, starts))  # the first of each run
+    first = _firsts(lambda rows: _cells(_products(frontier, steps, pos[rows]), quant), hashes)
+    keep = np.flatnonzero(first == np.arange(len(first)))
     return hashes[keep], pos[keep]
 
 
@@ -383,9 +393,12 @@ def _audit_dedup(words, mats):
     drop the later member of pairs closer than SAME_GAP, reject ambiguous
     ones.  Returns the indices kept, ascending."""
     keep = np.ones(len(mats), dtype=bool)
-    members, bounds = _grid_buckets(len(mats), lambda rows: mats[rows].reshape(len(rows), -1))
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        for i, j in combinations(members[a:b].tolist(), 2):
+    first = _grid_buckets(len(mats), lambda rows: mats[rows].reshape(len(rows), -1))
+    buckets = {}    # (first row, grid): the rows sharing a cell, ascending
+    for grid, row in zip(*np.nonzero(first != np.arange(len(mats)))):
+        buckets.setdefault((first[grid, row], grid), [first[grid, row]]).append(row)
+    for bucket in sorted(buckets):
+        for i, j in combinations(buckets[bucket], 2):
             gap = np.max(np.abs(mats[i] - mats[j]))
             if gap < SAME_GAP:
                 keep[j] = False
@@ -400,35 +413,17 @@ def _audit_dedup(words, mats):
 def _grid_buckets(n, rows_of):
     """The rows sharing a cell of one of two grids of spacing KEY_RES,
     offset by half a cell, so that values one grid splits at a boundary
-    meet on the other: (members, bounds), bucket k being the ascending
-    members[bounds[k]:bounds[k + 1]], buckets in order of first member
-    (the unshifted grid's first).  ``rows_of`` gives the float rows of an
-    index array of the n rows; one pass over them, CHUNK rows at a time,
-    hashes both grids' cells, and cells are formed again only where hashes
-    tie."""
-    offsets = (0.0, 0.5)
+    meet on the other, as a (2, n) array of ``_firsts`` labels, the
+    unshifted grid's first.  ``rows_of`` gives the float rows of an index
+    array of the n rows; one pass over them, CHUNK rows at a time, hashes
+    both grids' cells, and cells are formed again only where hashes tie."""
+    def scaled(rows):
+        return rows_of(rows) / KEY_RES
 
-    def cells_of(scaled, off):
-        cells = scaled + off
-        return np.round(cells, out=cells).astype(np.int64)
-
-    hashes = np.empty((len(offsets), n), dtype=np.uint64)
-    for c in range(0, n, CHUNK):
-        scaled = rows_of(np.arange(c, min(c + CHUNK, n))) / KEY_RES
-        for grid, off in enumerate(offsets):
-            hashes[grid, c:c + CHUNK] = _hash(cells_of(scaled, off))
-    keys = []   # per bucket member: (first member, grid, member) as one int
-    for grid, off in enumerate(offsets):
-        order, starts = _runs(lambda rows: cells_of(rows_of(rows) / KEY_RES, off), hashes[grid])
-        size = np.diff(np.r_[starts, n])
-        multi = np.repeat(size > 1, size)
-        first = np.repeat(np.minimum.reduceat(order, starts), size)
-        keys.append(((2 * first + grid) * n + order)[multi])
-    del hashes
-    bucket, members = np.divmod(np.sort(np.concatenate(keys)), max(n, 1))
-    edges = np.ones(len(bucket) + 1, dtype=bool)
-    edges[1:-1] = bucket[1:] != bucket[:-1]
-    return members, np.flatnonzero(edges)
+    grids = [lambda s, off=off: np.round(s + off).astype(np.int64) for off in (0.0, 0.5)]
+    hashes = _hashes(n, scaled, grids)
+    return np.stack([_firsts(lambda rows: cells_of(scaled(rows)), h)
+                     for cells_of, h in zip(grids, hashes)])
 
 
 _triu_indices = functools.cache(np.triu_indices)     # formed once per size, not per block
@@ -448,24 +443,17 @@ def _key_buckets(n, cols_of):
     return _grid_buckets(n, keys)
 
 
-def _pairs(members, bounds):
-    """(bucket, first, other) index arrays pairing the first member of each
-    bucket with each of its other members, in bucket order.  Only the two
-    grids' buckets of one first member, adjacent, share pairs; a pair both
-    hold is kept in the first of them only."""
-    heads = members[bounds[:-1]]
-    sizes = np.diff(bounds) - 1
-    bucket = np.repeat(np.arange(len(sizes)), sizes)
-    other = np.delete(members, bounds[:-1])
-    twin = np.zeros(len(sizes) + 1, dtype=bool)     # the later of two buckets sharing a head
-    twin[1:-1] = heads[1:] == heads[:-1]
-    # the bucket before a twin holding each member, -1 elsewhere
-    held = np.full(members.max(initial=-1) + 1, -1)
-    earlier = twin[1:][bucket]
-    held[other[earlier]] = bucket[earlier]
-    keep = ~(twin[bucket] & (held[other] == bucket - 1))
-    bucket, other = bucket[keep], other[keep]
-    return bucket, heads[bucket], other
+def _pairs(first, heads):
+    """(bucket, first, other) index arrays pairing each row with its first
+    on each grid (``_grid_buckets`` labels ``first``), for firsts below
+    ``heads``, ordered by first row, then grid, then row; a bucket is a
+    (first row, grid).  A pair both grids hold is kept on the first grid."""
+    grid, other = np.nonzero((first != np.arange(first.shape[1])) & (first < heads))
+    head = first[grid, other]
+    keep = (grid == 0) | (first[0, other] != head)
+    bucket = (2 * head + grid)[keep]
+    order = np.argsort(bucket, kind="stable")
+    return bucket[order], head[keep][order], other[keep][order]
 
 
 def _confirm(words, bucket, a, b, quotient, split, tol, what):
@@ -514,13 +502,14 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=TOL_G0):
     """
     if mode not in ("left", "double"):
         raise ValueError("mode must be 'left' or 'double'")
+    _check_dimension(ball.mats, cfg)
     _checks.nonnegative(tol=tol)
     split = cfg.n + 1
     labels = ball._left_labels.get((split, tol))
     if labels is None:
         words, mats = ball.words, ball.mats
-        bucket, a, b = _pairs(*_key_buckets(
-            len(mats), lambda rows: np.swapaxes(mats[rows, split:, :], 1, 2)))
+        bucket, a, b = _pairs(_key_buckets(
+            len(mats), lambda rows: np.swapaxes(mats[rows, split:, :], 1, 2)), len(mats))
         _confirm(words, bucket, a, b, lambda s: mats[b[s]] @ lorentz_inverse(mats[a[s]]),
                  split, tol, "left-class")
         labels = _components(np.arange(len(ball)), a, b)
@@ -549,7 +538,8 @@ def _merge_double(labels, ball, split, gamma0_max_len, tol):
     def cells_at(pos):
         return _cells(mats[pos], quant)
 
-    index = _index(_hashes(len(mats), cells_at), np.arange(len(mats)))
+    index = _index(_hashes(len(mats), mats.__getitem__, [lambda m: _cells(m, quant)])[0],
+                   np.arange(len(mats)))
     # (rep, ball index of rep @ gamma0) where the latter is in the ball
     joined = [np.zeros((2, 0), dtype=np.intp)]
     step = max(1, CHUNK // max(1, len(g0_stack)))
@@ -571,10 +561,8 @@ def _merge_double(labels, ball, split, gamma0_max_len, tol):
         h, b = np.divmod(rows, len(live))
         return np.einsum("rij,rjk->rik", hs[h], mats[live[b], :, split:])
 
-    members, bounds = _key_buckets(len(hs) * len(live), moved)
-    # buckets come by first member: those past the anchors hold none
-    anchored = np.searchsorted(members[bounds[:-1]], len(live))
-    bucket, first, other = _pairs(members[:bounds[anchored]], bounds[:anchored + 1])
+    # pairs whose first is an anchor, one of the representatives A
+    bucket, first, other = _pairs(_key_buckets(len(hs) * len(live), moved), len(live))
     h, b = np.divmod(other, len(live))
     a, b = live[first], live[b]
     keep = b != a
@@ -605,6 +593,7 @@ def delta_spectrum(ball, u, cfg):
 def counting_function(table, x_grid):
     """pi(x) = #{classes with delta <= x} on the grid, plus the fitted
     log-log slope over the largest decade with nonzero counts."""
+    _checks.finite(x_grid=x_grid)
     deltas = np.asarray(sorted(e.delta for e in table.entries))
     pts = [(float(x), int(np.searchsorted(deltas, x, side="right"))) for x in x_grid]
     if not (table.entries and pts):

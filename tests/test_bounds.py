@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -564,3 +565,13 @@ def test_j_loads_no_scipy(code, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bd.SpectrumModel(3, 1.0, [2.0, 1.0], [1, 1]), "frequencies must be nondecreasing"),
+    (lambda: bd.BoxDomain(((1.0, 1.0),), (1.0, 2.0)), "empty box: need lo < hi on every axis"),
+    (lambda: bd.BoxDomain(((0.0, 1.0),), (2.0, 1.0)), "empty box: need lo < hi on every axis"),
+], ids=["decreasing-frequencies", "empty-v-axis", "empty-r-axis"])
+def test_bad_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()

@@ -31,6 +31,10 @@ def _ball():
     return ob.ball_enumerate(ob.picard_generators(), 2)
 
 
+def _table():
+    return ob.OrbitTable(entries=(ob.OrbitEntry("w", np.eye(4), 1, 1, delta=2.0),))
+
+
 # (function call, name of the bad argument); the ids give function and value
 CASES = {
     "phi_mu-mu-nan": (lambda: tr.phi_mu(NAN, 1.0), "mu"),
@@ -95,6 +99,8 @@ CASES = {
     "make_unipotent-u-nan": (lambda: lz.make_unipotent([NAN, 0.0]), "u"),
     "cycle_invariants-u-nan": (lambda: cy.cycle_invariants(U @ S @ U, [NAN], CFG), "u"),
     "delta_spectrum-u-nan": (lambda: ob.delta_spectrum(_ball(), [NAN], CFG), "u"),
+    "counting_function-x_grid-nan": (lambda: ob.counting_function(_table(), [NAN, 2.0]), "x_grid"),
+    "counting_function-x_grid-inf": (lambda: ob.counting_function(_table(), [1.0, INF]), "x_grid"),
 }
 
 

@@ -323,15 +323,30 @@ def _one_error_line(capsys):
 
 @pytest.mark.parametrize("gens, message", [
     ("1", "cannot load generators"),
-    ("list", "a generator set is a JSON object"),
-], ids=["json-number", "json-list-file"])
+    ([1, 2], "a generator set is a JSON object"),
+    ({**picard_generators().to_json(), "d": 3.7},
+     "invalid generators: d must be a JSON integer, got 3.7"),
+], ids=["json-number", "json-list-file", "json-d-3.7"])
 def test_bad_generator_input_exits_2(gens, message, tmp_path, capsys):
     # --gens names a file; "1" is a path that does not exist, not JSON
-    if gens == "list":
+    if not isinstance(gens, str):
+        (tmp_path / "gens.json").write_text(json.dumps(gens))
         gens = str(tmp_path / "gens.json")
-        (tmp_path / "gens.json").write_text(json.dumps([1, 2]))
     assert _run(["delta", "--gens", gens]) == 2
     assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "xml.json"], "format must be csv or json"),
+    (["--config", "missing.json"], "cannot read config file"),
+    (["--tol", "quad=abc"], "bad --tol value 'abc'"),
+], ids=["config-format-xml", "config-unreadable", "tol-not-a-number"])
+def test_unusable_config_or_tol_value_exits_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "xml.json").write_text(json.dumps({"format": "xml"}))
+    assert _run(["transform", *argv, "--out", "t.csv"]) == 2
+    assert message in _one_error_line(capsys)
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_transform_runs_in_d_2(tmp_path):

@@ -43,6 +43,15 @@ def test_parabolic_generator_invariants():
     assert inv.r_star == np.inf
 
 
+def test_dimension_refusal_and_r_star_at_vanishing_coefficients():
+    _, U, S = _picard()
+    with pytest.raises(ValueError, match="^matrix dimension does not match CycleConfig"):
+        cy.cycle_invariants(U @ S @ U, [0.3], lz.CycleConfig(4, 2))
+    inv = cy.cycle_invariants(U @ S @ U, [0.3], CFG)
+    assert replace(inv, N_u=0.0).r_star == 0.0
+    assert replace(inv, M=0.0, N_u=0.0).r_star == 1.0
+
+
 def test_f_gamma_shape_and_minimum():
     T, U, S = _picard()
     inv = cy.cycle_invariants(T @ U @ S @ U, [0.4], CFG)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -146,3 +148,19 @@ def test_cycle_config_validation():
         lz.CycleConfig(3, 3)
     with pytest.raises(ValueError):
         lz.CycleConfig(2, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lz.make_boost(0.5, 1), "need d >= 2"),
+    (lambda: lz.make_unipotent([0.5], 4), "u must have d-1 components"),
+    (lambda: lz.CycleConfig(3.5, 2), "d and n must be integers"),
+    (lambda: lz.CycleConfig(3, 2.5), "d and n must be integers"),
+    (lambda: lz.check_membership(np.eye(4), "G0"), "G0 membership needs a CycleConfig"),
+    (lambda: lz.check_membership(np.eye(4), "AN0"), "AN0 membership needs a CycleConfig"),
+    (lambda: lz.check_membership(np.eye(4), "X"), "unknown subgroup 'X'"),
+    (lambda: lz.spin_cover_so13(np.eye(3)), "expected a 2x2 complex matrix"),
+], ids=["boost-d-1", "unipotent-length", "config-d-3.5", "config-n-2.5", "G0-no-config",
+        "AN0-no-config", "unknown-subgroup", "spin-cover-3x3"])
+def test_bad_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()

@@ -228,23 +228,20 @@ def test_components_label_each_class_by_its_smallest_member(case):
 
 
 def _grid_buckets_lexsort(rows):
-    """The buckets of _grid_buckets by a lexsort over whole cell rows, as
+    """The labels of _grid_buckets by a lexsort over whole cell rows, as
     lists: the oracle for the hashed cell keys."""
-    buckets = []
-    for grid, off in enumerate((0.0, 0.5)):
+    labels = []
+    for off in (0.0, 0.5):
         cells = rows / ob.KEY_RES
         cells += off
         cells = np.round(cells, out=cells).astype(np.int64)
-        order = np.lexsort(cells.T)  # stable: members stay ascending
+        order = np.lexsort(cells.T)  # stable: the first of equal rows leads them
         cells = cells[order]
-        edges = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1]).any(axis=1), True])
-        buckets += [(order[a], grid, order[a:b].tolist())
-                    for a, b in zip(edges[:-1], edges[1:]) if b - a > 1]
-    return [idxs for *_, idxs in sorted(buckets, key=lambda b: b[:2])]
-
-
-def _as_lists(members, bounds):
-    return [members[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+        new = np.r_[True, (cells[1:] != cells[:-1]).any(axis=1)]
+        first = np.empty(len(order), dtype=np.intp)
+        first[order] = order[np.flatnonzero(new)[np.cumsum(new) - 1]]
+        labels.append(first.tolist())
+    return labels
 
 
 def _picard8_left():
@@ -267,9 +264,9 @@ def test_grid_buckets_equal_the_lexsort_buckets(monkeypatch, run, n_calls):
     run()
     assert len(seen) == n_calls
     for rows in seen:
-        got = _as_lists(*grid_buckets(len(rows), lambda r: rows[r]))
+        got = grid_buckets(len(rows), lambda r: rows[r]).tolist()
         assert got == _grid_buckets_lexsort(rows)
-    assert got      # the class keys do share cells
+    assert (np.asarray(got) != np.arange(len(rows))).any()     # the class keys do share cells
 
 
 def test_grid_buckets_split_rows_whose_hashes_collide(monkeypatch):
@@ -286,10 +283,10 @@ def test_grid_buckets_split_rows_whose_hashes_collide(monkeypatch):
     hashes = ob._hash(cells)
     assert hashes[0] == hashes[1]
     want = _grid_buckets_lexsort(rows)
-    assert want == [[0, 2], [0, 2], [1, 3], [1, 3]]
+    assert want == [[0, 1, 0, 1], [0, 1, 0, 1]]
     for chunk in (1, 2, ob.CHUNK):  # tied rows are compared in windows of CHUNK rows
         monkeypatch.setattr(ob, "CHUNK", chunk)
-        assert _as_lists(*ob._grid_buckets(len(rows), lambda r: rows[r])) == want, chunk
+        assert ob._grid_buckets(len(rows), lambda r: rows[r]).tolist() == want, chunk
     # a lookup walks the shared hash to the equal row
     index = ob._index(hashes[:2], np.arange(2))
     absent = np.array([[1, 2, 3, 4]])
@@ -515,46 +512,48 @@ def test_coset_reduce_under_conjugation_is_right_or_raises():
     assert raises["left"] <= 2 and raises["double"] <= 16, raises
 
 
-def _pairs_with_repeats(members, bounds):
-    """_pairs keeping every occurrence: a pair that both offset grids bucket
+def _pairs_with_repeats(first, heads):
+    """_pairs keeping every occurrence: a pair that both offset grids hold
     comes twice.  The reference for the repeat-free pairs."""
-    sizes = np.diff(bounds) - 1
-    return (np.repeat(np.arange(len(sizes)), sizes), np.repeat(members[bounds[:-1]], sizes),
-            np.delete(members, bounds[:-1]))
+    hits = sorted((f, grid, row) for grid, labels in enumerate(first.tolist())
+                  for row, f in enumerate(labels) if f != row and f < heads)
+    head, grid, row = np.array(hits, dtype=np.intp).reshape(-1, 3).T
+    return 2 * head + grid, head, row
 
 
-def _assert_pairs_are_first_occurrences(members, bounds):
-    ref = _pairs_with_repeats(members, bounds)
-    first, tested = [], set()
+def _assert_pairs_are_first_occurrences(first, heads):
+    ref = _pairs_with_repeats(first, heads)
+    kept, tested = [], set()
     for i, hit in enumerate(zip(ref[1].tolist(), ref[2].tolist())):
         if hit not in tested:
             tested.add(hit)
-            first.append(i)
-    got = ob._pairs(members, bounds)
-    assert all(np.array_equal(g, r[first]) for g, r in zip(got, ref))
+            kept.append(i)
+    got = ob._pairs(first, heads)
+    assert all(np.array_equal(g, r[kept]) for g, r in zip(got, ref))
 
 
 def test_each_key_hit_is_block_tested_once(monkeypatch):
     # the left pass at Picard length 6 finds 2474 key hits, 1237 distinct
     seen = []
     pairs = ob._pairs
-    monkeypatch.setattr(ob, "_pairs", lambda members, bounds: seen.append(
-        (members, bounds)) or pairs(members, bounds))
+    monkeypatch.setattr(ob, "_pairs", lambda first, heads: seen.append(
+        (first, heads)) or pairs(first, heads))
     ob.coset_reduce(ob.ball_enumerate(ob.picard_generators(), 6), CFG, mode="double")
     assert len(seen) == 2
     monkeypatch.undo()
-    for members, bounds in seen:
-        _assert_pairs_are_first_occurrences(members, bounds)
+    for first, heads in seen:
+        _assert_pairs_are_first_occurrences(first, heads)
     assert len(_pairs_with_repeats(*seen[0])[0]) == 2474 and len(pairs(*seen[0])[0]) == 1237
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 40), min_size=1, max_size=80))
-def test_pairs_of_overlapping_buckets_are_first_occurrences(steps):
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=80), st.integers(0, 80))
+def test_pairs_of_overlapping_buckets_are_first_occurrences(steps, heads):
     # one coordinate at multiples of 0.3 cells: the two grids' buckets
-    # overlap in every way, a row sharing a bucket with other heads on each
+    # overlap in every way, a row sharing a bucket with other heads on each;
+    # firsts at or past ``heads`` pair with nothing, as in the double pass
     rows = np.asarray(steps, dtype=float)[:, None] * (0.3 * ob.KEY_RES)
-    _assert_pairs_are_first_occurrences(*ob._grid_buckets(len(rows), lambda r: rows[r]))
+    _assert_pairs_are_first_occurrences(ob._grid_buckets(len(rows), lambda r: rows[r]), heads)
 
 
 @pytest.mark.parametrize("x, v, n_raised", [(0.0, 0.0, 0), (3.0, -3.0, 2), (-3.0, -3.0, 1),
@@ -758,6 +757,38 @@ def test_counting_all_unit_deltas_is_step():
     table = ob.OrbitTable(entries=entries)
     pts, _ = ob.counting_function(table, [0.5, 0.99, 1.0, 2.0])
     assert [c for _, c in pts] == [0, 0, 5, 5]
+
+
+def test_slope_is_nan_below_two_top_decade_points():
+    # only x = 100 lies in the top decade [10, 100] of the grid
+    table = ob.OrbitTable(entries=(ob.OrbitEntry("w", np.eye(4), 1, 1, delta=2.0),))
+    pts, slope = ob.counting_function(table, [1.0, 3.0, 100.0])
+    assert pts == [(1.0, 0), (3.0, 1), (100.0, 1)] and np.isnan(slope)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ob.GeneratorSet(labels=("A", "B"), matrices=(np.eye(4),)),
+     "labels and matrices must pair up"),
+    (lambda: ob.GeneratorSet(labels=("A", "A"), matrices=(np.eye(4), np.eye(4))),
+     "generator labels must be unique"),
+    (lambda: ob.coset_reduce(ob.ball_enumerate(ob.picard_generators(), 2), CFG, mode="right"),
+     "mode must be 'left' or 'double'"),
+    (lambda: ob.ordering_statistic(ob.OrbitTable(entries=()), CFG), "empty orbit table"),
+], ids=["unpaired-labels", "duplicate-labels", "coset-mode", "ordering-empty-table"])
+def test_bad_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+@pytest.mark.parametrize("d, n", [(4, 2), (6, 2), (5, 3)])
+def test_coset_reduce_refuses_a_cycle_config_of_another_d(monkeypatch, d, n):
+    # the split n + 1 of (4, 2) or (6, 2) once gave the d = 3 ball's (3, 2)
+    # partition, and (5, 3) divided by a zero key trace
+    ball = ob.ball_enumerate(ob.picard_generators(), 4)
+    monkeypatch.setattr(ob, "_key_buckets", lambda *args: pytest.fail("class keys formed"))
+    for mode in ("left", "double"):
+        with pytest.raises(ValueError, match="^matrix dimension does not match CycleConfig"):
+            ob.coset_reduce(ball, lz.CycleConfig(d, n), mode=mode)
 
 
 def test_ordering_statistic_positive():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -689,3 +690,13 @@ def test_quadrature_nonconvergence_raises():
     with pytest.raises(RuntimeError, match=r"did not converge on \[0\.0, 1\.0\]: 8 panels"):
         quad_gk(step, 0.0, 1.0, max_panels=8)
     assert quad_gk(step, 0.0, 1.0, rel_tol=1e-9).value == pytest.approx(2.0 / 3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tr.KScaledInterpolator(0.3 + 0.5j, 1.0, 2.0), "interpolation table needs a real order"),
+    (lambda: tr.gr_identity_6_726_4(1.0, 1.0, 0.5, 0.3, sign=0), "sign must be +1 or -1"),
+    (lambda: tr.selberg_transform_closed(2.5, 1.0, 0.3), "d must be an integer >= 2"),
+], ids=["interpolator-complex-order", "gr_6_726_4-sign-0", "transform-d-2.5"])
+def test_bad_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
