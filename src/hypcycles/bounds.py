@@ -338,8 +338,8 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     if check_membership(gamma, "G0", cfg, tol=TOL_G0):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
     nu_c = complex(nu)
-    if abs(nu_c.imag) > 1e-12:
-        raise ValueError("j_gamma_quadrature is defined for real spectral parameter")
+    if abs(nu_c.imag) > REAL_ORDER_IM:
+        raise ValueError(f"j_gamma_quadrature needs a real spectral parameter nu, got {nu!r}")
     nu_r = float(nu_c.real)
     if len(u_range) != cfg.n - 1:
         raise ValueError("u_range must give one interval per cycle direction")

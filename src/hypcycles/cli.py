@@ -239,85 +239,74 @@ def _bundled_picard(d):
     return orbits.GeneratorSet(labels=gens.labels, matrices=tuple(mats))
 
 
+def _closed_vs_quadrature(config, d, mu, nu):
+    """The closed-form transform at (d, mu, nu), its quadrature to the quad
+    tolerance, and their relative gap."""
+    hc = transform.selberg_transform_closed(d, mu, nu)
+    hq = transform.selberg_transform_quadrature(d, mu, nu, rel_tol=config.tol("quad"))
+    return hc, hq, abs(hc - hq) / max(abs(hc), 1e-300)
+
+
 def cmd_verify(config):
+    """Run each check against its oracle and record its worst error, folded
+    as ``max(0.0, *errors)`` over its errors in draw order (a NaN error is
+    passed over), with ``n`` the number of errors.  One generator seeded with
+    SEED gives every draw, check after check as below and draw after draw
+    within a check; the three roundtrip checks share one set of 200 draws."""
     cfg = config.cfg
     gens = _load_generators(config, _bundled_picard(config.d))
     rng = np.random.default_rng(SEED)
-    checks = []
-
-    def record(name, max_err, tol, count):
-        checks.append({"check": name, "max_err": float(max_err), "tol": float(tol),
-                       "n": int(count), "status": "pass" if max_err <= tol else "fail"})
-
     d = config.d
-    err = 0.0
-    for _ in range(200):
-        err = max(err, lorentz.group_residual(lorentz.random_lorentz(rng, d)))
-    record("constructor_group_residual", err, config.tol("group"), 200)
+    checks, tol_names = [], {}      # the header's tolerances, in order of first use
 
-    errs = {"nak": 0.0, "ank": 0.0, "kak": 0.0}
-    for _ in range(200):
-        g = lorentz.random_lorentz(rng, d)
-        errs["nak"] = max(errs["nak"], float(np.max(np.abs(decompose.nak(g).product() - g))))
-        errs["ank"] = max(errs["ank"], float(np.max(np.abs(decompose.ank(g).product() - g))))
-        errs["kak"] = max(errs["kak"], float(np.max(np.abs(decompose.kak(g).product() - g))))
-    for name, e in errs.items():
-        record(f"roundtrip_{name}", e, config.tol("roundtrip"), 200)
+    def record(name, tol_name, errors):
+        err, tol = max([0.0, *errors]), config.tol(tol_name)
+        tol_names[tol_name] = None
+        checks.append({"check": name, "max_err": float(err), "tol": float(tol),
+                       "n": len(errors), "status": "pass" if err <= tol else "fail"})
 
-    err = 0.0
-    for _ in range(200):
-        u, r = 2 * rng.uniform(-1, 1, d - 1), float(np.exp(rng.uniform(-1, 1)))
-        v, t = 2 * rng.uniform(-1, 1, d - 1), float(np.exp(rng.uniform(-1, 1)))
-        a = decompose.dist(decompose.from_horospherical(u, r),
-                           decompose.from_horospherical(v, t))
-        b = decompose.dist_horospherical(u, r, v, t)
-        err = max(err, abs(a - b))
-    record("distance_duality", err, config.tol("dist"), 200)
+    record("constructor_group_residual", "group",
+           [lorentz.group_residual(lorentz.random_lorentz(rng, d)) for _ in range(200)])
 
-    err = 0.0
-    for _ in range(10):
-        al, be = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
-        nu = rng.uniform(-2, 2) if rng.uniform() < 0.5 else 1j * rng.uniform(0, 2)
-        err = max(err, transform.gr_identity_3_471_9(al, be, nu)[2])
-    record("gr_3_471_9", err, config.tol("gr"), 10)
-    err = 0.0
-    for _ in range(10):
-        a, b = rng.uniform(0.4, 2.5), rng.uniform(0.4, 2.5)
-        c = rng.uniform(0.0, 2.0)
-        nu = rng.uniform(-1.5, 1.5)
-        err = max(err, transform.gr_identity_6_726_4(a, b, c, nu, (-1) ** int(rng.integers(2)))[2])
-    record("gr_6_726_4", err, config.tol("gr"), 10)
-    err = 0.0
-    for _ in range(10):
-        a, b, c = rng.uniform(0.4, 2.5), rng.uniform(-2, 2), rng.uniform(0.5, 2.5)
-        err = max(err, transform.gr_identity_6_592_12(a, b, c)[2])
-    record("gr_6_592_12", err, config.tol("gr"), 10)
+    draws = [lorentz.random_lorentz(rng, d) for _ in range(200)]
+    for name in ("nak", "ank", "kak"):
+        factor = getattr(decompose, name)
+        record(f"roundtrip_{name}", "roundtrip",
+               [float(np.max(np.abs(factor(g).product() - g))) for g in draws])
 
-    err = 0.0
-    for dd in (3, 4):
-        for mu in config.mu_list:
-            for nu in (0.0, 1j):
-                hc = transform.selberg_transform_closed(dd, mu, nu)
-                hq = transform.selberg_transform_quadrature(dd, mu, nu,
-                                                            rel_tol=config.tol("quad"))
-                err = max(err, abs(hc - hq) / max(abs(hc), 1e-300))
-    record("transform_agreement", err, config.tol("transform"), 2 * len(config.mu_list) * 2)
+    def horospherical():
+        return 2 * rng.uniform(-1, 1, d - 1), float(np.exp(rng.uniform(-1, 1)))
+
+    pairs = [(horospherical(), horospherical()) for _ in range(200)]
+    record("distance_duality", "dist",
+           [abs(decompose.dist(decompose.from_horospherical(*p), decompose.from_horospherical(*q))
+                - decompose.dist_horospherical(*p, *q)) for p, q in pairs])
+
+    # each identity's arguments are drawn left to right
+    record("gr_3_471_9", "gr", [transform.gr_identity_3_471_9(
+        rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+        rng.uniform(-2, 2) if rng.uniform() < 0.5 else 1j * rng.uniform(0, 2))[2]
+        for _ in range(10)])
+    record("gr_6_726_4", "gr", [transform.gr_identity_6_726_4(
+        rng.uniform(0.4, 2.5), rng.uniform(0.4, 2.5), rng.uniform(0.0, 2.0),
+        rng.uniform(-1.5, 1.5), (-1) ** int(rng.integers(2)))[2] for _ in range(10)])
+    record("gr_6_592_12", "gr", [transform.gr_identity_6_592_12(
+        rng.uniform(0.4, 2.5), rng.uniform(-2, 2), rng.uniform(0.5, 2.5))[2] for _ in range(10)])
+
+    record("transform_agreement", "transform",
+           [_closed_vs_quadrature(config, dd, mu, nu)[2]
+            for dd in (3, 4) for mu in config.mu_list for nu in (0.0, 1j)])
 
     ball = orbits.ball_enumerate(gens, min(3, config.max_word_length),
                                  quant=config.tol("quant"))
-    err = 0.0
-    count = 0
-    for g in ball.mats[1:13]:
-        u = rng.uniform(-1.5, 1.5, size=cfg.n - 1)
-        r = float(np.exp(rng.uniform(-1, 1)))
-        _, _, gap = cycles.verify_f_geometric(g, u, r, cfg)
-        err = max(err, gap)
-        count += 1
-    record("cycle_distance_oracle", err, config.tol("geom"), count)
+    record("cycle_distance_oracle", "geom",
+           [cycles.verify_f_geometric(g, rng.uniform(-1.5, 1.5, size=cfg.n - 1),
+                                      float(np.exp(rng.uniform(-1, 1))), cfg)[2]
+            for g in ball.mats[1:13]])
 
     _write(config, {"tolerances": {k: config.tol(k) for k in sorted(config.tolerances)},
                     "checks": checks},
-           [_tol_comment(config, ["group", "roundtrip", "dist", "gr", "transform", "geom"])],
+           [_tol_comment(config, tol_names)],
            ["check", "status", "max_err", "tol", "n"], checks)
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
@@ -384,13 +373,8 @@ def cmd_transform(config):
         raise ConfigError(f"--d {config.d} exceeds the transform quadrature's cost guard "
                           f"d <= {transform.MAX_QUAD_DIM}")
     records = []
-    worst = 0.0
     for mu in config.mu_list:
-        hc = transform.selberg_transform_closed(config.d, mu, config.nu)
-        hq = transform.selberg_transform_quadrature(config.d, mu, config.nu,
-                                                    rel_tol=config.tol("quad"))
-        rel = abs(hc - hq) / max(abs(hc), 1e-300)
-        worst = max(worst, rel)
+        hc, hq, rel = _closed_vs_quadrature(config, config.d, mu, config.nu)
         records.append({
             "d": config.d, "mu": mu,
             "nu_re": float(config.nu_re), "nu_im": float(config.nu_im),
@@ -400,7 +384,7 @@ def cmd_transform(config):
     _write(config, {"tolerances": {"transform": config.tol("transform")}, "records": records},
            [_tol_comment(config, ["transform", "quad"])],
            ["d", "mu", "nu_re", "nu_im", "h_closed", "h_quad", "rel_err"], records)
-    return 0 if worst <= config.tol("transform") else 1
+    return 0 if max([0.0, *(r["rel_err"] for r in records)]) <= config.tol("transform") else 1
 
 
 def cmd_asymptote(config):

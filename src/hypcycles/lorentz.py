@@ -179,6 +179,10 @@ def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
     Shape-based: each subgroup is characterized by which blocks of the
     matrix are free.  G0/AN0 need a CycleConfig for the block split.
     """
+    if subgroup not in ("G", "K", "A", "N", "M", "G0", "AN0"):
+        raise ValueError(f"unknown subgroup {subgroup!r}")
+    if subgroup in ("G0", "AN0") and cfg is None:
+        raise ValueError(f"{subgroup} membership needs a CycleConfig")
     g = np.asarray(g, dtype=float)
     d = g.shape[0] - 1
     if subgroup == "G":
@@ -202,23 +206,19 @@ def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
         if np.max(np.abs(g[:2, :2] - np.eye(2))) > tol:
             return False
         return _block_offdiag_max(g, 2) <= tol
-    if subgroup in ("G0", "AN0"):
-        if cfg is None:
-            raise ValueError(f"{subgroup} membership needs a CycleConfig")
-        if cfg.d != d:
-            raise ValueError("CycleConfig dimension does not match matrix")
-        split = cfg.n + 1
-        if subgroup == "G0":
-            return _block_offdiag_max(g, split) <= tol
-        # AN0: trivial K-factor and unipotent part supported in the cycle
-        p = g[:, 0]
-        s = 1.0 / (p[0] - p[1])
-        w = p[2:] * s
-        if np.max(np.abs(w[cfg.n - 1:])) > tol:
-            return False
-        k = make_boost(-np.log(s), d) @ make_unipotent(-w, d) @ g
-        return float(np.max(np.abs(k - np.eye(d + 1)))) <= max(tol, 1e2 * TOL_GROUP)
-    raise ValueError(f"unknown subgroup {subgroup!r}")
+    if cfg.d != d:
+        raise ValueError("CycleConfig dimension does not match matrix")
+    split = cfg.n + 1
+    if subgroup == "G0":
+        return _block_offdiag_max(g, split) <= tol
+    # AN0: trivial K-factor and unipotent part supported in the cycle
+    p = g[:, 0]
+    s = 1.0 / (p[0] - p[1])
+    w = p[2:] * s
+    if np.max(np.abs(w[cfg.n - 1:])) > tol:
+        return False
+    k = make_boost(-np.log(s), d) @ make_unipotent(-w, d) @ g
+    return float(np.max(np.abs(k - np.eye(d + 1)))) <= max(tol, 1e2 * TOL_GROUP)
 
 
 def commutation_identities(r, u, k=None):

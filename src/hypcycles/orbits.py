@@ -348,6 +348,7 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     ball's one stack of matrices, and taken into the index; its base's
     position and its move are kept to spell its word (``Words``).
     """
+    _checks.integer(max_word_length=max_word_length)
     if not 1 <= max_word_length <= LENGTH_CAP:
         raise ValueError(f"max_word_length must be in [1, {LENGTH_CAP}], got {max_word_length!r}")
     _checks.positive(quant=quant)
@@ -504,6 +505,7 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=TOL_G0):
         raise ValueError("mode must be 'left' or 'double'")
     _check_dimension(ball.mats, cfg)
     _checks.nonnegative(tol=tol)
+    _checks.integer(gamma0_max_len=gamma0_max_len, at_least=0)
     split = cfg.n + 1
     labels = ball._left_labels.get((split, tol))
     if labels is None:

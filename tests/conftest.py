@@ -1,4 +1,24 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``python *args`` in a fresh interpreter from the checkout's root,
+    with its src/ first on PYTHONPATH; keyword arguments go to subprocess.run,
+    whose CompletedProcess (text mode, output captured) is returned."""
+    def run(*args, **kwargs):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], cwd=ROOT,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, **kwargs)
+    return run
 
 
 @pytest.fixture

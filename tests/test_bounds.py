@@ -1,9 +1,5 @@
 import math
-import os
-import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -134,6 +130,16 @@ def test_j_gamma_basics():
     # N_u vanishing inside the window (cusp-type representative) flagged too
     res = bd.j_gamma_quadrature(U @ S @ T, ((-3.0, 3.0),), CFG, 5.0, 0.3)
     assert res.degenerate and res.n_min < 1e-8
+
+
+def test_j_gamma_takes_real_nu_by_the_library_rule():
+    # |Im nu| <= transform.REAL_ORDER_IM counts as real; 1e-13 was once let through
+    _, U, S = _picard()
+    g = U @ S @ U
+    with pytest.raises(ValueError, match=r"real spectral parameter nu, got \(0\.3\+1e-13j\)"):
+        bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, 5.0, 0.3 + 1e-13j)
+    assert (bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, 5.0, 0.3 + 1e-15j)
+            == bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, 5.0, 0.3))
 
 
 @pytest.mark.usefixtures("fresh_j_caches")
@@ -553,17 +559,13 @@ def test_delta_scan_polish_is_scipys(cfg, u_range):
     "assert cli.main(['verify', '--d', '3', '--mu', '1', '--out', {out!r}]) == 0",
     "import runpy; runpy.run_path('demos/04_cycle_distances.py', run_name='__main__')",
 ], ids=["j-call", "demo-06", "verify", "demo-04"])
-def test_j_loads_no_scipy(code, tmp_path):
+def test_j_loads_no_scipy(code, tmp_path, fresh_python):
     # scipy is blocked, so importing any part of it raises ImportError
-    root = pathlib.Path(__file__).resolve().parent.parent
     code = ("import sys; sys.modules['scipy'] = None; "
             + code.format(out=str(tmp_path / "verify.csv"))
             + "; print(sorted(m for m, mod in sys.modules.items() if mod is not None "
             "and (m == 'scipy' or m.startswith('scipy.'))))")
-    env = dict(os.environ, PYTHONPATH=str(root / "src") + os.pathsep
-               + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = fresh_python("-c", code, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
 
 

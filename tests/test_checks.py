@@ -1,6 +1,8 @@
 """The shared argument rules: every numeric entry point refuses a bad scalar by
 name before any quadrature or search, and the rules' own messages."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,21 @@ CASES = {
     "ball_enumerate-quant-negative": (
         lambda: ob.ball_enumerate(ob.picard_generators(), 3, quant=-1e-9), "quant"),
     "coset_reduce-tol-nan": (lambda: ob.coset_reduce(_ball(), CFG, tol=NAN), "tol"),
+    # each of these once returned 15 double classes at Picard length 4
+    "coset_reduce-gamma0_max_len-nan": (
+        lambda: ob.coset_reduce(_ball(), CFG, mode="double", gamma0_max_len=NAN),
+        "gamma0_max_len"),
+    "coset_reduce-gamma0_max_len-negative": (
+        lambda: ob.coset_reduce(_ball(), CFG, mode="double", gamma0_max_len=-1),
+        "gamma0_max_len"),
+    "coset_reduce-gamma0_max_len-float": (
+        lambda: ob.coset_reduce(_ball(), CFG, mode="double", gamma0_max_len=2.5),
+        "gamma0_max_len"),
+    # these once passed the range check and raised a TypeError from range
+    "ball_enumerate-max_word_length-float": (
+        lambda: ob.ball_enumerate(ob.picard_generators(), 2.5), "max_word_length"),
+    "ball_enumerate-max_word_length-float64": (
+        lambda: ob.ball_enumerate(ob.picard_generators(), np.float64(3.0)), "max_word_length"),
     "is_lorentz-tol-nan": (lambda: lz.is_lorentz(U, tol=NAN), "tol"),
     "require_lorentz-tol-nan": (lambda: lz.require_lorentz(U, tol=NAN), "tol"),
     "make_boost-x-nan": (lambda: lz.make_boost(NAN, 3), "x"),
@@ -123,6 +140,9 @@ def test_a_bad_argument_is_named_before_any_work(monkeypatch, name):
     (_checks.positive, [[1.0, 2.0], [-INF, 1.0]], "v must be positive"),
     (_checks.nonnegative, -1.0, "v must be finite and nonnegative, got -1.0"),
     (_checks.nonnegative, np.float64(INF), "v must be finite and nonnegative, got inf"),
+    (_checks.integer, 3.0, "v must be an integer, got 3.0"),
+    (_checks.integer, True, "v must be an integer, got True"),
+    (functools.partial(_checks.integer, at_least=0), -1, "v must be an integer >= 0, got -1"),
 ])
 def test_rule_names_the_argument_and_a_bad_value(rule, value, message):
     with pytest.raises(ValueError) as exc:
@@ -134,6 +154,8 @@ def test_rules_accept_the_edges_of_their_range():
     _checks.finite(a=-1e308, b=[0.0, 1j], c=np.zeros(0))
     _checks.positive(a=5e-324, b=np.float64(1e308), c=[1, 2])
     _checks.nonnegative(a=0.0, b=-0.0, c=np.array([0.0, 1.0]))
+    _checks.integer(a=-3, b=np.int64(2), at_least=None)
+    _checks.integer(a=0, b=np.uint8(0), at_least=0)
     # a checked array is left as it was
     z = np.array([1.0, 2.0])
     _checks.positive(z=z)

@@ -1,16 +1,11 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from hypcycles import cli
 from hypcycles.orbits import fuchsian_generators, picard_generators
-
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 @pytest.fixture(scope="module")
@@ -74,24 +69,20 @@ def test_verify_passes_quad_tol(tmp_path, monkeypatch):
     assert seen == [1e-7, 1e-7, 1e-7, 1e-7]
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(fresh_python):
     code = ("import sys, hypcycles, hypcycles.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = fresh_python("-c", code, check=True).stdout
     assert out.strip() == "[]"
 
 
-def test_count_loads_no_numpy_ma(tmp_path, picard_path):
+def test_count_loads_no_numpy_ma(tmp_path, picard_path, fresh_python):
     # numpy.ma adds about 0.5 MB to the peak memory and the count needs none of it
     code = ("import sys; from hypcycles import cli; "
             f"rc = cli.main(['count', '--gens', {picard_path!r}, '--max-len', '4', "
             f"'--out', {str(tmp_path / 'count.csv')!r}]); "
             "print(rc, 'numpy.ma' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = fresh_python("-c", code, check=True).stdout
     assert out.strip() == "0 False"
 
 
@@ -180,12 +171,17 @@ def test_orbit_csv_bytes_are_pinned(command, picard_path, capsys):
     assert hashlib.sha256(out).hexdigest() == GOLDEN_CSV[command]
 
 
-# sha256 of the CSV stdout of the commands that need no generator file
+# sha256 of the stdout, CSV or JSON, of the commands that need no generator file
 GOLDEN_CSV_ARGV = {
     "verify --d 3 --mu 1":
         "5569c8ad934071bbe304b7278457b948baa81611750d932a443e185459be62b6",
+    # the embedded Picard set, two values of mu and the JSON writer
+    "verify --d 4 --mu 1,2 --format json":
+        "7d6aab8aa5d0b0f33f7692d974d57eed4ae75aa68fe5bcf8f299430784c6a062",
     "transform --d 3 --mu 1,2 --nu-im 1":
         "00586d9ff3c2bea6d02f29a32ce4d74b6fd06ee7f8d65b5ff901d84d5d16bf5e",
+    "transform --d 5 --mu 0.7 --nu-re 0.4 --format json":
+        "c73fbcf03d3ddb9e6140f2ea466bdab6162372bee36858a55d69aded354541f6",
     "asymptote --d 3 --n 2 --mu 10,20,60":
         "29a66900a1c59fcf689eef50a817521d5b59da30d8f374959b03c89cd03233c4",
 }

@@ -2,10 +2,7 @@
 the bytes pinned here; a change that moves them says why."""
 
 import hashlib
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -24,9 +21,7 @@ STDOUT_SHA256 = {
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+def test_demo_runs(script, fresh_python):
+    proc = fresh_python(str(script), timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[script.stem]

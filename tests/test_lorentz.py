@@ -158,9 +158,15 @@ def test_cycle_config_validation():
     (lambda: lz.check_membership(np.eye(4), "G0"), "G0 membership needs a CycleConfig"),
     (lambda: lz.check_membership(np.eye(4), "AN0"), "AN0 membership needs a CycleConfig"),
     (lambda: lz.check_membership(np.eye(4), "X"), "unknown subgroup 'X'"),
+    # the arguments are checked before the matrix: a non-group matrix once gave False
+    (lambda: lz.check_membership(np.zeros((4, 4)), "Z"), "unknown subgroup 'Z'"),
+    (lambda: lz.check_membership(np.zeros((4, 4)), "G0", None),
+     "G0 membership needs a CycleConfig"),
+    (lambda: lz.check_membership(np.zeros((4, 4)), "AN0"), "AN0 membership needs a CycleConfig"),
     (lambda: lz.spin_cover_so13(np.eye(3)), "expected a 2x2 complex matrix"),
 ], ids=["boost-d-1", "unipotent-length", "config-d-3.5", "config-n-2.5", "G0-no-config",
-        "AN0-no-config", "unknown-subgroup", "spin-cover-3x3"])
+        "AN0-no-config", "unknown-subgroup", "unknown-subgroup-non-group",
+        "G0-no-config-non-group", "AN0-no-config-non-group", "spin-cover-3x3"])
 def test_bad_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()
