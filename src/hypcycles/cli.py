@@ -70,6 +70,8 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be {what}, got {getattr(self, f.name)!r}")
         if self.max_word_length < 1:
             raise ValueError("max_word_length must be at least 1")
+        if not self.mu_list:
+            raise ValueError("mu_list must hold at least one entry")
         if not all(math.isfinite(mu) and mu > 0 for mu in self.mu_list):
             raise ValueError("mu_list entries must be finite and positive, "
                              f"got {list(self.mu_list)!r}")

@@ -525,6 +525,29 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=TOL_G0):
     return replace(ball, ids=ids, gamma0_max_len=gamma0_max_len if mode == "double" else 0)
 
 
+def _join_moved_reps(labels, mats, quant, g0_stack):
+    """Labels after linking each representative rep with rep @ gamma0, for
+    gamma0 in ``g0_stack``, where the latter is in the ball (a join on the
+    hashes of the ball's cells)."""
+    reps = np.flatnonzero(labels == np.arange(len(mats)))
+
+    def cells_at(pos):
+        return _cells(mats[pos], quant)
+
+    index = _index(_hashes(len(mats), mats.__getitem__, [lambda m: _cells(m, quant)])[0],
+                   np.arange(len(mats)))
+    joined = [np.zeros((2, 0), dtype=np.intp)]
+    step = max(1, CHUNK // len(g0_stack))
+    for c in range(0, len(reps), step):
+        cells = _cells((mats[reps[c:c + step], None] @ g0_stack[None]).reshape(-1, *mats.shape[1:]),
+                       quant)
+        at = _lookup(index, cells_at, cells, _hash(cells))
+        hit = np.flatnonzero(at >= 0)
+        joined.append(np.stack([reps[c + hit // len(g0_stack)], at[hit]]))
+    del index
+    return _components(labels, *np.concatenate(joined, axis=1))
+
+
 def _merge_double(labels, ball, split, gamma0_max_len, tol):
     """Merge left classes lying in one double coset, gamma0 ranging over the
     bounded cycle-subgroup ball: a join on the hashes of the ball's cells
@@ -533,26 +556,12 @@ def _merge_double(labels, ball, split, gamma0_max_len, tol):
     B live representatives and C = gamma[:, n+1:] gamma[:, n+1:]^T, puts
     A^{-1} gamma0 B in the cycle subgroup.  Returns the merged labels."""
     words, mats, quant = ball.words, ball.mats, ball.quant
-    g0_stack = mats[ball.lengths <= gamma0_max_len]
+    # lengths from 1: the identity, the ball's length-0 element, would only
+    # link each rep to itself and repeat the key pass's h = 1 rows
+    g0_stack = mats[(ball.lengths >= 1) & (ball.lengths <= gamma0_max_len)]
     g0_stack = g0_stack[_block_offdiag_max(g0_stack, split) <= tol]
-    reps = np.flatnonzero(labels == np.arange(len(mats)))
-
-    def cells_at(pos):
-        return _cells(mats[pos], quant)
-
-    index = _index(_hashes(len(mats), mats.__getitem__, [lambda m: _cells(m, quant)])[0],
-                   np.arange(len(mats)))
-    # (rep, ball index of rep @ gamma0) where the latter is in the ball
-    joined = [np.zeros((2, 0), dtype=np.intp)]
-    step = max(1, CHUNK // max(1, len(g0_stack)))
-    for c in range(0, len(reps), step):
-        cells = _cells((mats[reps[c:c + step], None] @ g0_stack[None]).reshape(-1, *mats.shape[1:]),
-                       quant)
-        at = _lookup(index, cells_at, cells, _hash(cells))
-        hit = np.flatnonzero(at >= 0)
-        joined.append(np.stack([reps[c + hit // len(g0_stack)], at[hit]]))
-    del index
-    labels = _components(labels, *np.concatenate(joined, axis=1))
+    if len(g0_stack):
+        labels = _join_moved_reps(labels, mats, quant, g0_stack)
 
     # keys of h B for h in (1, *g0_stack) and B live, h-major, so that the
     # first len(live) of them (h = 1) are the representatives A themselves

@@ -204,7 +204,31 @@ def bessel_k_imag_scaled(r, x):
 
 # Fixed composite Gauss-Legendre rule on a geometric panel ladder: evaluates
 # K at many arguments in one shot, for use inside vectorized integrands.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# The 15-point rule on [-1, 1], bit for bit numpy.polynomial.legendre.leggauss(15)
+# (which symmetrises its output), held as a literal so that importing the
+# package loads no numpy.polynomial; descending nodes down to 0 and their weights.
+_GL_NODES_HALF = np.array([
+    0.98799251802048538,
+    0.93727339240070584,
+    0.84820658341042721,
+    0.72441773136017007,
+    0.57097217260853883,
+    0.39415134707756339,
+    0.20119409399743451,
+    0.0,
+])
+_GL_WEIGHTS_HALF = np.array([
+    0.030753241996117203,
+    0.070366047488108402,
+    0.10715922046717141,
+    0.13957067792615444,
+    0.16626920581699398,
+    0.18616100001556221,
+    0.19843148532711161,
+    0.20257824192556129,
+])
+_GL_NODES = np.concatenate([-_GL_NODES_HALF[:-1], _GL_NODES_HALF[::-1]])       # ascending
+_GL_WEIGHTS = np.concatenate([_GL_WEIGHTS_HALF[:-1], _GL_WEIGHTS_HALF[::-1]])
 
 
 def bessel_k_scaled_batch(order, z):

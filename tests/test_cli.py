@@ -76,6 +76,20 @@ def test_import_loads_no_scipy(fresh_python):
     assert out.strip() == "[]"
 
 
+def test_import_adds_only_its_own_modules(fresh_python):
+    # numpy.polynomial alone once added nine modules and about 1 MB to every
+    # run's peak memory; on top of numpy, the package needs json and
+    # dataclasses, and the CLI argparse
+    code = ("import sys, numpy; before = set(sys.modules); import hypcycles, hypcycles.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = fresh_python("-c", code, check=True).stdout.split()
+    allowed = {"hypcycles", "json", "_json", "dataclasses", "copy", "__future__",
+               "argparse", "gettext"}
+    assert "hypcycles.cli" in added
+    assert [m for m in added
+            if m not in allowed and not m.startswith(("hypcycles.", "json."))] == []
+
+
 def test_count_loads_no_numpy_ma(tmp_path, picard_path, fresh_python):
     # numpy.ma adds about 0.5 MB to the peak memory and the count needs none of it
     code = ("import sys; from hypcycles import cli; "
@@ -396,6 +410,9 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
     (["verify", "--mu", "0"], "mu_list entries must be finite and positive"),
     (["asymptote", "--mu", "-5"], "mu_list entries must be finite and positive"),
     (["transform", "--mu", "1,inf"], "mu_list entries must be finite and positive"),
+    (["transform", "--mu", ","], "mu_list must hold at least one entry"),
+    (["verify", "--mu", ","], "mu_list must hold at least one entry"),
+    (["asymptote", "--mu", ","], "mu_list must hold at least one entry"),
     (["transform", "--d", "8"], "cost guard d <= 6"),
     (["delta", "--u", "1,2"], "u must hold n-1 = 1 finite numbers"),
     (["count", "--u", "nan"], "u must hold n-1 = 1 finite numbers"),
@@ -409,10 +426,10 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
      "nu_re and nu_im must be finite"),
     (["transform", "--d", "3", "--mu", "1", "--nu-im", "inf"], "nu_re and nu_im must be finite"),
     (["verify", "--d", "3", "--mu", "1", "--nu-re", "nan"], "nu_re and nu_im must be finite"),
-], ids=["transform-mu-0", "verify-mu-0", "asymptote-mu-neg", "mu-inf", "transform-d-8",
-        "delta-u-too-long", "count-u-nan", "asymptote-n-3", "asymptote-mu-61", "count-n-4",
-        "delta-n-1", "verify-n-3", "transform-nu-re-nan", "asymptote-nu-re-nan",
-        "transform-nu-im-inf", "verify-nu-re-nan"])
+], ids=["transform-mu-0", "verify-mu-0", "asymptote-mu-neg", "mu-inf", "transform-mu-empty",
+        "verify-mu-empty", "asymptote-mu-empty", "transform-d-8", "delta-u-too-long",
+        "count-u-nan", "asymptote-n-3", "asymptote-mu-61", "count-n-4", "delta-n-1", "verify-n-3",
+        "transform-nu-re-nan", "asymptote-nu-re-nan", "transform-nu-im-inf", "verify-nu-re-nan"])
 def test_out_of_range_numbers_exit_2(argv, message, tmp_path, picard_path, capsys):
     out = tmp_path / "o.csv"
     if argv[0] in ("delta", "count"):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import tracemalloc
@@ -459,6 +460,37 @@ def test_coset_regression_counts(length, n_left, n_double):
     assert len(double.class_ids()) == n_double
     # double classes only merge left classes
     assert len(double.class_ids()) <= len(left.class_ids())
+
+
+@pytest.mark.parametrize("gens, length, g0_len, n_double, digest, n_products, n_key_rows", [
+    (ob.picard_generators, 6, 4, 46, "598d740c854e433a", 217 * 35, 53 * 36),
+    (ob.picard_generators, 8, 4, 214, "90497bae363ca47e", 1247 * 35, 251 * 36),
+    (ob.picard_generators, 6, 0, 50, "773a1a82ab823c24", 0, 217),
+    (lambda: _conjugated_picard(-1.0, 2.0), 6, 4, 46, "598d740c854e433a", 217 * 35, 53 * 36),
+    (lambda: _conjugated_picard(-1.0, 2.0), 6, 0, 50, "773a1a82ab823c24", 0, 217),
+], ids=["picard6", "picard8", "picard6-g0-0", "conj(-1,2)", "conj(-1,2)-g0-0"])
+def test_double_pass_leaves_the_identity_out_of_gamma0(monkeypatch, gens, length, g0_len, n_double,
+                                                       digest, n_products, n_key_rows):
+    # gamma0 = e, the length-0 element, would only join each representative
+    # to itself and repeat the key pass's h = 1 rows, changing no class: the
+    # ids are those of the pass that kept it (sha256 prefix of their list)
+    products, key_rows = [], []
+    join, key_buckets = ob._join_moved_reps, ob._key_buckets
+
+    def spy_join(labels, mats, quant, g0_stack):
+        assert not any(np.array_equal(g, np.eye(4)) for g in g0_stack)
+        products.append(np.count_nonzero(labels == np.arange(len(labels))) * len(g0_stack))
+        return join(labels, mats, quant, g0_stack)
+
+    monkeypatch.setattr(ob, "_join_moved_reps", spy_join)
+    monkeypatch.setattr(ob, "_key_buckets",
+                        lambda n, cols_of: key_rows.append(n) or key_buckets(n, cols_of))
+    ids = ob.coset_reduce(ob.ball_enumerate(gens(), length), CFG, mode="double",
+                          gamma0_max_len=g0_len).ids.tolist()
+    assert len(set(ids)) == n_double
+    assert hashlib.sha256(str(ids).encode()).hexdigest()[:16] == digest
+    assert products == ([n_products] if n_products else [])
+    assert key_rows[-1] == n_key_rows
 
 
 def test_double_reduction_starts_from_the_cached_left_labels(monkeypatch):

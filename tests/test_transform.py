@@ -76,6 +76,16 @@ def test_bessel_batch_matches_scalar():
             assert abs(bi - ref) <= 1e-9 * abs(ref)
 
 
+def test_batch_rule_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    for table, ref in ((tr._GL_NODES, nodes), (tr._GL_WEIGHTS, weights)):
+        assert table.dtype == np.float64 and np.array_equal(table, ref)
+        assert table.tobytes() == ref.tobytes()     # the signs of zero too
+    assert np.array_equal(tr._GL_NODES, -tr._GL_NODES[::-1])
+    assert np.array_equal(tr._GL_WEIGHTS, tr._GL_WEIGHTS[::-1])
+    assert tr._GL_NODES[7] == 0.0
+
+
 def test_interpolation_table_audit():
     table = tr.KScaledInterpolator(0.3, 0.5, 900.0)
     z = np.array([0.7, 3.0, 55.0, 420.0])
