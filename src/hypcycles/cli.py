@@ -112,9 +112,11 @@ class ConfigError(Exception):
 
 
 def _number_list(text):
-    """A comma-separated flag value as a tuple of floats."""
+    """A comma-separated flag value as a tuple of floats, every entry a
+    number; commas alone give no entry, which RunConfig refuses."""
+    entries = text.split(",")
     try:
-        return tuple(float(x) for x in text.split(",") if x)
+        return tuple(float(x) for x in entries) if any(entries) else ()
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 

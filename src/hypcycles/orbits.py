@@ -19,20 +19,22 @@ Every key is a row of int64 cells, hashed to one uint64 (a wrapping sum of
 the cells times fixed odd multipliers); rows sort by the hash and compare
 whole, so a hash collision never merges two rows.  Rows are grouped one
 way: each is labelled by the first row whose cells equal its own.  A level
-of the word ball keeps the products that are their own first; the audit
-and the class keys label rows on each of two grids, and a key hit pairs a
-row with its first.  The word ball's elements seen so far and the double
-pass's join of rep gamma0 on the ball are indexes of hashes and ball
-positions.  The left labels are cached on the ball, so a double reduction
-after a left one on the same ball pays for one left pass.
+of the word ball labels its products after the ball's elements, whose
+hashes the enumeration keeps in ball order, and keeps the products that
+are their own first; the audit and the class keys label rows on each of
+two grids, and a key hit pairs a row with its first.  Only the double
+pass's join of rep gamma0 on the ball sorts the ball's hashes into an
+index of hashes and ball positions.  The left labels are cached on the
+ball, so a double reduction after a left one on the same ball pays for
+one left pass.
 
 Memory: every stage holds the ball's matrices once, plus O(N) integers.
 Stacks and cell rows are formed CHUNK rows at a time: hashes come from one
 pass over the rows, and cells are formed again only for the rows whose
-hash ties a neighbour's or hits an index entry.  The word ball keeps a
-level's new products as (hash, position) and forms each one it keeps
-once, into the ball's one stack, which grows level by level.  The words
-are spelled on demand from one parent position and one move index per
+hash ties a neighbour's or, in the join, hits an index entry.  The word
+ball keeps a level's new products as (hash, position) and forms each one
+it keeps once, into the ball's one stack, which grows level by level.  The
+words are spelled on demand from one parent position and one move index per
 enumerated element, so the ball holds no string per element.
 
 Double cosets take the cycle subgroup from a bounded ball, so double-coset
@@ -250,12 +252,6 @@ def _hashes(n, rows_of, grids):
     return out
 
 
-def _index(hashes, positions):
-    """A lookup index: the hashes sorted, with the positions they belong to."""
-    by_hash = np.argsort(hashes)
-    return hashes[by_hash], positions[by_hash]
-
-
 def _firsts(cells_of, hashes):
     """The first of each row's equal rows: the smallest row whose cells
     (``cells_of`` of an index array) equal its own, one label per row.
@@ -286,11 +282,11 @@ def _firsts(cells_of, hashes):
 
 
 def _lookup(index, cells_at, cells, hashes):
-    """The position held in ``index`` (from ``_index``) for each query row
-    (``cells``, ``hashes``), or -1 where it is absent.  ``cells_at`` gives
-    the cell rows of an array of indexed positions; they are formed only
-    where a query's hash hits, and a hash run of several rows is walked to
-    the row equal to the query."""
+    """The position held in ``index``, (sorted hashes, their positions),
+    for each query row (``cells``, ``hashes``), or -1 where it is absent.
+    ``cells_at`` gives the cell rows of an array of indexed positions; they
+    are formed only where a query's hash hits, and a hash run of several
+    rows is walked to the row equal to the query."""
     index_hashes, index_pos = index
     pos = np.empty(len(cells), dtype=np.intp)
     by_hash = np.argsort(hashes)    # sorted queries search faster
@@ -317,24 +313,30 @@ def _products(frontier, steps, pos, out=None):
     return np.matmul(frontier[base], steps[move], out=out)
 
 
-def _fresh(frontier, steps, index, cells_at, quant):
-    """(hashes, positions) of the level's products base @ move that the
-    index of the earlier levels lacks, the first of equal ones only,
-    positions ascending.  The products are formed CHUNK at a time, and
-    formed again only where hashes tie."""
+def _fresh(mats, level, steps, hashes, quant):
+    """(hashes, positions) of the products base @ move of the last level,
+    mats[level:], that equal no element of the ball ``mats`` (whose cell
+    hashes are ``hashes``, in ball order) and no earlier product, positions
+    ascending.  The products are hashed CHUNK at a time, then labelled by
+    ``_firsts`` after the ball's elements, so formed again only where
+    hashes tie."""
+    frontier, n = mats[level:], len(mats)
     bases = max(1, CHUNK // len(steps))
-    hashes, pos = [], []
+    hashes = [hashes]
     for c in range(0, len(frontier), bases):
         prods = (frontier[c:c + bases, None] @ steps[None]).reshape(-1, *steps.shape[1:])
-        cells = _cells(prods, quant)
-        h = _hash(cells)
-        new = np.flatnonzero(_lookup(index, cells_at, cells, h) < 0)
-        hashes.append(h[new])
-        pos.append(c * len(steps) + new)
-    hashes, pos = np.concatenate(hashes), np.concatenate(pos)
-    first = _firsts(lambda rows: _cells(_products(frontier, steps, pos[rows]), quant), hashes)
-    keep = np.flatnonzero(first == np.arange(len(first)))
-    return hashes[keep], pos[keep]
+        hashes.append(_hash(_cells(prods, quant)))
+    hashes = np.concatenate(hashes)
+
+    def cells_of(rows):     # rows below n are the ball's, the rest products
+        cells = np.empty((len(rows), steps[0].size), dtype=np.int64)
+        ball = rows < n
+        cells[ball] = _cells(mats[rows[ball]], quant)
+        cells[~ball] = _cells(_products(frontier, steps, rows[~ball] - n), quant)
+        return cells
+
+    pos = np.flatnonzero(_firsts(cells_of, hashes)[n:] == np.arange(n, len(hashes)))
+    return hashes[n + pos], pos
 
 
 def ball_enumerate(gens, max_word_length, quant=QUANT):
@@ -342,11 +344,11 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     ``max_word_length`` (at most LENGTH_CAP), each with a shortest
     representing word (ties broken lexicographically by construction
     order).  Each level's products base @ move are formed as stacked
-    products, base-major like the words, and looked up by their cells in
-    the index of the earlier levels, their hashes and ball positions; the
-    first of a level's equal products is kept, formed once more into the
-    ball's one stack of matrices, and taken into the index; its base's
-    position and its move are kept to spell its word (``Words``).
+    products, base-major like the words, and labelled by their cells after
+    the ball's elements (``_fresh``); a product that is its own first is
+    kept, formed once more into the ball's one stack of matrices, and its
+    hash appended to the ball's hashes; its base's position and its move
+    are kept to spell its word (``Words``).
     """
     _checks.integer(max_word_length=max_word_length)
     if not 1 <= max_word_length <= LENGTH_CAP:
@@ -355,17 +357,13 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     letters, steps = zip(*gens.moves())
     steps = np.asarray(steps)
     mats = np.eye(gens.d + 1)[None]     # the ball so far, level by level
-
-    def cells_at(pos):
-        return _cells(mats[pos], quant)
-
-    index = _index(_hash(cells_at([0])), np.zeros(1, dtype=np.intp))
+    hashes = _hash(_cells(mats, quant))  # its cell hashes, in ball order
     level, sizes = 0, [1]   # the last level starts at mats[level]
     parent, move = [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
     for length in range(1, max_word_length + 1):
         if level == len(mats):      # the last level is empty
             break
-        hashes, pos = _fresh(mats[level:], steps, index, cells_at, quant)
+        new, pos = _fresh(mats, level, steps, hashes, quant)
         grown = np.empty((len(mats) + len(pos), *mats.shape[1:]))
         grown[:len(mats)] = mats
         for c in range(0, len(pos), CHUNK):
@@ -375,10 +373,8 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
         move.append(step)
         level, mats = len(mats), grown
         sizes.append(len(pos))
-        if length < max_word_length:
-            index = _index(np.concatenate([index[0], hashes]),
-                           np.concatenate([index[1], np.arange(level, len(mats))]))
-    index = hashes = pos = base = step = None  # freed before the audit
+        hashes = np.concatenate([hashes, new])
+    hashes = new = pos = base = step = None  # freed before the audit
 
     parent, move = np.concatenate(parent), np.concatenate(move)
     keep = _audit_dedup(Words(letters, parent, move, np.arange(len(mats))), mats)
@@ -534,8 +530,9 @@ def _join_moved_reps(labels, mats, quant, g0_stack):
     def cells_at(pos):
         return _cells(mats[pos], quant)
 
-    index = _index(_hashes(len(mats), mats.__getitem__, [lambda m: _cells(m, quant)])[0],
-                   np.arange(len(mats)))
+    hashes = _hashes(len(mats), mats.__getitem__, [lambda m: _cells(m, quant)])[0]
+    order = np.argsort(hashes)
+    index = hashes[order], order
     joined = [np.zeros((2, 0), dtype=np.intp)]
     step = max(1, CHUNK // len(g0_stack))
     for c in range(0, len(reps), step):
@@ -606,11 +603,11 @@ def counting_function(table, x_grid):
     log-log slope over the largest decade with nonzero counts."""
     _checks.finite(x_grid=x_grid)
     deltas = np.asarray(sorted(e.delta for e in table.entries))
-    pts = [(float(x), int(np.searchsorted(deltas, x, side="right"))) for x in x_grid]
-    if not (table.entries and pts):
+    xs = np.asarray(x_grid, dtype=float)
+    if not (table.entries and xs.size):
         raise ValueError("empty x_grid" if table.entries else "empty orbit table")
-    xs = np.asarray([p[0] for p in pts])
-    cs = np.asarray([p[1] for p in pts])
+    cs = np.searchsorted(deltas, xs, side="right")
+    pts = list(zip(xs.tolist(), cs.tolist()))
     x_max = xs.max()
     sel = (xs >= x_max / 10.0) & (cs >= 1)
     if sel.sum() >= 2 and np.log(xs[sel]).min() < np.log(xs[sel]).max():

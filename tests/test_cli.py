@@ -259,7 +259,9 @@ def test_bad_tol_flag(capsys):
     assert "NAME=VAL" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--mu", "abc"], ["--u", "1,x"]], ids=["mu", "u"])
+@pytest.mark.parametrize("argv", [
+    ["--mu", "abc"], ["--u", "1,x"], ["--mu", "1,,2"], ["--u", "1,"], ["--mu", ",1"],
+], ids=["mu", "u", "mu-doubled-comma", "u-trailing-comma", "mu-leading-comma"])
 def test_bad_number_list_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["transform", *argv])

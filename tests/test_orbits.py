@@ -289,7 +289,8 @@ def test_grid_buckets_split_rows_whose_hashes_collide(monkeypatch):
         monkeypatch.setattr(ob, "CHUNK", chunk)
         assert ob._grid_buckets(len(rows), lambda r: rows[r]).tolist() == want, chunk
     # a lookup walks the shared hash to the equal row
-    index = ob._index(hashes[:2], np.arange(2))
+    order = np.argsort(hashes[:2])
+    index = hashes[:2][order], order
     absent = np.array([[1, 2, 3, 4]])
     queries = np.concatenate([cells[[1, 0, 1]], absent])
     assert ob._lookup(index, lambda p: cells[p], queries, ob._hash(queries)).tolist() \
@@ -324,6 +325,24 @@ def test_the_block_size_changes_no_outcome(monkeypatch, make_gens, length):
     for chunk in (1, 7):
         monkeypatch.setattr(ob, "CHUNK", chunk)
         assert _pipeline_outcome(gens, length) == want, chunk
+
+
+@pytest.mark.parametrize("make_gens", [
+    ob.picard_generators,
+    lambda: _conjugated_picard(-1.0, 2.0),
+], ids=["picard", "conj(-1,2)"])
+def test_colliding_hashes_change_no_outcome(monkeypatch, make_gens):
+    # hashes cut to their 3 low bits make unequal products share hashes with
+    # the ball's elements and with each other, so every level's labels come
+    # from the lexsort of ball and product rows together
+    gens = make_gens()
+    want = _pipeline_outcome(gens, 5)
+    assert not isinstance(want[-1], str)
+    hash_ = ob._hash
+    monkeypatch.setattr(ob, "_hash", lambda cells: hash_(cells) & np.uint64(7))
+    for chunk in (1, 7, ob.CHUNK):
+        monkeypatch.setattr(ob, "CHUNK", chunk)
+        assert _pipeline_outcome(gens, 5) == want, chunk
 
 
 def test_dedup_audit_keeps_an_element_alone_in_its_cells():
