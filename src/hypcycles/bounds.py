@@ -54,6 +54,7 @@ SWEEP_MU_CAP = 60.0
 def weyl_count(x, d, volume):
     """Leading Weyl term vol/((4 pi)^(d/2) Gamma(d/2+1)) x^d."""
     _checks.nonnegative(x=x, volume=volume)
+    _checks.integer(d=d, at_least=2)
     return volume / ((4.0 * np.pi) ** (d / 2.0) * math.gamma(d / 2.0 + 1.0)) * x ** d
 
 
@@ -68,8 +69,12 @@ class SpectrumModel:
     mult: np.ndarray
 
     def __post_init__(self):
+        _checks.integer(d=self.d, at_least=2)
+        _checks.nonnegative(volume=self.volume)
         r = np.asarray(self.r, dtype=float)
         m = np.asarray(self.mult)
+        if r.ndim != 1:
+            raise ValueError(f"r must be one-dimensional, got shape {r.shape}")
         if r.shape != m.shape:
             raise ValueError(f"r and mult need equal shapes, got {r.shape} and {m.shape}")
         _checks.finite(r=r)

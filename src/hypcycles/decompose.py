@@ -166,6 +166,8 @@ def dist_horospherical(u, r, v, t):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     _checks.positive(r=r, t=t)
+    if u.shape != v.shape:      # numpy would broadcast a length-1 v silently
+        raise ValueError(f"v must be shaped like u, {u.shape}, got {v.shape}")
     du = u - v
     arg = (du @ du + r * r + t * t) / (2.0 * r * t)
     return float(np.arccosh(max(arg, 1.0)))

@@ -159,8 +159,10 @@ class CycleConfig:
     rho0: float = field(init=False)
 
     def __post_init__(self):
-        if int(self.d) != self.d or int(self.n) != self.n:
-            raise ValueError("d and n must be integers")
+        try:        # an integral float or a bool is not an integer
+            _checks.integer(d=self.d, n=self.n)
+        except ValueError:
+            raise ValueError("d and n must be integers") from None
         if self.d < 3 or not (2 <= self.n <= self.d - 1):
             raise ValueError("need d >= 3 and 2 <= n <= d-1")
         object.__setattr__(self, "rho", (self.d - 1) / 2.0)

@@ -158,13 +158,14 @@ def bessel_k_imag_scaled(r, x):
 
         [0, Tc]  +  [Tc, Tc + i pi/2]  +  [Tc + i pi/2, +inf + i pi/2)
 
-    makes the exp(pi r/2) factor analytic: with phase  p(t) = x sinh t - r t,
+    makes the exp(pi r/2) factor analytic: with phase  p(w) = x sinh w - r w,
 
-        exp(pi r/2) K_{ir}(x) = Re  int  e^{i p(t)} dt
+        exp(pi r/2) K_{ir}(x) = Re  int  e^{i p(w)} dw
 
     over that contour, every piece absolutely convergent once
-    x cosh(Tc) >= 2r.  Agrees with bessel_k on the overlap where the direct
-    path still converges.
+    x cosh(Tc) >= 2r.  Each leg is w = start + step t over a real interval,
+    integrated as step e^{i p(w)} dt.  Agrees with bessel_k on the overlap
+    where the direct path still converges.
     """
     # x = inf gives the limit 0, so x is refused by hand
     if not x > 0:
@@ -176,30 +177,19 @@ def bessel_k_imag_scaled(r, x):
         scaled = bessel_k_scaled(complex(0.0, r) if r else 0.0, x)
         return float(np.real(scaled) * np.exp(0.5 * np.pi * r - x))
     tc = max(float(np.arccosh(max(2.0 * r / x, 1.0))), 0.6)
-    sh, ch = np.sinh(tc), np.cosh(tc)
     u_hi = float(np.arccosh((_EXP_CUT + np.pi * r / 2.0 + 20.0) / x))
+    # leg k is w = start[k] + step[k] t: along the real axis, up the vertical
+    # side, then along Im w = pi/2
+    start = np.array([0.0, tc, 0.5j * np.pi])
+    step = np.array([1.0, 1j, 1.0])
 
-    def leg1(t):
-        return np.exp(1j * (x * np.sinh(t) - r * t))
+    def integrand(t, k):
+        w = start[k] + step[k] * t
+        return step[k] * np.exp(1j * (x * np.sinh(w) - r * w))
 
-    def vert(s):
-        expo = r * s - x * ch * np.sin(s)
-        return np.exp(expo + 1j * (x * sh * np.cos(s) - r * tc))
-
-    def horiz(u):
-        return np.exp(np.pi * r / 2.0 - x * np.cosh(u) - 1j * r * u)
-
-    def legs(t, k):
-        out = np.empty(t.shape, dtype=complex)
-        for j, leg in enumerate((leg1, vert, horiz)):
-            mine = k == j
-            out[mine] = leg(t[mine])
-        return out
-
-    # the three legs as one family; the vertical one runs along i ds
-    val = quad_family(legs, [0.0, 0.0, tc], [tc, np.pi / 2.0, max(u_hi, tc + 1.0)],
+    val = quad_family(integrand, [0.0, 0.0, tc], [tc, np.pi / 2.0, max(u_hi, tc + 1.0)],
                       rel_tol=BESSEL_REL_TOL).value
-    return float(np.real(val[0] + 1j * val[1] + val[2]))
+    return float(np.real(val.sum()))
 
 
 # Fixed composite Gauss-Legendre rule on a geometric panel ladder: evaluates

@@ -66,6 +66,17 @@ CASES = {
     "weyl_count-x-nan": (lambda: bd.weyl_count(NAN, 3, 1.0), "x"),
     "weyl_count-volume-nan": (lambda: bd.weyl_count(1.0, 3, NAN), "volume"),
     "synthetic_weyl-r_max-nan": (lambda: bd.SpectrumModel.synthetic_weyl(3, 1.0, NAN), "r_max"),
+    # a dimension below 2 once gave N(x) = 1 or a ZeroDivisionError, a
+    # fractional one a spectrum of that dimension
+    "weyl_count-d-zero": (lambda: bd.weyl_count(2.0, 0, 1.0), "d"),
+    "weyl_count-d-negative": (lambda: bd.weyl_count(2.0, -1, 1.0), "d"),
+    "weyl_count-d-nan": (lambda: bd.weyl_count(2.0, NAN, 1.0), "d"),
+    "synthetic_weyl-d-zero": (lambda: bd.SpectrumModel.synthetic_weyl(0, 1.0, 10.0), "d"),
+    "synthetic_weyl-d-fractional": (lambda: bd.SpectrumModel.synthetic_weyl(2.5, 1.0, 10.0), "d"),
+    "SpectrumModel-d-fractional": (lambda: bd.SpectrumModel(2.5, 1.0, [1.0], [1]), "d"),
+    "SpectrumModel-volume-nan": (lambda: bd.SpectrumModel(3, NAN, [1.0], [1]), "volume"),
+    # a 2-D r was summed whole by spectral_tail_bound
+    "SpectrumModel-r-2d": (lambda: bd.SpectrumModel(3, 1.0, [[1.0, 2.0]], [[1, 1]]), "r"),
     "spectral_tail_bound-cutoff-nan": (lambda: bd.spectral_tail_bound(_spec(), NAN), "cutoff"),
     "BoxDomain-r_bounds-nan": (lambda: bd.BoxDomain(((0.0, 1.0),), (NAN, 2.0)), "r_bounds"),
     "BoxDomain-r_bounds-inf": (lambda: bd.BoxDomain(((0.0, 1.0),), (1.0, INF)), "r_bounds"),
@@ -84,6 +95,11 @@ CASES = {
     "from_horospherical-r-nan": (lambda: dc.from_horospherical([0.0, 0.0], NAN), "r"),
     "dist_horospherical-r-nan": (
         lambda: dc.dist_horospherical([0.0, 0.0], NAN, [1.0, 0.0], 1.0), "r"),
+    # a length-1 v once broadcast to (0.1, 0.1) and gave a distance
+    "dist_horospherical-v-short": (
+        lambda: dc.dist_horospherical([0.1, 0.2], 1.0, [0.1], 1.0), "v"),
+    "dist_horospherical-v-long": (
+        lambda: dc.dist_horospherical([0.1, 0.2], 1.0, [0.1, 0.2, 0.3], 1.0), "v"),
     "dist_horospherical-t-inf": (
         lambda: dc.dist_horospherical([0.0, 0.0], 1.0, [1.0, 0.0], INF), "t"),
     "f_gamma-r-nan": (lambda: cy.f_gamma(_inv(), NAN), "r"),

@@ -155,6 +155,10 @@ def test_cycle_config_validation():
     (lambda: lz.make_unipotent([0.5], 4), "u must have d-1 components"),
     (lambda: lz.CycleConfig(3.5, 2), "d and n must be integers"),
     (lambda: lz.CycleConfig(3, 2.5), "d and n must be integers"),
+    # integral floats and bools once passed, to fail far from here
+    (lambda: lz.CycleConfig(4.0, 2), "d and n must be integers"),
+    (lambda: lz.CycleConfig(4, 2.0), "d and n must be integers"),
+    (lambda: lz.CycleConfig(True, 2), "d and n must be integers"),
     (lambda: lz.check_membership(np.eye(4), "G0"), "G0 membership needs a CycleConfig"),
     (lambda: lz.check_membership(np.eye(4), "AN0"), "AN0 membership needs a CycleConfig"),
     (lambda: lz.check_membership(np.eye(4), "X"), "unknown subgroup 'X'"),
@@ -164,7 +168,8 @@ def test_cycle_config_validation():
      "G0 membership needs a CycleConfig"),
     (lambda: lz.check_membership(np.zeros((4, 4)), "AN0"), "AN0 membership needs a CycleConfig"),
     (lambda: lz.spin_cover_so13(np.eye(3)), "expected a 2x2 complex matrix"),
-], ids=["boost-d-1", "unipotent-length", "config-d-3.5", "config-n-2.5", "G0-no-config",
+], ids=["boost-d-1", "unipotent-length", "config-d-3.5", "config-n-2.5", "config-d-4.0",
+        "config-n-2.0", "config-d-True", "G0-no-config",
         "AN0-no-config", "unknown-subgroup", "unknown-subgroup-non-group",
         "G0-no-config-non-group", "AN0-no-config-non-group", "spin-cover-3x3"])
 def test_bad_arguments_are_refused(call, message):

@@ -216,9 +216,10 @@ def test_bessel_against_mpmath_grid():
         for x in (0.1, 0.3, 1.0, 2.5, 5.0, 10.0, 20.0, 35.0, 50.0):
             ref = complex(mpmath.besselk(nu, x))
             assert abs(complex(tr.bessel_k(nu, x)) - ref) <= 1e-8 * abs(ref), (nu, x)
-    # exp(pi r/2) K_ir(x) on the rotated contour, oscillatory regime included
+    # exp(pi r/2) K_ir(x) on the rotated contour, oscillatory regime included,
+    # from small x up to just below the monotone regime's edge x = pi r/2
     for r in (2.0, 8.0, 15.0, 25.0, 40.0):
-        for x in (0.5, 1.0, 3.0, 10.0):
+        for x in (0.05, 0.5, 1.0, 3.0, 10.0, 0.999 * 0.5 * np.pi * r):
             ref = float(mpmath.re(mpmath.besselk(1j * r, x) * mpmath.exp(mpmath.pi * r / 2)))
             assert abs(tr.bessel_k_imag_scaled(r, x) - ref) <= 1e-8 * abs(ref), (r, x)
 
@@ -255,25 +256,17 @@ def test_bessel_imag_scaled_at_infinite_x_is_its_limit():
 
 def _imag_scaled_per_leg(r, x, rel_tol=1e-9):
     """exp(pi r/2) K_{ir}(x) in the oscillatory regime with each contour
-    leg integrated by its own quad_gk call: the reference for the family
-    of three legs in bessel_k_imag_scaled."""
+    leg w = start + step t integrated by its own quad_gk call: the
+    reference for the family of three legs in bessel_k_imag_scaled."""
     tc = max(float(np.arccosh(max(2.0 * r / x, 1.0))), 0.6)
-    leg1 = quad_gk(lambda t: np.exp(1j * (x * np.sinh(t) - r * t)),
-                   0.0, tc, rel_tol=rel_tol).value
-    sh, ch = np.sinh(tc), np.cosh(tc)
-
-    def vert(s):
-        expo = r * s - x * ch * np.sin(s)
-        return np.exp(expo + 1j * (x * sh * np.cos(s) - r * tc))
-
-    leg2 = 1j * quad_gk(vert, 0.0, np.pi / 2.0, rel_tol=rel_tol).value
     u_hi = float(np.arccosh((tr._EXP_CUT + np.pi * r / 2.0 + 20.0) / x))
-
-    def horiz(u):
-        return np.exp(np.pi * r / 2.0 - x * np.cosh(u) - 1j * r * u)
-
-    leg3 = quad_gk(horiz, tc, max(u_hi, tc + 1.0), rel_tol=rel_tol).value
-    return float(np.real(leg1 + leg2 + leg3))
+    legs = [(0j, 1 + 0j, 0.0, tc), (tc + 0j, 1j, 0.0, np.pi / 2.0),
+            (0.5j * np.pi, 1 + 0j, tc, max(u_hi, tc + 1.0))]
+    vals = [quad_gk(lambda t: step * np.exp(1j * (x * np.sinh(start + step * t)
+                                                  - r * (start + step * t))),
+                    lo, hi, rel_tol=rel_tol).value
+            for start, step, lo, hi in legs]
+    return float(np.real(vals[0] + vals[1] + vals[2]))
 
 
 @pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
