@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .decompose import ank_stack, from_horospherical, minkowski_pairing, nak_stack, to_horospherical
-from .lorentz import TOL_G0, _block_offdiag_max, lorentz_mask, require_lorentz
+from .decompose import from_horospherical, minkowski_pairing, to_horospherical
+from .lorentz import (TOL_G0, _block_offdiag_max, _check_dimension, ank_stack, lorentz_mask,
+                      nak_stack, require_lorentz)
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,6 @@ def _coefficients(prep, U, n):
     n_all = (0.5 * (1.0 + u11) + beta)[:, None] * w0 + (alpha - half_col)
     n_coeffs = n_all[:, n - 1:]
     return beta, n_coeffs, _dot(n_coeffs, n_coeffs), 1.0 + 2.0 * _dot(n_coeffs, m)
-
-
-def _check_dimension(gamma, cfg):
-    if gamma.shape[-1] != cfg.d + 1:
-        raise ValueError("matrix dimension does not match CycleConfig")
 
 
 def _check_direction(u, cfg):
@@ -371,11 +367,11 @@ def check_u11_gap(ball, cfg):
     max is None when every element lies in the cycle subgroup.
     """
     mats = np.asarray(ball.mats, dtype=float)
-    if len(mats) and mats.shape[-1] != cfg.d + 1:
+    if len(mats):
         # the first element decides, as in a loop of check_membership and ank
-        if lorentz_mask(mats[:1], TOL_G0)[0]:
-            raise ValueError("CycleConfig dimension does not match matrix")
-        require_lorentz(mats[0])
+        if not lorentz_mask(mats[:1], TOL_G0)[0]:
+            require_lorentz(mats[0])
+        _check_dimension(mats, cfg)
     # G0 membership as check_membership(g, "G0", cfg, tol=TOL_G0) decides it
     outside = np.flatnonzero(~(lorentz_mask(mats, TOL_G0)
                                & (_block_offdiag_max(mats, cfg.n + 1) <= TOL_G0)))

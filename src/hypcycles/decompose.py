@@ -2,7 +2,8 @@
 
 Horospherical coordinates (u, r) in R^(d-1) x R_+ parameterize the upper
 hyperboloid sheet through the point n_u a_r . o; the metric normalization
-is fixed so that dist(a_t . o, o) = |t|.
+is fixed so that dist(a_t . o, o) = |t|.  ``nak`` and ``ank`` check one
+element and read it through ``lorentz.nak_stack`` and ``lorentz.ank_stack``.
 """
 
 from __future__ import annotations
@@ -12,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .lorentz import (
-    make_boost,
-    make_scale,
-    make_unipotent,
-    require_lorentz,
-)
+from .lorentz import ank_stack, make_boost, make_scale, make_unipotent, nak_stack, require_lorentz
 
 
 @dataclass(frozen=True)
@@ -67,29 +63,6 @@ class KakFactors:
 
     def product(self):
         return self.k1 @ make_boost(self.t, self.k1.shape[0] - 1) @ self.k2
-
-
-def nak_stack(g):
-    """NAK factors (w, x, k) of each matrix of a stack (m, d+1, d+1) of group
-    elements, unchecked: w of shape (m, d-1), x (m,) and k (m, d+1, d+1).
-
-    With p = g . o one has p0 - p1 = 1/s and p[2:] = w/s, which determines
-    the NA part; the compact factor is whatever is left over.
-    """
-    d = g.shape[-1] - 1
-    s = 1.0 / (g[:, 0, 0] - g[:, 1, 0])      # p0 - p1 = sqrt(1+|p'|^2) - p1 > 0 on the sheet
-    w = g[:, 2:, 0] * s[:, None]
-    x = np.log(s)
-    k = make_boost(-x, d) @ make_unipotent(-w, d) @ g
-    return w, x, k
-
-
-def ank_stack(g):
-    """ANK factors (r0, w0, k) of each matrix of a stack of group elements,
-    unchecked: if g = n_w a_s k then g = a_s n_{w/s} k."""
-    w, x, k = nak_stack(g)
-    r0 = np.exp(x)
-    return r0, w / r0[:, None], k
 
 
 def nak(g):
@@ -165,6 +138,7 @@ def dist_horospherical(u, r, v, t):
     """Distance in (u, r)-coordinates: arccosh[(|u-v|^2 + r^2 + t^2)/(2rt)]."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    _checks.finite(u=u, v=v)
     _checks.positive(r=r, t=t)
     if u.shape != v.shape:      # numpy would broadcast a length-1 v silently
         raise ValueError(f"v must be shaped like u, {u.shape}, got {v.shape}")
@@ -176,6 +150,7 @@ def dist_horospherical(u, r, v, t):
 def from_horospherical(u, r):
     """Point n_u a_r . o of the upper sheet."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    _checks.finite(u=u)
     _checks.positive(r=r)
     q = 0.5 * float(u @ u) / r
     p = np.empty(u.size + 2)

@@ -5,6 +5,11 @@ with the form ``J = diag(1, -1, ..., -1)``; the group is taken to be the
 identity component (``det g = +1``, ``g[0,0] >= 1``), which preserves the
 upper sheet of the hyperboloid.  Coordinate 1 carries the boost direction;
 the unipotent directions live in coordinates 2..d.
+
+Each subgroup rule is stated once here: the unchecked NAK reading of a stack
+(``nak_stack``, ``ank_stack``), from which ``check_membership`` decides AN0;
+one identity-block test for K and M; and ``_check_dimension``, which refuses
+a matrix whose dimension is not its ``CycleConfig``'s.
 """
 
 from __future__ import annotations
@@ -44,8 +49,10 @@ def _eyes(shape, d):
 def make_boost(x, d):
     """Boost by rapidity ``x`` in the (0,1) plane, identity elsewhere; an
     array of rapidities gives the stack of their boosts."""
-    if d < 2:
-        raise ValueError("need d >= 2")
+    try:
+        _checks.integer(d=d, at_least=2)
+    except ValueError:
+        raise ValueError("need d >= 2") from None
     _checks.finite(x=x)
     x = np.asarray(x, dtype=float)
     g = _eyes(x.shape, d)
@@ -169,17 +176,46 @@ class CycleConfig:
         object.__setattr__(self, "rho0", (self.n - 1) / 2.0)
 
 
+def _check_dimension(g, cfg):
+    """Refuse a matrix, or a stack, that does not act on the R^(1,d) of cfg."""
+    if g.shape[-1] != cfg.d + 1:
+        raise ValueError("matrix dimension does not match CycleConfig")
+
+
 def _block_offdiag_max(g, split):
     """Largest entry coupling coordinates [0:split) with [split:), per matrix."""
     return np.maximum(np.abs(g[..., :split, split:]).max(axis=(-2, -1)),
                       np.abs(g[..., split:, :split]).max(axis=(-2, -1)))
 
 
+def nak_stack(g):
+    """NAK factors (w, x, k) of each matrix of a stack (m, d+1, d+1) of group
+    elements, unchecked: w of shape (m, d-1), x (m,) and k (m, d+1, d+1).
+
+    With p = g . o one has p0 - p1 = 1/s and p[2:] = w/s, which determines
+    the NA part; the compact factor is whatever is left over.
+    """
+    d = g.shape[-1] - 1
+    s = 1.0 / (g[:, 0, 0] - g[:, 1, 0])      # p0 - p1 = sqrt(1+|p'|^2) - p1 > 0 on the sheet
+    w = g[:, 2:, 0] * s[:, None]
+    x = np.log(s)
+    k = make_boost(-x, d) @ make_unipotent(-w, d) @ g
+    return w, x, k
+
+
+def ank_stack(g):
+    """ANK factors (r0, w0, k) of each matrix of a stack of group elements,
+    unchecked: if g = n_w a_s k then g = a_s n_{w/s} k."""
+    w, x, k = nak_stack(g)
+    r0 = np.exp(x)
+    return r0, w / r0[:, None], k
+
+
 def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
     """Test whether ``g`` lies in one of G, K, A, N, M, G0, AN0.
 
-    Shape-based: each subgroup is characterized by which blocks of the
-    matrix are free.  G0/AN0 need a CycleConfig for the block split.
+    K and M are identity blocks (of size 1, 2) coupled to nothing; AN0 is read
+    off the NAK factors.  G0/AN0 need a CycleConfig for the block split.
     """
     if subgroup not in ("G", "K", "A", "N", "M", "G0", "AN0"):
         raise ValueError(f"unknown subgroup {subgroup!r}")
@@ -191,11 +227,9 @@ def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
         return is_lorentz(g, tol)
     if not is_lorentz(g, tol):
         return False
-    if subgroup == "K":
-        e0 = np.zeros(d + 1)
-        e0[0] = 1.0
-        return (np.max(np.abs(g[0] - e0)) <= tol
-                and np.max(np.abs(g[:, 0] - e0)) <= tol)
+    if subgroup in ("K", "M"):
+        s = 1 if subgroup == "K" else 2
+        return np.max(np.abs(g[:s, :s] - np.eye(s))) <= tol and _block_offdiag_max(g, s) <= tol
     if subgroup == "A":
         x = float(np.arccosh(max(g[0, 0], 1.0)))
         if g[0, 1] < 0:
@@ -204,23 +238,12 @@ def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
     if subgroup == "N":
         u = g[2:, 0].copy()
         return float(np.max(np.abs(g - make_unipotent(u, d)))) <= tol
-    if subgroup == "M":
-        if np.max(np.abs(g[:2, :2] - np.eye(2))) > tol:
-            return False
-        return _block_offdiag_max(g, 2) <= tol
-    if cfg.d != d:
-        raise ValueError("CycleConfig dimension does not match matrix")
-    split = cfg.n + 1
+    _check_dimension(g, cfg)
     if subgroup == "G0":
-        return _block_offdiag_max(g, split) <= tol
-    # AN0: trivial K-factor and unipotent part supported in the cycle
-    p = g[:, 0]
-    s = 1.0 / (p[0] - p[1])
-    w = p[2:] * s
-    if np.max(np.abs(w[cfg.n - 1:])) > tol:
-        return False
-    k = make_boost(-np.log(s), d) @ make_unipotent(-w, d) @ g
-    return float(np.max(np.abs(k - np.eye(d + 1)))) <= max(tol, 1e2 * TOL_GROUP)
+        return _block_offdiag_max(g, cfg.n + 1) <= tol
+    w, _, k = nak_stack(g[None])
+    return (np.max(np.abs(w[0, cfg.n - 1:])) <= tol
+            and float(np.max(np.abs(k[0] - np.eye(d + 1)))) <= max(tol, 1e2 * TOL_GROUP))
 
 
 def commutation_identities(r, u, k=None):

@@ -55,9 +55,9 @@ from itertools import combinations
 import numpy as np
 
 from . import _checks
-from .cycles import _check_dimension, invariants_stack
-from .lorentz import (TOL_G0, _block_offdiag_max, group_residual, is_lorentz, lorentz_inverse,
-                      make_boost, spin_cover_so13)
+from .cycles import invariants_stack
+from .lorentz import (TOL_G0, _block_offdiag_max, _check_dimension, group_residual, is_lorentz,
+                      lorentz_inverse, make_boost, spin_cover_so13)
 
 LENGTH_CAP = 12
 # cell size of the word ball's dedup keys
@@ -78,8 +78,17 @@ class GeneratorSet:
     def __post_init__(self):
         if len(self.labels) != len(self.matrices):
             raise ValueError("labels and matrices must pair up")
+        if not self.labels:
+            raise ValueError("a generator set needs at least one generator")
+        bad = [lab for lab in self.labels if not isinstance(lab, str)]
+        if bad:     # moves() inverts a label by swapcase
+            raise ValueError(f"generator labels must be str, got {bad[0]!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("generator labels must be unique")
+        shapes = sorted({np.shape(g) for g in self.matrices})
+        if len(shapes) != 1 or len(shapes[0]) != 2 or not 3 <= shapes[0][0] == shapes[0][1]:
+            raise ValueError(f"generator matrices must share one shape (d+1, d+1) with d >= 2, "
+                             f"got {shapes}")
         for lab, g in zip(self.labels, self.matrices):
             if not is_lorentz(np.asarray(g)):
                 raise ValueError(

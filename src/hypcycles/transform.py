@@ -439,8 +439,10 @@ def _check_transform_args(d, mu, nu):
     """Refuse a bad d, mu or nu before any work."""
     _checks.positive(mu=mu)
     _checks.finite(nu=nu)
-    if int(d) != d or d < 2:
-        raise ValueError("d must be an integer >= 2")
+    try:        # an integral float or a bool is not an integer
+        _checks.integer(d=d, at_least=2)
+    except ValueError:
+        raise ValueError("d must be an integer >= 2") from None
 
 
 def selberg_transform_closed(d, mu, nu):

@@ -93,6 +93,12 @@ CASES = {
     "make_scale-r-nan": (lambda: lz.make_scale(NAN, 3), "r"),
     "commutation_identities-r-nan": (lambda: lz.commutation_identities(NAN, [1.0, 0.0]), "r"),
     "from_horospherical-r-nan": (lambda: dc.from_horospherical([0.0, 0.0], NAN), "r"),
+    # a non-finite direction once gave a point or a distance of nan or inf
+    "from_horospherical-u-nan": (lambda: dc.from_horospherical([NAN, 0.0], 1.0), "u"),
+    "dist_horospherical-u-nan": (
+        lambda: dc.dist_horospherical([NAN, 0.0], 1.0, [0.0, 0.0], 1.0), "u"),
+    "dist_horospherical-v-inf": (
+        lambda: dc.dist_horospherical([0.0, 0.0], 1.0, [INF, 0.0], 1.0), "v"),
     "dist_horospherical-r-nan": (
         lambda: dc.dist_horospherical([0.0, 0.0], NAN, [1.0, 0.0], 1.0), "r"),
     # a length-1 v once broadcast to (0.1, 0.1) and gave a distance

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypcycles import bounds as bd
 from hypcycles import cycles as cy
 from hypcycles import decompose as dc
 from hypcycles import lorentz as lz
@@ -50,6 +51,22 @@ def test_dimension_refusal_and_r_star_at_vanishing_coefficients():
     inv = cy.cycle_invariants(U @ S @ U, [0.3], CFG)
     assert replace(inv, N_u=0.0).r_star == 0.0
     assert replace(inv, M=0.0, N_u=0.0).r_star == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, ball, cfg: lz.check_membership(g, "G0", cfg),
+    lambda g, ball, cfg: lz.check_membership(g, "AN0", cfg),
+    lambda g, ball, cfg: bd.j_gamma_quadrature(g, ((-3.0, 3.0),), cfg, 5.0, 0.3),
+    lambda g, ball, cfg: cy.check_u11_gap(ball, cfg),
+    lambda g, ball, cfg: cy.cycle_invariants(g, [0.3], cfg),
+    lambda g, ball, cfg: coset_reduce(ball, cfg),
+], ids=["check_membership-G0", "check_membership-AN0", "j_gamma_quadrature", "check_u11_gap",
+        "cycle_invariants", "coset_reduce"])
+def test_a_matrix_of_another_dimension_gets_one_message(call):
+    # the first four once raised the reversed "CycleConfig dimension does not match matrix"
+    _, U, S = _picard()
+    with pytest.raises(ValueError, match="^matrix dimension does not match CycleConfig$"):
+        call(U @ S @ U, ball_enumerate(picard_generators(), 2), lz.CycleConfig(4, 2))
 
 
 def test_f_gamma_shape_and_minimum():

@@ -92,6 +92,57 @@ def test_membership_an0():
     assert not lz.check_membership(g, "AN0", cfg)
 
 
+def _membership_by_hand(g, subgroup, cfg, tol):
+    """K, M and AN0 membership as three separate formulas: the e0 row and
+    column for K, the 2x2 block and its coupling for M, and for AN0 the NA
+    part read off g's first column, then the compact factor left over."""
+    if not lz.is_lorentz(g, tol):
+        return False
+    d = g.shape[0] - 1
+    if subgroup == "K":
+        e0 = np.eye(d + 1)[0]
+        return max(np.abs(g[0] - e0).max(), np.abs(g[:, 0] - e0).max()) <= tol
+    if subgroup == "M":
+        return (np.abs(g[:2, :2] - np.eye(2)).max() <= tol
+                and max(np.abs(g[:2, 2:]).max(), np.abs(g[2:, :2]).max()) <= tol)
+    p = g[:, 0]
+    s = 1.0 / (p[0] - p[1])
+    w = p[2:] * s
+    if np.abs(w[cfg.n - 1:]).max() > tol:
+        return False
+    k = lz.make_boost(-np.log(s), d) @ lz.make_unipotent(-w, d) @ g
+    return np.abs(k - np.eye(d + 1)).max() <= max(tol, 1e2 * lz.TOL_GROUP)
+
+
+def test_k_m_and_an0_membership_equal_their_separate_formulas():
+    # members of K, M and AN0 and generic elements, each as drawn, moved by
+    # 1e-12 to 1e-7 inside the group, or moved entrywise by as much
+    rng = np.random.default_rng(39)
+    outcomes = {"K": [], "M": [], "AN0": []}
+    for d, n in ((3, 2), (4, 2), (4, 3), (5, 3)):
+        cfg = lz.CycleConfig(d, n)
+        for _ in range(20):
+            u = np.zeros(d - 1)
+            u[:n - 1] = rng.uniform(-1, 1, n - 1)
+            bases = (lz.embed_rotation(lz.random_rotation(rng, d)),
+                     lz.embed_m_rotation(lz.random_rotation(rng, d - 1)),
+                     lz.make_scale(np.exp(rng.uniform(-1, 1)), d) @ lz.make_unipotent(u, d),
+                     lz.random_lorentz(rng, d))
+            for g in bases:
+                eps = 10.0 ** rng.uniform(-12, -7)
+                near = (lz.make_unipotent(eps * rng.standard_normal(d - 1), d)
+                        @ lz.make_boost(eps * rng.standard_normal(), d))
+                for h in (g, g @ near, g + eps * rng.standard_normal(g.shape)):
+                    for subgroup, tols in (("K", (1e-10, 1e-9, 1e-8)), ("M", (1e-10, 1e-9, 1e-8)),
+                                           ("AN0", (1e-10, 1e-9, 1e-8, 1e-7))):
+                        for tol in tols:
+                            got = bool(lz.check_membership(h, subgroup, cfg, tol))
+                            assert got == _membership_by_hand(h, subgroup, cfg, tol)
+                            outcomes[subgroup].append(got)
+    for subgroup, got in outcomes.items():      # both outcomes are met, many times
+        assert 500 < sum(got) < len(got) - 500, subgroup
+
+
 def test_commutation_identities():
     ok = lz.commutation_identities(2.0, np.array([1.0, 0.0]))
     assert ok == (True, True, True)
@@ -152,6 +203,7 @@ def test_cycle_config_validation():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: lz.make_boost(0.5, 1), "need d >= 2"),
+    (lambda: lz.make_boost(0.5, 2.5), "need d >= 2"),     # once a TypeError from _eyes
     (lambda: lz.make_unipotent([0.5], 4), "u must have d-1 components"),
     (lambda: lz.CycleConfig(3.5, 2), "d and n must be integers"),
     (lambda: lz.CycleConfig(3, 2.5), "d and n must be integers"),
@@ -168,7 +220,7 @@ def test_cycle_config_validation():
      "G0 membership needs a CycleConfig"),
     (lambda: lz.check_membership(np.zeros((4, 4)), "AN0"), "AN0 membership needs a CycleConfig"),
     (lambda: lz.spin_cover_so13(np.eye(3)), "expected a 2x2 complex matrix"),
-], ids=["boost-d-1", "unipotent-length", "config-d-3.5", "config-n-2.5", "config-d-4.0",
+], ids=["boost-d-1", "boost-d-2.5", "unipotent-length", "config-d-3.5", "config-n-2.5", "config-d-4.0",
         "config-n-2.0", "config-d-True", "G0-no-config",
         "AN0-no-config", "unknown-subgroup", "unknown-subgroup-non-group",
         "G0-no-config-non-group", "AN0-no-config-non-group", "spin-cover-3x3"])

@@ -822,10 +822,18 @@ def test_slope_is_nan_below_two_top_decade_points():
      "labels and matrices must pair up"),
     (lambda: ob.GeneratorSet(labels=("A", "A"), matrices=(np.eye(4), np.eye(4))),
      "generator labels must be unique"),
+    # each of these three once built, to fail in ball_enumerate or moves()
+    (lambda: ob.GeneratorSet(labels=(), matrices=()),
+     "a generator set needs at least one generator"),
+    (lambda: ob.GeneratorSet(labels=("A", "B"), matrices=(np.eye(4), np.eye(5))),
+     "generator matrices must share one shape (d+1, d+1) with d >= 2, got [(4, 4), (5, 5)]"),
+    (lambda: ob.GeneratorSet(labels=(1,), matrices=(np.eye(4),)),
+     "generator labels must be str, got 1"),
     (lambda: ob.coset_reduce(ob.ball_enumerate(ob.picard_generators(), 2), CFG, mode="right"),
      "mode must be 'left' or 'double'"),
     (lambda: ob.ordering_statistic(ob.OrbitTable(entries=()), CFG), "empty orbit table"),
-], ids=["unpaired-labels", "duplicate-labels", "coset-mode", "ordering-empty-table"])
+], ids=["unpaired-labels", "duplicate-labels", "empty-set", "mixed-shapes", "int-label",
+        "coset-mode", "ordering-empty-table"])
 def test_bad_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()

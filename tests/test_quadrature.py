@@ -85,6 +85,11 @@ def test_family_bounds_validated():
                 quad_family(lambda x, k: x, a, b)
     with pytest.raises(ValueError, match="quad_family needs max_panels >= 4"):
         quad_family(lambda x, k: x, 0.0, 1.0, max_panels=3)
+    # NaN once lifted the cap, as no panel count exceeds it; 4.5 once passed
+    for bad in (np.nan, 4.5, np.float64(8.0), True):
+        with pytest.raises(ValueError, match="quad_family needs max_panels >= 4"):
+            quad_gk(lambda x: pytest.fail("evaluated"), 0.0, 1.0, max_panels=bad)
+    assert quad_gk(np.sin, 0.0, 1.0, max_panels=np.int64(8)).value == pytest.approx(1.0 - np.cos(1.0))
     # a tolerance no comparison can meet is named before any evaluation
     for kwargs, name in [({"rel_tol": np.nan}, "rel_tol"), ({"rel_tol": -1e-9}, "rel_tol"),
                          ({"abs_tol": np.nan}, "abs_tol"), ({"abs_tol": 0.0}, "abs_tol")]:

@@ -699,7 +699,11 @@ def test_quadrature_nonconvergence_raises():
     (lambda: tr.KScaledInterpolator(0.3 + 0.5j, 1.0, 2.0), "interpolation table needs a real order"),
     (lambda: tr.gr_identity_6_726_4(1.0, 1.0, 0.5, 0.3, sign=0), "sign must be +1 or -1"),
     (lambda: tr.selberg_transform_closed(2.5, 1.0, 0.3), "d must be an integer >= 2"),
-], ids=["interpolator-complex-order", "gr_6_726_4-sign-0", "transform-d-2.5"])
+    # integral floats once passed, where CycleConfig and the Weyl law refuse them
+    (lambda: tr.selberg_transform_closed(3.0, 1.0, 0.3), "d must be an integer >= 2"),
+    (lambda: tr.selberg_transform_closed(np.float64(3.0), 1.0, 0.3), "d must be an integer >= 2"),
+], ids=["interpolator-complex-order", "gr_6_726_4-sign-0", "transform-d-2.5", "transform-d-3.0",
+        "transform-d-float64"])
 def test_bad_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()
