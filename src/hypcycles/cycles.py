@@ -367,11 +367,10 @@ def check_u11_gap(ball, cfg):
     max is None when every element lies in the cycle subgroup.
     """
     mats = np.asarray(ball.mats, dtype=float)
-    if len(mats):
-        # the first element decides, as in a loop of check_membership and ank
-        if not lorentz_mask(mats[:1], TOL_G0)[0]:
-            require_lorentz(mats[0])
-        _check_dimension(mats, cfg)
+    # the first element decides, as in a loop of check_membership and ank
+    if len(mats) and not lorentz_mask(mats[:1], TOL_G0)[0]:
+        require_lorentz(mats[0])
+    _check_dimension(mats, cfg)
     # G0 membership as check_membership(g, "G0", cfg, tol=TOL_G0) decides it
     outside = np.flatnonzero(~(lorentz_mask(mats, TOL_G0)
                                & (_block_offdiag_max(mats, cfg.n + 1) <= TOL_G0)))

@@ -150,46 +150,77 @@ def bessel_k_asymptotic(x):
 
 
 def bessel_k_imag_scaled(r, x):
-    """exp(pi r / 2) K_{ir}(x), r >= 0, x > 0, to BESSEL_REL_TOL without cancellation.
+    """exp(pi r/2) K_{ir}(x), r >= 0, x > 0, on the steepest-descent path of
+    p(w) = x sinh w - r w (Gil, Segura and Temme, J. Comput. Phys. 175, 2002).
 
-    K_{ir}(x) is of size exp(-pi r/2), far below what the direct cosh
-    representation can resolve in doubles once r is large.  Rotating that
-    same representation onto the contour
+    The value is Re int e^{ip(w)} dw from the imaginary axis (adding to Im
+    alone) to +inf + i pi/2.  The path Re p = P through the saddle w_s
+    (x cosh w_s = r; i acos(r/x), with P = 0 and Re w_s = 0, for r <= x) is
+    w = t + i y, y = 2 sigma arcsin sqrt(u/2), u = D/(x sinh t) with
+    D = x sinh t - r t - P >= 0, so e^{ip} = e^{iP} e^{-Im p}; D and D' are
+    formed in t - Re w_s without cancellation.  Members: H = [0, t0],
+    t0 = -P/r, on y = -pi/2 (u clipped at 1; Re p - P = -P - r t),
+    L = [t0, w_s] (sigma = -1) and U = [w_s, T] (sigma = +1) for r > x;
+    U = [0, T] for r <= x.  Values carry e^m, m = Im p(w_s).
 
-        [0, Tc]  +  [Tc, Tc + i pi/2]  +  [Tc + i pi/2, +inf + i pi/2)
-
-    makes the exp(pi r/2) factor analytic: with phase  p(w) = x sinh w - r w,
-
-        exp(pi r/2) K_{ir}(x) = Re  int  e^{i p(w)} dw
-
-    over that contour, every piece absolutely convergent once
-    x cosh(Tc) >= 2r.  Each leg is w = start + step t over a real interval,
-    integrated as step e^{i p(w)} dt.  Agrees with bessel_k on the overlap
-    where the direct path still converges.
+    Im p rises from the saddle (p' vanishes nowhere else on the path) by
+    dIm p = |p'||dw| >= (x sinh t - r) dt, so the tail past T is at most
+    B(T) = e^{m - Im p(T)}/(x sinh T - r), and T + log(B/b)/(x sinh T - r)
+    has B <= b.  floor = h e^{m - Im p(w_s + h)} <= Re(I_L + I_U), and
+    |I_H| <= t0 e^{x cosh t0 - pi r/2}.  At b = 1e-3 BESSEL_REL_TOL floor, H
+    is dropped and T set; with abs_tol 10 b the error is, by the estimates,
+    at most 1.04 BESSEL_REL_TOL e^{-m} int |e^{ip}||dw|, the path's mass
+    (K_{ir} is far smaller near its zeros).  |P| > 4e6 is refused, as a
+    rounding of r moves the value by 1e-16 |P| of that mass.
     """
     # x = inf gives the limit 0, so x is refused by hand
     if not x > 0:
         raise ValueError(f"x must be positive, got {x!r}")
     _checks.nonnegative(r=r)
-    if x >= 0.5 * np.pi * r:
-        # monotone regime: the direct representation resolves K itself and
-        # the exponent pi r/2 - x is nonpositive, so no overflow either way
-        scaled = bessel_k_scaled(complex(0.0, r) if r else 0.0, x)
-        return float(np.real(scaled) * np.exp(0.5 * np.pi * r - x))
-    tc = max(float(np.arccosh(max(2.0 * r / x, 1.0))), 0.6)
-    u_hi = float(np.arccosh((_EXP_CUT + np.pi * r / 2.0 + 20.0) / x))
-    # leg k is w = start[k] + step[k] t: along the real axis, up the vertical
-    # side, then along Im w = pi/2
-    start = np.array([0.0, tc, 0.5j * np.pi])
-    step = np.array([1.0, 1j, 1.0])
+    s, k = math.sqrt(abs(r - x)) * math.sqrt(r + x), max(x - r, 0.0)
+    ws, m = (math.asinh(s / x), 0.0) if r > x else (0.0, s - r * math.acos(r / x))
+    if m > 800.0:  # e^-m times a mass below 2 for r <= x: 0 in doubles, x = inf included
+        return 0.0
+    # s - r ws, by the series of x (sinh ws - ws cosh ws) for small ws (0 for r <= x)
+    P = s - r * ws if ws >= 0.1 else -x * ws ** 3 * (1 / 3 + ws ** 2 * (1 / 30 + ws ** 2 * (
+        1 / 840 + ws ** 2 / 45360)))
+    if P < -4e6:
+        raise ValueError(f"r = {r!r} is too large against x = {x!r} for double precision")
+    t0 = -P / r if r > x else 0.0
 
-    def integrand(t, k):
-        w = start[k] + step[k] * t
-        return step[k] * np.exp(1j * (x * np.sinh(w) - r * w))
+    def im_p_up(t):
+        # Im p - m on U, in scalars: only the bounds read it, away from u = 0
+        c = min((P + r * t) / (x * math.sinh(t)), 1.0)
+        return x * math.cosh(t) * math.sqrt(1.0 - c * c) - r * math.acos(c) - m
 
-    val = quad_family(integrand, [0.0, 0.0, tc], [tc, np.pi / 2.0, max(u_hi, tc + 1.0)],
-                      rel_tol=BESSEL_REL_TOL).value
-    return float(np.real(val.sum()))
+    h = 1.0 / max(1.0, math.sqrt(s), (x / 6.0) ** (1 / 3))
+    # x sinh T > r, as m + pi r/2 >= sqrt(x^2 + r^2)
+    T = max(math.acosh((m + 0.5 * math.pi * r + 20.0) / x), ws + h)
+    floor, slope = h * math.exp(-im_p_up(ws + h)), x * math.sinh(T) - r
+    b = 1e-3 * BESSEL_REL_TOL * floor
+    T += max(-im_p_up(T) - math.log(b * slope), 0.0) / slope
+    j = 2 if r <= x else int(t0 * math.exp(x * math.cosh(t0) - 0.5 * math.pi * r) < b)
+
+    def path(t, sg):
+        d = t - ws
+        d2 = d * d
+        sinh_d = np.where(d2 < 0.01, d * d2 * (1 / 6 + d2 * (1 / 120 + d2 * (
+            1 / 5040 + d2 * (1 / 362880 + d2 / 39916800)))), np.sinh(d) - d)
+        hd = np.sinh(0.5 * d)
+        sh, ch = x * np.sinh(t), x * np.cosh(t)
+        D = 2.0 * x * math.sinh(ws) * hd * hd + x * math.cosh(ws) * sinh_d + k * d
+        # on H, u = 1 by t0's definition, where D in t - w_s may cancel badly
+        u = (np.minimum(D, sh) if j else np.where(t < t0, sh, np.minimum(D, sh))) / sh
+        root = np.sqrt(u * (2.0 - u))
+        A = 2.0 * x * np.sinh(0.5 * (t + ws)) * hd + k
+        dy = np.divide(sg * (A - u * ch), sh * root, out=np.zeros_like(t), where=u < 1.0)
+        im_p = sg * (ch * root - 2.0 * r * np.arcsin(np.sqrt(0.5 * u)))
+        out = np.exp(m - im_p) * (1.0 + 1j * dy)
+        return out * np.exp(1j * np.maximum(-P - r * t, 0.0)) if j == 0 else out
+
+    val = quad_family(lambda t, i: path(t, np.array([-1.0, -1.0, 1.0])[j:][i]), [0.0, t0, ws][j:],
+                      [t0, ws, T][j:], rel_tol=BESSEL_REL_TOL, abs_tol=10.0 * b).value
+    return float((np.exp(1j * P - m) * val.sum()).real)
 
 
 # Fixed composite Gauss-Legendre rule on a geometric panel ladder: evaluates

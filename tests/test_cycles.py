@@ -69,6 +69,19 @@ def test_a_matrix_of_another_dimension_gets_one_message(call):
         call(U @ S @ U, ball_enumerate(picard_generators(), 2), lz.CycleConfig(4, 2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda ball, cfg: cy.check_u11_gap(ball, cfg),
+    lambda ball, cfg: cy.invariants_stack(ball.mats, [0.3], cfg),
+    lambda ball, cfg: coset_reduce(ball, cfg),
+], ids=["check_u11_gap", "invariants_stack", "coset_reduce"])
+def test_an_empty_ball_of_another_dimension_is_refused(call):
+    # check_u11_gap once returned (None, []) here, skipping the check on no elements
+    ball = Ball(words=(), mats=np.zeros((0, 5, 5)), lengths=np.zeros(0, dtype=int),
+                ids=np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="^matrix dimension does not match CycleConfig$"):
+        call(ball, lz.CycleConfig(3, 2))
+
+
 def test_f_gamma_shape_and_minimum():
     T, U, S = _picard()
     inv = cy.cycle_invariants(T @ U @ S @ U, [0.4], CFG)

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import kv
 
 from hypcycles import transform as tr
-from hypcycles.quadrature import quad_family, quad_gk
+from hypcycles.quadrature import FamilyResult, quad_family, quad_gk
 
 # Reference values computed with a 30-digit arbitrary-precision evaluation
 # of the defining integral (independent tanh-sinh quadrature cross-check).
@@ -216,20 +216,40 @@ def test_bessel_against_mpmath_grid():
         for x in (0.1, 0.3, 1.0, 2.5, 5.0, 10.0, 20.0, 35.0, 50.0):
             ref = complex(mpmath.besselk(nu, x))
             assert abs(complex(tr.bessel_k(nu, x)) - ref) <= 1e-8 * abs(ref), (nu, x)
-    # exp(pi r/2) K_ir(x) on the rotated contour, oscillatory regime included,
-    # from small x up to just below the monotone regime's edge x = pi r/2
-    for r in (2.0, 8.0, 15.0, 25.0, 40.0):
-        for x in (0.05, 0.5, 1.0, 3.0, 10.0, 0.999 * 0.5 * np.pi * r):
-            ref = float(mpmath.re(mpmath.besselk(1j * r, x) * mpmath.exp(mpmath.pi * r / 2)))
-            assert abs(tr.bessel_k_imag_scaled(r, x) - ref) <= 1e-8 * abs(ref), (r, x)
+    # exp(pi r/2) K_ir(x) on the steepest-descent path, from small x through
+    # the old edge x = pi r/2 to x = 10 r, and next to the saddle's turn at r = x
+    points = [(r, x) for r in (2.0, 8.0, 15.0, 25.0, 40.0)
+              for x in (0.05, 0.5, 1.0, 3.0, 10.0, 0.999 * 0.5 * np.pi * r, 0.5 * np.pi * r,
+                        2.0 * r, 10.0 * r)]
+    points += [(x * (1.0 + sign * 10.0 ** -k), x) for x in (2.0, 8.0, 15.0, 25.0, 40.0)
+               for k in (2, 8, 12) for sign in (1, -1)]
+    for r, x in points:
+        ref = float(mpmath.re(mpmath.besselk(1j * r, x) * mpmath.exp(mpmath.pi * r / 2)))
+        assert abs(tr.bessel_k_imag_scaled(r, x) - ref) <= 1e-8 * abs(ref), (r, x)
+
+
+@pytest.mark.parametrize("r, x, value", [(200.0, 300.0, 7.3426678040e-26),
+                                         (100.0, 150.0, 1.1073053364e-13),
+                                         (60.0, 90.0, 9.2437713201e-09),
+                                         (100.0, 300.0, 3.1254683467e-71)])
+def test_bessel_imag_scaled_where_the_old_contour_cancelled(r, x, value):
+    # r < x < pi r/2: the real-axis leg of the old three-leg contour cancelled
+    # against the others here (-6.1e-16 at (200, 300)) or hit its panel cap
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    ref = float(mpmath.re(mpmath.besselk(1j * r, x) * mpmath.exp(mpmath.pi * r / 2)))
+    # relative alone: pytest.approx would also admit an absolute 1e-12
+    assert abs(ref - value) <= 1e-10 * value
+    assert abs(tr.bessel_k_imag_scaled(r, x) - ref) <= 1e-9 * ref
 
 
 def test_bessel_imag_scaled_reference_and_overlap():
     assert tr.bessel_k_imag_scaled(15.0, 1.0) == pytest.approx(SCALED_R15_X1, rel=1e-8)
     assert tr.bessel_k_imag_scaled(25.0, 1.0) == pytest.approx(SCALED_R25_X1, rel=1e-8)
     assert tr.bessel_k_imag_scaled(40.0, 1.0) == pytest.approx(SCALED_R40_X1, rel=1e-8)
+    # the direct route is an independent oracle at every point, x >= pi r/2 included
     for r in (1.0, 3.0, 6.0):
-        for x in (0.5, 1.0, 2.5):
+        for x in (0.5, 1.0, 2.5, 10.0):
             direct = float(np.real(tr.bessel_k(complex(0, r), x))) * np.exp(0.5 * np.pi * r)
             assert tr.bessel_k_imag_scaled(r, x) == pytest.approx(direct, rel=1e-7)
 
@@ -254,26 +274,96 @@ def test_bessel_imag_scaled_at_infinite_x_is_its_limit():
     assert tr.bessel_k_imag_scaled(2.0, np.inf) == 0.0
 
 
-def _imag_scaled_per_leg(r, x, rel_tol=1e-9):
-    """exp(pi r/2) K_{ir}(x) in the oscillatory regime with each contour
-    leg w = start + step t integrated by its own quad_gk call: the
-    reference for the family of three legs in bessel_k_imag_scaled."""
-    tc = max(float(np.arccosh(max(2.0 * r / x, 1.0))), 0.6)
-    u_hi = float(np.arccosh((tr._EXP_CUT + np.pi * r / 2.0 + 20.0) / x))
-    legs = [(0j, 1 + 0j, 0.0, tc), (tc + 0j, 1j, 0.0, np.pi / 2.0),
-            (0.5j * np.pi, 1 + 0j, tc, max(u_hi, tc + 1.0))]
-    vals = [quad_gk(lambda t: step * np.exp(1j * (x * np.sinh(start + step * t)
-                                                  - r * (start + step * t))),
-                    lo, hi, rel_tol=rel_tol).value
-            for start, step, lo, hi in legs]
-    return float(np.real(vals[0] + vals[1] + vals[2]))
+def _imag_scaled_per_member(monkeypatch, r, x):
+    """exp(pi r/2) K_{ir}(x) with each member of bessel_k_imag_scaled's family
+    integrated by its own quad_gk call, and the number of members: the
+    reference for the family."""
+    sizes = []
+
+    def per_member(f, a, b, **kwargs):
+        sizes.append(len(a))
+        one = [quad_gk(lambda t: f(t, np.full(t.shape, k)), lo, hi, **kwargs)
+               for k, (lo, hi) in enumerate(zip(a, b))]
+        return FamilyResult(np.array([q.value for q in one]), np.array([q.error for q in one]),
+                            np.array([q.neval for q in one]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tr, "quad_family", per_member)
+        return tr.bessel_k_imag_scaled(r, x), sizes
 
 
 @pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
-@pytest.mark.parametrize("x", [0.3, 1.0, 7.0])
-def test_imag_scaled_legs_as_one_family_equal_separate_calls(r, x):
-    assert x < 0.5 * np.pi * r          # the rotated-contour regime
-    assert tr.bessel_k_imag_scaled(r, x) == _imag_scaled_per_leg(r, x)
+@pytest.mark.parametrize("x", [0.3, 1.0, 7.0, 60.0])
+def test_imag_scaled_legs_as_one_family_equal_separate_calls(monkeypatch, r, x):
+    # H, L and U while H is not negligible, L and U past that, U alone for r <= x
+    ref, sizes = _imag_scaled_per_member(monkeypatch, r, x)
+    assert sizes == [1 if r <= x else 2 if r == 40.0 else 3]
+    assert tr.bessel_k_imag_scaled(r, x) == ref
+
+
+@pytest.mark.parametrize("r, waves, neval", [(5.0, 1, 252), (40.0, 1, 168), (400.0, 2, 210),
+                                             (2000.0, 3, 294)])
+def test_imag_scaled_work_is_pinned(monkeypatch, r, waves, neval):
+    # one family whose work does not grow with r: the old real-axis leg
+    # oscillated r log(r/x)/2 pi times and took 79,716 evaluations at r = 2000
+    calls = []
+
+    def counted(f, *args, **kwargs):
+        waves = []
+
+        def wave(t, k):
+            waves.append(t.size)
+            return f(t, k)
+
+        res = quad_family(wave, *args, **kwargs)
+        calls.append((len(waves), int(res.neval.sum())))
+        return res
+
+    monkeypatch.setattr(tr, "quad_family", counted)
+    tr.bessel_k_imag_scaled(r, 1.0)
+    assert calls == [(waves, neval)]
+
+
+@pytest.mark.parametrize("r, x", [(5.0, 1.0), (40.0, 1.0), (2000.0, 1.0), (0.0, 1.0), (5.0, 7.0),
+                                  (100.0, 300.0), (1.0 + 1e-8, 1.0), (700.0, 700.0)])
+def test_imag_scaled_tail_and_floor_hold(monkeypatch, r, x):
+    # the docstring's bounds, checked by quadrature: the family's abs_tol is
+    # 1e-2 BESSEL_REL_TOL floor, the path past its end carries at most
+    # 1e-3 BESSEL_REL_TOL floor, and floor is at most Re(I_L + I_U)
+    seen = []
+
+    def capture(f, a, b, **kwargs):
+        res = quad_family(f, a, b, **kwargs)
+        seen.append((f, len(a), b[-1], kwargs["abs_tol"], res.value))
+        return res
+
+    monkeypatch.setattr(tr, "quad_family", capture)
+    tr.bessel_k_imag_scaled(r, x)
+    (f, m, end, abs_tol, value), = seen
+    floor = abs_tol / (1e-2 * tr.BESSEL_REL_TOL)
+    tail = quad_gk(lambda t: f(t, np.full(t.shape, m - 1)), end, end + 5.0).value
+    assert abs(tail) <= 1e-3 * tr.BESSEL_REL_TOL * floor
+    assert floor <= value[-2:].real.sum()
+
+
+@pytest.mark.parametrize("r, x", [(1e7, 1.0), (1e300, 1.0), (1.0, 5e-324)])
+def test_bessel_imag_scaled_refuses_a_phase_beyond_double_precision(monkeypatch, r, x):
+    # |P| = r (log(2r/x) - 1) + O(x^2/r) is far beyond 4e6 at each of these
+    monkeypatch.setattr(tr, "quad_family", lambda *a, **k: pytest.fail("quadrature reached"))
+    with pytest.raises(ValueError, match="too large against x"):
+        tr.bessel_k_imag_scaled(r, x)
+
+
+@pytest.mark.parametrize("r, x", [(1.0, 1e-300), (0.5, 1e-50), (0.0, 1e-300), (3.0, 1e-20),
+                                  (3.0, 1e300), (2.0, 1e5)])
+def test_bessel_imag_scaled_at_extreme_x_against_mpmath(r, x):
+    # r/x up to 1e300, where D in t - w_s cancels on H (t0 clips it there),
+    # and x far past the underflow of e^-m (0.0, like mpmath's value in doubles)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    r_mp, x_mp = mpmath.mpf(r), mpmath.mpf(x)
+    ref = float(mpmath.re(mpmath.besselk(1j * r_mp, x_mp) * mpmath.exp(mpmath.pi * r_mp / 2)))
+    assert abs(tr.bessel_k_imag_scaled(r, x) - ref) <= 1e-10 * abs(ref)
 
 
 def test_bessel_k_scaled_array_equals_scalar_calls():
