@@ -49,10 +49,7 @@ def _eyes(shape, d):
 def make_boost(x, d):
     """Boost by rapidity ``x`` in the (0,1) plane, identity elsewhere; an
     array of rapidities gives the stack of their boosts."""
-    try:
-        _checks.integer(d=d, at_least=2)
-    except ValueError:
-        raise ValueError("need d >= 2") from None
+    _checks.integer(d=d, at_least=2)
     _checks.finite(x=x)
     x = np.asarray(x, dtype=float)
     g = _eyes(x.shape, d)
@@ -166,10 +163,7 @@ class CycleConfig:
     rho0: float = field(init=False)
 
     def __post_init__(self):
-        try:        # an integral float or a bool is not an integer
-            _checks.integer(d=self.d, n=self.n)
-        except ValueError:
-            raise ValueError("d and n must be integers") from None
+        _checks.integer(d=self.d, n=self.n)
         if self.d < 3 or not (2 <= self.n <= self.d - 1):
             raise ValueError("need d >= 3 and 2 <= n <= d-1")
         object.__setattr__(self, "rho", (self.d - 1) / 2.0)

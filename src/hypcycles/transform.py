@@ -470,10 +470,7 @@ def _check_transform_args(d, mu, nu):
     """Refuse a bad d, mu or nu before any work."""
     _checks.positive(mu=mu)
     _checks.finite(nu=nu)
-    try:        # an integral float or a bool is not an integer
-        _checks.integer(d=d, at_least=2)
-    except ValueError:
-        raise ValueError("d must be an integer >= 2") from None
+    _checks.integer(d=d, at_least=2)
 
 
 def selberg_transform_closed(d, mu, nu):
@@ -487,7 +484,8 @@ def _outer_cut(mu, a):
     """The smallest X, to within a last Newton step (a relative 1e-7), with
     selberg_transform_quadrature's tail bound B(X) <= exp(-_OUTER_CUT)."""
     a = abs(a)
-    t = math.acosh(1.0 + 1.0 / mu)
+    # 1 + 1/mu rounds to 1 from mu = 2^53 on; the half-angle form keeps t > 0 there
+    t = math.acosh(1.0 + 1.0 / mu) or 2.0 * math.asinh(math.sqrt(0.5 / mu))
     # log B falls strictly from +inf at sinh X = a/mu: step right until it is
     # below the target, then take Newton steps down for as long as it stays so
     lo = math.asinh(a / mu)

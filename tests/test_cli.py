@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from hypcycles import cli
+from hypcycles import bounds, cli, orbits, transform
+from hypcycles.lorentz import CycleConfig
 from hypcycles.orbits import fuchsian_generators, picard_generators
 
 
@@ -376,7 +377,7 @@ def test_transform_runs_in_d_2(tmp_path):
 
 @pytest.mark.parametrize("command", ["delta", "count"])
 @pytest.mark.parametrize("max_len, message", [
-    ("13", "exceeds the cost guard"),
+    ("13", "max_word_length must be in [1, 12], got 13"),
     ("0", "max_word_length must be at least 1"),
     ("-1", "max_word_length must be at least 1"),
 ], ids=["above-cap", "zero", "negative"])
@@ -415,11 +416,11 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
     (["transform", "--mu", ","], "mu_list must hold at least one entry"),
     (["verify", "--mu", ","], "mu_list must hold at least one entry"),
     (["asymptote", "--mu", ","], "mu_list must hold at least one entry"),
-    (["transform", "--d", "8"], "cost guard d <= 6"),
+    (["transform", "--d", "8"], "unsupported dimension d=8 (quadrature cost guard, d <= 6)"),
     (["delta", "--u", "1,2"], "u must hold n-1 = 1 finite numbers"),
     (["count", "--u", "nan"], "u must hold n-1 = 1 finite numbers"),
     (["asymptote", "--d", "3", "--n", "3", "--mu", "10"], "2 <= n <= d-1"),
-    (["asymptote", "--mu", "61"], "asymptote sweep is capped at mu = 60"),
+    (["asymptote", "--mu", "61"], "mu_grid capped at 60"),
     (["count", "--n", "4"], "2 <= n <= d-1"),
     (["delta", "--n", "1"], "2 <= n <= d-1"),
     (["verify", "--n", "3"], "2 <= n <= d-1"),
@@ -454,3 +455,57 @@ def test_nonfinite_or_nonpositive_tolerance_exits_2(command, tol, tmp_path, caps
     name = tol.split("=")[0]
     assert f"tolerance {name} must be finite and positive" in _one_error_line(capsys)
     assert not out.exists()
+
+
+_ASYMPTOTE_BOX = bounds.BoxDomain(v_bounds=((0.0, 1.0),), r_bounds=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    ("count --max-len 13", lambda: orbits.ball_enumerate(picard_generators(), 13)),
+    ("transform --d 8", lambda: transform.selberg_transform_quadrature(8, 1.0, 0j)),
+    ("transform --d 1", lambda: transform.selberg_transform_quadrature(1, 1.0, 0j)),
+    ("transform --nu-re 60", lambda: transform.selberg_transform_closed(3, 1.0, 60 + 0j)),
+    ("asymptote --mu 61", lambda: bounds.rescaled_limit_shape(
+        CycleConfig(3, 2), [1.0, 40.0, 60.0, 61.0], 0j, _ASYMPTOTE_BOX)),
+    ("asymptote --nu-re 60", lambda: bounds.rescaled_limit_shape(
+        CycleConfig(3, 2), [1.0, 40.0, 60.0], 60 + 0j, _ASYMPTOTE_BOX)),
+    ("delta --d 2", lambda: CycleConfig(2, 2)),
+], ids=["count-max-len-13", "transform-d-8", "transform-d-1", "transform-nu-re-60",
+        "asymptote-mu-61", "asymptote-nu-re-60", "delta-d-2"])
+def test_a_library_refusal_is_exit_2_with_the_librarys_message(argv, refusal, tmp_path,
+                                                               picard_path, capsys):
+    # the rule lives in the library alone: the CLI reports its ValueError as it is
+    with pytest.raises(ValueError) as exc:
+        refusal()
+    argv = argv.split()
+    if argv[0] in ("delta", "count"):
+        argv += ["--gens", picard_path]
+    out = tmp_path / "o.csv"
+    assert _run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["count", "delta", "verify", "transform"])
+@pytest.mark.parametrize("content, message", [
+    ({"d": True}, "d must be an integer, got True"),
+    ({"n": True}, "n must be an integer, got True"),
+    ({"max_word_length": True}, "max_word_length must be an integer, got True"),
+    ({"nu_re": False}, "nu_re must be a number, got False"),
+    ({"mu_list": [True]}, "mu_list must be a list of numbers, got (True,)"),
+    ({"tolerances": {"quad": True}}, "tolerance quad must be a number, got True"),
+], ids=["d", "n", "max_word_length", "nu_re", "mu_list", "tolerance"])
+def test_a_json_bool_is_no_number_in_a_config_file(command, content, message, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(content))
+    assert _run([command, "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["transform", "verify"])
+def test_a_mu_where_the_transform_underflows_runs(command, tmp_path):
+    out = tmp_path / "o.json"
+    assert _run([command, "--mu", "1e300", "--format", "json", "--out", str(out)]) == 0
+    if command == "transform":
+        rec = json.loads(out.read_text())["records"][0]
+        assert rec["h_closed"] == rec["h_quad"] == rec["rel_err"] == 0.0

@@ -202,15 +202,15 @@ def test_cycle_config_validation():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: lz.make_boost(0.5, 1), "need d >= 2"),
-    (lambda: lz.make_boost(0.5, 2.5), "need d >= 2"),     # once a TypeError from _eyes
+    (lambda: lz.make_boost(0.5, 1), "d must be an integer >= 2, got 1"),
+    (lambda: lz.make_boost(0.5, 2.5), "d must be an integer, got 2.5"),  # once a TypeError from _eyes
     (lambda: lz.make_unipotent([0.5], 4), "u must have d-1 components"),
-    (lambda: lz.CycleConfig(3.5, 2), "d and n must be integers"),
-    (lambda: lz.CycleConfig(3, 2.5), "d and n must be integers"),
+    (lambda: lz.CycleConfig(3.5, 2), "d must be an integer, got 3.5"),
+    (lambda: lz.CycleConfig(3, 2.5), "n must be an integer, got 2.5"),
     # integral floats and bools once passed, to fail far from here
-    (lambda: lz.CycleConfig(4.0, 2), "d and n must be integers"),
-    (lambda: lz.CycleConfig(4, 2.0), "d and n must be integers"),
-    (lambda: lz.CycleConfig(True, 2), "d and n must be integers"),
+    (lambda: lz.CycleConfig(4.0, 2), "d must be an integer, got 4.0"),
+    (lambda: lz.CycleConfig(4, 2.0), "n must be an integer, got 2.0"),
+    (lambda: lz.CycleConfig(True, 2), "d must be an integer, got True"),
     (lambda: lz.check_membership(np.eye(4), "G0"), "G0 membership needs a CycleConfig"),
     (lambda: lz.check_membership(np.eye(4), "AN0"), "AN0 membership needs a CycleConfig"),
     (lambda: lz.check_membership(np.eye(4), "X"), "unknown subgroup 'X'"),

@@ -713,6 +713,15 @@ def test_outer_cut_matches_a_far_cut():
         assert abs(h - f) <= rel_tol * abs(f), c
 
 
+def test_transform_quadrature_is_zero_where_exp_minus_mu_underflows():
+    # 1 + 1/mu rounds to 1 from mu = 2^53 on, where the cut's t = arccosh(1 + 1/mu)
+    # once came out 0 and log(t * slope) raised a bare "math domain error"
+    for mu in (1e15, 1e16, 1e17, 1e300):
+        for nu in (0.3, 1j):
+            assert tr.selberg_transform_quadrature(3, mu, nu) == 0.0, (mu, nu)
+            assert tr.selberg_transform_closed(3, mu, nu) == 0.0, (mu, nu)
+
+
 def test_inner_cut_tail_below_the_inner_tolerance():
     # int_{s > sqrt(L/z)} s^(d-2) e^(-z s^2) ds over the whole integral is
     # Q((d-1)/2, L); it must stay far below the tightest inner target
@@ -788,10 +797,11 @@ def test_quadrature_nonconvergence_raises():
 @pytest.mark.parametrize("call, message", [
     (lambda: tr.KScaledInterpolator(0.3 + 0.5j, 1.0, 2.0), "interpolation table needs a real order"),
     (lambda: tr.gr_identity_6_726_4(1.0, 1.0, 0.5, 0.3, sign=0), "sign must be +1 or -1"),
-    (lambda: tr.selberg_transform_closed(2.5, 1.0, 0.3), "d must be an integer >= 2"),
+    (lambda: tr.selberg_transform_closed(2.5, 1.0, 0.3), "d must be an integer, got 2.5"),
     # integral floats once passed, where CycleConfig and the Weyl law refuse them
-    (lambda: tr.selberg_transform_closed(3.0, 1.0, 0.3), "d must be an integer >= 2"),
-    (lambda: tr.selberg_transform_closed(np.float64(3.0), 1.0, 0.3), "d must be an integer >= 2"),
+    (lambda: tr.selberg_transform_closed(3.0, 1.0, 0.3), "d must be an integer, got 3.0"),
+    (lambda: tr.selberg_transform_closed(np.float64(3.0), 1.0, 0.3),
+     f"d must be an integer, got {np.float64(3.0)!r}"),
 ], ids=["interpolator-complex-order", "gr_6_726_4-sign-0", "transform-d-2.5", "transform-d-3.0",
         "transform-d-float64"])
 def test_bad_arguments_are_refused(call, message):
