@@ -14,16 +14,14 @@ from hypcycles import (
     gr_identity_3_471_9,
     gr_identity_6_592_12,
     gr_identity_6_726_4,
+    selberg_transform_agreement,
     selberg_transform_closed,
-    selberg_transform_quadrature,
 )
 
 print("=== closed form vs quadrature ===")
 print(f"{'d':>2} {'mu':>4} {'nu':>5} {'closed':>14} {'quadrature':>14} {'rel err':>9}")
 for d, mu, nu in [(3, 1.0, 0.0), (3, 2.0, 1j), (4, 1.0, 0.5), (5, 0.5, 2j)]:
-    hc = selberg_transform_closed(d, mu, nu)
-    hq = selberg_transform_quadrature(d, mu, nu)
-    rel = abs(hc - hq) / abs(hc)
+    hc, hq, rel = selberg_transform_agreement(d, mu, nu)
     print(f"{d:>2} {mu:>4} {str(nu):>5} {float(np.real(hc)):>14.8f} "
           f"{float(np.real(hq)):>14.8f} {rel:>9.1e}")
 print("symmetry h(nu) = h(-nu):",

@@ -44,6 +44,7 @@ from .transform import (
     gr_identity_6_592_12,
     gr_identity_6_726_4,
     phi_mu,
+    selberg_transform_agreement,
     selberg_transform_closed,
     selberg_transform_quadrature,
 )

@@ -40,8 +40,8 @@ from . import _checks
 from .cycles import PreparedCycle, _nelder_mead
 from .lorentz import TOL_G0, check_membership, require_lorentz
 from .quadrature import quad_family, quad_gk
-from .transform import (_EXP_CUT, REAL_ORDER_IM, KScaledInterpolator, _exp_in_place,
-                        bessel_k_scaled, selberg_transform_closed, selberg_transform_quadrature)
+from .transform import (_EXP_CUT, REAL_ORDER_IM, KScaledInterpolator, _exp_in_place, _gap,
+                        bessel_k_scaled, selberg_transform_agreement)
 
 # largest mu of the rescaled limit-shape sweep
 SWEEP_MU_CAP = 60.0
@@ -112,16 +112,12 @@ def spectral_tail_bound(spec, cutoff):
 
 
 def f_total_integral(d, mu):
-    """(closed, quadrature, rel_err) for the group integral of the test
-    function: closed form 2^d (pi/2mu)^((d-1)/2) K_{(d-1)/2}(mu); the
-    quadrature side is the transform integral with the character dropped,
-    i.e. evaluated at nu = -rho, to a relative 1e-9."""
-    rho = (d - 1) / 2.0
-    closed = selberg_transform_closed(d, mu, rho)
-    quad = selberg_transform_quadrature(d, mu, -rho, rel_tol=1e-9)
-    quad = float(np.real(quad))
-    err = abs(closed - quad) / max(abs(closed), 1e-300)
-    return float(closed), quad, float(err)
+    """(closed, quadrature, gap) for the group integral of the test
+    function: closed form 2^d (pi/2mu)^((d-1)/2) K_{(d-1)/2}(mu) against the
+    transform integral with the character dropped, i.e. the transform's
+    agreement at nu = -rho, its quadrature to a relative 1e-9."""
+    closed, quad, gap = selberg_transform_agreement(d, mu, -(d - 1) / 2.0)
+    return float(closed), float(quad), gap
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,7 @@ def sigma0_model(cfg, mu, nu, box):
 
     against direct quadrature of the layered integral (the transform to a
     relative 1e-8, the radial factor to 1e-10).  Returns (closed,
-    quadrature, rel_err), the first two complex for a complex-typed nu
+    quadrature, gap), the first two complex for a complex-typed nu
     (``0.3+0j`` included) and floats otherwise, as the transform's are.
     Both sides are the n-dimensional spherical transform at nubar times the
     window integral, so the transform's quadrature cost guard
@@ -174,25 +170,18 @@ def sigma0_model(cfg, mu, nu, box):
     """
     if len(box.v_bounds) != cfg.n - 1:
         raise ValueError("box must give one v-interval per cycle direction")
-    n = cfg.n
     nu_c = complex(nu)
-    nu_bar = nu_c.conjugate()
     i_nu = box.i_nu(nu_c)
-    closed = selberg_transform_closed(n, mu, nu_bar) * i_nu
     # the layered integral over (u, s) is the transform integral at -nubar
-    # after the substitution s = 1/r
-    inner = selberg_transform_quadrature(n, mu, -nu_bar, rel_tol=1e-8)
-    r_lo, r_hi = box.r_bounds
-    a = 2.0 * nu_c.real
-    radial = quad_gk(lambda r: r ** (a - 1.0), r_lo, r_hi, rel_tol=1e-10).value
-    quad = inner * box.v_volume * radial
-
-    closed_s, quad_s = complex(closed), complex(quad)
-    err = abs(closed_s - quad_s) / max(abs(closed_s), 1e-300)
+    # after the substitution s = 1/r; the closed form is even in its order
+    h_closed, h_quad, _ = selberg_transform_agreement(cfg.n, mu, -nu_c.conjugate(), rel_tol=1e-8)
+    radial = quad_gk(lambda r: r ** (2.0 * nu_c.real - 1.0), *box.r_bounds, rel_tol=1e-10).value
+    closed, quad = complex(h_closed * i_nu), complex(h_quad * box.v_volume * radial)
+    gap = _gap(closed, quad)
     # typed like the transform's result: complex for a complex-typed nu
     if np.iscomplexobj(nu):
-        return closed_s, quad_s, float(err)
-    return float(closed_s.real), float(quad_s.real), float(err)
+        return closed, quad, gap
+    return closed.real, quad.real, gap
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +454,9 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     mu_grid = [float(m) for m in mu_grid]
     _checks.positive(mu_grid=mu_grid)
     if not mu_grid or any(b <= a for a, b in zip(mu_grid, mu_grid[1:])):
-        raise ValueError("mu_grid must be nonempty and strictly increasing")
+        raise ValueError(f"mu_grid must be nonempty and strictly increasing, got {mu_grid!r}")
     if mu_grid[-1] > SWEEP_MU_CAP:
-        raise ValueError(f"mu_grid capped at {SWEEP_MU_CAP:g}")
+        raise ValueError(f"mu_grid capped at {SWEEP_MU_CAP:g}, got {mu_grid[-1]!r}")
     d, n = cfg.d, cfg.n
     nu_bar = complex(nu).conjugate()
     i_nu = box.i_nu(nu)

@@ -165,7 +165,7 @@ class CycleConfig:
     def __post_init__(self):
         _checks.integer(d=self.d, n=self.n)
         if self.d < 3 or not (2 <= self.n <= self.d - 1):
-            raise ValueError("need d >= 3 and 2 <= n <= d-1")
+            raise ValueError(f"need d >= 3 and 2 <= n <= d-1, got d={self.d!r}, n={self.n!r}")
         object.__setattr__(self, "rho", (self.d - 1) / 2.0)
         object.__setattr__(self, "rho0", (self.n - 1) / 2.0)
 

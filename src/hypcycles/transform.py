@@ -66,7 +66,7 @@ def _normalize_order(order):
     _checks.finite(order=order)
     nu = complex(order)
     if abs(nu.real) > MAX_REAL_ORDER:
-        raise ValueError(f"|Re(order)| must be <= {MAX_REAL_ORDER}")
+        raise ValueError(f"|Re(order)| must be <= {MAX_REAL_ORDER}, got {nu!r}")
     if nu.real < 0:
         nu = -nu
     return nu
@@ -361,15 +361,17 @@ class KScaledInterpolator:
 # Gradshteyn-Ryzhik identities, each side computed independently
 
 
-def _rel_err(lhs, rhs):
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
+def _gap(closed, other):
+    """The gap of a closed form from its oracle, |closed - other| / max(|closed|,
+    1e-300): inf where the closed form is 0.0, as two underflowed values compare
+    nothing, and NaN where either side is."""
+    return math.inf if closed == 0.0 else float(abs(closed - other) / max(abs(closed), 1e-300))
 
 
 def gr_identity_3_471_9(alpha, beta, order):
     """int_0^inf x^(nu-1) exp(-alpha/x - beta x) dx  vs  2 (a/b)^(nu/2) K_nu(2 sqrt(ab)).
 
-    Both sides, each to GR_REL_TOL, returned with their relative difference.
+    Both sides, each to GR_REL_TOL, returned with the closed right side's gap.
     """
     _checks.positive(alpha=alpha, beta=beta)
     _checks.finite(order=order)
@@ -387,7 +389,7 @@ def gr_identity_3_471_9(alpha, beta, order):
     res = quad_gk(f, y_lo - 0.5, y_hi + 0.5, rel_tol=GR_REL_TOL)
     lhs = res.value
     rhs = 2.0 * (alpha / beta) ** (nu / 2.0) * complex(bessel_k(complex(nu), 2.0 * np.sqrt(alpha * beta)))
-    return lhs, rhs, _rel_err(lhs, rhs)
+    return lhs, rhs, _gap(rhs, lhs)
 
 
 def gr_identity_6_726_4(a, b, c, order, sign=+1):
@@ -423,7 +425,7 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1):
     rhs = (np.sqrt(np.pi / 2.0) * a ** (-s * nu) * b ** (0.5 - s * nu)
            * (a * a + c * c) ** (s * nu / 2.0 - 0.25)
            * complex(bessel_k(complex(s * nu - 0.5), w)))
-    return lhs, rhs, _rel_err(lhs, rhs)
+    return lhs, rhs, _gap(rhs, lhs)
 
 
 def gr_identity_6_592_12(a, b, c):
@@ -459,7 +461,7 @@ def gr_identity_6_592_12(a, b, c):
     res = quad_gk(f, t_lo, t_hi, rel_tol=GR_REL_TOL)
     lhs = res.value
     rhs = 2.0 ** c * math.gamma(c) * a ** (-c) * float(bessel_k(float(b - c), a))
-    return float(lhs), float(rhs), _rel_err(lhs, rhs)
+    return float(lhs), float(rhs), _gap(rhs, lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +559,11 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
     if np.iscomplexobj(nu):
         return complex(val)
     return float(np.real(val))
+
+
+def selberg_transform_agreement(d, mu, nu, rel_tol=1e-9):
+    """(closed form, quadrature to rel_tol, gap): the primary oracle pair, inf
+    where the closed form has underflowed to 0.0."""
+    closed = selberg_transform_closed(d, mu, nu)
+    quad = selberg_transform_quadrature(d, mu, nu, rel_tol=rel_tol)
+    return closed, quad, _gap(closed, quad)

@@ -61,6 +61,8 @@ def test_f_total_integral():
     for d in (3, 4, 5):
         for mu in (0.5, 1.0, 2.0):
             assert bd.f_total_integral(d, mu)[2] < 1e-6
+    # the transform's agreement: no gap where both sides underflow to 0.0
+    assert bd.f_total_integral(3, 1e300) == (0.0, 0.0, math.inf)
     # the closed side is selberg_transform_closed, with its check
     for mu in (0.0, -1.0):
         with pytest.raises(ValueError, match="mu must be positive"):

@@ -189,10 +189,10 @@ def test_orbit_csv_bytes_are_pinned(command, picard_path, capsys):
 # sha256 of the stdout, CSV or JSON, of the commands that need no generator file
 GOLDEN_CSV_ARGV = {
     "verify --d 3 --mu 1":
-        "5569c8ad934071bbe304b7278457b948baa81611750d932a443e185459be62b6",
+        "0aaf5514b2794ae971ab08878da7e3eb1a483f76276a51778e500ad1d1025027",
     # the embedded Picard set, two values of mu and the JSON writer
     "verify --d 4 --mu 1,2 --format json":
-        "7d6aab8aa5d0b0f33f7692d974d57eed4ae75aa68fe5bcf8f299430784c6a062",
+        "68ebfe640083441a171d8ff60c22915790144f9e6dd54905ac0ffc16c478582d",
     "transform --d 3 --mu 1,2 --nu-im 1":
         "00586d9ff3c2bea6d02f29a32ce4d74b6fd06ee7f8d65b5ff901d84d5d16bf5e",
     "transform --d 5 --mu 0.7 --nu-re 0.4 --format json":
@@ -420,10 +420,10 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
     (["delta", "--u", "1,2"], "u must hold n-1 = 1 finite numbers"),
     (["count", "--u", "nan"], "u must hold n-1 = 1 finite numbers"),
     (["asymptote", "--d", "3", "--n", "3", "--mu", "10"], "2 <= n <= d-1"),
-    (["asymptote", "--mu", "61"], "mu_grid capped at 60"),
+    (["asymptote", "--mu", "61"], "mu_grid capped at 60, got 61.0"),
     (["count", "--n", "4"], "2 <= n <= d-1"),
     (["delta", "--n", "1"], "2 <= n <= d-1"),
-    (["verify", "--n", "3"], "2 <= n <= d-1"),
+    (["verify", "--n", "3"], "need d >= 3 and 2 <= n <= d-1, got d=3, n=3"),
     (["transform", "--d", "3", "--mu", "1", "--nu-re", "nan"], "nu_re and nu_im must be finite"),
     (["asymptote", "--d", "3", "--n", "2", "--mu", "10", "--nu-re", "nan"],
      "nu_re and nu_im must be finite"),
@@ -503,9 +503,29 @@ def test_a_json_bool_is_no_number_in_a_config_file(command, content, message, tm
 
 
 @pytest.mark.parametrize("command", ["transform", "verify"])
-def test_a_mu_where_the_transform_underflows_runs(command, tmp_path):
+def test_a_mu_where_the_transform_underflows_runs(command, tmp_path, capsys):
+    # both sides read 0.0 there: they compare nothing, so the run completes
+    # with a gap of inf and fails its check
     out = tmp_path / "o.json"
-    assert _run([command, "--mu", "1e300", "--format", "json", "--out", str(out)]) == 0
+    assert _run([command, "--mu", "1e300", "--format", "json", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    obj = json.loads(out.read_text())
     if command == "transform":
-        rec = json.loads(out.read_text())["records"][0]
-        assert rec["h_closed"] == rec["h_quad"] == rec["rel_err"] == 0.0
+        rec = obj["records"][0]
+        assert rec["h_closed"] == rec["h_quad"] == 0.0
+        assert rec["rel_err"] == float("inf")
+    else:
+        check = next(c for c in obj["checks"] if c["check"] == "transform_agreement")
+        assert check["status"] == "fail" and check["max_err"] == float("inf")
+        assert [c["check"] for c in obj["checks"] if c["status"] == "fail"] == [
+            "transform_agreement"]
+
+
+def test_a_check_whose_errors_are_nan_fails(tmp_path, monkeypatch):
+    # max() passes over a NaN: a check whose every error is NaN must not pass
+    monkeypatch.setattr(cli.decompose, "dist_horospherical", lambda *args: float("nan"))
+    out = tmp_path / "v.csv"
+    assert _run(["verify", "--d", "3", "--mu", "1", "--out", str(out)]) == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [r for r in rows if r[1] != "pass"] == [["distance_duality", "fail", "nan", "1e-10",
+                                                    "200"]]

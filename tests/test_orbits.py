@@ -481,6 +481,81 @@ def test_coset_regression_counts(length, n_left, n_double):
     assert len(double.class_ids()) <= len(left.class_ids())
 
 
+def _exact_ball(gens, max_word_length):
+    """The word ball in exact arithmetic, as the stack of its matrices 2 gamma:
+    a breadth-first search in int64, deduplicated by equality of the
+    flattened matrices.  Refuses a set whose 2 gamma is not an integer
+    matrix, and raises before an entry could pass 2^31."""
+    moves = []
+    for label, g in gens.moves():
+        if not np.array_equal(np.rint(2.0 * g), 2.0 * g):
+            raise ValueError(f"2 gamma is not an integer matrix for {label!r}")
+        moves.append(np.rint(2.0 * g).astype(np.int64))
+    moves = np.stack(moves)
+    # an entry of 4 gamma gamma' is a sum of d+1 products of entries
+    growth = int(np.abs(moves).max()) * moves.shape[-1]
+    level = [2 * np.eye(gens.d + 1, dtype=np.int64)]
+    seen, ball = {level[0].tobytes()}, list(level)
+    for _ in range(max_word_length):
+        if int(np.abs(np.stack(level)).max()) * growth >= 2 ** 31:
+            raise OverflowError("an entry of 2 gamma could pass 2^31")
+        fours = (np.stack(level)[:, None] @ moves[None]).reshape(-1, *moves.shape[1:])
+        assert not (fours % 2).any()
+        level = []
+        for twice in fours // 2:
+            if twice.tobytes() not in seen:
+                seen.add(twice.tobytes())
+                level.append(twice)
+        if not level:
+            break
+        ball += level
+    return np.stack(ball)
+
+
+@pytest.mark.parametrize("gens, length, n_ball, n_left", [
+    (ob.picard_generators, 6, 1454, 217),
+    (ob.picard_generators, 8, 9492, 1247),
+    (ob.fuchsian_generators, 6, 104, 1),
+], ids=["picard6", "picard8", "modular6"])
+def test_ball_and_left_classes_equal_an_exact_integer_search(gens, length, n_ball, n_left):
+    # every 2 gamma is an integer matrix here, so the ball and its left
+    # classes have a witness free of rounding: the same elements, and the
+    # left class G0 gamma keyed by gamma's last row up to sign (n = 2)
+    gens = gens()
+    exact = _exact_ball(gens, length)
+    ball = ob.ball_enumerate(gens, length)
+    left = ob.coset_reduce(ball, CFG, mode="left")
+    twice = np.rint(2.0 * ball.mats)
+    assert np.max(np.abs(twice - 2.0 * ball.mats)) < 1e-9
+    twice = twice.astype(np.int64)
+    assert len(exact) == len(ball) == n_ball
+    assert {g.tobytes() for g in exact} == {g.tobytes() for g in twice}
+
+    def partition(keys, stack):
+        classes = {}
+        for key, g in zip(keys, stack):
+            classes.setdefault(key, set()).add(g.tobytes())
+        return {frozenset(c) for c in classes.values()}
+
+    rows = exact[:, -1]
+    signs = np.sign(rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)])
+    exact_classes = partition([r.tobytes() for r in rows * signs[:, None]], exact)
+    assert len(exact_classes) == n_left
+    assert partition(left.ids.tolist(), twice) == exact_classes
+
+
+def test_the_exact_search_refuses_what_it_cannot_hold():
+    with pytest.raises(ValueError, match="not an integer matrix"):
+        _exact_ball(ob.cyclic_boost_generators(1.0), 2)
+    # the translation by 1000: 2T holds 1,000,002, so a product with a move
+    # could pass 2^31, and length 2 is refused before it is formed
+    big = lz.spin_cover_so13(np.array([[1, 1000], [0, 1]], dtype=complex))
+    gens = ob.GeneratorSet(labels=("T",), matrices=(big,))
+    assert len(_exact_ball(gens, 1)) == 3
+    with pytest.raises(OverflowError, match="2\\^31"):
+        _exact_ball(gens, 2)
+
+
 @pytest.mark.parametrize("gens, length, g0_len, n_double, digest, n_products, n_key_rows", [
     (ob.picard_generators, 6, 4, 46, "598d740c854e433a", 217 * 35, 53 * 36),
     (ob.picard_generators, 8, 4, 214, "90497bae363ca47e", 1247 * 35, 251 * 36),

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -617,10 +618,31 @@ def test_transform_closed_example():
 
 
 def test_transform_symmetry_in_nu():
-    for nu in (0.4, 0.9, 1j, 2j):
-        a = tr.selberg_transform_closed(3, 1.5, nu)
-        b = tr.selberg_transform_closed(3, 1.5, -nu)
-        assert abs(a - b) < 1e-12 * abs(a)
+    # exactly even: f_total_integral and sigma0_model take their closed side
+    # from the agreement at -nu, and stay bit for bit what they were at +nu
+    for d in (2, 3, 4, 5):
+        for nu in (0.4, 0.9, 1j, 2j, 0.3 + 0.5j, 0.3 - 0.5j, 0.4 + 0j):
+            for order in (nu, complex(nu).conjugate()):
+                a = tr.selberg_transform_closed(d, 1.5, order)
+                b = tr.selberg_transform_closed(d, 1.5, -order)
+                assert a == b and type(a) is type(b), (d, order)
+
+
+def test_the_gap_rule():
+    assert tr._gap(2.0, 1.0) == 0.5
+    assert tr._gap(-4.0 + 3j, -4.0) == 0.6
+    # scaled by the closed side alone, not by the larger of the two
+    assert tr._gap(1.0, 3.0) == 2.0
+    assert tr._gap(1e-310, 0.0) == 1e-310 / 1e-300
+    # two zeros, or a zero against anything, compare nothing
+    assert tr._gap(0.0, 0.0) == tr._gap(0j, 1e-300) == math.inf
+    assert math.isnan(tr._gap(math.nan, 1.0)) and math.isnan(tr._gap(1.0, math.nan))
+
+
+def test_an_underflowed_transform_has_no_agreement():
+    # both sides read 0.0 at mu = 1e300: the gap is inf, not 0.0
+    closed, quad, gap = tr.selberg_transform_agreement(3, 1e300, 0.3)
+    assert closed == quad == 0.0 and gap == math.inf
 
 
 def test_transform_quadrature_agreement_sample():
