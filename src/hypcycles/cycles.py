@@ -185,13 +185,10 @@ def invariants_stack(gammas, u, cfg):
     """
     gammas = np.asarray(gammas, dtype=float)
     u = np.asarray(u, dtype=float)
-    ok = lorentz_mask(gammas)
-    if len(gammas) and not ok[0]:
-        require_lorentz(gammas[0])
+    require_lorentz(gammas[:1])
     _check_dimension(gammas, cfg)
     _check_direction(u, cfg)
-    for i in np.flatnonzero(~ok).tolist():
-        require_lorentz(gammas[i])
+    require_lorentz(gammas)
     prep = _prepare(gammas, cfg)
     r0, _, block, _, m, M = prep
     return CycleInvariants(r0, block[:, 0, 0], m, M, *_coefficients(prep, u.reshape(1, -1), cfg.n))
@@ -367,17 +364,15 @@ def check_u11_gap(ball, cfg):
     max is None when every element lies in the cycle subgroup.
     """
     mats = np.asarray(ball.mats, dtype=float)
-    # the first element decides, as in a loop of check_membership and ank
-    if len(mats) and not lorentz_mask(mats[:1], TOL_G0)[0]:
-        require_lorentz(mats[0])
+    in_group = lorentz_mask(mats, TOL_G0)
+    # the first element, outside at TOL_G0, decides, as in a loop of check_membership and ank
+    require_lorentz(mats[:1][~in_group[:1]])
     _check_dimension(mats, cfg)
     # G0 membership as check_membership(g, "G0", cfg, tol=TOL_G0) decides it
-    outside = np.flatnonzero(~(lorentz_mask(mats, TOL_G0)
-                               & (_block_offdiag_max(mats, cfg.n + 1) <= TOL_G0)))
+    outside = np.flatnonzero(~(in_group & (_block_offdiag_max(mats, cfg.n + 1) <= TOL_G0)))
+    require_lorentz(mats[outside])
     if not outside.size:
         return None, []
-    for i in outside[~lorentz_mask(mats[outside])].tolist():
-        require_lorentz(mats[i])
     u11 = nak_stack(mats[outside])[2][:, 1, 1].tolist()
     violations = [(ball.words[i], v) for i, v in zip(outside.tolist(), u11)
                   if abs(v) >= 1.0 - 1e-9]

@@ -142,7 +142,14 @@ def is_lorentz(g, tol=TOL_GROUP):
 
 
 def require_lorentz(g, tol=TOL_GROUP, what="matrix"):
+    """g as a float array, refused outside the group; a stack (m, d+1, d+1)
+    at its first member that lorentz_mask rejects, and an empty one passes."""
     g = np.asarray(g, dtype=float)
+    if g.ndim == 3:
+        ok = lorentz_mask(g, tol)
+        if not ok.all():
+            require_lorentz(g[ok.argmin()], tol, what)
+        return g
     if not is_lorentz(g, tol):
         raise ValueError(
             f"{what} is not in the identity component of SO(1,d): "

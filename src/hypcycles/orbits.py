@@ -56,8 +56,8 @@ import numpy as np
 
 from . import _checks
 from .cycles import invariants_stack
-from .lorentz import (TOL_G0, _block_offdiag_max, _check_dimension, group_residual, is_lorentz,
-                      lorentz_inverse, make_boost, spin_cover_so13)
+from .lorentz import (TOL_G0, _block_offdiag_max, _check_dimension, lorentz_inverse, make_boost,
+                      require_lorentz, spin_cover_so13)
 
 LENGTH_CAP = 12
 # cell size of the word ball's dedup keys
@@ -66,6 +66,9 @@ QUANT = 1e-9
 KEY_RES = 1e-6
 # largest entry gap at which two matrices are one element
 SAME_GAP = 1e-12
+# largest entry gap at which the dedup audit refuses two matrices as neither
+# one element nor clearly two
+AMBIGUOUS_GAP = 1e-8
 # matrices or rows per block of the batched loops, bounding their temporaries
 CHUNK = 1024
 
@@ -90,11 +93,7 @@ class GeneratorSet:
             raise ValueError(f"generator matrices must share one shape (d+1, d+1) with d >= 2, "
                              f"got {shapes}")
         for lab, g in zip(self.labels, self.matrices):
-            if not is_lorentz(np.asarray(g)):
-                raise ValueError(
-                    f"generator {lab!r} fails the group invariant "
-                    f"g^T J g = J (residual {group_residual(np.asarray(g)):.3e})"
-                )
+            require_lorentz(g, what=f"generator {lab!r}")
 
     @property
     def d(self):
@@ -397,7 +396,7 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
 def _audit_dedup(words, mats):
     """Catch rounding-boundary splits: group coarsely (two offset grids),
     drop the later member of pairs closer than SAME_GAP, reject ambiguous
-    ones.  Returns the indices kept, ascending."""
+    ones, closer than AMBIGUOUS_GAP.  Returns the indices kept, ascending."""
     keep = np.ones(len(mats), dtype=bool)
     first = _grid_buckets(len(mats), lambda rows: mats[rows].reshape(len(rows), -1))
     buckets = {}    # (first row, grid): the rows sharing a cell, ascending
@@ -408,7 +407,7 @@ def _audit_dedup(words, mats):
             gap = np.max(np.abs(mats[i] - mats[j]))
             if gap < SAME_GAP:
                 keep[j] = False
-            elif gap < 1e-8:
+            elif gap < AMBIGUOUS_GAP:
                 raise RuntimeError(
                     f"dedup ambiguity between words {words[i]!r} and {words[j]!r} "
                     f"(entry gap {gap:.3e}); a larger quant (CLI --tol quant=) may merge them"

@@ -142,7 +142,7 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
         # a converged member's panels stay unsplit, so its sums stay as they are
         count = np.bincount(owner, minlength=m)
         total = _member_sum(vals, owner, m)
-        err_total = np.bincount(owner, weights=errs, minlength=m)
+        err_total = np.bincount(owner, weights=errs, minlength=m).astype(float, copy=False)
         target = np.maximum(rel_tol * np.abs(total), abs_tol)
         todo = ~(err_total <= target)
         if not np.count_nonzero(todo):
@@ -180,9 +180,10 @@ def _bisect(lo, hi, owner):
 
 
 def _member_sum(vals, owner, m):
-    """Per-member sums, each over the member's panels in their array order."""
+    """Per-member sums, each over the member's panels in their array order;
+    floats also for no members, where numpy's bincount gives ints."""
     if not np.iscomplexobj(vals):
-        return np.bincount(owner, weights=vals, minlength=m)
+        return np.bincount(owner, weights=vals, minlength=m).astype(float, copy=False)
     out = np.empty(m, dtype=complex)
     out.real = np.bincount(owner, weights=vals.real, minlength=m)
     out.imag = np.bincount(owner, weights=vals.imag, minlength=m)

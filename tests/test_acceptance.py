@@ -29,6 +29,12 @@ def _report(num, ok, detail):
     return ok
 
 
+def _worst(errors):
+    """The largest of the errors, 0.0 for none; unlike max, it keeps a NaN,
+    so that a criterion fails on one."""
+    return float(np.max([0.0, *errors]))
+
+
 def _picard():
     mats = dict(zip(ob.picard_generators().labels, ob.picard_generators().matrices))
     return mats["T"], mats["U"], mats["S"]
@@ -42,7 +48,7 @@ def test_c1_transform_agreement():
         for mu in (0.5, 1.0, 2.0, 5.0):
             for nu in (0.0, 0.3, 0.9 * rho, 1j, 2j):
                 gaps.append(tr.selberg_transform_agreement(d, mu, nu, rel_tol=1e-10)[2])
-    worst = float(np.max(gaps))     # unlike max, keeps a NaN
+    worst = _worst(gaps)
     elapsed = time.time() - t0
     ok = worst < 1e-6 and elapsed < 60.0
     assert _report(1, ok, f"transform closed vs quadrature, 60 combos: "
@@ -77,11 +83,12 @@ GR_IDENTITIES = {"3.471.9": tr.gr_identity_3_471_9, "6.726.4": tr.gr_identity_6_
 
 def test_c2_gr_identity_suite():
     t0 = time.time()
-    worst = dict.fromkeys(GR_IDENTITIES, 0.0)
+    errors = {name: [] for name in GR_IDENTITIES}
     for name, args in _c2_draws():
-        worst[name] = max(worst[name], GR_IDENTITIES[name](*args)[2])
+        errors[name].append(GR_IDENTITIES[name](*args)[2])
+    worst = {name: _worst(errs) for name, errs in errors.items()}
     elapsed = time.time() - t0
-    ok = max(worst.values()) < 1e-7 and elapsed < 30.0
+    ok = _worst(worst.values()) < 1e-7 and elapsed < 30.0
     assert _report(2, ok, f"integral identities, 50 draws each: worst rel errs "
                           f"{ {k: float(f'{v:.2e}') for k, v in worst.items()} } "
                           f"(tol 1e-7), {elapsed:.1f}s (< 30s)")
@@ -138,33 +145,34 @@ def test_c2_substituted_integrals_cut_the_work(monkeypatch, name):
 
     monkeypatch.setattr(tr, "quad_gk", counted)
     used = ref = 0
-    worst = 0.0
+    errors = []
     for draw, args in _c2_draws():
         if draw == name:
             neval.clear()
-            worst = max(worst, GR_IDENTITIES[name](*args)[2])
+            errors.append(GR_IDENTITIES[name](*args)[2])
             used += neval[0]        # the integral side's one quad_gk
             ref += _untransformed_lhs(name, args).neval
-    assert worst <= 1e-13
+    assert _worst(errors) <= 1e-13
     assert used <= WORK_SHARE[name] * ref, (used, ref)
 
 
 def test_c3_distance_duality_and_roundtrips():
     rng = np.random.default_rng(3)
-    worst_dist = 0.0
+    dists = []
     for _ in range(1000):
         d = int(rng.integers(2, 6))
         u, r = 2 * rng.uniform(-1, 1, d - 1), float(np.exp(rng.uniform(-1, 1)))
         v, t = 2 * rng.uniform(-1, 1, d - 1), float(np.exp(rng.uniform(-1, 1)))
         a = dc.dist(dc.from_horospherical(u, r), dc.from_horospherical(v, t))
         b = dc.dist_horospherical(u, r, v, t)
-        worst_dist = max(worst_dist, abs(a - b))
-    worst_rt = 0.0
+        dists.append(abs(a - b))
+    roundtrips = []
     for _ in range(1000):
         d = int(rng.integers(2, 6))
         g = lz.random_lorentz(rng, d)
         for fac in (dc.nak(g), dc.ank(g), dc.kak(g)):
-            worst_rt = max(worst_rt, float(np.max(np.abs(fac.product() - g))))
+            roundtrips.append(np.max(np.abs(fac.product() - g)))
+    worst_dist, worst_rt = _worst(dists), _worst(roundtrips)
     ok = worst_dist < 1e-10 and worst_rt < 1e-9
     assert _report(3, ok, f"distance duality worst {worst_dist:.2e} (tol 1e-10), "
                           f"NAK/ANK/KAK roundtrip worst {worst_rt:.2e} (tol 1e-9), "
@@ -176,8 +184,7 @@ def test_c4_cycle_geometry():
     ball = ob.ball_enumerate(ob.picard_generators(), 4)
     mats = ball.mats
 
-    worst_gap = 0.0
-    worst_inf = 0.0
+    gaps, infs = [], []
     n_draws = 0
     n_degenerate = 0
     while n_draws < 200:
@@ -185,13 +192,13 @@ def test_c4_cycle_geometry():
         u = rng.uniform(-2, 2, size=1)
         r = float(np.exp(rng.uniform(-1.2, 1.2)))
         closed, brute, gap = cy.verify_f_geometric(g, u, r, CFG)
-        worst_gap = max(worst_gap, gap)
+        gaps.append(gap)
         inv = cy.cycle_invariants(g, u, CFG)
         if min(inv.M, inv.N_u) > 1e-20:
             # grid through the analytic minimum: inf_r f equals delta
             grid = np.unique(np.concatenate([
                 np.geomspace(inv.r_star / 3, 3 * inv.r_star, 301), [inv.r_star]]))
-            worst_inf = max(worst_inf, abs(float(np.min(inv.f(grid))) - inv.delta))
+            infs.append(abs(float(np.min(inv.f(grid))) - inv.delta))
         else:
             # M N_u = 0: the infimum is attained in the limit and the
             # formula collapses to Q = delta = 1 (up to the residual M N)
@@ -206,13 +213,14 @@ def test_c4_cycle_geometry():
     by_class = {}
     for cid, m in zip(table.ids.tolist(), table.mats):
         by_class.setdefault(cid, []).append(m)
-    worst_spread = 0.0
+    spreads = []
     u0 = np.array([0.4])
     for cid, members in by_class.items():
         if cid == trivial or len(members) < 2:
             continue
         vals = [cy.delta_u(m, u0, CFG) for m in members[:3]]
-        worst_spread = max(worst_spread, max(vals) - min(vals))
+        spreads.append(np.ptp(vals))
+    worst_gap, worst_inf, worst_spread = _worst(gaps), _worst(infs), _worst(spreads)
     ok = worst_gap < 1e-6 and worst_inf < 1e-9 and worst_spread < 1e-8
     assert _report(4, ok, f"closed form vs brute-force distance over {n_draws} draws "
                           f"({n_degenerate} degenerate): worst gap {worst_gap:.2e} "
@@ -263,14 +271,15 @@ def test_c6_error_term_decay():
 
 
 def test_c7_main_term_model():
-    worst = 0.0
+    errors = []
     for (d, n) in [(3, 2), (4, 2), (4, 3)]:
         cfg = lz.CycleConfig(d, n)
         box = bd.BoxDomain(v_bounds=tuple((0.0, 1.0) for _ in range(n - 1)),
                            r_bounds=(1.0, 2.0))
         for mu in (1.0, 2.0):
             for nu in (0.0, 0.3):
-                worst = max(worst, bd.sigma0_model(cfg, mu, nu, box)[2])
+                errors.append(bd.sigma0_model(cfg, mu, nu, box)[2])
+    worst = _worst(errors)
     box = bd.BoxDomain(v_bounds=((0.0, 1.0),), r_bounds=(1.0, 2.0))
     rows = bd.rescaled_limit_shape(CFG, [30.0, 40.0, 50.0, 60.0], 0.0, box)
     gap = bd.plateau_gap(rows, 40.0, 60.0)
@@ -279,6 +288,22 @@ def test_c7_main_term_model():
     assert _report(7, ok, f"main-term closed vs quadrature worst {worst:.2e} "
                           f"(tol 1e-5); rescaled plateau gap 40->60 {gap:.2%} "
                           f"(< 1%); envelope/main at mu=60 {env:.2e} (< 1e-2)")
+
+
+def test_c7_fails_on_a_nan_gap(monkeypatch):
+    # Python's max would keep the running worst over a NaN and pass
+    monkeypatch.setattr(bd, "sigma0_model", lambda cfg, mu, nu, box: (1.0, 1.0, float("nan")))
+    with pytest.raises(AssertionError):
+        test_c7_main_term_model()
+
+
+def test_c9_fails_on_a_nan_bessel_value(monkeypatch):
+    # at r = 5.5, on the fine grid alone, where Python's max dropped it
+    real = tr.bessel_k_imag_scaled
+    monkeypatch.setattr(tr, "bessel_k_imag_scaled",
+                        lambda r, x: float("nan") if r == 5.5 else real(r, x))
+    with pytest.raises(AssertionError):
+        test_c9_bessel_bounds()
 
 
 def test_c8_spectral_tail():
@@ -334,9 +359,10 @@ def test_c9_bessel_bounds():
     # on a coarse grid, then hold it (with headroom) on a fine grid
     coarse = np.linspace(5.0, 40.0, 8)
     fine = np.linspace(5.0, 40.0, 71)
-    c_fit = max(abs(tr.bessel_k_imag_scaled(r, 1.0)) / r for r in coarse)
-    worst_fine = max(abs(tr.bessel_k_imag_scaled(r, 1.0)) / r for r in fine)
-    if not np.isfinite(worst_fine) or worst_fine > 1.05 * max(c_fit, 0.25):
+    c_fit = _worst(abs(tr.bessel_k_imag_scaled(r, 1.0)) / r for r in coarse)
+    worst_fine = _worst(abs(tr.bessel_k_imag_scaled(r, 1.0)) / r for r in fine)
+    # fails where either is NaN or inf
+    if not worst_fine <= 1.05 * max(c_fit, 0.25):
         failures.append(f"scaled bound not uniform: fit C={c_fit:.3f}, "
                         f"fine-grid max {worst_fine:.3f}")
 

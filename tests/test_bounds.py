@@ -156,6 +156,23 @@ def test_j_gamma_refuses_a_bad_window_before_the_scan(u_range):
     assert bd._window_scan.cache_info().currsize == 0
 
 
+def test_j_refuses_a_window_whose_scan_missed_an_n_u_zero():
+    # N_u = n(u)^2 with n quadratic in u, zero at u = -0.6406 and 2.6171 for
+    # this gamma; the scan's 33 points on (-1.3, 2.6) pass either side of the
+    # narrow dip at -0.6406, so its polish settles at the edge u = 2.6, while
+    # the window integral's nodes come close enough to -0.6406 to see the dip
+    gamma = np.array([
+        [1.0913279053198783, -0.29813036802006077, -0.12111272709002537, 0.29571369249818946],
+        [0.38253199867882437, -0.33832320473041716, -0.5829485626792178, 0.8318888822579555],
+        [0.054749390617308435, -0.5675463545307319, -0.5648890700635851, -0.6014889606256639],
+        [-0.20412832028822214, 0.8076572669985665, -0.5964391037282142, -0.18335349942660475]])
+    window = ((-1.3, 2.6),)
+    n_min = bd._delta_scan(PreparedCycle(gamma, CFG), window)[1]
+    assert n_min == pytest.approx(PreparedCycle(gamma, CFG).invariants([2.6]).N_u) and n_min > 1e-8
+    with pytest.raises(RuntimeError, match="^window scan missed an N_u degeneration"):
+        bd.j_gamma_quadrature(gamma, window, CFG, 5.0, 0.3)
+
+
 def test_j_gamma_decay_and_ordering():
     T, U, S = _picard()
     res = {}

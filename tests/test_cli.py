@@ -136,7 +136,7 @@ def test_verify_rejects_corrupt_generators(tmp_path, capsys):
     rc = _run(["verify", "--gens", str(bad)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "g^T J g = J" in err
+    assert "generator 'X' is not in the identity component of SO(1,d)" in err
 
 
 def test_delta_csv_and_determinism(tmp_path, picard_path):

@@ -82,6 +82,14 @@ def test_an_empty_ball_of_another_dimension_is_refused(call):
         call(ball, lz.CycleConfig(3, 2))
 
 
+def test_check_u11_gap_refuses_a_first_element_outside_the_group_first():
+    # before the dimension check, as a loop's first check_membership would
+    ball = Ball(words=("x",), mats=np.diag([2.0, 1.0, 1.0, 1.0, 1.0])[None],
+                lengths=np.ones(1, dtype=int), ids=np.zeros(1, dtype=int))
+    with pytest.raises(ValueError, match="^matrix is not in the identity component of SO"):
+        cy.check_u11_gap(ball, CFG)
+
+
 def test_f_gamma_shape_and_minimum():
     T, U, S = _picard()
     inv = cy.cycle_invariants(T @ U @ S @ U, [0.4], CFG)

@@ -69,7 +69,27 @@ def test_a_matrix_with_a_non_finite_entry_is_not_lorentz(bad):
             lz.require_lorentz(g)
 
 
+@pytest.mark.parametrize("g", [np.eye(4)[:3], np.eye(2), np.eye(4)[None]],
+                         ids=["non-square", "d=1", "stack"])
+def test_is_lorentz_refuses_what_is_no_one_matrix_of_a_group(g):
+    assert not lz.is_lorentz(g)
+
+
+def test_require_lorentz_refuses_a_stack_at_its_first_member_outside():
+    good, bad, worse = lz.make_boost(0.5, 3), np.diag([2.0, 1.0, 1.0, 1.0]), -np.eye(4)
+    with pytest.raises(ValueError) as one:
+        lz.require_lorentz(bad, what="member")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+        lz.require_lorentz(np.stack([good, bad, worse]), what="member")
+    stack = np.stack([good, good.T])
+    assert lz.require_lorentz(stack).tobytes() == stack.tobytes()
+    # the one place that decides an empty stack: it passes
+    assert lz.require_lorentz(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
 def test_membership_boost_and_blocks():
+    assert lz.check_membership(lz.make_boost(0.5, 3), "G")
+    assert not lz.check_membership(np.diag([2.0, 1.0, 1.0, 1.0]), "G")
     cfg = lz.CycleConfig(3, 2)
     for x in (1.0, -0.7):
         assert lz.check_membership(lz.make_boost(x, 3), "A")

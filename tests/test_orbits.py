@@ -174,7 +174,7 @@ def test_words_behave_as_a_tuple():
     assert ball.words == words and words == ball.words and ball.words != list(words)
     assert ball.words[1:7:2] == words[1:7:2] and ball.words[-1] == words[-1]
     assert "TUS" in ball.words and "Tt" not in ball.words
-    assert ball.words.index("TUS") == words.index("TUS")
+    assert ball.words.index("TUS") == words.index("TUS") and repr(ball.words) == repr(words)
     with pytest.raises(IndexError):
         ball.words[len(words)]
 
