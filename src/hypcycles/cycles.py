@@ -364,12 +364,12 @@ def check_u11_gap(ball, cfg):
     max is None when every element lies in the cycle subgroup.
     """
     mats = np.asarray(ball.mats, dtype=float)
-    in_group = lorentz_mask(mats, TOL_G0)
-    # the first element, outside at TOL_G0, decides, as in a loop of check_membership and ank
-    require_lorentz(mats[:1][~in_group[:1]])
+    # the first element decides, as in a loop of check_membership and ank
+    require_lorentz(mats[:1], TOL_G0)
     _check_dimension(mats, cfg)
     # G0 membership as check_membership(g, "G0", cfg, tol=TOL_G0) decides it
-    outside = np.flatnonzero(~(in_group & (_block_offdiag_max(mats, cfg.n + 1) <= TOL_G0)))
+    outside = np.flatnonzero(~(lorentz_mask(mats, TOL_G0)
+                               & (_block_offdiag_max(mats, cfg.n + 1) <= TOL_G0)))
     require_lorentz(mats[outside])
     if not outside.size:
         return None, []

@@ -161,11 +161,7 @@ def bessel_k_imag_scaled(r, x):
     formed in t - Re w_s without cancellation.  Members: H = [0, t0],
     t0 = -P/r, on y = -pi/2 (u clipped at 1; Re p - P = -P - r t),
     L = [t0, w_s] (sigma = -1) and U = [w_s, T] (sigma = +1) for r > x;
-    U = [0, T] for r <= x.  Values carry e^m, m = Im p(w_s).  Near the turn
-    r = x the saddle's scale e = asinh(sqrt|r^2 - x^2| / x), w_s for r > x,
-    falls far below the legs, so ``_graded`` splits L at t0 8^i and U at
-    w_s + e 8^i before the first wave, where bisection would grade toward
-    them one wave a halving.
+    U = [0, T] for r <= x.  Values carry e^m, m = Im p(w_s).
 
     Im p rises from the saddle (p' vanishes nowhere else on the path) by
     dIm p = |p'||dw| >= (x sinh t - r) dt, so the tail past T is at most
@@ -222,22 +218,9 @@ def bessel_k_imag_scaled(r, x):
         out = np.exp(m - im_p) * (1.0 + 1j * dy)
         return out * np.exp(1j * np.maximum(-P - r * t, 0.0)) if j == 0 else out
 
-    edges = np.array([0.0, t0, *_graded(0.0, 8.0 * t0, ws), ws][j:]
-                     + [*_graded(ws, math.asinh(s / x), T), T])
-    sg = np.where(edges[:-1] < ws, -1.0, 1.0)
-    val = quad_family(lambda t, i: path(t, sg[i]), edges[:-1], edges[1:],
-                      rel_tol=BESSEL_REL_TOL, abs_tol=10.0 * b).value
+    val = quad_family(lambda t, i: path(t, np.array([-1.0, -1.0, 1.0])[j:][i]), [0.0, t0, ws][j:],
+                      [t0, ws, T][j:], rel_tol=BESSEL_REL_TOL, abs_tol=10.0 * b).value
     return float((np.exp(1j * P - m) * val.sum()).real)
-
-
-def _graded(center, scale, end):
-    """Breakpoints center + scale 8^i, i = 0, 1, ..., each a factor 8 or more
-    closer to center than end: none unless scale is that far below end."""
-    out = []
-    while 0.0 < 8.0 * scale <= end - center:
-        out.append(center + scale)
-        scale *= 8.0
-    return out
 
 
 # Fixed composite Gauss-Legendre rule on a geometric panel ladder: evaluates

@@ -297,11 +297,14 @@ def test_c7_fails_on_a_nan_gap(monkeypatch):
         test_c7_main_term_model()
 
 
-def test_c9_fails_on_a_nan_bessel_value(monkeypatch):
-    # at r = 5.5, on the fine grid alone, where Python's max dropped it
+@pytest.mark.parametrize("at, bad", [(5.5, float("nan")), (10.0, float("inf"))],
+                         ids=["nan-fine-only", "inf-coarse"])
+def test_c9_fails_on_a_nan_or_inf_bessel_value(monkeypatch, at, bad):
+    # r = 5.5 lies on the fine grid alone; r = 10 on both grids, where an
+    # inf makes the fit constant inf too
     real = tr.bessel_k_imag_scaled
     monkeypatch.setattr(tr, "bessel_k_imag_scaled",
-                        lambda r, x: float("nan") if r == 5.5 else real(r, x))
+                        lambda r, x: bad if r == at else real(r, x))
     with pytest.raises(AssertionError):
         test_c9_bessel_bounds()
 
@@ -361,8 +364,8 @@ def test_c9_bessel_bounds():
     fine = np.linspace(5.0, 40.0, 71)
     c_fit = _worst(abs(tr.bessel_k_imag_scaled(r, 1.0)) / r for r in coarse)
     worst_fine = _worst(abs(tr.bessel_k_imag_scaled(r, 1.0)) / r for r in fine)
-    # fails where either is NaN or inf
-    if not worst_fine <= 1.05 * max(c_fit, 0.25):
+    # fails where either is NaN (the comparison) or inf (the fit is inf too)
+    if not (np.isfinite(worst_fine) and worst_fine <= 1.05 * max(c_fit, 0.25)):
         failures.append(f"scaled bound not uniform: fit C={c_fit:.3f}, "
                         f"fine-grid max {worst_fine:.3f}")
 

@@ -302,9 +302,11 @@ def test_imag_scaled_legs_as_one_family_equal_separate_calls(monkeypatch, r, x):
     assert tr.bessel_k_imag_scaled(r, x) == ref
 
 
-def _imag_scaled_work(monkeypatch, r, x):
-    """exp(pi r/2) K_{ir}(x) and the (waves, evaluations) of each family it
-    integrates."""
+@pytest.mark.parametrize("r, waves, neval", [(5.0, 1, 252), (40.0, 1, 168), (400.0, 2, 210),
+                                             (2000.0, 3, 294)])
+def test_imag_scaled_work_is_pinned(monkeypatch, r, waves, neval):
+    # one family whose work does not grow with r: the old real-axis leg
+    # oscillated r log(r/x)/2 pi times and took 79,716 evaluations at r = 2000
     calls = []
 
     def counted(f, *args, **kwargs):
@@ -318,38 +320,9 @@ def _imag_scaled_work(monkeypatch, r, x):
         calls.append((len(waves), int(res.neval.sum())))
         return res
 
-    with monkeypatch.context() as patch:
-        patch.setattr(tr, "quad_family", counted)
-        return tr.bessel_k_imag_scaled(r, x), calls
-
-
-@pytest.mark.parametrize("r, waves, neval", [(5.0, 1, 252), (40.0, 1, 168), (400.0, 2, 210),
-                                             (2000.0, 3, 294)])
-def test_imag_scaled_work_is_pinned(monkeypatch, r, waves, neval):
-    # one family whose work does not grow with r: the old real-axis leg
-    # oscillated r log(r/x)/2 pi times and took 79,716 evaluations at r = 2000
-    assert _imag_scaled_work(monkeypatch, r, 1.0)[1] == [(waves, neval)]
-
-
-def test_imag_scaled_sweep_work_is_pinned(monkeypatch):
-    # the benchmark's sweep, whose saddles are far from the turn r = x, so
-    # that no member is graded: one wave a point
-    work = [_imag_scaled_work(monkeypatch, r, 1.0)[1][0] for r in np.linspace(5.0, 40.0, 71)]
-    assert [sum(col) for col in zip(*work)] == [71, 15540]
-
-
-@pytest.mark.parametrize("x", [1.0, 60.0, 700.0])
-@pytest.mark.parametrize("r_over_x", [1.0 + 1e-12, 1.0 + 1e-13, 1.0 - 1e-12, 1.0 - 1e-13])
-def test_imag_scaled_near_the_turn_takes_few_waves(monkeypatch, x, r_over_x):
-    # the saddle's scale, about sqrt(2 |r/x - 1|), is graded before the first
-    # wave; by bisection alone these took 36-42 waves for r > x, 1-16 for r < x
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
-    r = x * r_over_x
-    got, calls = _imag_scaled_work(monkeypatch, r, x)
-    assert len(calls) == 1 and calls[0][0] <= 2
-    ref = float(mpmath.re(mpmath.besselk(1j * r, x) * mpmath.exp(mpmath.pi * r / 2)))
-    assert abs(got - ref) <= 5.4e-13 * abs(ref)
+    monkeypatch.setattr(tr, "quad_family", counted)
+    tr.bessel_k_imag_scaled(r, 1.0)
+    assert calls == [(waves, neval)]
 
 
 @pytest.mark.parametrize("r, x", [(5.0, 1.0), (40.0, 1.0), (2000.0, 1.0), (0.0, 1.0), (5.0, 7.0),
@@ -362,18 +335,16 @@ def test_imag_scaled_tail_and_floor_hold(monkeypatch, r, x):
 
     def capture(f, a, b, **kwargs):
         res = quad_family(f, a, b, **kwargs)
-        seen.append((f, a, b[-1], kwargs["abs_tol"], res.value))
+        seen.append((f, len(a), b[-1], kwargs["abs_tol"], res.value))
         return res
 
     monkeypatch.setattr(tr, "quad_family", capture)
     tr.bessel_k_imag_scaled(r, x)
-    (f, a, end, abs_tol, value), = seen
+    (f, m, end, abs_tol, value), = seen
     floor = abs_tol / (1e-2 * tr.BESSEL_REL_TOL)
-    tail = quad_gk(lambda t: f(t, np.full(t.shape, len(a) - 1)), end, end + 5.0).value
+    tail = quad_gk(lambda t: f(t, np.full(t.shape, m - 1)), end, end + 5.0).value
     assert abs(tail) <= 1e-3 * tr.BESSEL_REL_TOL * floor
-    # L and U, in one member each or graded into several, follow H = [0, t0]
-    # where it is kept, the one member starting at 0 for r > x
-    assert floor <= value[1 if r > x and a[0] == 0.0 else 0:].real.sum()
+    assert floor <= value[-2:].real.sum()
 
 
 @pytest.mark.parametrize("r, x", [(1e7, 1.0), (1e300, 1.0), (1.0, 5e-324)])
