@@ -460,10 +460,9 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     d, n = cfg.d, cfg.n
     nu_bar = complex(nu).conjugate()
     i_nu = box.i_nu(nu)
+    order = nu_bar if abs(nu_bar.imag) > REAL_ORDER_IM else nu_bar.real
     rows = []
-    for mu in mu_grid:
-        kscaled = bessel_k_scaled(nu_bar if abs(nu_bar.imag) > REAL_ORDER_IM else nu_bar.real, mu)
-        kscaled = float(np.real(kscaled))
+    for mu, kscaled in zip(mu_grid, np.real(bessel_k_scaled(order, mu_grid)).tolist()):
         sign = int(np.sign(kscaled)) or 1
         value_log = ((n - d) * np.log(2.0) + np.log(abs(i_nu))
                      + 0.5 * np.log(2.0 * mu / np.pi) + np.log(abs(kscaled)))

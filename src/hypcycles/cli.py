@@ -9,6 +9,7 @@ its message on one stderr line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -116,32 +117,25 @@ def _number_list(text):
 
 
 def _build_parser():
+    # each flag but --tol and --config writes to the RunConfig field it sets
     p = argparse.ArgumentParser(
-        prog="hypcycles",
+        prog="hypcycles", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="verification suites and experiments for hyperbolic cycle numerics",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("verify", "run the cross-check suites (decompositions, identities, transform, distances)"),
-        ("delta", "delta table of a generator-set experiment"),
-        ("count", "counting function and growth fit of a generator-set experiment"),
-        ("transform", "spherical-transform values, closed form vs quadrature"),
-        ("asymptote", "rescaled large-mu main term with its error envelope"),
-    ]:
-        # each flag but --tol and --config writes to the RunConfig field it sets
-        q = sub.add_parser(name, help=doc)
-        q.add_argument("--d", type=int)
-        q.add_argument("--n", type=int)
-        q.add_argument("--mu", dest="mu_list", type=_number_list, help="comma-separated list")
-        q.add_argument("--nu-re", type=float)
-        q.add_argument("--nu-im", type=float)
-        q.add_argument("--u", type=_number_list, help="comma-separated direction")
-        q.add_argument("--gens", dest="generators_path", help="generator JSON file")
-        q.add_argument("--max-len", dest="max_word_length", type=int)
-        q.add_argument("--tol", action="append", default=[], metavar="NAME=VAL")
-        q.add_argument("--out", dest="output_path")
-        q.add_argument("--format", choices=["csv", "json"])
-        q.add_argument("--config", help="JSON config file")
+        epilog="commands:\n" + "\n".join(f"  {name:<10} {cmd.__doc__.splitlines()[0]}"
+                                         for name, cmd in COMMANDS.items()))
+    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("--d", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--mu", dest="mu_list", type=_number_list, help="comma-separated list")
+    p.add_argument("--nu-re", type=float)
+    p.add_argument("--nu-im", type=float)
+    p.add_argument("--u", type=_number_list, help="comma-separated direction")
+    p.add_argument("--gens", dest="generators_path", help="generator JSON file")
+    p.add_argument("--max-len", dest="max_word_length", type=int)
+    p.add_argument("--tol", action="append", default=[], metavar="NAME=VAL")
+    p.add_argument("--out", dest="output_path")
+    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--config", help="JSON config file")
     return p
 
 
@@ -235,8 +229,10 @@ def _bundled_picard(d):
 
 
 def cmd_verify(config):
-    """Run each check against its oracle and record its worst error, the largest
-    of 0.0 and its errors, NaN if one is (a check comparing nothing fails), with
+    """Run the cross-check suites (decompositions, identities, transform, distances).
+
+    Each check records its worst error against its oracle, the largest of 0.0
+    and its errors, NaN if one is (a check comparing nothing fails), with
     ``n`` the number of errors.  One generator seeded with SEED gives every
     draw, check after check as below and draw after draw within a check; the
     three roundtrip checks share one set of 200 draws."""
@@ -302,50 +298,51 @@ def cmd_verify(config):
 # delta / count
 
 
-def _experiment_table(config):
-    cfg = config.cfg
-    gens = _load_generators(config)
-    ball = orbits.ball_enumerate(gens, config.max_word_length, quant=config.tol("quant"))
-    reduced = orbits.coset_reduce(ball, cfg, mode="double", tol=config.tol("coset"))
-    u = np.asarray(config.u if config.u else np.zeros(cfg.n - 1))
-    return reduced, orbits.delta_spectrum(reduced, u, cfg)
+def _experiment_table(table):
+    """A delta/count command: ``table(config, reduced, spec)`` of the --gens ball's
+    double-coset delta spectrum gives _write's obj, comments (the first ends the
+    ``d= n= max_len=`` line), columns and rows; exit 1 if no class is nontrivial."""
+    @functools.wraps(table)
+    def command(config):
+        cfg = config.cfg
+        gens = _load_generators(config)
+        ball = orbits.ball_enumerate(gens, config.max_word_length, quant=config.tol("quant"))
+        reduced = orbits.coset_reduce(ball, cfg, mode="double", tol=config.tol("coset"))
+        u = np.asarray(config.u if config.u else np.zeros(cfg.n - 1))
+        spec = orbits.delta_spectrum(reduced, u, cfg)
+        if not spec.entries:
+            sys.stderr.write("no nontrivial classes\n")
+            return 1
+        obj, (line, *comments), columns, rows = table(config, reduced, spec)
+        _write(config, obj, [_tol_comment(config, ["coset", "quant"]),
+                             f"d={config.d} n={config.n} max_len={config.max_word_length} {line}",
+                             *comments], columns, rows)
+        return 0
+    return command
 
 
-def cmd_delta(config):
-    reduced, spec = _experiment_table(config)
-    if not spec.entries:
-        sys.stderr.write("no nontrivial classes\n")
-        return 1
+@_experiment_table
+def cmd_delta(config, reduced, spec):
+    """Delta table of a generator-set experiment."""
     rows = [{"word": e.word, "word_length": e.word_length, "M": e.M, "N_u": e.N_u,
              "Q_u": e.Q_u, "delta_u": e.delta,
              "dist": float(np.arccosh(max(np.sqrt(e.delta), 1.0)))}
             for e in spec.entries]
-    _write(config, rows,
-           [_tol_comment(config, ["coset", "quant"]),
-            f"d={config.d} n={config.n} max_len={config.max_word_length} "
-            f"u={list(config.u)!r} mode=double gamma0_max_len={reduced.gamma0_max_len}"],
-           ["word", "word_length", "M", "N_u", "Q_u", "delta_u", "dist"], rows)
-    return 0
+    return (rows, [f"u={list(config.u)!r} mode=double gamma0_max_len={reduced.gamma0_max_len}"],
+            ["word", "word_length", "M", "N_u", "Q_u", "delta_u", "dist"], rows)
 
 
-def cmd_count(config):
-    _, spec = _experiment_table(config)
-    if not spec.entries:
-        sys.stderr.write("no nontrivial classes\n")
-        return 1
-    deltas = [e.delta for e in spec.entries]
-    grid = np.geomspace(1.0, max(deltas) * 1.05, 60)
+@_experiment_table
+def cmd_count(config, reduced, spec):
+    """Counting function and growth fit of a generator-set experiment."""
+    grid = np.geomspace(1.0, max(e.delta for e in spec.entries) * 1.05, 60)
     pts, slope = orbits.counting_function(spec, grid)
     stat_min, _ = orbits.ordering_statistic(spec, config.cfg)
     points = [{"x": x, "count": c} for x, c in pts]
-    _write(config, {"slope": slope, "ordering_stat_min": stat_min,
-                    "classes": len(spec.entries), "points": points},
-           [_tol_comment(config, ["coset", "quant"]),
-            f"d={config.d} n={config.n} max_len={config.max_word_length} "
-            f"classes={len(spec.entries)}",
-            f"slope={slope!r}", f"ordering_stat_min={stat_min!r}"],
-           ["x", "count"], points)
-    return 0
+    return ({"slope": slope, "ordering_stat_min": stat_min,
+             "classes": len(spec.entries), "points": points},
+            [f"classes={len(spec.entries)}", f"slope={slope!r}", f"ordering_stat_min={stat_min!r}"],
+            ["x", "count"], points)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +350,7 @@ def cmd_count(config):
 
 
 def cmd_transform(config):
+    """Spherical-transform values, closed form vs quadrature."""
     records = []
     for mu in config.mu_list:
         hc, hq, rel = transform.selberg_transform_agreement(config.d, mu, config.nu,
@@ -370,6 +368,7 @@ def cmd_transform(config):
 
 
 def cmd_asymptote(config):
+    """Rescaled large-mu main term with its error envelope."""
     cfg = config.cfg
     box = bounds.BoxDomain(v_bounds=tuple((0.0, 1.0) for _ in range(cfg.n - 1)),
                            r_bounds=(1.0, 2.0))

@@ -142,19 +142,20 @@ def is_lorentz(g, tol=TOL_GROUP):
 
 
 def require_lorentz(g, tol=TOL_GROUP, what="matrix"):
-    """g as a float array, refused outside the group; a stack (m, d+1, d+1)
-    at its first member that lorentz_mask rejects, and an empty one passes."""
+    """g as a float array: a (d+1, d+1) matrix with d >= 2 in the group, or a stack
+    of them, refused at its first member that lorentz_mask rejects (an empty one passes)."""
     g = np.asarray(g, dtype=float)
-    if g.ndim == 3:
-        ok = lorentz_mask(g, tol)
-        if not ok.all():
-            require_lorentz(g[ok.argmin()], tol, what)
-        return g
-    if not is_lorentz(g, tol):
+    if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1] or g.shape[-1] < 3:
+        raise ValueError(f"{what} must be a (d+1, d+1) array with d >= 2, or a stack of them; "
+                         f"got shape {g.shape}")
+    stack = g.reshape(-1, *g.shape[-2:])      # one matrix as a stack of one
+    ok = lorentz_mask(stack, tol)
+    if not ok.all():
+        bad = stack[ok.argmin()]
         raise ValueError(
             f"{what} is not in the identity component of SO(1,d): "
-            f"residual max|g^T J g - J| = {group_residual(g):.3e}, "
-            f"det = {np.linalg.det(g):.6f}, g00 = {g[0, 0]:.6f}"
+            f"residual max|g^T J g - J| = {group_residual(bad):.3e}, "
+            f"det = {np.linalg.det(bad):.6f}, g00 = {bad[0, 0]:.6f}"
         )
     return g
 

@@ -254,6 +254,58 @@ def test_config_file_precedence(tmp_path, picard_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+# argv -> its RunConfig's fields that are not the defaults: a flag may stand
+# before the command, a later --tol overrides an earlier one, and the flags
+# override the config file CFG
+PARSED = {
+    "verify --d 4 --mu 1,2": {"d": 4, "mu_list": (1.0, 2.0)},
+    "delta --gens g.json --max-len 5 --u 0.3": {"generators_path": "g.json",
+                                               "max_word_length": 5, "u": (0.3,)},
+    "count --gens g.json --n 2 --format json --out c.json": {
+        "generators_path": "g.json", "format": "json", "output_path": "c.json"},
+    "transform --d 5 --mu 0.7 --nu-re 0.4 --nu-im -1": {"d": 5, "mu_list": (0.7,),
+                                                        "nu_re": 0.4, "nu_im": -1.0},
+    "asymptote --d 4 --mu 10,20,60": {"d": 4, "mu_list": (10.0, 20.0, 60.0)},
+    "--d 4 --mu 1 verify": {"d": 4},
+    "transform --tol quad=1e-8 --tol coset=1e-9 --tol quad=1e-7": {
+        "tolerances": {"quad": 1e-7, "coset": 1e-9}},
+    "delta --config CFG": {"d": 4, "max_word_length": 3,
+                           "tolerances": {"quad": 1e-8, "dist": 1e-9}},
+    "delta --config CFG --max-len 2 --d 3 --tol quad=1e-6": {
+        "max_word_length": 2, "tolerances": {"quad": 1e-6, "dist": 1e-9}},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSED))
+def test_an_argv_parses_to_its_run_config(argv, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"d": 4, "max_word_length": 3,
+                                   "tolerances": {"quad": 1e-8, "dist": 1e-9}}))
+    expected = dict(PARSED[argv])
+    expected["tolerances"] = {**cli.DEFAULT_TOLERANCES, **expected.get("tolerances", {})}
+    args = cli._build_parser().parse_args(argv.replace("CFG", str(cfgfile)).split())
+    assert cli._config_from_args(args) == cli.RunConfig(**expected)
+
+
+def test_help_names_every_command_with_its_doc(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    lines = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+    for name, command in cli.COMMANDS.items():
+        assert [name, command.__doc__.splitlines()[0]] in lines
+
+
+@pytest.mark.parametrize("argv", [["nosuch"], [], ["--d", "3"]],
+                         ids=["unknown", "none", "flag-only"])
+def test_an_unknown_or_missing_command_exits_2_through_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hypcycles") and "command" in err.splitlines()[-1]
+
+
 def test_bad_tol_flag(capsys):
     rc = _run(["transform", "--tol", "junk"])
     assert rc == 2

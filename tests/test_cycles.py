@@ -82,6 +82,12 @@ def test_an_empty_ball_of_another_dimension_is_refused(call):
         call(ball, lz.CycleConfig(3, 2))
 
 
+def test_invariants_stack_refuses_an_empty_list_by_its_shape():
+    # an empty list is a 1-D array, no empty stack; it once raised a bare IndexError
+    with pytest.raises(ValueError, match=r"^matrix must be a .* got shape \(0,\)$"):
+        cy.invariants_stack([], [0.3], CFG)
+
+
 def test_check_u11_gap_refuses_a_first_element_outside_the_group_first():
     # before the dimension check, as a loop's first check_membership would
     ball = Ball(words=("x",), mats=np.diag([2.0, 1.0, 1.0, 1.0, 1.0])[None],

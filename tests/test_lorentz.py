@@ -75,6 +75,16 @@ def test_is_lorentz_refuses_what_is_no_one_matrix_of_a_group(g):
     assert not lz.is_lorentz(g)
 
 
+@pytest.mark.parametrize("g, shape", [
+    (np.eye(4)[:3], "(3, 4)"), (np.zeros((2, 4, 3)), "(2, 4, 3)"), (np.eye(2), "(2, 2)"),
+    (np.zeros(0), "(0,)"),
+], ids=["non-square", "non-square-stack", "d=1", "empty-list"])
+def test_require_lorentz_refuses_a_shape_by_name(g, shape):
+    # once numpy's matmul mismatch, and for d = 1 the residual of a group element
+    with pytest.raises(ValueError, match=f"^generator 'T' must be a .* got shape {re.escape(shape)}$"):
+        lz.require_lorentz(g, what="generator 'T'")
+
+
 def test_require_lorentz_refuses_a_stack_at_its_first_member_outside():
     good, bad, worse = lz.make_boost(0.5, 3), np.diag([2.0, 1.0, 1.0, 1.0]), -np.eye(4)
     with pytest.raises(ValueError) as one:
