@@ -28,8 +28,8 @@ import numpy as np
 
 from . import _checks
 from .decompose import from_horospherical, minkowski_pairing, to_horospherical
-from .lorentz import (TOL_G0, _block_offdiag_max, _check_dimension, ank_stack, lorentz_mask,
-                      nak_stack, require_lorentz)
+from .lorentz import (TOL_G0, _check_dimension, ank_stack, check_membership, nak_stack,
+                      require_lorentz)
 
 
 @dataclass(frozen=True)
@@ -367,9 +367,7 @@ def check_u11_gap(ball, cfg):
     # the first element decides, as in a loop of check_membership and ank
     require_lorentz(mats[:1], TOL_G0)
     _check_dimension(mats, cfg)
-    # G0 membership as check_membership(g, "G0", cfg, tol=TOL_G0) decides it
-    outside = np.flatnonzero(~(lorentz_mask(mats, TOL_G0)
-                               & (_block_offdiag_max(mats, cfg.n + 1) <= TOL_G0)))
+    outside = np.flatnonzero(~check_membership(mats, "G0", cfg, TOL_G0))
     require_lorentz(mats[outside])
     if not outside.size:
         return None, []

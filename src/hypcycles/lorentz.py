@@ -6,10 +6,11 @@ identity component (``det g = +1``, ``g[0,0] >= 1``), which preserves the
 upper sheet of the hyperboloid.  Coordinate 1 carries the boost direction;
 the unipotent directions live in coordinates 2..d.
 
-Each subgroup rule is stated once here: the unchecked NAK reading of a stack
-(``nak_stack``, ``ank_stack``), from which ``check_membership`` decides AN0;
-one identity-block test for K and M; and ``_check_dimension``, which refuses
-a matrix whose dimension is not its ``CycleConfig``'s.
+Each subgroup rule is stated once here, for a stack, in ``check_membership``
+(one matrix is the stack of one): G by ``lorentz_mask``, AN0 by the unchecked NAK
+reading of a stack (``nak_stack``, ``ank_stack``), K and M by one identity-block
+test, and G0 by its block split.  ``_stack`` refuses by name what is no matrix or
+stack of them, and ``_check_dimension`` a dimension that is not the ``CycleConfig``'s.
 """
 
 from __future__ import annotations
@@ -105,25 +106,34 @@ def embed_m_rotation(k):
     return g
 
 
+def _stack(g, what="matrix"):
+    """g as a float stack (m, d+1, d+1), d >= 2, one matrix the stack of one; else refused."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1] or g.shape[-1] < 3:
+        raise ValueError(f"{what} must be a (d+1, d+1) array with d >= 2, or a stack of them; "
+                         f"got shape {g.shape}")
+    return g.reshape(-1, *g.shape[-2:])
+
+
 def lorentz_inverse(g):
     """Inverse via the form: g^-1 = J g^T J by sign flips (exact for group elements), stacks too."""
     g = np.asarray(g)
-    sign = np.diag(minkowski_form(g.shape[-1] - 1))
+    sign = np.diag(minkowski_form(_stack(g).shape[-1] - 1))
     return np.swapaxes(g, -1, -2) * np.outer(sign, sign)
 
 
 def group_residual(g):
     """Entrywise residual max|g^T J g - J|; per matrix of a stack."""
     g = np.asarray(g, dtype=float)
-    J = minkowski_form(g.shape[-1] - 1)
+    J = minkowski_form(_stack(g).shape[-1] - 1)
     res = np.abs(np.swapaxes(g, -1, -2) @ J @ g - J).max(axis=(-2, -1))
     return float(res) if g.ndim == 2 else res
 
 
 def lorentz_mask(g, tol=TOL_GROUP):
-    """is_lorentz of each matrix of a stack (m, d+1, d+1) of square matrices."""
+    """The group test at tol of each matrix of a stack (m, d+1, d+1), one matrix a stack of one."""
     _checks.nonnegative(tol=tol)
-    g = np.asarray(g, dtype=float)
+    g = _stack(g)
     ok = group_residual(g) <= tol
     sub = g[ok]
     # det is exactly +-1 on the group; the tolerance separates the two components and
@@ -135,20 +145,14 @@ def lorentz_mask(g, tol=TOL_GROUP):
 
 
 def is_lorentz(g, tol=TOL_GROUP):
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 3:
-        return False
-    return bool(lorentz_mask(g[None], tol)[0])
+    """Whether g is one matrix of the group at tol: check_membership's G case."""
+    return np.ndim(g) == 2 and check_membership(g, "G", tol=tol)
 
 
 def require_lorentz(g, tol=TOL_GROUP, what="matrix"):
     """g as a float array: a (d+1, d+1) matrix with d >= 2 in the group, or a stack
     of them, refused at its first member that lorentz_mask rejects (an empty one passes)."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1] or g.shape[-1] < 3:
-        raise ValueError(f"{what} must be a (d+1, d+1) array with d >= 2, or a stack of them; "
-                         f"got shape {g.shape}")
-    stack = g.reshape(-1, *g.shape[-2:])      # one matrix as a stack of one
+    stack = _stack(g, what)
     ok = lorentz_mask(stack, tol)
     if not ok.all():
         bad = stack[ok.argmin()]
@@ -157,7 +161,7 @@ def require_lorentz(g, tol=TOL_GROUP, what="matrix"):
             f"residual max|g^T J g - J| = {group_residual(bad):.3e}, "
             f"det = {np.linalg.det(bad):.6f}, g00 = {bad[0, 0]:.6f}"
         )
-    return g
+    return stack[0] if np.ndim(g) == 2 else stack
 
 
 @dataclass(frozen=True)
@@ -214,38 +218,39 @@ def ank_stack(g):
 
 
 def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
-    """Test whether ``g`` lies in one of G, K, A, N, M, G0, AN0.
-
-    K and M are identity blocks (of size 1, 2) coupled to nothing; AN0 is read
-    off the NAK factors.  G0/AN0 need a CycleConfig for the block split.
-    """
+    """Test whether ``g`` lies in one of G, K, A, N, M, G0, AN0: a bool for one matrix
+    (False for one of no group's shape), the loop's bools for a stack, each rule
+    stated once for a stack.  K and M are identity blocks (of size 1, 2) coupled to
+    nothing; AN0 is read off the NAK factors.  G0/AN0 need a CycleConfig for the
+    block split, and refuse a group element of another dimension."""
     if subgroup not in ("G", "K", "A", "N", "M", "G0", "AN0"):
         raise ValueError(f"unknown subgroup {subgroup!r}")
     if subgroup in ("G0", "AN0") and cfg is None:
         raise ValueError(f"{subgroup} membership needs a CycleConfig")
     g = np.asarray(g, dtype=float)
-    d = g.shape[0] - 1
-    if subgroup == "G":
-        return is_lorentz(g, tol)
-    if not is_lorentz(g, tol):
+    if g.ndim == 2 and not 3 <= g.shape[0] == g.shape[1]:
         return False
+    stack = _stack(g)
+    ok = lorentz_mask(stack, tol)
+    sub, d = stack[ok], stack.shape[-1] - 1
+    if subgroup in ("G0", "AN0") and len(sub):
+        _check_dimension(sub, cfg)
     if subgroup in ("K", "M"):
         s = 1 if subgroup == "K" else 2
-        return np.max(np.abs(g[:s, :s] - np.eye(s))) <= tol and _block_offdiag_max(g, s) <= tol
-    if subgroup == "A":
-        x = float(np.arccosh(max(g[0, 0], 1.0)))
-        if g[0, 1] < 0:
-            x = -x
-        return float(np.max(np.abs(g - make_boost(x, d)))) <= tol
-    if subgroup == "N":
-        u = g[2:, 0].copy()
-        return float(np.max(np.abs(g - make_unipotent(u, d)))) <= tol
-    _check_dimension(g, cfg)
-    if subgroup == "G0":
-        return _block_offdiag_max(g, cfg.n + 1) <= tol
-    w, _, k = nak_stack(g[None])
-    return (np.max(np.abs(w[0, cfg.n - 1:])) <= tol
-            and float(np.max(np.abs(k[0] - np.eye(d + 1)))) <= max(tol, 1e2 * TOL_GROUP))
+        ok[ok] = np.maximum(np.abs(sub[:, :s, :s] - np.eye(s)).max(axis=(1, 2)),
+                            _block_offdiag_max(sub, s)) <= tol
+    elif subgroup == "A":
+        x = np.copysign(np.arccosh(np.maximum(sub[:, 0, 0], 1.0)), sub[:, 0, 1])
+        ok[ok] = np.abs(sub - make_boost(x, d)).max(axis=(1, 2)) <= tol
+    elif subgroup == "N":
+        ok[ok] = np.abs(sub - make_unipotent(sub[:, 2:, 0], d)).max(axis=(1, 2)) <= tol
+    elif subgroup == "G0":
+        ok[ok] = _block_offdiag_max(sub, cfg.n + 1) <= tol
+    elif subgroup == "AN0":
+        w, _, k = nak_stack(sub)
+        ok[ok] = ((np.abs(w[:, cfg.n - 1:]).max(axis=-1) <= tol)
+                  & (np.abs(k - np.eye(d + 1)).max(axis=(1, 2)) <= max(tol, 1e2 * TOL_GROUP)))
+    return bool(ok[0]) if g.ndim == 2 else ok
 
 
 def commutation_identities(r, u, k=None):

@@ -56,8 +56,8 @@ import numpy as np
 
 from . import _checks
 from .cycles import invariants_stack
-from .lorentz import (TOL_G0, _block_offdiag_max, _check_dimension, lorentz_inverse, make_boost,
-                      require_lorentz, spin_cover_so13)
+from .lorentz import (TOL_G0, _block_offdiag_max, _check_dimension, check_membership,
+                      lorentz_inverse, make_boost, require_lorentz, spin_cover_so13)
 
 LENGTH_CAP = 12
 # cell size of the word ball's dedup keys
@@ -522,7 +522,7 @@ def coset_reduce(ball, cfg, mode="left", gamma0_max_len=4, tol=TOL_G0):
         labels.flags.writeable = False
         ball._left_labels[split, tol] = labels
     if mode == "double":
-        labels = _merge_double(labels, ball, split, gamma0_max_len, tol)
+        labels = _merge_double(labels, ball, cfg, gamma0_max_len, tol)
 
     # roots are first members: counting them numbers classes by first appearance
     ids = (np.cumsum(labels == np.arange(len(ball))) - 1)[labels]
@@ -553,18 +553,18 @@ def _join_moved_reps(labels, mats, quant, g0_stack):
     return _components(labels, *np.concatenate(joined, axis=1))
 
 
-def _merge_double(labels, ball, split, gamma0_max_len, tol):
-    """Merge left classes lying in one double coset, gamma0 ranging over the
-    bounded cycle-subgroup ball: a join on the hashes of the ball's cells
-    (of its own quant) links rep and rep gamma0 when the latter is in the
-    ball, and a key hit of C(gamma0 B) = gamma0 C(B) gamma0^T on C(A), A and
-    B live representatives and C = gamma[:, n+1:] gamma[:, n+1:]^T, puts
-    A^{-1} gamma0 B in the cycle subgroup.  Returns the merged labels."""
-    words, mats, quant = ball.words, ball.mats, ball.quant
+def _merge_double(labels, ball, cfg, gamma0_max_len, tol):
+    """Merge left classes lying in one double coset, gamma0 ranging over the ball's
+    members of lengths 1..gamma0_max_len that check_membership puts in G0 at ``tol``:
+    a join on the hashes of the ball's cells (of its own quant) links rep and rep
+    gamma0 when the latter is in the ball, and a key hit of C(gamma0 B) = gamma0 C(B)
+    gamma0^T on C(A), A and B live representatives and C = gamma[:, n+1:] gamma[:, n+1:]^T,
+    puts A^{-1} gamma0 B in the cycle subgroup.  Returns the merged labels."""
+    words, mats, quant, split = ball.words, ball.mats, ball.quant, cfg.n + 1
     # lengths from 1: the identity, the ball's length-0 element, would only
     # link each rep to itself and repeat the key pass's h = 1 rows
     g0_stack = mats[(ball.lengths >= 1) & (ball.lengths <= gamma0_max_len)]
-    g0_stack = g0_stack[_block_offdiag_max(g0_stack, split) <= tol]
+    g0_stack = g0_stack[check_membership(g0_stack, "G0", cfg, tol)]
     if len(g0_stack):
         labels = _join_moved_reps(labels, mats, quant, g0_stack)
 

@@ -1,14 +1,17 @@
 """The test function exp(-mu cosh x), K-Bessel machinery, and the spherical
 transform that turns it into 2^d (pi/2mu)^((d-1)/2) K_nu(mu).
 
-All Bessel values come from one integral representation,
+K_nu of real, imaginary and complex order comes from one integral representation,
 
     K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt,      x > 0,
 
 evaluated by adaptive Gauss-Kronrod panels on [0, T] with T chosen so the
 integrand has underflowed at the cut (so are the integral identities; the
 transform quadrature's outer and inner integrals stop at proven relative
-tail bounds instead).  Half-integer closed forms and the classical
+tail bounds instead).  The scaled imaginary-order evaluator
+``bessel_k_imag_scaled``, where cosh(i r t) would cancel, integrates
+e^{ip(w)}, p(w) = x sinh w - r w, on its steepest-descent path through the
+saddle instead, where the integrand does not oscillate.  Half-integer closed forms and the classical
 integral identities (Gradshteyn-Ryzhik 3.471.9, 6.726.4, 6.592.12)
 serve as cross-checks, each computed against direct quadrature in a
 variable whose integrand decays doubly exponentially (Takahasi and Mori,

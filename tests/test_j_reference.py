@@ -15,6 +15,8 @@ from hypcycles import bounds as bd
 from hypcycles import lorentz as lz
 from hypcycles import orbits as ob
 
+from test_bounds import _two_direction_gamma
+
 CFG = lz.CycleConfig(3, 2)
 T, U, S = ob.picard_generators().matrices
 USU, UUSU = U @ S @ U, U @ U @ S @ U
@@ -26,13 +28,13 @@ def horospherical_point(u, r):
     return [0.5 * (r + (1.0 + q) / r), 0.5 * (r - (1.0 - q) / r), *(c / r for c in u)]
 
 
-def j_reference(gamma, u_range, cfg, mu, nu):
+def j_reference(gamma, u_range, cfg, mu, nu, epsrel=1e-11):
     """log J by the definition
 
         J = 2^n (pi/2mu)^((n-1)/2) int (sqrt f)^nu K_nu(mu sqrt f) s1^(nu+rho0) r^(nu+rho0-n) dr du
 
     with p = gamma (n_u a_r . o), f = 1 + sum_{i>n} p_i^2 and s1 = 1/(p_0 - p_1),
-    integrated by nquad over x = log r in [-12, 12] and the window.  The least
+    integrated by nquad (at ``epsrel``) over x = log r in [-12, 12] and the window.  The least
     f on a grid sets a common scale exp(-mu sqrt f) that cancels in log J."""
     d, n = cfg.d, cfg.n
     a = nu + 0.5 * (n - 1)
@@ -58,7 +60,7 @@ def j_reference(gamma, u_range, cfg, mu, nu):
         return math.exp(log)
 
     val = integrate.nquad(integrand, [(-12.0, 12.0), *u_range],
-                          opts={"epsrel": 1e-11, "epsabs": 0.0, "limit": 200})[0]
+                          opts={"epsrel": epsrel, "epsabs": 0.0, "limit": 200})[0]
     pref = 2.0 ** n * (math.pi / (2.0 * mu)) ** ((n - 1) / 2.0)
     return math.log(pref) + math.log(val) - mu * scale
 
@@ -87,6 +89,17 @@ def test_j_agrees_with_the_independent_route(gamma, u_range, mu, nu, log_j):
     assert not lib.degenerate
     assert abs(ref - log_j) <= 1e-11
     assert abs(lib.log_value - log_j) <= 1e-11
+
+
+def test_j_agrees_with_the_independent_route_at_n_3():
+    # (d, n) = (4, 3), a two-dimensional window.  At epsrel 1e-9 the reference takes
+    # about 19 s; at 1e-5 about 3.5 s on 2 cores with Python 3.11 (1.0 s of it the
+    # 241 x 33 x 33 scale grid, the rest 356,181 integrand calls), agreeing with J to
+    # 1.9e-12 in log J.  References at 1e-4 / 1e-6 / 1e-7 are 9.4e-10 / 9.2e-14 / 3.2e-14 off.
+    gamma, window, cfg = _two_direction_gamma(), ((-1.5, 1.5), (-1.5, 1.5)), lz.CycleConfig(4, 3)
+    lib = bd.j_gamma_quadrature(gamma, window, cfg, 8.0, 0.2)
+    assert not lib.degenerate
+    assert abs(j_reference(gamma, window, cfg, 8.0, 0.2, epsrel=1e-5) - lib.log_value) <= 2e-11
 
 
 def test_j_is_left_gamma0_invariant():

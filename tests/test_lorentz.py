@@ -83,6 +83,14 @@ def test_require_lorentz_refuses_a_shape_by_name(g, shape):
     # once numpy's matmul mismatch, and for d = 1 the residual of a group element
     with pytest.raises(ValueError, match=f"^generator 'T' must be a .* got shape {re.escape(shape)}$"):
         lz.require_lorentz(g, what="generator 'T'")
+    # the other calls that read a matrix's shape, once with numpy's own errors; one
+    # matrix of no group's shape is in no subgroup, a stack of them is refused
+    calls = [lz.lorentz_mask, lz.group_residual, lz.lorentz_inverse]
+    if np.ndim(g) != 2:
+        calls.append(lambda g: lz.check_membership(g, "G0", lz.CycleConfig(3, 2)))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^matrix must be a .* got shape {re.escape(shape)}$"):
+            call(g)
 
 
 def test_require_lorentz_refuses_a_stack_at_its_first_member_outside():
@@ -220,6 +228,63 @@ def test_spin_cover_homomorphism():
         lhs = lz.spin_cover_so13(a @ b)
         rhs = lz.spin_cover_so13(a) @ lz.spin_cover_so13(b)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_membership_of_a_stack_is_the_loop_over_it():
+    # the draws of test_k_m_and_an0_membership_equal_their_separate_formulas, with
+    # members of A, N and G0 among the bases, a NaN entry, and a stack of another
+    # dimension than the CycleConfig's
+    rng = np.random.default_rng(39)
+    outcomes = {}
+    for d, n in ((3, 2), (4, 2), (4, 3), (5, 3)):
+        cfg = lz.CycleConfig(d, n)
+        stack = []
+        for _ in range(5):
+            u = np.zeros(d - 1)
+            u[:n - 1] = rng.uniform(-1, 1, n - 1)
+            k0 = np.eye(d)
+            k0[:n, :n] = lz.random_rotation(rng, n)
+            bases = (lz.embed_rotation(lz.random_rotation(rng, d)),
+                     lz.embed_m_rotation(lz.random_rotation(rng, d - 1)),
+                     lz.make_scale(np.exp(rng.uniform(-1, 1)), d) @ lz.make_unipotent(u, d),
+                     lz.random_lorentz(rng, d), lz.make_boost(rng.uniform(-2, 2), d),
+                     lz.make_unipotent(rng.uniform(-1, 1, d - 1), d),
+                     lz.make_unipotent(u, d) @ lz.embed_rotation(k0))
+            for g in bases:
+                eps = 10.0 ** rng.uniform(-12, -7)
+                near = (lz.make_unipotent(eps * rng.standard_normal(d - 1), d)
+                        @ lz.make_boost(eps * rng.standard_normal(), d))
+                stack += [g, g @ near, g + eps * rng.standard_normal(g.shape)]
+        stack[1] = stack[1].copy()
+        stack[1][1, 2] = np.nan
+        stack = np.stack(stack)
+        other = lz.CycleConfig(d + 1, n)
+        for subgroup in ("G", "K", "A", "N", "M", "G0", "AN0"):
+            for tol in (1e-10, 1e-9, 1e-8, 1e-7):
+                with np.errstate(invalid="ignore"):
+                    loop = [lz.check_membership(g, subgroup, cfg, tol) for g in stack]
+                    got = lz.check_membership(stack, subgroup, cfg, tol)
+                assert all(type(b) is bool for b in loop)
+                assert got.dtype == bool and got.tolist() == loop, (d, n, subgroup, tol)
+                outcomes.setdefault(subgroup, []).extend(loop)
+                if subgroup not in ("G0", "AN0"):
+                    continue
+                # a group element of another dimension: the loop's first refusal
+                want = _outcome(lambda: [lz.check_membership(g, subgroup, other, tol)
+                                         for g in stack])
+                assert _outcome(lambda: lz.check_membership(stack, subgroup, other, tol)
+                                .tolist()) == want
+        assert lz.check_membership(stack[:0], "G0", cfg).shape == (0,)
+    for subgroup, got in outcomes.items():      # both outcomes are met, many times
+        assert 50 < sum(got) < len(got) - 50, subgroup
+    assert lz.check_membership(np.eye(4)[:3], "K") is False
 
 
 def test_cycle_config_validation():

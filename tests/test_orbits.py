@@ -707,6 +707,21 @@ def test_repeat_free_pairs_give_the_same_classes_and_errors(monkeypatch, x, v, n
     assert got == outcomes()
 
 
+@pytest.mark.parametrize("gens", [ob.picard_generators(), _conjugated_picard(0.5, -0.5)],
+                         ids=["picard", "conjugated"])
+def test_double_pass_gamma0_is_the_loop_of_check_membership(gens, monkeypatch):
+    # the members of lengths 1..r that check_membership puts in G0 at the pass's tol
+    ball = ob.ball_enumerate(gens, 8)
+    seen, join = [], ob._join_moved_reps
+    monkeypatch.setattr(ob, "_join_moved_reps",
+                        lambda labels, mats, quant, g0: seen.append(g0) or join(labels, mats, quant, g0))
+    ob.coset_reduce(ball, CFG, mode="double", gamma0_max_len=4)
+    want = [g for g, n in zip(ball.mats, ball.lengths)
+            if 1 <= n <= 4 and lz.check_membership(g, "G0", CFG, lz.TOL_G0)]
+    assert len(seen) == 1 and len(want) > 30
+    assert seen[0].tobytes() == np.asarray(want).tobytes()
+
+
 def test_double_reduction_sound_and_complete():
     gens = ob.picard_generators()
     ball = ob.ball_enumerate(gens, 3)
