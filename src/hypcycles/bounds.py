@@ -408,8 +408,11 @@ def _nested_quad(f, ranges, rel_tol, heads=np.zeros((1, 0))):
 def j_gamma_decay_check(results_by_mu, slack_degree):
     """Monotonicity of log J(mu) + mu sqrt(delta_min)/2 along increasing mu,
     up to additive slack slack_degree * log(mu ratio) absorbing the
-    polynomial prefactor.  Returns (statistics, ok)."""
+    polynomial prefactor.  Returns (statistics, ok); fewer than two mu
+    compare nothing and are refused."""
     mus = sorted(results_by_mu)
+    if len(mus) < 2:
+        raise ValueError(f"the decay check needs at least two mu, got {len(mus)}")
     stats = [results_by_mu[m].log_value + 0.5 * m * np.sqrt(results_by_mu[m].delta_min)
              for m in mus]
     ok = all(
@@ -476,6 +479,9 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
 def plateau_gap(rows, mu_lo=40.0, mu_hi=60.0):
     """Relative change of the rescaled value between two sweep points."""
     by_mu = {row.mu: row for row in rows}
+    for mu in (mu_lo, mu_hi):
+        if mu not in by_mu:
+            raise ValueError(f"the sweep has no row at mu = {mu!r}; its mu: {list(by_mu)!r}")
     a, b = by_mu[mu_lo], by_mu[mu_hi]
     ratio = a.sign * b.sign * np.exp(a.value_log - b.value_log)
     return float(abs(1.0 - ratio))

@@ -79,9 +79,8 @@ class RunConfig:
                              f"got {list(self.mu_list)!r}")
         if not (math.isfinite(self.nu_re) and math.isfinite(self.nu_im)):
             raise ValueError(f"nu_re and nu_im must be finite, got {self.nu_re!r}, {self.nu_im!r}")
-        if self.u and (len(self.u) != self.n - 1 or not all(map(math.isfinite, self.u))):
-            raise ValueError(f"u must hold n-1 = {self.n - 1} finite numbers, "
-                             f"got {list(self.u)!r}")
+        if self.u:
+            cycles._directions(np.ravel(self.u)[None], self.n)
         for name, t in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}; "

@@ -126,10 +126,16 @@ def _coefficients(prep, U, n):
     return beta, n_coeffs, _dot(n_coeffs, n_coeffs), 1.0 + 2.0 * _dot(n_coeffs, m)
 
 
-def _check_direction(u, cfg):
-    if u.size != cfg.n - 1:
-        raise ValueError(f"direction u must have n-1 = {cfg.n - 1} components")
-    _checks.finite(u=u)
+def _directions(U, n):
+    """The one rule for a direction: a stack U (m, n-1) of finite numbers, as
+    the contiguous floats ``_coefficients`` reads; one direction u is the
+    stack of one, ``np.ravel(u)[None]``.  A refusal names the first bad row."""
+    U = np.ascontiguousarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != n - 1 or not np.isfinite(U).all():
+        bad = [] if U.ndim != 2 else U if U.shape[1] != n - 1 else U[~np.isfinite(U).all(axis=1)]
+        got = bad[0].tolist() if len(bad) else f"shape {U.shape}"
+        raise ValueError(f"u must be a direction of n-1 = {n - 1} finite numbers, got {got}")
+    return U
 
 
 class PreparedCycle:
@@ -149,10 +155,8 @@ class PreparedCycle:
     def invariants(self, u):
         """The invariants at one direction u (n-1 components): the batch's
         products on one row, with beta, N_u and Q_u as floats."""
-        u = np.asarray(u, dtype=float)
-        _check_direction(u, self.cfg)
         beta, n_coeffs, N_u, Q_u = _coefficients(
-            self._prep, np.ascontiguousarray(u.reshape(1, -1)), self.cfg.n)
+            self._prep, _directions(np.ravel(u)[None], self.cfg.n), self.cfg.n)
         return CycleInvariants(self.r0, self.u11, self.m, self.M, float(beta[0]),
                                n_coeffs[0], float(N_u[0]), float(Q_u[0]))
 
@@ -160,12 +164,8 @@ class PreparedCycle:
         """The invariants at every row of the directions U, shape (m, n-1),
         each row through the same products, so row i does not depend on
         the other rows."""
-        U = np.ascontiguousarray(U, dtype=float)
-        if U.ndim != 2 or U.shape[1] != self.cfg.n - 1:
-            raise ValueError(f"directions U must have shape (m, n-1 = {self.cfg.n - 1})")
-        _checks.finite(U=U)
         return CycleInvariants(self.r0, self.u11, self.m, self.M,
-                               *_coefficients(self._prep, U, self.cfg.n))
+                               *_coefficients(self._prep, _directions(U, self.cfg.n), self.cfg.n))
 
 
 def cycle_invariants(gamma, u, cfg):
@@ -184,14 +184,13 @@ def invariants_stack(gammas, u, cfg):
     stack still has its dimension and direction checked.
     """
     gammas = np.asarray(gammas, dtype=float)
-    u = np.asarray(u, dtype=float)
     require_lorentz(gammas[:1])
     _check_dimension(gammas, cfg)
-    _check_direction(u, cfg)
+    U = _directions(np.ravel(u)[None], cfg.n)
     require_lorentz(gammas)
     prep = _prepare(gammas, cfg)
     r0, _, block, _, m, M = prep
-    return CycleInvariants(r0, block[:, 0, 0], m, M, *_coefficients(prep, u.reshape(1, -1), cfg.n))
+    return CycleInvariants(r0, block[:, 0, 0], m, M, *_coefficients(prep, U, cfg.n))
 
 
 def f_gamma(inv, r):
@@ -208,9 +207,8 @@ def delta_u(gamma, u, cfg):
 
 def pad_direction(u, cfg):
     """Zero-pad a cycle direction u in R^(n-1) to the ambient R^(d-1)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.zeros(cfg.d - 1)
-    out[:cfg.n - 1] = u
+    out[:cfg.n - 1] = _directions(np.ravel(u)[None], cfg.n)[0]
     return out
 
 
@@ -220,8 +218,9 @@ def cycle_point(v, t, cfg):
 
 
 def _pairing_to_cycle(point, v, log_t, cfg):
-    q = cycle_point(v, float(np.exp(log_t)), cfg)
-    return minkowski_pairing(point, q)
+    # v, the simplex's own n-1 coordinates, is padded unchecked
+    v_pad = np.concatenate([v, np.zeros(cfg.d - cfg.n)])
+    return minkowski_pairing(point, from_horospherical(v_pad, float(np.exp(log_t))))
 
 
 def _nelder_mead(func, x0):

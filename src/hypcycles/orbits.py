@@ -35,7 +35,7 @@ hash ties a neighbour's or, in the join, hits an index entry.  The word
 ball keeps a level's new products as (hash, position) and forms each one
 it keeps once, into the ball's one stack, which grows level by level.  The
 words are spelled on demand from one parent position and one move index per
-enumerated element, so the ball holds no string per element.
+element, so the ball holds no string per element.
 
 Double cosets take the cycle subgroup from a bounded ball, so double-coset
 reduction is approximate by construction and reports the ball radius used.
@@ -143,13 +143,12 @@ class GeneratorSet:
 
 class Words(Sequence):
     """The words of a word ball, a read-only sequence like a tuple of str,
-    spelled on demand: element k of an enumeration is the word of
-    ``parent[k]`` followed by ``letters[move[k]]``, element 0 the identity
-    "e", and the sequence lists the elements at the positions ``kept``."""
-    __slots__ = ("_letters", "_parent", "_move", "_kept")
+    spelled on demand: word k is the word of ``parent[k]`` followed by
+    ``letters[move[k]]``, word 0 the identity "e"."""
+    __slots__ = ("_letters", "_parent", "_move")
 
-    def __init__(self, letters, parent, move, kept):
-        self._letters, self._parent, self._move, self._kept = letters, parent, move, kept
+    def __init__(self, letters, parent, move):
+        self._letters, self._parent, self._move = letters, parent, move
 
     def _spell(self, k):
         backwards = []
@@ -159,15 +158,14 @@ class Words(Sequence):
         return "".join(reversed(backwards)) or "e"
 
     def __len__(self):
-        return len(self._kept)
+        return len(self._parent)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._spell, self._kept[i].tolist()))
-        return self._spell(int(self._kept[i]))
+        k = range(len(self))[i]
+        return tuple(map(self._spell, k)) if isinstance(i, slice) else self._spell(k)
 
     def __iter__(self):
-        return map(self._spell, self._kept.tolist())
+        return map(self._spell, range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, Words)):
@@ -385,12 +383,18 @@ def ball_enumerate(gens, max_word_length, quant=QUANT):
     hashes = new = pos = base = step = None  # freed before the audit
 
     parent, move = np.concatenate(parent), np.concatenate(move)
-    keep = _audit_dedup(Words(letters, parent, move, np.arange(len(mats))), mats)
-    if len(keep) < len(mats):
-        mats = mats[keep]
+    words = Words(letters, parent, move)
+    keep = _audit_dedup(words, mats)
     lengths = np.repeat(np.arange(len(sizes)), sizes)
-    return Ball(words=Words(letters, parent, move, keep), mats=mats,
-                lengths=lengths[keep], ids=np.arange(len(keep)), quant=quant)
+    if len(keep) < len(mats):   # renumber the parents to ball positions
+        at = np.full(len(mats), -1)
+        at[keep] = np.arange(len(keep))
+        parent = at[parent[keep]]
+        if (parent < 0).any():
+            raise RuntimeError("the dedup audit dropped the parent of the kept word "
+                               f"{words[keep[np.argmax(parent < 0)]]!r}")
+        mats, lengths, words = mats[keep], lengths[keep], Words(letters, parent, move[keep])
+    return Ball(words=words, mats=mats, lengths=lengths, ids=np.arange(len(mats)), quant=quant)
 
 
 def _audit_dedup(words, mats):
@@ -592,7 +596,6 @@ def delta_spectrum(ball, u, cfg):
     """Delta values of the nontrivial class representatives of a reduced
     ball, sorted nondecreasing, as a table of OrbitEntry rows with delta
     and (M, N_u, Q_u) filled in."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     # ids number classes by first appearance: a representative is where the
     # running maximum steps up, and class 0, the identity's, is trivial
     reps = np.flatnonzero(np.diff(np.maximum.accumulate(ball.ids), prepend=0) > 0)

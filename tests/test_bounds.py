@@ -188,6 +188,26 @@ def test_j_gamma_decay_and_ordering():
     assert near.log_value > far.log_value
 
 
+def test_j_gamma_decay_check_refuses_fewer_than_two_mu():
+    # no mu or one mu compares nothing, which once passed as ok = True
+    _, U, S = _picard()
+    res = {mu: bd.j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CFG, mu, 0.3)
+           for mu in (5.0, 10.0)}
+    for count in (0, 1):
+        with pytest.raises(ValueError, match=f"^the decay check needs at least two mu, got {count}$"):
+            bd.j_gamma_decay_check({mu: res[mu] for mu in list(res)[:count]}, slack_degree=2.0)
+    assert bd.j_gamma_decay_check(res, slack_degree=2.0)[1]
+
+
+def test_plateau_gap_names_a_mu_the_sweep_lacks():
+    # a sweep without mu = 40 once raised a bare KeyError: 40.0
+    rows = bd.rescaled_limit_shape(CFG, [10, 20, 60], 0.0, BOX)
+    with pytest.raises(ValueError, match=re.escape(
+            "the sweep has no row at mu = 40.0; its mu: [10.0, 20.0, 60.0]")):
+        bd.plateau_gap(rows)
+    assert bd.plateau_gap(rows, 20.0, 60.0) == bd.plateau_gap(rows, 20, 60)
+
+
 def _two_direction_gamma():
     rng = np.random.default_rng(5)
     return (lz.make_unipotent([0.0, 0.0, 1.0], 4)

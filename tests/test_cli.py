@@ -469,8 +469,8 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
     (["verify", "--mu", ","], "mu_list must hold at least one entry"),
     (["asymptote", "--mu", ","], "mu_list must hold at least one entry"),
     (["transform", "--d", "8"], "unsupported dimension d=8 (quadrature cost guard, d <= 6)"),
-    (["delta", "--u", "1,2"], "u must hold n-1 = 1 finite numbers"),
-    (["count", "--u", "nan"], "u must hold n-1 = 1 finite numbers"),
+    (["delta", "--u", "1,2"], "u must be a direction of n-1 = 1 finite numbers"),
+    (["count", "--u", "nan"], "u must be a direction of n-1 = 1 finite numbers"),
     (["asymptote", "--d", "3", "--n", "3", "--mu", "10"], "2 <= n <= d-1"),
     (["asymptote", "--mu", "61"], "mu_grid capped at 60, got 61.0"),
     (["count", "--n", "4"], "2 <= n <= d-1"),

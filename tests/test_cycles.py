@@ -346,5 +346,57 @@ def test_invariants_batch_refuses_non_finite_directions():
     _, U, S = _picard()
     prep = cy.PreparedCycle(U @ S @ U, CFG)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="^U must be finite"):
+        with pytest.raises(ValueError, match="^u must be a direction of n-1 = 1 finite numbers"):
             prep.invariants_batch([[bad], [0.3]])
+
+
+def _direction_calls(g, cfg):
+    """Every entry point that takes a direction u, as a function of u; the
+    batch gets u in a stack of two rows whose other row is good where u
+    has n-1 entries, and u twice where it has not."""
+    prep = cy.PreparedCycle(g, cfg)
+    good = np.zeros(cfg.n - 1)
+    ball = _ball(e=np.eye(cfg.d + 1), g=g)
+    return {
+        "invariants": prep.invariants,
+        "invariants_batch": lambda u: prep.invariants_batch(
+            [good, u] if np.size(u) == len(good) else [u, u]),
+        "invariants_stack": lambda u: cy.invariants_stack(g[None], u, cfg),
+        "cycle_invariants": lambda u: cy.cycle_invariants(g, u, cfg),
+        "delta_u": lambda u: cy.delta_u(g, u, cfg),
+        "pad_direction": lambda u: cy.pad_direction(u, cfg),
+        "cycle_point": lambda u: cy.cycle_point(u, 1.5, cfg),
+        "verify_f_geometric": lambda u: cy.verify_f_geometric(g, u, 1.3, cfg),
+        "min_dist_geodesic_to_cycle": lambda u: cy.min_dist_geodesic_to_cycle(g, u, cfg),
+        "delta_spectrum": lambda u: [(e.delta, e.M, e.N_u, e.Q_u)
+                                     for e in delta_spectrum(ball, u, cfg).entries],
+    }
+
+
+@pytest.mark.parametrize("u", [[0.3], [0.3, 0.3, 0.3], [np.nan, 0.3]])
+def test_every_direction_entry_point_refuses_with_the_one_message(u):
+    # a short u once broadcast to (0.3, 0.3) in pad_direction and its callers
+    cfg = lz.CycleConfig(4, 3)
+    g = lz.random_lorentz(np.random.default_rng(7), 4)
+    want = f"u must be a direction of n-1 = 2 finite numbers, got {u!r}"
+    for name, call in _direction_calls(g, cfg).items():
+        with pytest.raises(ValueError) as exc:
+            call(u)
+        assert str(exc.value) == want, name
+
+
+def test_one_direction_as_a_scalar_or_a_list_gives_one_result():
+    _, U, S = _picard()
+    calls = _direction_calls(U @ S @ U, CFG)
+    del calls["invariants_batch"]       # a stack, never a scalar
+    for name, call in calls.items():
+        a, b = call(0.3), call([0.3])
+        if isinstance(a, cy.CycleInvariants):
+            a, b = (a.M, a.N_u, a.Q_u, a.delta), (b.M, b.N_u, b.Q_u, b.delta)
+        assert np.array_equal(a, b), name
+    # pinned to the bit, so that a rule that moved any of them fails here
+    assert calls["delta_u"](0.3) == 9.360000000000001
+    assert calls["min_dist_geodesic_to_cycle"](0.3) == 1.7835219953952262
+    assert calls["verify_f_geometric"](0.3) == (1.7888448525403342, 1.788844852540334,
+                                                 2.220446049250313e-16)
+    assert calls["pad_direction"](0.3).tolist() == [0.3, 0.0]

@@ -1,0 +1,52 @@
+"""Names left behind: every module of the package is parsed with ``ast``, and
+an imported name the module never uses, or a module-level private name
+(``_x``) that no module of the package reads beyond its definition, fails.
+Such names are what a simplification leaves when it folds a helper into
+another and forgets the old one."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hypcycles
+
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(Path(hypcycles.__file__).parent.glob("*.py"))}
+
+
+def _reads(tree):
+    """The names a module reads and the attributes it names."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def _definitions(tree):
+    """The module-level names bound by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for target in targets for t in ast.walk(target)
+                        if isinstance(t, ast.Name))
+
+
+# the package's __init__ imports to re-export, so it is not held to this
+@pytest.mark.parametrize("module", [m for m in TREES if m != "__init__.py"])
+def test_every_imported_name_is_used(module):
+    tree = TREES[module]
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    assert sorted(imported - _reads(tree)) == []
+
+
+def test_every_private_module_name_is_read():
+    read = set().union(*map(_reads, TREES.values()))
+    unread = [f"{module}: {name}" for module, tree in TREES.items() for name in _definitions(tree)
+              if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []

@@ -179,6 +179,18 @@ def test_words_behave_as_a_tuple():
         ball.words[len(words)]
 
 
+def test_a_kept_word_through_a_dropped_parent_is_refused(monkeypatch):
+    # a ball's words are spelled through parents renumbered to ball positions,
+    # which needs the parent of each kept word kept; no audit measured drops
+    # one, and an audit that did would get a refusal rather than a wrong word
+    drop = ob.ball_enumerate(ob.picard_generators(), 2).words.index("S")
+    monkeypatch.setattr(ob, "_audit_dedup",
+                        lambda words, mats: np.delete(np.arange(len(mats)), drop))
+    with pytest.raises(RuntimeError,
+                       match="^the dedup audit dropped the parent of the kept word 'ST'$"):
+        ob.ball_enumerate(ob.picard_generators(), 2)
+
+
 def test_dedup_ambiguity_names_the_setting_that_resolves_it():
     # conjugation grows the entries until two distinct rounding cells hold
     # one element; a coarser cell merges them, a finer one cannot
