@@ -14,7 +14,6 @@ from .lorentz import (
     commutation_identities,
     embed_m_rotation,
     embed_rotation,
-    is_lorentz,
     lorentz_inverse,
     make_boost,
     make_scale,

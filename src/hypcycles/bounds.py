@@ -155,6 +155,11 @@ class BoxDomain:
         return self.v_volume * float(radial)
 
 
+def _check_box(box, cfg):
+    if len(box.v_bounds) != cfg.n - 1:
+        raise ValueError("box must give one v-interval per cycle direction")
+
+
 def sigma0_model(cfg, mu, nu, box):
     """Main-term model integral over the window: closed form
 
@@ -168,8 +173,7 @@ def sigma0_model(cfg, mu, nu, box):
     window integral, so the transform's quadrature cost guard
     n <= transform.MAX_QUAD_DIM applies.
     """
-    if len(box.v_bounds) != cfg.n - 1:
-        raise ValueError("box must give one v-interval per cycle direction")
+    _check_box(box, cfg)
     nu_c = complex(nu)
     i_nu = box.i_nu(nu_c)
     # the layered integral over (u, s) is the transform integral at -nubar
@@ -454,6 +458,7 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     so the sweep plateaus at a nonzero constant.  The error envelope is the
     rescaled O(e^-mu mu^-(n+1)/2) error bound, (pi/2)^((d-n-1)/2) mu^(-d/2).
     """
+    _check_box(box, cfg)
     mu_grid = [float(m) for m in mu_grid]
     _checks.positive(mu_grid=mu_grid)
     if not mu_grid or any(b <= a for a, b in zip(mu_grid, mu_grid[1:])):

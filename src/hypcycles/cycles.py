@@ -312,10 +312,12 @@ def min_dist_to_cycle(point, cfg):
     Minimizes the Minkowski pairing (smooth even at distance zero) over
     (v, log t) with the Nelder-Mead simplex ``_nelder_mead`` (xatol 1e-10,
     fatol 1e-12, at most 200 x dimension iterations), started from the
-    cycle point below the point.  Raises RuntimeError if the simplex
-    reaches its iteration cap.
+    cycle point below the point.  Refuses a point of other than d+1
+    coordinates; raises RuntimeError if the simplex reaches its iteration cap.
     """
     point = np.asarray(point, dtype=float)
+    if point.shape != (cfg.d + 1,):
+        raise ValueError(f"point must have d+1 = {cfg.d + 1} coordinates, got shape {point.shape}")
     # the start is a vertex of the first simplex, so the value is never above it
     _, best = _nelder_mead(lambda z: _pairing_to_cycle(point, z[:-1], z[-1], cfg),
                            _cycle_start(point, cfg))
@@ -339,9 +341,10 @@ def min_dist_geodesic_to_cycle(gamma, u, cfg):
     oracle for delta_u (it reads no invariant): one ``_nelder_mead`` search
     of the pairing over (v, log t, log r), the cycle point and the geodesic
     height together, from r = 1 and the cycle point below gamma n_u . o.
-    Defined where M N_u > 0, so that the minimum is attained; raises
-    RuntimeError at the simplex's cap of 200 x dimension iterations."""
-    gamma = np.asarray(gamma, dtype=float)
+    Defined where M N_u > 0, so that the minimum is attained; refuses gamma as
+    PreparedCycle does; raises RuntimeError at the simplex's 200 x dimension iterations."""
+    gamma = require_lorentz(gamma)
+    _check_dimension(gamma, cfg)
     u_pad = pad_direction(u, cfg)
 
     def pairing(z):

@@ -6,11 +6,11 @@ identity component (``det g = +1``, ``g[0,0] >= 1``), which preserves the
 upper sheet of the hyperboloid.  Coordinate 1 carries the boost direction;
 the unipotent directions live in coordinates 2..d.
 
-Each subgroup rule is stated once here, for a stack, in ``check_membership``
-(one matrix is the stack of one): G by ``lorentz_mask``, AN0 by the unchecked NAK
-reading of a stack (``nak_stack``, ``ank_stack``), K and M by one identity-block
-test, and G0 by its block split.  ``_stack`` refuses by name what is no matrix or
-stack of them, and ``_check_dimension`` a dimension that is not the ``CycleConfig``'s.
+Each subgroup rule is stated once here, for a stack, in ``check_membership``, which
+asks (``require_lorentz`` refuses outside G): G by residual, det and g00, where every
+test starts, AN0 by the unchecked NAK reading (``nak_stack``, ``ank_stack``), K and M
+by one identity-block test, G0 by its block split.  ``_stack`` refuses by name what is
+no matrix or stack of them, and ``_check_dimension`` a dimension not the ``CycleConfig``'s.
 """
 
 from __future__ import annotations
@@ -130,30 +130,11 @@ def group_residual(g):
     return float(res) if g.ndim == 2 else res
 
 
-def lorentz_mask(g, tol=TOL_GROUP):
-    """The group test at tol of each matrix of a stack (m, d+1, d+1), one matrix a stack of one."""
-    _checks.nonnegative(tol=tol)
-    g = _stack(g)
-    ok = group_residual(g) <= tol
-    sub = g[ok]
-    # det is exactly +-1 on the group; the tolerance separates the two components and
-    # absorbs LU roundoff on large products (float_power rounds like a scalar's pow)
-    big = np.float_power(np.abs(sub).max(axis=(-2, -1)), g.shape[-1])
-    det_tol = np.minimum(0.5, np.maximum(tol, 1e3 * np.finfo(float).eps * big))
-    ok[ok] = (np.abs(np.linalg.det(sub) - 1.0) <= det_tol) & (sub[:, 0, 0] >= 1.0 - tol)
-    return ok
-
-
-def is_lorentz(g, tol=TOL_GROUP):
-    """Whether g is one matrix of the group at tol: check_membership's G case."""
-    return np.ndim(g) == 2 and check_membership(g, "G", tol=tol)
-
-
 def require_lorentz(g, tol=TOL_GROUP, what="matrix"):
     """g as a float array: a (d+1, d+1) matrix with d >= 2 in the group, or a stack
-    of them, refused at its first member that lorentz_mask rejects (an empty one passes)."""
+    of them, refused at its first member outside G by check_membership (an empty one passes)."""
     stack = _stack(g, what)
-    ok = lorentz_mask(stack, tol)
+    ok = check_membership(stack, "G", tol=tol)
     if not ok.all():
         bad = stack[ok.argmin()]
         raise ValueError(
@@ -227,11 +208,20 @@ def check_membership(g, subgroup, cfg=None, tol=TOL_GROUP):
         raise ValueError(f"unknown subgroup {subgroup!r}")
     if subgroup in ("G0", "AN0") and cfg is None:
         raise ValueError(f"{subgroup} membership needs a CycleConfig")
+    _checks.nonnegative(tol=tol)
     g = np.asarray(g, dtype=float)
     if g.ndim == 2 and not 3 <= g.shape[0] == g.shape[1]:
         return False
     stack = _stack(g)
-    ok = lorentz_mask(stack, tol)
+    # G: residual, det and g00.  det is exactly +-1 on the group; its tolerance, below 0.5,
+    # absorbs LU roundoff on large products (float_power rounds like a scalar's pow)
+    ok = group_residual(stack) <= tol
+    sub = stack[ok]
+    big = np.float_power(np.abs(sub).max(axis=(-2, -1)), stack.shape[-1])
+    det_tol = np.minimum(0.5, np.maximum(tol, 1e3 * np.finfo(float).eps * big))
+    ok[ok] = (np.abs(np.linalg.det(sub) - 1.0) <= det_tol) & (sub[:, 0, 0] >= 1.0 - tol)
+    if subgroup == "G":
+        return bool(ok[0]) if g.ndim == 2 else ok
     sub, d = stack[ok], stack.shape[-1] - 1
     if subgroup in ("G0", "AN0") and len(sub):
         _check_dimension(sub, cfg)

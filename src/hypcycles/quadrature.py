@@ -21,17 +21,19 @@ run over them in that order, and each panel's Kronrod and Gauss sums are
 taken row by row (``einsum``, whose rows do not depend on the batch, where a
 BLAS matrix-vector product's do), so a member's result is a pure function of
 its own integrand values: bit-reproducible, and the same in any family as
-alone.  A split that would take a member past ``max_panels`` raises before
-any panel is evaluated, so a converged value never depends on ``max_panels``:
+alone.  A split that would take a member past ``MAX_PANELS`` raises before
+any panel is evaluated, so a converged value never depends on ``MAX_PANELS``:
 it is the value an uncapped run gives.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+# the panels one member may take, its four quarters included; read at each call
+MAX_PANELS = 4096
 
 # 21-point Kronrod nodes on [-1, 1] and the matching Gauss-10/Kronrod-21
 # weights (QUADPACK dqk21 values); _XK_HALF[1::2] are the Gauss nodes.
@@ -92,27 +94,27 @@ class FamilyResult:
     neval: np.ndarray
 
 
-def quad_gk(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
+def quad_gk(f, a, b, rel_tol=1e-9, abs_tol=1e-300):
     """Integrate ``f`` over [a, b].
 
     ``f`` must accept an ndarray of nodes and return values of the same
     shape.  Returns a :class:`QuadResult` whose error estimate is at most
     ``max(rel_tol*|I|, abs_tol)``; raises RuntimeError when convergence would
-    take more than ``max_panels`` panels, so non-convergence is never silent.
+    take more than ``MAX_PANELS`` panels, so non-convergence is never silent.
     """
-    res = quad_family(lambda x, k: f(x), a, b, rel_tol, abs_tol, max_panels)
+    res = quad_family(lambda x, k: f(x), a, b, rel_tol, abs_tol)
     return QuadResult(res.value[0], res.error[0], int(res.neval[0]), True)
 
 
-def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
+def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300):
     """Integrate the members ``f(., k)`` of a family over [a[k], b[k]].
 
     ``f(x, k)`` takes equal-shaped arrays of nodes and member indices and
     returns the values of member ``k[i]`` at ``x[i]``.  ``a`` and ``b``
     broadcast to the family size.  Each member starts as the four quarters
-    of its interval, which count toward ``max_panels`` (at least 4).  Returns a
+    of its interval, which count toward ``MAX_PANELS``.  Returns a
     :class:`FamilyResult`; raises RuntimeError naming the interval of a
-    member whose next split would take it past ``max_panels`` or whose
+    member whose next split would take it past ``MAX_PANELS`` or whose
     estimates are not finite.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -128,11 +130,6 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
         raise ValueError(f"quad_family needs rel_tol >= 0, got {rel_tol!r}")
     if not abs_tol > 0.0:
         raise ValueError(f"quad_family needs abs_tol > 0, got {abs_tol!r}")
-    # inline, as a _checks rule costs about 40 times more per family; a NaN
-    # cap would fail every comparison with a panel count and so lift the cap
-    integral = isinstance(max_panels, numbers.Integral) and not isinstance(max_panels, bool)
-    if not (integral and max_panels >= 4):
-        raise ValueError(f"quad_family needs max_panels >= 4 (an integer), got {max_panels!r}")
     m = a.size
     # each member starts as its quarters, in the order two waves of splits make
     lo, hi, owner = _bisect(*_bisect(a, b, np.arange(m)))
@@ -157,9 +154,9 @@ def quad_family(f, a, b, rel_tol=1e-9, abs_tol=1e-300, max_panels=4096):
         # add up to half the target, which its error total exceeds
         split = todo[owner] & (errs > (target / (2.0 * count))[owner])
         grown = count + np.bincount(owner[split], minlength=m)
-        if grown.max() > max_panels:
-            _raise(a, b, grown > max_panels, lambda j:
-                   f"{max_panels} panels cannot hold the {grown[j]} its next split needs "
+        if grown.max() > MAX_PANELS:
+            _raise(a, b, grown > MAX_PANELS, lambda j:
+                   f"{MAX_PANELS} panels cannot hold the {grown[j]} its next split needs "
                    f"(error {err_total[j]:.3e} > target {target[j]:.3e})")
 
         # a member's panels stay in the order [unsplit, left halves, right halves]

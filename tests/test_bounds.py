@@ -106,6 +106,12 @@ def test_sigma0_model_refuses_a_box_of_another_dimension():
         bd.sigma0_model(lz.CycleConfig(4, 3), 2.0, 0.3, BOX)
 
 
+def test_rescaled_limit_shape_refuses_a_box_of_another_dimension():
+    # one v-interval at n = 3 once gave a sweep whose window factor had the wrong dimension
+    with pytest.raises(ValueError, match="^box must give one v-interval per cycle direction$"):
+        bd.rescaled_limit_shape(lz.CycleConfig(4, 3), [10.0, 20.0], 0.3, BOX)
+
+
 def test_j_gamma_basics():
     T, U, S = _picard()
     g = U @ S @ U

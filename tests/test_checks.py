@@ -132,7 +132,7 @@ CASES = {
         lambda: ob.ball_enumerate(ob.picard_generators(), 2.5), "max_word_length"),
     "ball_enumerate-max_word_length-float64": (
         lambda: ob.ball_enumerate(ob.picard_generators(), np.float64(3.0)), "max_word_length"),
-    "is_lorentz-tol-nan": (lambda: lz.is_lorentz(U, tol=NAN), "tol"),
+    "check_membership-tol-nan": (lambda: lz.check_membership(U, "G", tol=NAN), "tol"),
     "require_lorentz-tol-nan": (lambda: lz.require_lorentz(U, tol=NAN), "tol"),
     "make_boost-x-nan": (lambda: lz.make_boost(NAN, 3), "x"),
     "make_unipotent-u-nan": (lambda: lz.make_unipotent([NAN, 0.0]), "u"),

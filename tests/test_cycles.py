@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,21 @@ def test_check_u11_gap_refuses_a_first_element_outside_the_group_first():
                 lengths=np.ones(1, dtype=int), ids=np.zeros(1, dtype=int))
     with pytest.raises(ValueError, match="^matrix is not in the identity component of SO"):
         cy.check_u11_gap(ball, CFG)
+
+
+def test_the_distance_oracles_refuse_what_their_closed_forms_refuse():
+    # min_dist_geodesic_to_cycle once measured 1.354 for diag(2, 1, 1, 1), outside the group
+    bad = np.diag([2.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="^matrix is not in the identity component") as closed:
+        cy.delta_u(bad, 0.3, CFG)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(closed.value))}$"):
+        cy.min_dist_geodesic_to_cycle(bad, 0.3, CFG)
+    for call in (cy.delta_u, cy.min_dist_geodesic_to_cycle):
+        with pytest.raises(ValueError, match="^matrix dimension does not match CycleConfig$"):
+            call(np.eye(5), 0.3, CFG)
+    point = r"^point must have d\+1 = 4 coordinates, got shape \(5,\)$"
+    with pytest.raises(ValueError, match=point):
+        cy.min_dist_to_cycle(lz.basepoint(4), CFG)
 
 
 def test_f_gamma_shape_and_minimum():

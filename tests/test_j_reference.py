@@ -2,7 +2,9 @@
 for the geometry, scipy's Amos K (kve) for the Bessel factor and QUADPACK
 (nquad) for the integral.  It shares nothing with j_gamma_quadrature but J's
 definition, so a shared mistake in the cycle invariants, the Bessel table,
-the height cut or the nested families would not pass both."""
+the height cut or the nested families would not pass both.  J's definition
+is itself checked at n = 2: its integrand is the kernel integrated over the
+cycle against the horospherical character, by quadrature over the cycle."""
 
 import math
 
@@ -11,6 +13,7 @@ import pytest
 from scipy import integrate, special
 
 from hypcycles import bounds as bd
+from hypcycles import cycles as cy
 from hypcycles import lorentz as lz
 from hypcycles import orbits as ob
 
@@ -63,6 +66,51 @@ def j_reference(gamma, u_range, cfg, mu, nu, epsrel=1e-11):
                           opts={"epsrel": epsrel, "epsabs": 0.0, "limit": 200})[0]
     pref = 2.0 ** n * (math.pi / (2.0 * mu)) ** ((n - 1) / 2.0)
     return math.log(pref) + math.log(val) - mu * scale
+
+
+def cycle_integral(gamma, u, r, mu, nu):
+    """The kernel integrated over the cycle at n = 2, d = 3, written out:
+
+        int e^(-mu (cosh d(p, y) - sqrt f)) h(y)^(nu+rho0) dy,   p = gamma (n_u a_r . o),
+
+    with y = n_v a_s . o, h(y) = s, dy = s^-n ds dv and f = 1 + p_3^2.  By nquad
+    (epsrel 1e-9) over t = log s in t0 +- 12 and v = v0 + e^t0 sinh(xi), xi in +-8,
+    about the cycle point (v0, e^t0) below p.  Returns the value and the largest log
+    of the integrand, less its log at that point, on the edge of the domain."""
+    p = np.asarray(gamma, dtype=float) @ horospherical_point([u, 0.0], r)
+    sqrt_f = math.sqrt(1.0 + p[3] ** 2)
+    s0 = 1.0 / (p[0] - p[1])
+    v0, t0 = p[2] * s0, 0.5 * math.log(s0 * s0 + (p[3] * s0) ** 2)
+
+    def log_integrand(xi, t):
+        y = horospherical_point([v0 + math.exp(t0) * math.sinh(xi), 0.0], math.exp(t))
+        cosh_d = p[0] * y[0] - p[1] * y[1] - p[2] * y[2] - p[3] * y[3]
+        # h^(nu+rho0) s^-n ds = e^((nu+rho0-n+1) t) dt, and dv = e^t0 cosh(xi) dxi
+        return (-mu * (cosh_d - sqrt_f) + (nu + 0.5 - 1.0) * t
+                + t0 + math.log(math.cosh(xi)))
+
+    value = integrate.nquad(lambda xi, t: math.exp(log_integrand(xi, t)),
+                            [(-8.0, 8.0), (t0 - 12.0, t0 + 12.0)],
+                            opts={"epsrel": 1e-9, "epsabs": 0.0, "limit": 200})[0]
+    edge = [(xi, t) for xi in np.linspace(-8.0, 8.0, 321) for t in (t0 - 12.0, t0 + 12.0)]
+    edge += [(xi, t) for xi in (-8.0, 8.0) for t in np.linspace(t0 - 12.0, t0 + 12.0, 481)]
+    return value, max(log_integrand(xi, t) for xi, t in edge) - log_integrand(0.0, t0)
+
+
+@pytest.mark.parametrize("gamma, u, r, mu, nu", [
+    (USU, 0.3, 1.2, 3.0, 0.4),
+    (lz.random_lorentz(np.random.default_rng(3), 3), -0.7, 0.6, 1.5, 1.1),
+], ids=["USU", "random"])
+def test_js_integrand_is_the_kernel_integrated_over_the_cycle(gamma, u, r, mu, nu):
+    # on the cycle cosh d(p, y) = sqrt f cosh d(q, y), q the foot of p, and h(q) = s1 sqrt f,
+    # so the integral is h(q)^(nu+rho0) times the n-dimensional transform at mu sqrt f
+    inv = cy.cycle_invariants(gamma, [u], CFG)
+    sqrt_f = math.sqrt(inv.f(r))
+    want = (2.0 ** 2 * (math.pi / (2.0 * mu)) ** 0.5 * sqrt_f ** nu
+            * special.kve(nu, mu * sqrt_f) * inv.s1(r) ** (nu + 0.5))
+    got, cut = cycle_integral(gamma, u, r, mu, nu)
+    assert cut < -700.0
+    assert abs(got / want - 1.0) <= 1e-11
 
 
 def test_horospherical_point_is_n_u_a_r_applied_to_the_origin():

@@ -54,7 +54,7 @@ def test_constructors_satisfy_group_invariant():
         d = int(rng.integers(2, 6))
         g = lz.random_lorentz(rng, d, n_factors=4)
         assert lz.group_residual(g) < 1e-10
-        assert lz.is_lorentz(g)
+        assert lz.check_membership(g, "G")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -63,16 +63,17 @@ def test_a_matrix_with_a_non_finite_entry_is_not_lorentz(bad):
     g = lz.make_boost(0.5, 3)
     g[1, 2] = bad
     with np.errstate(invalid="ignore"):
-        assert not lz.is_lorentz(g)
-        assert not lz.lorentz_mask(np.stack([lz.make_boost(0.5, 3), g])).tolist()[1]
+        assert not lz.check_membership(g, "G")
+        assert not lz.check_membership(np.stack([lz.make_boost(0.5, 3), g]), "G").tolist()[1]
         with pytest.raises(ValueError, match="not in the identity component"):
             lz.require_lorentz(g)
 
 
-@pytest.mark.parametrize("g", [np.eye(4)[:3], np.eye(2), np.eye(4)[None]],
-                         ids=["non-square", "d=1", "stack"])
-def test_is_lorentz_refuses_what_is_no_one_matrix_of_a_group(g):
-    assert not lz.is_lorentz(g)
+@pytest.mark.parametrize("g", [np.eye(4)[:3], np.eye(2)], ids=["non-square", "d=1"])
+def test_one_matrix_of_no_groups_shape_is_in_no_subgroup(g):
+    cfg = lz.CycleConfig(3, 2)
+    for subgroup in ("G", "K", "A", "N", "M", "G0", "AN0"):
+        assert lz.check_membership(g, subgroup, cfg) is False
 
 
 @pytest.mark.parametrize("g, shape", [
@@ -85,9 +86,10 @@ def test_require_lorentz_refuses_a_shape_by_name(g, shape):
         lz.require_lorentz(g, what="generator 'T'")
     # the other calls that read a matrix's shape, once with numpy's own errors; one
     # matrix of no group's shape is in no subgroup, a stack of them is refused
-    calls = [lz.lorentz_mask, lz.group_residual, lz.lorentz_inverse]
+    calls = [lz.group_residual, lz.lorentz_inverse]
     if np.ndim(g) != 2:
-        calls.append(lambda g: lz.check_membership(g, "G0", lz.CycleConfig(3, 2)))
+        calls += [lambda g: lz.check_membership(g, "G"),
+                  lambda g: lz.check_membership(g, "G0", lz.CycleConfig(3, 2))]
     for call in calls:
         with pytest.raises(ValueError, match=f"^matrix must be a .* got shape {re.escape(shape)}$"):
             call(g)
@@ -134,7 +136,7 @@ def _membership_by_hand(g, subgroup, cfg, tol):
     """K, M and AN0 membership as three separate formulas: the e0 row and
     column for K, the 2x2 block and its coupling for M, and for AN0 the NA
     part read off g's first column, then the compact factor left over."""
-    if not lz.is_lorentz(g, tol):
+    if not lz.check_membership(g, "G", tol=tol):
         return False
     d = g.shape[0] - 1
     if subgroup == "K":

@@ -1,8 +1,10 @@
 """Names left behind: every module of the package is parsed with ``ast``, and
-an imported name the module never uses, or a module-level private name
-(``_x``) that no module of the package reads beyond its definition, fails.
-Such names are what a simplification leaves when it folds a helper into
-another and forgets the old one."""
+an imported name the module never uses, a module-level private name (``_x``)
+that no module of the package reads beyond its definition, or a public name
+of a module (bound at module level, or a public method or property of one of
+its classes) that no file of the source, tests, demos or benchmark reads,
+fails.  Such names are what a simplification leaves when it folds a helper
+into another and forgets the old one, or when a test stops using a helper."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,7 @@ import hypcycles
 
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(Path(hypcycles.__file__).parent.glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _reads(tree):
@@ -49,4 +52,24 @@ def test_every_private_module_name_is_read():
     read = set().union(*map(_reads, TREES.values()))
     unread = [f"{module}: {name}" for module, tree in TREES.items() for name in _definitions(tree)
               if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []
+
+
+def _public_names(tree):
+    """The public names a module binds at module level, and the public methods
+    and properties of its classes."""
+    yield from (name for name in _definitions(tree) if not name.startswith("_"))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_"))
+
+
+def test_every_public_name_is_read():
+    read = set().union(*(_reads(ast.parse(path.read_text(), filename=str(path)))
+                         for folder in ("src", "tests", "demos", "perfbench")
+                         for path in sorted((ROOT / folder).rglob("*.py"))))
+    unread = [f"{module}: {name}" for module, tree in TREES.items() if module != "__init__.py"
+              for name in _public_names(tree) if name not in read]
     assert unread == []

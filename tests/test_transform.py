@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
+from hypcycles import quadrature
 from hypcycles import transform as tr
 from hypcycles.quadrature import FamilyResult, quad_family, quad_gk
 
@@ -825,11 +826,13 @@ def test_quadrature_engine_basics():
         quad_gk(lambda x: x, 1.0, 0.0)
 
 
-def test_quadrature_nonconvergence_raises():
+def test_quadrature_nonconvergence_raises(monkeypatch):
     # a jump off every bisection point cannot meet 1e-9 within 8 panels
     step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
-    with pytest.raises(RuntimeError, match=r"did not converge on \[0\.0, 1\.0\]: 8 panels"):
-        quad_gk(step, 0.0, 1.0, max_panels=8)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "MAX_PANELS", 8)
+        with pytest.raises(RuntimeError, match=r"did not converge on \[0\.0, 1\.0\]: 8 panels"):
+            quad_gk(step, 0.0, 1.0)
     assert quad_gk(step, 0.0, 1.0, rel_tol=1e-9).value == pytest.approx(2.0 / 3.0, rel=1e-9)
 
 
