@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _checks
 from .cycles import PreparedCycle, _nelder_mead
-from .lorentz import TOL_G0, check_membership, require_lorentz
+from .lorentz import TOL_G0, _element, check_membership
 from .quadrature import quad_family, quad_gk
 from .transform import (_EXP_CUT, REAL_ORDER_IM, KScaledInterpolator, _exp_in_place, _gap,
                         bessel_k_scaled, selberg_transform_agreement)
@@ -135,9 +135,7 @@ class BoxDomain:
 
     def __post_init__(self):
         _checks.positive(r_bounds=self.r_bounds)
-        _checks.finite(v_bounds=self.v_bounds)
-        if not all(lo < hi for lo, hi in (self.r_bounds, *self.v_bounds)):
-            raise ValueError("empty box: need lo < hi on every axis")
+        _checks.window(v_bounds=self.v_bounds, r_bounds=(self.r_bounds,))
 
     @property
     def v_volume(self):
@@ -155,11 +153,6 @@ class BoxDomain:
         return self.v_volume * float(radial)
 
 
-def _check_box(box, cfg):
-    if len(box.v_bounds) != cfg.n - 1:
-        raise ValueError("box must give one v-interval per cycle direction")
-
-
 def sigma0_model(cfg, mu, nu, box):
     """Main-term model integral over the window: closed form
 
@@ -173,7 +166,7 @@ def sigma0_model(cfg, mu, nu, box):
     window integral, so the transform's quadrature cost guard
     n <= transform.MAX_QUAD_DIM applies.
     """
-    _check_box(box, cfg)
+    _checks.window(k=cfg.n - 1, v_bounds=box.v_bounds)
     nu_c = complex(nu)
     i_nu = box.i_nu(nu_c)
     # the layered integral over (u, s) is the transform integral at -nubar
@@ -332,21 +325,18 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     """
     _checks.positive(mu=mu)
     _checks.finite(nu=nu)
-    gamma = require_lorentz(gamma)
+    gamma = _element(gamma, cfg)[0]
     if check_membership(gamma, "G0", cfg, tol=TOL_G0):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
     nu_c = complex(nu)
     if abs(nu_c.imag) > REAL_ORDER_IM:
         raise ValueError(f"j_gamma_quadrature needs a real spectral parameter nu, got {nu!r}")
     nu_r = float(nu_c.real)
-    if len(u_range) != cfg.n - 1:
-        raise ValueError("u_range must give one interval per cycle direction")
+    # checked before the memoised scan, so that no bad window is stored
+    _checks.window(k=cfg.n - 1, u_range=u_range)
 
     n, rho0 = cfg.n, cfg.rho0
     u_range = tuple((float(lo), float(hi)) for lo, hi in u_range)
-    # checked before the memoised scan, so that no bad window is stored
-    if not all(-math.inf < lo < hi < math.inf for lo, hi in u_range):
-        raise ValueError(f"u_range needs finite intervals with lo < hi, got {u_range}")
     prep, delta_min, n_min = _window_scan(gamma.tobytes(), gamma.shape, u_range, cfg)
     if prep.M < 1e-12 or n_min < 1e-8:
         return JGammaResult(log_value=np.nan, value=np.nan, delta_min=delta_min,
@@ -458,7 +448,7 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     so the sweep plateaus at a nonzero constant.  The error envelope is the
     rescaled O(e^-mu mu^-(n+1)/2) error bound, (pi/2)^((d-n-1)/2) mu^(-d/2).
     """
-    _check_box(box, cfg)
+    _checks.window(k=cfg.n - 1, v_bounds=box.v_bounds)
     mu_grid = [float(m) for m in mu_grid]
     _checks.positive(mu_grid=mu_grid)
     if not mu_grid or any(b <= a for a, b in zip(mu_grid, mu_grid[1:])):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import bounds, cycles, decompose, lorentz, orbits, transform
+from . import _checks, bounds, cycles, decompose, lorentz, orbits, transform
 
 DEFAULT_TOLERANCES = {
     "group": lorentz.TOL_GROUP,
@@ -72,13 +72,10 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be {what}, got {getattr(self, f.name)!r}")
         if self.max_word_length < 1:
             raise ValueError("max_word_length must be at least 1")
-        if not self.mu_list:
+        if not self.mu_list:    # verify would compare nothing
             raise ValueError("mu_list must hold at least one entry")
-        if not all(math.isfinite(mu) and mu > 0 for mu in self.mu_list):
-            raise ValueError("mu_list entries must be finite and positive, "
-                             f"got {list(self.mu_list)!r}")
-        if not (math.isfinite(self.nu_re) and math.isfinite(self.nu_im)):
-            raise ValueError(f"nu_re and nu_im must be finite, got {self.nu_re!r}, {self.nu_im!r}")
+        _checks.positive(mu_list=self.mu_list)
+        _checks.finite(nu_re=self.nu_re, nu_im=self.nu_im)
         if self.u:
             cycles._directions(np.ravel(self.u)[None], self.n)
         for name, t in self.tolerances.items():

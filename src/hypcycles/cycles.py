@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .decompose import from_horospherical, minkowski_pairing, to_horospherical
-from .lorentz import (TOL_G0, _check_dimension, ank_stack, check_membership, nak_stack,
-                      require_lorentz)
+from .decompose import _sheet_point, from_horospherical, minkowski_pairing, to_horospherical
+from .lorentz import (TOL_G0, _check_dimension, _element, ank_stack, check_membership,
+                      nak_stack, require_lorentz)
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,13 @@ def _directions(U, n):
 
 
 class PreparedCycle:
-    """Factorization data of one gamma, a group element to within
-    lorentz.TOL_GROUP, reusable across many directions u: the stack of one
-    of ``invariants_stack``."""
+    """Factorization data of one gamma, one group element to within
+    lorentz.TOL_GROUP (a stack is refused by ``lorentz._element``), reusable
+    across many directions u: the stack of one of ``invariants_stack``."""
 
     def __init__(self, gamma, cfg):
-        gamma = require_lorentz(gamma)
-        _check_dimension(gamma, cfg)
         self.cfg = cfg
-        self._prep = tuple(part[0] for part in _prepare(gamma[None], cfg))
+        self._prep = tuple(part[0] for part in _prepare(_element(gamma, cfg), cfg))
         r0, _, block, _, self.m, M = self._prep
         self.r0, self.u11, self.M = float(r0), float(block[0, 0]), float(M)
         self.m.flags.writeable = False      # shared by every record
@@ -313,11 +311,13 @@ def min_dist_to_cycle(point, cfg):
     (v, log t) with the Nelder-Mead simplex ``_nelder_mead`` (xatol 1e-10,
     fatol 1e-12, at most 200 x dimension iterations), started from the
     cycle point below the point.  Refuses a point of other than d+1
-    coordinates; raises RuntimeError if the simplex reaches its iteration cap.
+    coordinates or off the upper sheet (``decompose._sheet_point``); raises
+    RuntimeError if the simplex reaches its iteration cap.
     """
     point = np.asarray(point, dtype=float)
     if point.shape != (cfg.d + 1,):
         raise ValueError(f"point must have d+1 = {cfg.d + 1} coordinates, got shape {point.shape}")
+    _sheet_point(point, "point")
     # the start is a vertex of the first simplex, so the value is never above it
     _, best = _nelder_mead(lambda z: _pairing_to_cycle(point, z[:-1], z[-1], cfg),
                            _cycle_start(point, cfg))
@@ -343,8 +343,7 @@ def min_dist_geodesic_to_cycle(gamma, u, cfg):
     height together, from r = 1 and the cycle point below gamma n_u . o.
     Defined where M N_u > 0, so that the minimum is attained; refuses gamma as
     PreparedCycle does; raises RuntimeError at the simplex's 200 x dimension iterations."""
-    gamma = require_lorentz(gamma)
-    _check_dimension(gamma, cfg)
+    gamma = _element(gamma, cfg)[0]
     u_pad = pad_direction(u, cfg)
 
     def pairing(z):

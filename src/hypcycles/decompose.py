@@ -4,6 +4,7 @@ Horospherical coordinates (u, r) in R^(d-1) x R_+ parameterize the upper
 hyperboloid sheet through the point n_u a_r . o; the metric normalization
 is fixed so that dist(a_t . o, o) = |t|.  ``nak`` and ``ank`` check one
 element and read it through ``lorentz.nak_stack`` and ``lorentz.ank_stack``.
+``_sheet_point`` refuses what is no point of the upper sheet.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .lorentz import ank_stack, make_boost, make_scale, make_unipotent, nak_stack, require_lorentz
+from .lorentz import (TOL_GROUP, _element, ank_stack, make_boost, make_scale, make_unipotent,
+                      nak_stack)
 
 
 @dataclass(frozen=True)
@@ -66,16 +68,16 @@ class KakFactors:
 
 
 def nak(g):
-    """NAK factors of g, a group element to within lorentz.TOL_GROUP: the
+    """NAK factors of g, one group element to within lorentz.TOL_GROUP: the
     stack of one."""
-    w, x, k = nak_stack(require_lorentz(g)[None])
+    w, x, k = nak_stack(_element(g))
     return NakFactors(w=w[0], x=float(x[0]), k=k[0])
 
 
 def ank(g):
-    """ANK factors of g, a group element to within lorentz.TOL_GROUP: the
+    """ANK factors of g, one group element to within lorentz.TOL_GROUP: the
     stack of one."""
-    r0, w0, k = ank_stack(require_lorentz(g)[None])
+    r0, w0, k = ank_stack(_element(g))
     return AnkFactors(r0=float(r0[0]), w0=w0[0], k=k[0])
 
 
@@ -108,7 +110,7 @@ def kak(g):
     The decomposition is unique only modulo the centralizer of the boost
     axis; the frame completion makes a fixed deterministic choice.
     """
-    g = require_lorentz(g)
+    g = _element(g)[0]
     d = g.shape[0] - 1
     t = float(np.arccosh(max(g[0, 0], 1.0)))
     p = g[:, 0]
@@ -160,9 +162,22 @@ def from_horospherical(u, r):
     return p
 
 
-def to_horospherical(p):
-    """Inverse of from_horospherical: r = 1/(p0 - p1), u = p[2:] * r."""
+def _sheet_point(p, name):
+    """p as floats, refused by name unless a point of the upper sheet: finite, with
+    p0 > 0 and |<p, p> - 1| <= TOL_GROUP p0^2, the rounding of <p, p> being
+    relative to p0^2."""
     p = np.asarray(p, dtype=float)
+    if (p.ndim != 1 or p.size < 3 or not np.isfinite(p).all() or not p[0] > 0.0
+            or abs(minkowski_pairing(p, p) - 1.0) > TOL_GROUP * p[0] * p[0]):
+        raise ValueError(f"{name} must be on the upper sheet (finite, p0 > 0, <p, p> = 1), "
+                         f"got {p.tolist()!r}")
+    return p
+
+
+def to_horospherical(p):
+    """Inverse of from_horospherical: r = 1/(p0 - p1), u = p[2:] * r, for p a
+    point of the upper sheet."""
+    p = _sheet_point(p, "p")
     r = 1.0 / (p[0] - p[1])
     return p[2:] * r, float(r)
 

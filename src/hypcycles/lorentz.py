@@ -9,8 +9,8 @@ the unipotent directions live in coordinates 2..d.
 Each subgroup rule is stated once here, for a stack, in ``check_membership``, which
 asks (``require_lorentz`` refuses outside G): G by residual, det and g00, where every
 test starts, AN0 by the unchecked NAK reading (``nak_stack``, ``ank_stack``), K and M
-by one identity-block test, G0 by its block split.  ``_stack`` refuses by name what is
-no matrix or stack of them, and ``_check_dimension`` a dimension not the ``CycleConfig``'s.
+by one identity-block test, G0 by its block split.  ``_stack`` refuses what is no matrix
+or stack, ``_element`` no one element of G, ``_check_dimension`` another dimension.
 """
 
 from __future__ import annotations
@@ -169,6 +169,17 @@ def _check_dimension(g, cfg):
         raise ValueError("matrix dimension does not match CycleConfig")
 
 
+def _element(g, cfg=None, tol=TOL_GROUP, what="matrix"):
+    """One group element g as the checked stack of one: a stack, of one too, refused by
+    name, then g as require_lorentz refuses and, given cfg, as _check_dimension does."""
+    if np.ndim(g) != 2:
+        raise ValueError(f"{what} must be one (d+1, d+1) array, got shape {np.shape(g)}")
+    stack = require_lorentz(g, tol, what)[None]
+    if cfg is not None:
+        _check_dimension(stack, cfg)
+    return stack
+
+
 def _block_offdiag_max(g, split):
     """Largest entry coupling coordinates [0:split) with [split:), per matrix."""
     return np.maximum(np.abs(g[..., :split, split:]).max(axis=(-2, -1)),
@@ -297,7 +308,7 @@ def spin_cover_so13(m):
         g[1, j] = 0.5 * (X[0, 0] - X[1, 1]).real
         g[2, j] = X[0, 1].real
         g[3, j] = X[0, 1].imag
-    return require_lorentz(g, tol=1e-8, what="spin cover image")
+    return _element(g, tol=1e-8, what="spin cover image")[0]
 
 
 def random_rotation(rng, d):

@@ -56,8 +56,8 @@ import numpy as np
 
 from . import _checks
 from .cycles import invariants_stack
-from .lorentz import (TOL_G0, _block_offdiag_max, _check_dimension, check_membership,
-                      lorentz_inverse, make_boost, require_lorentz, spin_cover_so13)
+from .lorentz import (TOL_G0, _block_offdiag_max, _check_dimension, _element, check_membership,
+                      lorentz_inverse, make_boost, spin_cover_so13)
 
 LENGTH_CAP = 12
 # cell size of the word ball's dedup keys
@@ -89,11 +89,10 @@ class GeneratorSet:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("generator labels must be unique")
         shapes = sorted({np.shape(g) for g in self.matrices})
-        if len(shapes) != 1 or len(shapes[0]) != 2 or not 3 <= shapes[0][0] == shapes[0][1]:
-            raise ValueError(f"generator matrices must share one shape (d+1, d+1) with d >= 2, "
-                             f"got {shapes}")
+        if len(shapes) != 1:
+            raise ValueError(f"generator matrices must share one shape, got {shapes}")
         for lab, g in zip(self.labels, self.matrices):
-            require_lorentz(g, what=f"generator {lab!r}")
+            _element(g, what=f"generator {lab!r}")
 
     @property
     def d(self):

@@ -116,13 +116,11 @@ def bessel_k_scaled(order, x):
     An array x gives an array, its arguments integrated as one family, each
     refined exactly as it would be alone.
     """
+    _checks.positive_or_inf(x=x)
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1)
-    args = xs.tolist()
-    if not all(v > 0.0 for v in args):
-        raise ValueError("x must be positive")
     nu = _normalize_order(order)
-    T = [_cosh_cutoff(v, nu.real) for v in args]
+    T = [_cosh_cutoff(v, nu.real) for v in xs.tolist()]
     val = quad_family(lambda t, k: _scaled_integrand(t, xs[k], nu), 0.0, T,
                       rel_tol=BESSEL_REL_TOL).value
     # an order with zero imaginary part integrates in reals, complex-typed or not
@@ -176,9 +174,8 @@ def bessel_k_imag_scaled(r, x):
     (K_{ir} is far smaller near its zeros).  |P| > 4e6 is refused, as a
     rounding of r moves the value by 1e-16 |P| of that mass.
     """
-    # x = inf gives the limit 0, so x is refused by hand
-    if not x > 0:
-        raise ValueError(f"x must be positive, got {x!r}")
+    # x = inf gives the limit 0
+    _checks.positive_or_inf(x=x)
     _checks.nonnegative(r=r)
     s, k = math.sqrt(abs(r - x)) * math.sqrt(r + x), max(x - r, 0.0)
     ws, m = (math.asinh(s / x), 0.0) if r > x else (0.0, s - r * math.acos(r / x))

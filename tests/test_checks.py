@@ -2,6 +2,7 @@
 name before any quadrature or search, and the rules' own messages."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypcycles import transform as tr
 CFG = lz.CycleConfig(3, 2)
 BOX = bd.BoxDomain(v_bounds=((0.0, 1.0),), r_bounds=(1.0, 2.0))
 _, U, S = ob.picard_generators().matrices
+USU = U @ S @ U
 NAN, INF = float("nan"), float("inf")
 
 
@@ -48,6 +50,11 @@ CASES = {
     "bessel_k_asymptotic-x-nan": (lambda: tr.bessel_k_asymptotic(NAN), "x"),
     "bessel_k_asymptotic-x-inf": (lambda: tr.bessel_k_asymptotic(INF), "x"),
     "bessel_k_imag_scaled-r-nan": (lambda: tr.bessel_k_imag_scaled(NAN, 1.0), "r"),
+    # the scaled evaluators take x = inf, for their limit 0, and nothing at or below 0
+    "bessel_k_imag_scaled-x-zero": (lambda: tr.bessel_k_imag_scaled(2.0, 0.0), "x"),
+    "bessel_k_imag_scaled-x-nan": (lambda: tr.bessel_k_imag_scaled(2.0, NAN), "x"),
+    "bessel_k_scaled-x-zero": (lambda: tr.bessel_k_scaled(0.3, 0.0), "x"),
+    "bessel_k_scaled-x-nan": (lambda: tr.bessel_k_scaled(0.3, [1.0, NAN]), "x"),
     "bessel_k_scaled_batch-order-nan": (lambda: tr.bessel_k_scaled_batch(NAN, [1.0]), "order"),
     "bessel_k_scaled_batch-z-nan": (lambda: tr.bessel_k_scaled_batch(0.3, [1.0, NAN]), "z"),
     "KScaledInterpolator-order-nan": (lambda: tr.KScaledInterpolator(NAN, 1.0, 2.0), "order"),
@@ -81,11 +88,26 @@ CASES = {
     "BoxDomain-r_bounds-nan": (lambda: bd.BoxDomain(((0.0, 1.0),), (NAN, 2.0)), "r_bounds"),
     "BoxDomain-r_bounds-inf": (lambda: bd.BoxDomain(((0.0, 1.0),), (1.0, INF)), "r_bounds"),
     "BoxDomain-v_bounds-inf": (lambda: bd.BoxDomain(((0.0, INF),), (1.0, 2.0)), "v_bounds"),
+    "BoxDomain-v_bounds-empty": (lambda: bd.BoxDomain(((1.0, 1.0),), (1.0, 2.0)), "v_bounds"),
+    "BoxDomain-v_bounds-flat": (lambda: bd.BoxDomain((0.0, 1.0), (1.0, 2.0)), "v_bounds"),
+    "BoxDomain-r_bounds-reversed": (lambda: bd.BoxDomain(((0.0, 1.0),), (2.0, 1.0)), "r_bounds"),
+    # a box of one v-interval at n = 3
+    "sigma0_model-v_bounds-short": (
+        lambda: bd.sigma0_model(lz.CycleConfig(4, 3), 2.0, 0.3, BOX), "v_bounds"),
+    "rescaled_limit_shape-v_bounds-short": (
+        lambda: bd.rescaled_limit_shape(lz.CycleConfig(4, 3), [10.0, 20.0], 0.3, BOX),
+        "v_bounds"),
     "BoxDomain.i_nu-nu-nan": (lambda: BOX.i_nu(NAN), "nu"),
     "sigma0_model-mu-nan": (lambda: bd.sigma0_model(CFG, NAN, 0.3, BOX), "mu"),
     "sigma0_model-nu-nan": (lambda: bd.sigma0_model(CFG, 1.0, NAN, BOX), "nu"),
     "j_gamma_quadrature-nu-nan": (
         lambda: bd.j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CFG, 5.0, NAN), "nu"),
+    "j_gamma_quadrature-u_range-flat": (
+        lambda: bd.j_gamma_quadrature(USU, (-3.0, 3.0), CFG, 5.0, 0.3), "u_range"),
+    "j_gamma_quadrature-u_range-nan": (
+        lambda: bd.j_gamma_quadrature(USU, ((-3.0, NAN),), CFG, 5.0, 0.3), "u_range"),
+    "j_gamma_quadrature-u_range-reversed": (
+        lambda: bd.j_gamma_quadrature(USU, ((3.0, -3.0),), CFG, 5.0, 0.3), "u_range"),
     "rescaled_limit_shape-nu-nan": (
         lambda: bd.rescaled_limit_shape(CFG, [10.0, 20.0], NAN, BOX), "nu"),
     "rescaled_limit_shape-mu_grid-nan": (
@@ -143,16 +165,63 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_a_bad_argument_is_named_before_any_work(monkeypatch, name):
-    call, arg = CASES[name]
+def _forbid_work(monkeypatch):
+    """Make every quadrature and search call fail the test."""
     reached = lambda *a, **k: pytest.fail("quadrature or search reached")  # noqa: E731
     for module in (quadrature, tr, bd):
         monkeypatch.setattr(module, "quad_family", reached)
     monkeypatch.setattr(cy, "_nelder_mead", reached)
     monkeypatch.setattr(bd, "_nelder_mead", reached)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_bad_argument_is_named_before_any_work(monkeypatch, name):
+    call, arg = CASES[name]
+    _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=f"^{arg} must be"):
         call()
+
+
+# the calls that take one group element, with the name their refusal gives it; at
+# (3, 2) a stack of two once gave "x must be finite, got -inf", a truth-value error or
+# a TypeError, and a stack of one an IndexError
+ELEMENT_CALLS = {
+    "nak": (dc.nak, "matrix"),
+    "ank": (dc.ank, "matrix"),
+    "kak": (dc.kak, "matrix"),
+    "PreparedCycle": (lambda g: cy.PreparedCycle(g, CFG), "matrix"),
+    "cycle_invariants": (lambda g: cy.cycle_invariants(g, [0.3], CFG), "matrix"),
+    "delta_u": (lambda g: cy.delta_u(g, 0.3, CFG), "matrix"),
+    "verify_f_geometric": (lambda g: cy.verify_f_geometric(g, [0.3], 1.2, CFG), "matrix"),
+    "min_dist_geodesic_to_cycle": (lambda g: cy.min_dist_geodesic_to_cycle(g, 0.3, CFG),
+                                   "matrix"),
+    "j_gamma_quadrature": (lambda g: bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, 5.0, 0.3),
+                           "matrix"),
+    "GeneratorSet": (lambda g: ob.GeneratorSet(labels=("A",), matrices=(g,)), "generator 'A'"),
+}
+
+
+@pytest.mark.parametrize("stack", [np.stack([USU, USU]), USU[None]], ids=["two", "one"])
+@pytest.mark.parametrize("name", sorted(ELEMENT_CALLS))
+def test_a_call_on_one_element_refuses_a_stack_by_its_shape(monkeypatch, name, stack):
+    call, what = ELEMENT_CALLS[name]
+    _forbid_work(monkeypatch)
+    message = f"{what} must be one (d+1, d+1) array, got shape {stack.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(stack)
+
+
+def test_the_stack_calls_still_take_stacks():
+    stack = np.stack([USU, U, S, U @ U])
+    assert lz.require_lorentz(stack).tobytes() == stack.tobytes()
+    assert (lz.check_membership(stack, "G0", CFG).tolist()
+            == [lz.check_membership(g, "G0", CFG) for g in stack])
+    assert cy.invariants_stack(stack, [0.3], CFG).delta.tolist() == [
+        cy.delta_u(g, 0.3, CFG) for g in stack]
+    ball = _ball()
+    outside = [g for g in ball.mats if not lz.check_membership(g, "G0", CFG, lz.TOL_G0)]
+    top, _ = cy.check_u11_gap(ball, CFG)
+    assert top == pytest.approx(max(abs(dc.nak(g).k[1, 1]) for g in outside), rel=1e-12)
 
 
 @pytest.mark.parametrize("rule, value, message", [
@@ -165,6 +234,16 @@ def test_a_bad_argument_is_named_before_any_work(monkeypatch, name):
     (_checks.integer, 3.0, "v must be an integer, got 3.0"),
     (_checks.integer, True, "v must be an integer, got True"),
     (functools.partial(_checks.integer, at_least=0), -1, "v must be an integer >= 0, got -1"),
+    (_checks.positive_or_inf, 0.0, "v must be positive (+inf included), got 0.0"),
+    (_checks.positive_or_inf, [INF, NAN], "v must be positive (+inf included), got nan"),
+    (functools.partial(_checks.window, k=1), (-3.0, 3.0),
+     "v must be 1 finite interval(s) (lo, hi) with lo < hi, got (-3.0, 3.0)"),
+    (functools.partial(_checks.window, k=2), ((0.0, 1.0),),
+     "v must be 2 finite interval(s) (lo, hi) with lo < hi, got ((0.0, 1.0),)"),
+    (_checks.window, ((0.0, 1.0), (2.0, NAN)),
+     "v must be finite interval(s) (lo, hi) with lo < hi, got (2.0, nan)"),
+    (_checks.window, [[1.0, 1.0]],
+     "v must be finite interval(s) (lo, hi) with lo < hi, got (1.0, 1.0)"),
 ])
 def test_rule_names_the_argument_and_a_bad_value(rule, value, message):
     with pytest.raises(ValueError) as exc:
@@ -178,6 +257,9 @@ def test_rules_accept_the_edges_of_their_range():
     _checks.nonnegative(a=0.0, b=-0.0, c=np.array([0.0, 1.0]))
     _checks.integer(a=-3, b=np.int64(2), at_least=None)
     _checks.integer(a=0, b=np.uint8(0), at_least=0)
+    _checks.positive_or_inf(a=5e-324, b=INF, c=[1.0, INF])
+    _checks.window(a=((-1e308, 1e308), (0.0, 5e-324)), b=[[1, 2]])
+    _checks.window(k=1, a=((0.0, 1.0),))
     # a checked array is left as it was
     z = np.array([1.0, 2.0])
     _checks.positive(z=z)

@@ -461,10 +461,10 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["transform", "--mu", "0"], "mu_list entries must be finite and positive"),
-    (["verify", "--mu", "0"], "mu_list entries must be finite and positive"),
-    (["asymptote", "--mu", "-5"], "mu_list entries must be finite and positive"),
-    (["transform", "--mu", "1,inf"], "mu_list entries must be finite and positive"),
+    (["transform", "--mu", "0"], "mu_list must be positive (finite and positive only), got 0.0"),
+    (["verify", "--mu", "0"], "mu_list must be positive (finite and positive only), got 0.0"),
+    (["asymptote", "--mu", "-5"], "mu_list must be positive (finite and positive only), got -5.0"),
+    (["transform", "--mu", "1,inf"], "mu_list must be positive (finite and positive only), got inf"),
     (["transform", "--mu", ","], "mu_list must hold at least one entry"),
     (["verify", "--mu", ","], "mu_list must hold at least one entry"),
     (["asymptote", "--mu", ","], "mu_list must hold at least one entry"),
@@ -476,11 +476,11 @@ def test_unknown_tolerance_name_exits_2(source, tmp_path, capsys):
     (["count", "--n", "4"], "2 <= n <= d-1"),
     (["delta", "--n", "1"], "2 <= n <= d-1"),
     (["verify", "--n", "3"], "need d >= 3 and 2 <= n <= d-1, got d=3, n=3"),
-    (["transform", "--d", "3", "--mu", "1", "--nu-re", "nan"], "nu_re and nu_im must be finite"),
+    (["transform", "--d", "3", "--mu", "1", "--nu-re", "nan"], "nu_re must be finite, got nan"),
     (["asymptote", "--d", "3", "--n", "2", "--mu", "10", "--nu-re", "nan"],
-     "nu_re and nu_im must be finite"),
-    (["transform", "--d", "3", "--mu", "1", "--nu-im", "inf"], "nu_re and nu_im must be finite"),
-    (["verify", "--d", "3", "--mu", "1", "--nu-re", "nan"], "nu_re and nu_im must be finite"),
+     "nu_re must be finite, got nan"),
+    (["transform", "--d", "3", "--mu", "1", "--nu-im", "inf"], "nu_im must be finite, got inf"),
+    (["verify", "--d", "3", "--mu", "1", "--nu-re", "nan"], "nu_re must be finite, got nan"),
 ], ids=["transform-mu-0", "verify-mu-0", "asymptote-mu-neg", "mu-inf", "transform-mu-empty",
         "verify-mu-empty", "asymptote-mu-empty", "transform-d-8", "delta-u-too-long",
         "count-u-nan", "asymptote-n-3", "asymptote-mu-61", "count-n-4", "delta-n-1", "verify-n-3",

@@ -112,6 +112,21 @@ def test_the_distance_oracles_refuse_what_their_closed_forms_refuse():
         cy.min_dist_to_cycle(lz.basepoint(4), CFG)
 
 
+@pytest.mark.parametrize("point", [
+    [np.nan, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+    2.0 * dc.from_horospherical([0.1, 0.7], 1.3),
+], ids=["nan", "lower-sheet", "off-the-hyperboloid"])
+def test_a_point_off_the_upper_sheet_is_refused(point):
+    # the first two once raised about u and r, arguments never passed, and the last
+    # returned 1.4612, where the point on the sheet gives 0.5153
+    message = r"must be on the upper sheet \(finite, p0 > 0, <p, p> = 1\), got \["
+    with pytest.raises(ValueError, match="^point " + message):
+        cy.min_dist_to_cycle(point, CFG)
+    # to_horospherical once gave r = -1 for the lower-sheet point
+    with pytest.raises(ValueError, match="^p " + message):
+        dc.to_horospherical(point)
+
+
 def test_f_gamma_shape_and_minimum():
     T, U, S = _picard()
     inv = cy.cycle_invariants(T @ U @ S @ U, [0.4], CFG)

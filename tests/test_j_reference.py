@@ -8,6 +8,7 @@ cycle against the horospherical character, by quadrature over the cycle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -75,8 +76,11 @@ def cycle_integral(gamma, u, r, mu, nu):
 
     with y = n_v a_s . o, h(y) = s, dy = s^-n ds dv and f = 1 + p_3^2.  By nquad
     (epsrel 1e-9) over t = log s in t0 +- 12 and v = v0 + e^t0 sinh(xi), xi in +-8,
-    about the cycle point (v0, e^t0) below p.  Returns the value and the largest log
-    of the integrand, less its log at that point, on the edge of the domain."""
+    about the cycle point (v0, e^t0) below p; for complex nu, the modulus times
+    cos(Im nu t) and times sin(Im nu t) are the real and imaginary parts.  Returns the
+    (complex) value and the largest log of the modulus, less its log at that point,
+    on the edge of the domain."""
+    nu = complex(nu)
     p = np.asarray(gamma, dtype=float) @ horospherical_point([u, 0.0], r)
     sqrt_f = math.sqrt(1.0 + p[3] ** 2)
     s0 = 1.0 / (p[0] - p[1])
@@ -85,29 +89,42 @@ def cycle_integral(gamma, u, r, mu, nu):
     def log_integrand(xi, t):
         y = horospherical_point([v0 + math.exp(t0) * math.sinh(xi), 0.0], math.exp(t))
         cosh_d = p[0] * y[0] - p[1] * y[1] - p[2] * y[2] - p[3] * y[3]
-        # h^(nu+rho0) s^-n ds = e^((nu+rho0-n+1) t) dt, and dv = e^t0 cosh(xi) dxi
-        return (-mu * (cosh_d - sqrt_f) + (nu + 0.5 - 1.0) * t
+        # |h^(nu+rho0)| s^-n ds = e^((Re nu+rho0-n+1) t) dt, and dv = e^t0 cosh(xi) dxi
+        return (-mu * (cosh_d - sqrt_f) + (nu.real + 0.5 - 1.0) * t
                 + t0 + math.log(math.cosh(xi)))
 
-    value = integrate.nquad(lambda xi, t: math.exp(log_integrand(xi, t)),
-                            [(-8.0, 8.0), (t0 - 12.0, t0 + 12.0)],
-                            opts={"epsrel": 1e-9, "epsabs": 0.0, "limit": 200})[0]
+    def part(phase):
+        return integrate.nquad(lambda xi, t: math.exp(log_integrand(xi, t)) * phase(nu.imag * t),
+                               [(-8.0, 8.0), (t0 - 12.0, t0 + 12.0)],
+                               opts={"epsrel": 1e-9, "epsabs": 0.0, "limit": 200})[0]
+
+    value = complex(part(math.cos), part(math.sin) if nu.imag else 0.0)
     edge = [(xi, t) for xi in np.linspace(-8.0, 8.0, 321) for t in (t0 - 12.0, t0 + 12.0)]
     edge += [(xi, t) for xi in (-8.0, 8.0) for t in np.linspace(t0 - 12.0, t0 + 12.0, 481)]
     return value, max(log_integrand(xi, t) for xi, t in edge) - log_integrand(0.0, t0)
 
 
+RANDOM = lz.random_lorentz(np.random.default_rng(3), 3)
+
+
 @pytest.mark.parametrize("gamma, u, r, mu, nu", [
     (USU, 0.3, 1.2, 3.0, 0.4),
-    (lz.random_lorentz(np.random.default_rng(3), 3), -0.7, 0.6, 1.5, 1.1),
-], ids=["USU", "random"])
+    (RANDOM, -0.7, 0.6, 1.5, 1.1),
+    (USU, 0.3, 1.2, 3.0, 0.3 + 1.5j),
+    (USU, 0.3, 1.2, 3.0, 2j),
+    (RANDOM, -0.7, 0.6, 1.5, 0.3 + 1.5j),
+], ids=["USU", "random", "USU-complex", "USU-imaginary", "random-complex"])
 def test_js_integrand_is_the_kernel_integrated_over_the_cycle(gamma, u, r, mu, nu):
     # on the cycle cosh d(p, y) = sqrt f cosh d(q, y), q the foot of p, and h(q) = s1 sqrt f,
-    # so the integral is h(q)^(nu+rho0) times the n-dimensional transform at mu sqrt f
+    # so the integral is h(q)^(nu+rho0) times the n-dimensional transform at mu sqrt f;
+    # scipy's kve takes a real order only, so a complex one takes mpmath's K
     inv = cy.cycle_invariants(gamma, [u], CFG)
     sqrt_f = math.sqrt(inv.f(r))
+    z = mu * sqrt_f
+    kve = (special.kve(nu, z) if isinstance(nu, float)
+           else complex(mpmath.besselk(nu, z) * mpmath.exp(z)))
     want = (2.0 ** 2 * (math.pi / (2.0 * mu)) ** 0.5 * sqrt_f ** nu
-            * special.kve(nu, mu * sqrt_f) * inv.s1(r) ** (nu + 0.5))
+            * kve * inv.s1(r) ** (nu + 0.5))
     got, cut = cycle_integral(gamma, u, r, mu, nu)
     assert cut < -700.0
     assert abs(got / want - 1.0) <= 1e-11

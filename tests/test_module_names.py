@@ -7,6 +7,9 @@ fails.  Such names are what a simplification leaves when it folds a helper
 into another and forgets the old one, or when a test stops using a helper."""
 
 import ast
+import fnmatch
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,16 @@ def test_every_public_name_is_read():
     unread = [f"{module}: {name}" for module, tree in TREES.items() if module != "__init__.py"
               for name in _public_names(tree) if name not in read]
     assert unread == []
+
+
+def test_readme_cites_only_names_that_exist():
+    # each backticked module.name, with or without "hypcycles.", for a module of the
+    # package; a pattern such as cli.cmd_* must match at least one name
+    modules = {path[:-3]: vars(importlib.import_module(f"hypcycles.{path[:-3]}"))
+               for path in TREES if path != "__init__.py"}
+    cited = re.findall(r"`(?:hypcycles\.)?(%s)\.([\w*]+)`" % "|".join(modules),
+                       (ROOT / "README.md").read_text())
+    assert cited
+    missing = sorted({f"{module}.{name}" for module, name in cited
+                      if not fnmatch.filter(modules[module], name)})
+    assert missing == []

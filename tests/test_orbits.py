@@ -928,7 +928,7 @@ def test_slope_is_nan_below_two_top_decade_points():
     (lambda: ob.GeneratorSet(labels=(), matrices=()),
      "a generator set needs at least one generator"),
     (lambda: ob.GeneratorSet(labels=("A", "B"), matrices=(np.eye(4), np.eye(5))),
-     "generator matrices must share one shape (d+1, d+1) with d >= 2, got [(4, 4), (5, 5)]"),
+     "generator matrices must share one shape, got [(4, 4), (5, 5)]"),
     (lambda: ob.GeneratorSet(labels=(1,), matrices=(np.eye(4),)),
      "generator labels must be str, got 1"),
     (lambda: ob.coset_reduce(ob.ball_enumerate(ob.picard_generators(), 2), CFG, mode="right"),
