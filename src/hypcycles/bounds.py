@@ -40,7 +40,7 @@ from . import _checks
 from .cycles import PreparedCycle, _nelder_mead
 from .lorentz import TOL_G0, _element, check_membership
 from .quadrature import quad_family, quad_gk
-from .transform import (_EXP_CUT, REAL_ORDER_IM, KScaledInterpolator, _exp_in_place, _gap,
+from .transform import (_EXP_CUT, KScaledInterpolator, _exp_in_place, _gap, _real_order, _typed,
                         bessel_k_scaled, selberg_transform_agreement)
 
 # largest mu of the rescaled limit-shape sweep
@@ -142,14 +142,16 @@ class BoxDomain:
         return float(np.prod([hi - lo for lo, hi in self.v_bounds]))
 
     def i_nu(self, nu):
-        """Exact window integral of r^(2 Re nu - 1) dr dv."""
+        """Exact window integral of r^(2 Re nu - 1) dr dv.  The radial factor
+        (r_hi^a - r_lo^a)/a, a = 2 Re nu, is taken as a difference of expm1,
+        which does not cancel as a -> 0, and as log(r_hi/r_lo) at a = 0."""
         _checks.finite(nu=nu)
         a = 2.0 * complex(nu).real
         r_lo, r_hi = self.r_bounds
-        if abs(a) < 1e-14:
+        if a == 0.0:
             radial = np.log(r_hi / r_lo)
         else:
-            radial = (r_hi ** a - r_lo ** a) / a
+            radial = (math.expm1(a * math.log(r_hi)) - math.expm1(a * math.log(r_lo))) / a
         return self.v_volume * float(radial)
 
 
@@ -174,11 +176,7 @@ def sigma0_model(cfg, mu, nu, box):
     h_closed, h_quad, _ = selberg_transform_agreement(cfg.n, mu, -nu_c.conjugate(), rel_tol=1e-8)
     radial = quad_gk(lambda r: r ** (2.0 * nu_c.real - 1.0), *box.r_bounds, rel_tol=1e-10).value
     closed, quad = complex(h_closed * i_nu), complex(h_quad * box.v_volume * radial)
-    gap = _gap(closed, quad)
-    # typed like the transform's result: complex for a complex-typed nu
-    if np.iscomplexobj(nu):
-        return closed, quad, gap
-    return closed.real, quad.real, gap
+    return _typed(closed, nu), _typed(quad, nu), _gap(closed, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +322,10 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     returned with ``degenerate`` set instead of a value.
     """
     _checks.positive(mu=mu)
-    _checks.finite(nu=nu)
+    nu_r = _real_order(nu, "nu")
     gamma = _element(gamma, cfg)[0]
     if check_membership(gamma, "G0", cfg, tol=TOL_G0):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
-    nu_c = complex(nu)
-    if abs(nu_c.imag) > REAL_ORDER_IM:
-        raise ValueError(f"j_gamma_quadrature needs a real spectral parameter nu, got {nu!r}")
-    nu_r = float(nu_c.real)
     # checked before the memoised scan, so that no bad window is stored
     _checks.window(k=cfg.n - 1, u_range=u_range)
 
@@ -456,11 +450,9 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     if mu_grid[-1] > SWEEP_MU_CAP:
         raise ValueError(f"mu_grid capped at {SWEEP_MU_CAP:g}, got {mu_grid[-1]!r}")
     d, n = cfg.d, cfg.n
-    nu_bar = complex(nu).conjugate()
     i_nu = box.i_nu(nu)
-    order = nu_bar if abs(nu_bar.imag) > REAL_ORDER_IM else nu_bar.real
     rows = []
-    for mu, kscaled in zip(mu_grid, np.real(bessel_k_scaled(order, mu_grid)).tolist()):
+    for mu, kscaled in zip(mu_grid, np.real(bessel_k_scaled(np.conj(nu), mu_grid)).tolist()):
         sign = int(np.sign(kscaled)) or 1
         value_log = ((n - d) * np.log(2.0) + np.log(abs(i_nu))
                      + 0.5 * np.log(2.0 * mu / np.pi) + np.log(abs(kscaled)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -70,8 +69,6 @@ class RunConfig:
             check, what = _FIELD_CHECKS[f.type]
             if not check(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be {what}, got {getattr(self, f.name)!r}")
-        if self.max_word_length < 1:
-            raise ValueError("max_word_length must be at least 1")
         if not self.mu_list:    # verify would compare nothing
             raise ValueError("mu_list must hold at least one entry")
         _checks.positive(mu_list=self.mu_list)
@@ -84,8 +81,7 @@ class RunConfig:
                                  f"known: {', '.join(DEFAULT_TOLERANCES)}")
             if not _is_number(t):
                 raise ValueError(f"tolerance {name} must be a number, got {t!r}")
-            if not (math.isfinite(t) and t > 0):
-                raise ValueError(f"tolerance {name} must be finite and positive, got {t!r}")
+            _checks.positive(**{f"tolerance {name}": t})
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -234,6 +230,8 @@ def cmd_verify(config):
     three roundtrip checks share one set of 200 draws."""
     cfg = config.cfg
     gens = _load_generators(config, _bundled_picard(config.d))
+    # built before any check, so that a bad --max-len is refused first; it draws nothing
+    ball = orbits.ball_enumerate(gens, min(3, config.max_word_length), quant=config.tol("quant"))
     rng = np.random.default_rng(SEED)
     d = config.d
     checks, tol_names = [], {}      # the header's tolerances, in order of first use
@@ -276,8 +274,6 @@ def cmd_verify(config):
            [transform.selberg_transform_agreement(dd, mu, nu, rel_tol=config.tol("quad"))[2]
             for dd in (3, 4) for mu in config.mu_list for nu in (0.0, 1j)])
 
-    ball = orbits.ball_enumerate(gens, min(3, config.max_word_length),
-                                 quant=config.tol("quant"))
     record("cycle_distance_oracle", "geom",
            [cycles.verify_f_geometric(g, rng.uniform(-1.5, 1.5, size=cfg.n - 1),
                                       float(np.exp(rng.uniform(-1, 1))), cfg)[2]

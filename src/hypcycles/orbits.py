@@ -608,14 +608,21 @@ def delta_spectrum(ball, u, cfg):
     return OrbitTable(entries=tuple(rows))
 
 
+def _deltas(table):
+    """The table's deltas, sorted; an empty table is refused."""
+    if not table.entries:
+        raise ValueError("empty orbit table")
+    return np.asarray(sorted(e.delta for e in table.entries))
+
+
 def counting_function(table, x_grid):
     """pi(x) = #{classes with delta <= x} on the grid, plus the fitted
     log-log slope over the largest decade with nonzero counts."""
     _checks.finite(x_grid=x_grid)
-    deltas = np.asarray(sorted(e.delta for e in table.entries))
+    deltas = _deltas(table)
     xs = np.asarray(x_grid, dtype=float)
-    if not (table.entries and xs.size):
-        raise ValueError("empty x_grid" if table.entries else "empty orbit table")
+    if not xs.size:
+        raise ValueError("empty x_grid")
     cs = np.searchsorted(deltas, xs, side="right")
     pts = list(zip(xs.tolist(), cs.tolist()))
     x_max = xs.max()
@@ -630,9 +637,7 @@ def counting_function(table, x_grid):
 def ordering_statistic(table, cfg):
     """delta_j * j^(-1/((d-n)/2 + 1/2)) over the sorted spectrum; a
     positive lower bound restates the growth of the ordered deltas."""
-    deltas = np.asarray(sorted(e.delta for e in table.entries))
-    if deltas.size == 0:
-        raise ValueError("empty orbit table")
+    deltas = _deltas(table)
     j = np.arange(1, deltas.size + 1, dtype=float)
     expo = 1.0 / ((cfg.d - cfg.n) / 2.0 + 0.5)
     stats = deltas * j ** (-expo)

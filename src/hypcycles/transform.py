@@ -29,8 +29,7 @@ from . import _checks
 from .quadrature import quad_family, quad_gk
 
 MAX_REAL_ORDER = 50.0
-# an order or spectral parameter counts as real when |Im| is below this
-REAL_ORDER_IM = 1e-14
+REAL_ORDER_IM = 1e-14      # the largest |Im| of a real order (``_real_order``)
 _EXP_CUT = 770.0           # exp(-770) underflows with margin
 # relative accuracy of the adaptive Bessel evaluators and of the closed form
 BESSEL_REL_TOL = 1e-9
@@ -62,6 +61,21 @@ def phi_mu(mu, x):
 
 # ---------------------------------------------------------------------------
 # modified Bessel function of the second kind, arbitrary order
+
+
+def _real_order(order, name):
+    """order as a float if finite with |Im| <= REAL_ORDER_IM, else refused by name."""
+    _checks.finite(**{name: order})
+    if abs(complex(order).imag) > REAL_ORDER_IM:
+        raise ValueError(f"{name} must be real (|Im| <= {REAL_ORDER_IM:g}), got {complex(order)!r}")
+    return complex(order).real
+
+
+def _typed(value, like):
+    """Complex for a complex-typed ``like`` (0.3+0j too), else real; a scalar as a Python number."""
+    value = np.asarray(value)
+    value = value.astype(complex, copy=False) if np.iscomplexobj(like) else value.real
+    return value if value.ndim else value.item()
 
 
 def _normalize_order(order):
@@ -124,8 +138,7 @@ def bessel_k_scaled(order, x):
     val = quad_family(lambda t, k: _scaled_integrand(t, xs[k], nu), 0.0, T,
                       rel_tol=BESSEL_REL_TOL).value
     # an order with zero imaginary part integrates in reals, complex-typed or not
-    val = val.astype(complex, copy=False) if np.iscomplexobj(order) else val.real
-    return val.reshape(x.shape) if x.ndim else val[0].item()
+    return _typed(val.reshape(x.shape), order)
 
 
 def bessel_k(order, x):
@@ -264,7 +277,7 @@ def bessel_k_scaled_batch(order, z):
     _checks.positive(z=z)
     nu = _normalize_order(order)
     if not z.size:      # no smallest and largest z to span with a grid
-        return np.zeros(0, dtype=complex if np.iscomplexobj(order) else float)
+        return _typed(np.zeros(0), order)
     z_lo, z_hi = float(z.min()), float(z.max())
     T = _cosh_cutoff(z_lo, nu.real)
     h0 = min(0.05, 0.3 / np.sqrt(z_hi))
@@ -279,7 +292,7 @@ def bessel_k_scaled_batch(order, z):
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
     out = _scaled_integrand(t[None, :], z[:, None], nu) @ w
-    return out.astype(complex, copy=False) if np.iscomplexobj(order) else out.real
+    return _typed(out, order)
 
 
 def _hermite_cells(x, y, s):
@@ -309,12 +322,9 @@ class KScaledInterpolator:
     """
 
     def __init__(self, order, z_lo, z_hi):
-        nu = _normalize_order(order)
-        if abs(nu.imag) > REAL_ORDER_IM:
-            raise ValueError("interpolation table needs a real order")
-        self.order = float(nu.real)
-        if not (0 < z_lo < z_hi < np.inf):
-            raise ValueError(f"need finite 0 < z_lo < z_hi, got z_lo={z_lo}, z_hi={z_hi}")
+        self.order = _normalize_order(_real_order(order, "order")).real
+        _checks.positive(z_lo=z_lo)
+        _checks.window(z_range=((z_lo, z_hi),))
         self.z_lo, self.z_hi = float(z_lo), float(z_hi)
         n = 500
         logz = np.linspace(np.log(z_lo), np.log(z_hi), n)
@@ -557,10 +567,7 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
                              0.0, rad_hi, rel_tol=inner_tol).value
         return radial * np.exp(-0.5 * mu * (r + 1.0 / r) + (nu_c + rho) * x)
 
-    val = sphere * quad_gk(outer, -X, X, rel_tol=rel_tol).value
-    if np.iscomplexobj(nu):
-        return complex(val)
-    return float(np.real(val))
+    return _typed(sphere * quad_gk(outer, -X, X, rel_tol=rel_tol).value, nu)
 
 
 def selberg_transform_agreement(d, mu, nu, rel_tol=1e-9):

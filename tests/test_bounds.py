@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +79,21 @@ def test_box_domain():
         bd.BoxDomain(v_bounds=((0.0, np.inf),), r_bounds=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("r_bounds", [(1.0, 2.0), (1.0, 1.0001), (1e-3, 1e3), (0.5, 3.0)],
+                         ids=["1-2", "1-1.0001", "1e-3-1e3", "0.5-3"])
+def test_box_integral_is_mpmaths_near_nu_zero(r_bounds):
+    # (r_hi^a - r_lo^a)/a, a = 2 Re nu, once cancelled for small a: 1.2% off at nu = 6e-15 on
+    # (1, 2), 0.0 on (1, 1.0001) for |a| <= 2e-13; mpmath's value takes 400 digits, as
+    # r^a - 1 is about a log r
+    box = bd.BoxDomain(v_bounds=((0.0, 1.0),), r_bounds=r_bounds)
+    lo, hi = (mpmath.mpf(r) for r in r_bounds)
+    for nu in (0.0, 3e-301, 6e-15, -6e-15, 1e-13, 1e-12, -1e-12, 1e-10, 1e-6, 0.3, -0.7, 2.5, 5.0):
+        with mpmath.workdps(400):
+            a = 2 * mpmath.mpf(nu)
+            want = mpmath.log(hi / lo) if a == 0 else (hi ** a - lo ** a) / a
+        assert abs(box.i_nu(nu) - want) <= 1e-14 * abs(want), nu
+
+
 def test_sigma0_model_example():
     closed, quad, err = bd.sigma0_model(CFG, 1.0, 0.0, BOX)
     expected = 4.0 * np.sqrt(np.pi / 2.0) * tr.bessel_k(0.0, 1.0) * np.log(2.0)
@@ -97,6 +113,43 @@ def test_sigma0_model_grid():
                 # a complex-typed order gives a complex pair, 0.3+0j included,
                 # as the transform's closed form does; a real one a float pair
                 assert {type(closed), type(quad)} == {type(nu)}
+
+
+# each result at nu = 0.3 (real part pinned) by its function's name; sigma0_model's closed
+# side is the corrected box integral's (0.3535584003682207 before the expm1 form)
+TYPED = {
+    "bessel_k_scaled": (lambda nu: tr.bessel_k_scaled(nu, 1.5), 0.9812118388053497),
+    "bessel_k_scaled_batch": (lambda nu: tr.bessel_k_scaled_batch(nu, [1.5]),
+                              [0.9812118388053497]),
+    "bessel_k_scaled_batch-empty": (lambda nu: tr.bessel_k_scaled_batch(nu, []), []),
+    "selberg_transform_closed": (lambda nu: tr.selberg_transform_closed(3, 1.5, nu),
+                                 1.8341703204761848),
+    "selberg_transform_quadrature": (lambda nu: tr.selberg_transform_quadrature(3, 1.5, nu),
+                                     1.834170320476185),
+    "sigma0_model-closed": (lambda nu: bd.sigma0_model(CFG, 2.0, nu, BOX)[0], 0.35355840036822084),
+    "sigma0_model-quadrature": (lambda nu: bd.sigma0_model(CFG, 2.0, nu, BOX)[1],
+                                0.35355840036822056),
+}
+
+
+@pytest.mark.parametrize("nu, kind", [(0.3, float), (0.3 + 0j, complex), (0.3 + 1e-15j, complex)],
+                         ids=["real", "complex", "complex-1e-15j"])
+@pytest.mark.parametrize("name", list(TYPED))
+def test_a_result_is_typed_by_its_order(name, nu, kind):
+    # a complex-typed order gives a complex result, 0.3+0j and an order that counts as
+    # real included; an array gives an array of that type, a scalar a Python number
+    call, want = TYPED[name]
+    got = call(nu)
+    if isinstance(want, list):
+        assert isinstance(got, np.ndarray) and got.dtype == np.dtype(kind)
+        assert len(got) == len(want)
+    else:
+        assert isinstance(got, kind)
+    if nu.imag == 0.0:
+        assert np.asarray(np.real(got)).tolist() == want and not np.any(np.imag(got))
+    else:   # the imaginary part moves the value by rounding only
+        assert np.real(got) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert np.all(np.abs(np.imag(got)) <= 1e-15 * np.abs(np.real(got)))
 
 
 def test_sigma0_model_refuses_a_box_of_another_dimension():
@@ -146,7 +199,8 @@ def test_j_gamma_takes_real_nu_by_the_library_rule():
     # |Im nu| <= transform.REAL_ORDER_IM counts as real; 1e-13 was once let through
     _, U, S = _picard()
     g = U @ S @ U
-    with pytest.raises(ValueError, match=r"real spectral parameter nu, got \(0\.3\+1e-13j\)"):
+    message = "nu must be real (|Im| <= 1e-14), got (0.3+1e-13j)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, 5.0, 0.3 + 1e-13j)
     assert (bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, 5.0, 0.3 + 1e-15j)
             == bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, 5.0, 0.3))

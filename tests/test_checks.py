@@ -58,6 +58,13 @@ CASES = {
     "bessel_k_scaled_batch-order-nan": (lambda: tr.bessel_k_scaled_batch(NAN, [1.0]), "order"),
     "bessel_k_scaled_batch-z-nan": (lambda: tr.bessel_k_scaled_batch(0.3, [1.0, NAN]), "z"),
     "KScaledInterpolator-order-nan": (lambda: tr.KScaledInterpolator(NAN, 1.0, 2.0), "order"),
+    "KScaledInterpolator-order-complex": (
+        lambda: tr.KScaledInterpolator(0.3 + 1e-13j, 1.0, 2.0), "order"),
+    # the table's range once had a hand-written test and message of its own
+    "KScaledInterpolator-z_lo-zero": (lambda: tr.KScaledInterpolator(0.3, 0.0, 2.0), "z_lo"),
+    "KScaledInterpolator-z_range-inf": (lambda: tr.KScaledInterpolator(0.3, 1.0, INF), "z_range"),
+    "KScaledInterpolator-z_range-reversed": (
+        lambda: tr.KScaledInterpolator(0.3, 2.0, 1.0), "z_range"),
     "gr_3_471_9-alpha-nan": (lambda: tr.gr_identity_3_471_9(NAN, 1.0, 0.3), "alpha"),
     "gr_3_471_9-beta-inf": (lambda: tr.gr_identity_3_471_9(1.0, INF, 0.3), "beta"),
     "gr_3_471_9-beta-nan": (lambda: tr.gr_identity_3_471_9(1.0, NAN, 0.3), "beta"),
@@ -102,6 +109,9 @@ CASES = {
     "sigma0_model-nu-nan": (lambda: bd.sigma0_model(CFG, 1.0, NAN, BOX), "nu"),
     "j_gamma_quadrature-nu-nan": (
         lambda: bd.j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CFG, 5.0, NAN), "nu"),
+    # |Im nu| above transform.REAL_ORDER_IM, refused by the one real-order rule
+    "j_gamma_quadrature-nu-complex": (
+        lambda: bd.j_gamma_quadrature(USU, ((-3.0, 3.0),), CFG, 5.0, 0.3 + 1e-13j), "nu"),
     "j_gamma_quadrature-u_range-flat": (
         lambda: bd.j_gamma_quadrature(USU, (-3.0, 3.0), CFG, 5.0, 0.3), "u_range"),
     "j_gamma_quadrature-u_range-nan": (
@@ -244,6 +254,9 @@ def test_the_stack_calls_still_take_stacks():
      "v must be finite interval(s) (lo, hi) with lo < hi, got (2.0, nan)"),
     (_checks.window, [[1.0, 1.0]],
      "v must be finite interval(s) (lo, hi) with lo < hi, got (1.0, 1.0)"),
+    (lambda v: tr._real_order(v, "v"), 0.3 + 1e-13j,
+     "v must be real (|Im| <= 1e-14), got (0.3+1e-13j)"),
+    (lambda v: tr._real_order(v, "v"), complex(NAN, 0.0), "v must be finite, got (nan+0j)"),
 ])
 def test_rule_names_the_argument_and_a_bad_value(rule, value, message):
     with pytest.raises(ValueError) as exc:
@@ -260,6 +273,10 @@ def test_rules_accept_the_edges_of_their_range():
     _checks.positive_or_inf(a=5e-324, b=INF, c=[1.0, INF])
     _checks.window(a=((-1e308, 1e308), (0.0, 5e-324)), b=[[1, 2]])
     _checks.window(k=1, a=((0.0, 1.0),))
+    # |Im| = REAL_ORDER_IM counts as real, and the order comes back as a Python float
+    got = [tr._real_order(v, "a") for v in (0.3 + 1e-14j, np.float64(-2.0), 1)]
+    assert got == [0.3, -2.0, 1.0]
+    assert type(tr._real_order(np.complex128(0.3), "a")) is float
     # a checked array is left as it was
     z = np.array([1.0, 2.0])
     _checks.positive(z=z)

@@ -430,8 +430,8 @@ def test_transform_runs_in_d_2(tmp_path):
 @pytest.mark.parametrize("command", ["delta", "count"])
 @pytest.mark.parametrize("max_len, message", [
     ("13", "max_word_length must be in [1, 12], got 13"),
-    ("0", "max_word_length must be at least 1"),
-    ("-1", "max_word_length must be at least 1"),
+    ("0", "max_word_length must be in [1, 12], got 0"),
+    ("-1", "max_word_length must be in [1, 12], got -1"),
 ], ids=["above-cap", "zero", "negative"])
 def test_bad_max_len_exits_2(command, max_len, message, tmp_path, picard_path, capsys):
     out = tmp_path / "o.csv"
@@ -441,6 +441,25 @@ def test_bad_max_len_exits_2(command, max_len, message, tmp_path, picard_path, c
     # the CLI has no length_cap to pass, so its message must not offer one
     assert "length_cap" not in err
     assert not out.exists()
+
+
+def test_verify_refuses_a_bad_max_len_before_any_check(tmp_path, monkeypatch, capsys):
+    # the word ball's own rule refuses it, and the ball is built before the first draw
+    monkeypatch.setattr(cli.lorentz, "random_lorentz", lambda *a: pytest.fail("a check ran"))
+    out = tmp_path / "v.csv"
+    assert _run(["verify", "--max-len", "0", "--out", str(out)]) == 2
+    assert "max_word_length must be in [1, 12], got 0" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["transform", "--mu", "1"], ["asymptote", "--mu", "10"]],
+                         ids=["transform", "asymptote"])
+def test_commands_without_a_ball_ignore_max_len(argv, tmp_path):
+    # as they ignore --n: only verify, delta and count build a word ball
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    assert _run([*argv, "--out", str(outs[0])]) == 0
+    assert _run([*argv, "--max-len", "0", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -504,8 +523,9 @@ def test_nonfinite_or_nonpositive_tolerance_exits_2(command, tol, tmp_path, caps
     # NaN passes a `t <= 0` test; it must be refused like a negative value
     out = tmp_path / "t.csv"
     assert _run([command, "--d", "3", "--mu", "1", "--tol", tol, "--out", str(out)]) == 2
-    name = tol.split("=")[0]
-    assert f"tolerance {name} must be finite and positive" in _one_error_line(capsys)
+    name, value = tol.split("=")
+    assert (f"tolerance {name} must be positive (finite and positive only), got {float(value)!r}"
+            in _one_error_line(capsys))
     assert not out.exists()
 
 

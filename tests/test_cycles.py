@@ -246,6 +246,22 @@ def test_delta_lower_bound_and_cauchy_schwarz():
         assert abs(inv.u11) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("d, n", [(3, 2), (4, 3), (5, 4)])
+def test_delta_u_in_codimension_one_is_a_clipped_quadratic(d, n):
+    # m and n(u) are scalars there and M = m^2, so delta_u = 2|m n(u)| + 1 + 2 m n(u)
+    # = 1 + 4 max(m n(u), 0); both branches are taken, m n(u) > 0 at 60-70% of the points
+    cfg = lz.CycleConfig(d, n)
+    rng = np.random.default_rng(13 * d)
+    mn = []
+    for _ in range(40):
+        inv = cy.PreparedCycle(lz.random_lorentz(rng, d), cfg).invariants_batch(
+            rng.uniform(-2.0, 2.0, size=(50, n - 1)))
+        mn.append(inv.m[0] * inv.n_coeffs[:, 0])
+        want = 1.0 + 4.0 * np.maximum(mn[-1], 0.0)
+        assert np.all(np.abs(inv.delta - want) <= 1e-15 * want)
+    assert 0.5 < np.mean(np.concatenate(mn) > 0.0) < 0.8
+
+
 def test_compact_factor_ambiguity_does_not_move_f():
     # multiplying gamma on the right by a block rotation of the cycle
     # directions relabels u but cannot change the minimal distance

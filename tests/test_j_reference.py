@@ -17,6 +17,7 @@ from hypcycles import bounds as bd
 from hypcycles import cycles as cy
 from hypcycles import lorentz as lz
 from hypcycles import orbits as ob
+from hypcycles import transform as tr
 
 from test_bounds import _two_direction_gamma
 
@@ -105,6 +106,7 @@ def cycle_integral(gamma, u, r, mu, nu):
 
 
 RANDOM = lz.random_lorentz(np.random.default_rng(3), 3)
+IDENTITY = np.eye(4)
 
 
 @pytest.mark.parametrize("gamma, u, r, mu, nu", [
@@ -113,18 +115,29 @@ RANDOM = lz.random_lorentz(np.random.default_rng(3), 3)
     (USU, 0.3, 1.2, 3.0, 0.3 + 1.5j),
     (USU, 0.3, 1.2, 3.0, 2j),
     (RANDOM, -0.7, 0.6, 1.5, 0.3 + 1.5j),
-], ids=["USU", "random", "USU-complex", "USU-imaginary", "random-complex"])
+    (IDENTITY, 0.3, 1.2, 3.0, 0.4),
+    (IDENTITY, -0.7, 0.6, 1.5, 1.1),
+    (IDENTITY, 0.3, 1.2, 3.0, 0.3 + 1.5j),
+    (IDENTITY, -0.7, 0.6, 1.5, 2j),
+], ids=["USU", "random", "USU-complex", "USU-imaginary", "random-complex", "identity",
+        "identity-random-point", "identity-complex", "identity-imaginary"])
 def test_js_integrand_is_the_kernel_integrated_over_the_cycle(gamma, u, r, mu, nu):
     # on the cycle cosh d(p, y) = sqrt f cosh d(q, y), q the foot of p, and h(q) = s1 sqrt f,
     # so the integral is h(q)^(nu+rho0) times the n-dimensional transform at mu sqrt f;
     # scipy's kve takes a real order only, so a complex one takes mpmath's K
-    inv = cy.cycle_invariants(gamma, [u], CFG)
-    sqrt_f = math.sqrt(inv.f(r))
-    z = mu * sqrt_f
-    kve = (special.kve(nu, z) if isinstance(nu, float)
-           else complex(mpmath.besselk(nu, z) * mpmath.exp(z)))
-    want = (2.0 ** 2 * (math.pi / (2.0 * mu)) ** 0.5 * sqrt_f ** nu
-            * kve * inv.s1(r) ** (nu + 0.5))
+    if gamma is IDENTITY:
+        # p lies on the cycle (f = 1, s1 = r), where cycle_invariants refuses gamma in G0:
+        # the library's transform times r^(nu+rho0), sigma0_model's integrand, and the
+        # factor e^(mu sqrt f) that cycle_integral carries
+        want = tr.selberg_transform_closed(2, mu, nu) * math.exp(mu) * r ** (nu + 0.5)
+    else:
+        inv = cy.cycle_invariants(gamma, [u], CFG)
+        sqrt_f = math.sqrt(inv.f(r))
+        z = mu * sqrt_f
+        kve = (special.kve(nu, z) if isinstance(nu, float)
+               else complex(mpmath.besselk(nu, z) * mpmath.exp(z)))
+        want = (2.0 ** 2 * (math.pi / (2.0 * mu)) ** 0.5 * sqrt_f ** nu
+                * kve * inv.s1(r) ** (nu + 0.5))
     got, cut = cycle_integral(gamma, u, r, mu, nu)
     assert cut < -700.0
     assert abs(got / want - 1.0) <= 1e-11

@@ -89,3 +89,30 @@ def test_readme_cites_only_names_that_exist():
     missing = sorted({f"{module}.{name}" for module, name in cited
                       if not fnmatch.filter(modules[module], name)})
     assert missing == []
+
+
+def _owners(tree):
+    """(name, node) of each statement of a module, a method as "Class.method"; a
+    statement that binds no name (an assignment, say) is named ""."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{getattr(item, 'name', '')}", item) for item in node.body)
+        else:
+            yield getattr(node, "name", ""), node
+
+
+def _readers(name):
+    """The "module.py:owner" of every read of ``name``, as a bare name or an attribute."""
+    return {f"{module}:{owner}" for module, tree in TREES.items() for owner, node in _owners(tree)
+            if any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))}
+
+
+# each rule with the one function that may state it: when an order counts as real, and
+# what type a result takes (the quadrature engine's test of its arithmetic is no result type)
+@pytest.mark.parametrize("name, owners", [
+    ("REAL_ORDER_IM", {"transform.py:_real_order"}),
+    ("iscomplexobj", {"transform.py:_typed", "quadrature.py:_member_sum"}),
+])
+def test_each_rule_has_one_owner(name, owners):
+    assert _readers(name) == owners

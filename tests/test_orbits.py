@@ -493,6 +493,23 @@ def test_coset_regression_counts(length, n_left, n_double):
     assert len(double.class_ids()) <= len(left.class_ids())
 
 
+@pytest.mark.parametrize("length, g0_len, n_keys", [(6, 4, 8), (8, 4, 22), (8, 6, 22)],
+                         ids=["6-4", "8-4", "8-6"])
+def test_the_normal_block_key_is_a_class_invariant(length, g0_len, n_keys):
+    # G0 is block-diagonal with a +-1 normal block, so gamma_33^2 is constant on every left
+    # and double class; 2 gamma is an integer matrix for Picard, so 4 gamma_33^2 is an integer
+    ball = ob.ball_enumerate(ob.picard_generators(), length)
+    key = ball.mats[:, 3, 3] ** 2
+    for mode in ("left", "double"):
+        ids = ob.coset_reduce(ball, CFG, mode=mode, gamma0_max_len=g0_len).ids
+        lo, hi = np.full(ids.max() + 1, np.inf), np.full(ids.max() + 1, -np.inf)
+        np.minimum.at(lo, ids, key)
+        np.maximum.at(hi, ids, key)
+        assert np.array_equal(lo, hi), mode
+    assert len(np.unique(key)) == n_keys
+    assert np.array_equal(4.0 * key, np.round(4.0 * key))
+
+
 def _exact_ball(gens, max_word_length):
     """The word ball in exact arithmetic, as the stack of its matrices 2 gamma:
     a breadth-first search in int64, deduplicated by equality of the

@@ -173,7 +173,9 @@ def test_interpolation_lookup_is_the_fancy_index_lookup(order, z_lo, z_hi):
 @pytest.mark.parametrize("z_lo, z_hi", [(1.0, np.inf), (np.nan, 10.0), (1.0, np.nan),
                                         (0.0, 10.0), (10.0, 1.0)])
 def test_interpolation_table_needs_finite_ordered_bounds(z_lo, z_hi):
-    with pytest.raises(ValueError, match=r"need finite 0 < z_lo < z_hi, got z_lo=.*, z_hi="):
+    # z_lo by the positive rule, then (z_lo, z_hi) by the window rule
+    name = "z_lo" if not 0.0 < z_lo < np.inf else "z_range"
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got "):
         tr.KScaledInterpolator(0.3, z_lo, z_hi)
 
 
@@ -837,7 +839,8 @@ def test_quadrature_nonconvergence_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: tr.KScaledInterpolator(0.3 + 0.5j, 1.0, 2.0), "interpolation table needs a real order"),
+    (lambda: tr.KScaledInterpolator(0.3 + 0.5j, 1.0, 2.0),
+     "order must be real (|Im| <= 1e-14), got (0.3+0.5j)"),
     (lambda: tr.gr_identity_6_726_4(1.0, 1.0, 0.5, 0.3, sign=0), "sign must be +1 or -1"),
     (lambda: tr.selberg_transform_closed(2.5, 1.0, 0.3), "d must be an integer, got 2.5"),
     # integral floats once passed, where CycleConfig and the Weyl law refuse them
