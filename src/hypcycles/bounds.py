@@ -40,8 +40,8 @@ from . import _checks
 from .cycles import PreparedCycle, _nelder_mead
 from .lorentz import TOL_G0, _element, check_membership
 from .quadrature import quad_family, quad_gk
-from .transform import (_EXP_CUT, KScaledInterpolator, _exp_in_place, _gap, _real_order, _typed,
-                        bessel_k_scaled, selberg_transform_agreement)
+from .transform import (_EXP_CUT, KScaledInterpolator, _exp_in_place, _gap, _normalize_order,
+                        _real_order, _typed, bessel_k_scaled, selberg_transform_agreement)
 
 # largest mu of the rescaled limit-shape sweep
 SWEEP_MU_CAP = 60.0
@@ -169,6 +169,7 @@ def sigma0_model(cfg, mu, nu, box):
     n <= transform.MAX_QUAD_DIM applies.
     """
     _checks.window(k=cfg.n - 1, v_bounds=box.v_bounds)
+    _normalize_order(nu, "nu")
     nu_c = complex(nu)
     i_nu = box.i_nu(nu_c)
     # the layered integral over (u, s) is the transform integral at -nubar
@@ -323,6 +324,7 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     """
     _checks.positive(mu=mu)
     nu_r = _real_order(nu, "nu")
+    _normalize_order(nu_r, "nu")
     gamma = _element(gamma, cfg)[0]
     if check_membership(gamma, "G0", cfg, tol=TOL_G0):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
@@ -450,6 +452,7 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     if mu_grid[-1] > SWEEP_MU_CAP:
         raise ValueError(f"mu_grid capped at {SWEEP_MU_CAP:g}, got {mu_grid[-1]!r}")
     d, n = cfg.d, cfg.n
+    _normalize_order(nu, "nu")
     i_nu = box.i_nu(nu)
     rows = []
     for mu, kscaled in zip(mu_grid, np.real(bessel_k_scaled(np.conj(nu), mu_grid)).tolist()):

@@ -27,19 +27,11 @@ class NakFactors:
     k: np.ndarray
 
     @property
-    def n_mat(self):
-        return make_unipotent(self.w)
-
-    @property
-    def a_mat(self):
-        return make_boost(self.x, self.w.size + 1)
-
-    @property
     def s(self):
         return float(np.exp(self.x))
 
     def product(self):
-        return self.n_mat @ self.a_mat @ self.k
+        return make_unipotent(self.w) @ make_boost(self.x, self.w.size + 1) @ self.k
 
 
 @dataclass(frozen=True)

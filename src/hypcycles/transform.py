@@ -78,15 +78,15 @@ def _typed(value, like):
     return value if value.ndim else value.item()
 
 
-def _normalize_order(order):
-    """K is even in its order; fold Re(order) >= 0 so cosh factors stay tame."""
-    _checks.finite(order=order)
+def _normalize_order(order, name="order"):
+    """The one rule for an order of K: finite with |Re| <= MAX_REAL_ORDER, else refused
+    by name; returned as a complex with Re >= 0, as K is even in its order, so that
+    cosh factors stay tame."""
+    _checks.finite(**{name: order})
     nu = complex(order)
     if abs(nu.real) > MAX_REAL_ORDER:
-        raise ValueError(f"|Re(order)| must be <= {MAX_REAL_ORDER}, got {nu!r}")
-    if nu.real < 0:
-        nu = -nu
-    return nu
+        raise ValueError(f"{name} must be an order with |Re| <= {MAX_REAL_ORDER:g}, got {nu!r}")
+    return -nu if nu.real < 0 else nu
 
 
 def _cosh_cutoff(x, a):
@@ -146,10 +146,9 @@ def bessel_k(order, x):
 
     Returns a complex number when the order is complex-typed (its imaginary
     part measures how well reality survives for imaginary order), a float
-    otherwise.
+    otherwise, and an array of them for an array x.
     """
-    scaled = bessel_k_scaled(order, x)
-    return scaled * np.exp(-x)
+    return _typed(bessel_k_scaled(order, x) * np.exp(-x), order)
 
 
 def bessel_k_asymptotic(x):
@@ -386,7 +385,7 @@ def gr_identity_3_471_9(alpha, beta, order):
     Both sides, each to GR_REL_TOL, returned with the closed right side's gap.
     """
     _checks.positive(alpha=alpha, beta=beta)
-    _checks.finite(order=order)
+    _normalize_order(order)
     nu = complex(order)
     # substitute x = e^y; doubly exponential decay at both ends
     y_hi = np.log((_EXP_CUT + 40.0) / beta + 1.0)
@@ -400,7 +399,7 @@ def gr_identity_3_471_9(alpha, beta, order):
 
     res = quad_gk(f, y_lo - 0.5, y_hi + 0.5, rel_tol=GR_REL_TOL)
     lhs = res.value
-    rhs = 2.0 * (alpha / beta) ** (nu / 2.0) * complex(bessel_k(complex(nu), 2.0 * np.sqrt(alpha * beta)))
+    rhs = 2.0 * (alpha / beta) ** (nu / 2.0) * bessel_k(complex(nu), 2.0 * np.sqrt(alpha * beta))
     return lhs, rhs, _gap(rhs, lhs)
 
 
@@ -416,11 +415,13 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1):
     quadrature then raises at its panel cap.
     """
     _checks.positive(a=a, b=b)
-    _checks.finite(c=c, order=order)
+    _checks.finite(c=c)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    _normalize_order(order)
     nu = complex(order)
     s = float(sign)
+    _normalize_order(s * nu - 0.5)     # the closed side's order
     # power-factor growth is at most polynomial against exp(-a x) decay
     X = (_EXP_CUT + 60.0 + (abs(nu.real) + 1.0) * 20.0) / a + b + 1.0
 
@@ -436,7 +437,7 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1):
     w = b * np.sqrt(a * a + c * c)
     rhs = (np.sqrt(np.pi / 2.0) * a ** (-s * nu) * b ** (0.5 - s * nu)
            * (a * a + c * c) ** (s * nu / 2.0 - 0.25)
-           * complex(bessel_k(complex(s * nu - 0.5), w)))
+           * bessel_k(complex(s * nu - 0.5), w))
     return lhs, rhs, _gap(rhs, lhs)
 
 
@@ -448,7 +449,8 @@ def gr_identity_6_592_12(a, b, c):
     not an argument.  The integral is taken to GR_REL_TOL.
     """
     _checks.positive(a=a, c=c)
-    _checks.finite(b=b)
+    _normalize_order(b, "b")
+    _normalize_order(b - c, "b - c")     # the closed side's order
     z_order = -float(b)
     # substitute x = 1 + tau^2 to absorb the endpoint power
     p = abs(2.0 * c - 1.0) + abs(b) + 2.0
@@ -472,7 +474,7 @@ def gr_identity_6_592_12(a, b, c):
 
     res = quad_gk(f, t_lo, t_hi, rel_tol=GR_REL_TOL)
     lhs = res.value
-    rhs = 2.0 ** c * math.gamma(c) * a ** (-c) * float(bessel_k(float(b - c), a))
+    rhs = 2.0 ** c * math.gamma(c) * a ** (-c) * bessel_k(float(b - c), a)
     return float(lhs), float(rhs), _gap(rhs, lhs)
 
 
@@ -490,8 +492,9 @@ def _check_transform_args(d, mu, nu):
 def selberg_transform_closed(d, mu, nu):
     """Closed form 2^d (pi/2mu)^((d-1)/2) K_nu(mu), K to BESSEL_REL_TOL."""
     _check_transform_args(d, mu, nu)
+    _normalize_order(nu, "nu")
     pref = 2.0 ** d * (np.pi / (2.0 * mu)) ** ((d - 1) / 2.0)
-    return pref * bessel_k(nu, mu)
+    return _typed(pref * bessel_k(nu, mu), nu)
 
 
 def _outer_cut(mu, a):

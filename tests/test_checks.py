@@ -172,6 +172,22 @@ CASES = {
     "delta_spectrum-u-nan": (lambda: ob.delta_spectrum(_ball(), [NAN], CFG), "u"),
     "counting_function-x_grid-nan": (lambda: ob.counting_function(_table(), [NAN, 2.0]), "x_grid"),
     "counting_function-x_grid-inf": (lambda: ob.counting_function(_table(), [1.0, INF]), "x_grid"),
+    # an order of K past |Re| = transform.MAX_REAL_ORDER, refused by the one order rule
+    # for each order a call evaluates: these once refused after a window scan or a
+    # quadrature, with another message, or raised an OverflowError from the box integral
+    "bessel_k-order-60": (lambda: tr.bessel_k(60.0, 1.0), "order"),
+    "bessel_k_scaled_batch-order--60": (lambda: tr.bessel_k_scaled_batch(-60.0, [1.0]), "order"),
+    "KScaledInterpolator-order-60": (lambda: tr.KScaledInterpolator(60.0, 1.0, 2.0), "order"),
+    "gr_3_471_9-order-600": (lambda: tr.gr_identity_3_471_9(1.0, 1.0, 600.0), "order"),
+    # the closed side's order sign*order - 1/2 is -50.3
+    "gr_6_726_4-order-closed-side": (
+        lambda: tr.gr_identity_6_726_4(1.0, 1.0, 0.5, 49.8, -1), "order"),
+    "gr_6_592_12-b-c-closed-side": (lambda: tr.gr_identity_6_592_12(1.0, -49.9, 1.0), "b - c"),
+    "selberg_transform_closed-nu-60": (lambda: tr.selberg_transform_closed(3, 1.0, 60.0), "nu"),
+    "sigma0_model-nu-600": (lambda: bd.sigma0_model(CFG, 1.0, 600.0, BOX), "nu"),
+    "rescaled_limit_shape-nu-600": (lambda: bd.rescaled_limit_shape(CFG, [10.0], 600.0, BOX), "nu"),
+    "j_gamma_quadrature-nu-60": (
+        lambda: bd.j_gamma_quadrature(USU, ((-1.0, 1.0),), CFG, 5.0, 60.0), "nu"),
 }
 
 
@@ -257,6 +273,8 @@ def test_the_stack_calls_still_take_stacks():
     (lambda v: tr._real_order(v, "v"), 0.3 + 1e-13j,
      "v must be real (|Im| <= 1e-14), got (0.3+1e-13j)"),
     (lambda v: tr._real_order(v, "v"), complex(NAN, 0.0), "v must be finite, got (nan+0j)"),
+    (lambda v: tr._normalize_order(v, "v"), 600.0, "v must be an order with |Re| <= 50, got (600+0j)"),
+    (lambda v: tr._normalize_order(v, "v"), complex(INF, 1.0), "v must be finite, got (inf+1j)"),
 ])
 def test_rule_names_the_argument_and_a_bad_value(rule, value, message):
     with pytest.raises(ValueError) as exc:

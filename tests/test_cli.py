@@ -541,9 +541,12 @@ _ASYMPTOTE_BOX = bounds.BoxDomain(v_bounds=((0.0, 1.0),), r_bounds=(1.0, 2.0))
         CycleConfig(3, 2), [1.0, 40.0, 60.0, 61.0], 0j, _ASYMPTOTE_BOX)),
     ("asymptote --nu-re 60", lambda: bounds.rescaled_limit_shape(
         CycleConfig(3, 2), [1.0, 40.0, 60.0], 60 + 0j, _ASYMPTOTE_BOX)),
+    # once an OverflowError traceback from the box integral, exit 1
+    ("asymptote --nu-re 600", lambda: bounds.rescaled_limit_shape(
+        CycleConfig(3, 2), [1.0, 40.0, 60.0], 600 + 0j, _ASYMPTOTE_BOX)),
     ("delta --d 2", lambda: CycleConfig(2, 2)),
 ], ids=["count-max-len-13", "transform-d-8", "transform-d-1", "transform-nu-re-60",
-        "asymptote-mu-61", "asymptote-nu-re-60", "delta-d-2"])
+        "asymptote-mu-61", "asymptote-nu-re-60", "asymptote-nu-re-600", "delta-d-2"])
 def test_a_library_refusal_is_exit_2_with_the_librarys_message(argv, refusal, tmp_path,
                                                                picard_path, capsys):
     # the rule lives in the library alone: the CLI reports its ValueError as it is

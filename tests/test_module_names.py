@@ -108,11 +108,13 @@ def _readers(name):
                    or isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))}
 
 
-# each rule with the one function that may state it: when an order counts as real, and
-# what type a result takes (the quadrature engine's test of its arithmetic is no result type)
+# each rule with the one function that may state it: when an order counts as real, what
+# type a result takes (the quadrature engine's test of its arithmetic is no result type),
+# and which orders K takes
 @pytest.mark.parametrize("name, owners", [
     ("REAL_ORDER_IM", {"transform.py:_real_order"}),
     ("iscomplexobj", {"transform.py:_typed", "quadrature.py:_member_sum"}),
+    ("MAX_REAL_ORDER", {"transform.py:_normalize_order"}),
 ])
 def test_each_rule_has_one_owner(name, owners):
     assert _readers(name) == owners

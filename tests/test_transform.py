@@ -68,6 +68,18 @@ def test_bessel_validation():
         tr.bessel_k(60.0, 1.0)
 
 
+@pytest.mark.parametrize("order, kind", [(0.3, float), (0.3 + 0j, complex)], ids=["real", "complex"])
+def test_the_closed_values_are_typed_by_their_order(order, kind):
+    # both once gave an np.float64 for a real order, where the other evaluators give a float
+    assert type(tr.bessel_k(order, 1.0)) is kind
+    assert type(tr.selberg_transform_closed(3, 1.0, order)) is kind
+    x = np.array([1.0, 2.0])
+    for call in (lambda x: tr.bessel_k(order, x), lambda x: tr.selberg_transform_closed(3, x, order)):
+        got = call(x)
+        assert type(got) is np.ndarray and got.dtype == np.dtype(kind)
+        assert got.tolist() == [call(1.0), call(2.0)]
+
+
 def test_bessel_batch_matches_scalar():
     rng = np.random.default_rng(4)
     for order in (0.0, 0.3, 1.7, 1j, 2j):
