@@ -116,8 +116,7 @@ def f_total_integral(d, mu):
     function: closed form 2^d (pi/2mu)^((d-1)/2) K_{(d-1)/2}(mu) against the
     transform integral with the character dropped, i.e. the transform's
     agreement at nu = -rho, its quadrature to a relative 1e-9."""
-    closed, quad, gap = selberg_transform_agreement(d, mu, -(d - 1) / 2.0)
-    return float(closed), float(quad), gap
+    return selberg_transform_agreement(d, mu, -(d - 1) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +143,19 @@ class BoxDomain:
     def i_nu(self, nu):
         """Exact window integral of r^(2 Re nu - 1) dr dv.  The radial factor
         (r_hi^a - r_lo^a)/a, a = 2 Re nu, is taken as a difference of expm1,
-        which does not cancel as a -> 0, and as log(r_hi/r_lo) at a = 0."""
-        _checks.finite(nu=nu)
+        which does not cancel as a -> 0, and as log(r_hi/r_lo) at a = 0.  A nu
+        whose r^a overflows at an end of the window is refused."""
+        _normalize_order(nu, "nu")
         a = 2.0 * complex(nu).real
         r_lo, r_hi = self.r_bounds
         if a == 0.0:
             radial = np.log(r_hi / r_lo)
         else:
-            radial = (math.expm1(a * math.log(r_hi)) - math.expm1(a * math.log(r_lo))) / a
+            try:
+                radial = (math.expm1(a * math.log(r_hi)) - math.expm1(a * math.log(r_lo))) / a
+            except OverflowError:
+                raise ValueError(f"nu must be an order whose r^(2 Re nu) is finite on r_bounds "
+                                 f"{self.r_bounds!r}, got {complex(nu)!r}") from None
         return self.v_volume * float(radial)
 
 
@@ -169,9 +173,8 @@ def sigma0_model(cfg, mu, nu, box):
     n <= transform.MAX_QUAD_DIM applies.
     """
     _checks.window(k=cfg.n - 1, v_bounds=box.v_bounds)
-    _normalize_order(nu, "nu")
+    i_nu = box.i_nu(nu)
     nu_c = complex(nu)
-    i_nu = box.i_nu(nu_c)
     # the layered integral over (u, s) is the transform integral at -nubar
     # after the substitution s = 1/r; the closed form is even in its order
     h_closed, h_quad, _ = selberg_transform_agreement(cfg.n, mu, -nu_c.conjugate(), rel_tol=1e-8)
@@ -324,7 +327,6 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
     """
     _checks.positive(mu=mu)
     nu_r = _real_order(nu, "nu")
-    _normalize_order(nu_r, "nu")
     gamma = _element(gamma, cfg)[0]
     if check_membership(gamma, "G0", cfg, tol=TOL_G0):
         raise ValueError("gamma lies in the cycle subgroup; excluded by precondition")
@@ -452,7 +454,6 @@ def rescaled_limit_shape(cfg, mu_grid, nu, box):
     if mu_grid[-1] > SWEEP_MU_CAP:
         raise ValueError(f"mu_grid capped at {SWEEP_MU_CAP:g}, got {mu_grid[-1]!r}")
     d, n = cfg.d, cfg.n
-    _normalize_order(nu, "nu")
     i_nu = box.i_nu(nu)
     rows = []
     for mu, kscaled in zip(mu_grid, np.real(bessel_k_scaled(np.conj(nu), mu_grid)).tolist()):

@@ -53,8 +53,12 @@ def make_boost(x, d):
     _checks.integer(d=d, at_least=2)
     _checks.finite(x=x)
     x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):        # an overflow is refused below, not warned of
+        c, s = np.cosh(x), np.sinh(x)
+    if not np.isfinite(c).all():
+        raise ValueError(f"x must be a rapidity with cosh x finite, "
+                         f"got {x[~np.isfinite(c)][0].item()!r}")
     g = _eyes(x.shape, d)
-    c, s = np.cosh(x), np.sinh(x)
     g[..., 0, 0] = g[..., 1, 1] = c
     g[..., 0, 1] = g[..., 1, 0] = s
     return g
@@ -75,8 +79,13 @@ def make_unipotent(u, d=None):
         d = u.shape[-1] + 1
     if u.shape[-1] != d - 1:
         raise ValueError("u must have d-1 components")
-    # |u|^2 row by row through dot, as for a single vector
-    q = 0.5 * (u[..., None, :] @ u[..., :, None])[..., 0, 0]
+    # |u|^2 row by row through dot, as for a single vector; an overflow is refused
+    # below, not warned of
+    with np.errstate(over="ignore"):
+        q = 0.5 * (u[..., None, :] @ u[..., :, None])[..., 0, 0]
+    if not np.isfinite(q).all():
+        raise ValueError(f"u must be a translation with |u|^2/2 finite, "
+                         f"got {u[~np.isfinite(q)][0].tolist()!r}")
     g = _eyes(u.shape[:-1], d)
     g[..., 0, 0] = 1.0 + q
     g[..., 0, 1] = -q

@@ -64,10 +64,11 @@ def phi_mu(mu, x):
 
 
 def _real_order(order, name):
-    """order as a float if finite with |Im| <= REAL_ORDER_IM, else refused by name."""
+    """order as a float if an order of K with |Im| <= REAL_ORDER_IM, else refused by name."""
     _checks.finite(**{name: order})
     if abs(complex(order).imag) > REAL_ORDER_IM:
         raise ValueError(f"{name} must be real (|Im| <= {REAL_ORDER_IM:g}), got {complex(order)!r}")
+    _normalize_order(order, name)
     return complex(order).real
 
 
@@ -321,7 +322,7 @@ class KScaledInterpolator:
     """
 
     def __init__(self, order, z_lo, z_hi):
-        self.order = _normalize_order(_real_order(order, "order")).real
+        self.order = abs(_real_order(order, "order"))
         _checks.positive(z_lo=z_lo)
         _checks.window(z_range=((z_lo, z_hi),))
         self.z_lo, self.z_hi = float(z_lo), float(z_hi)
@@ -400,7 +401,7 @@ def gr_identity_3_471_9(alpha, beta, order):
     res = quad_gk(f, y_lo - 0.5, y_hi + 0.5, rel_tol=GR_REL_TOL)
     lhs = res.value
     rhs = 2.0 * (alpha / beta) ** (nu / 2.0) * bessel_k(complex(nu), 2.0 * np.sqrt(alpha * beta))
-    return lhs, rhs, _gap(rhs, lhs)
+    return _typed(lhs, order), _typed(rhs, order), _gap(rhs, lhs)
 
 
 def gr_identity_6_726_4(a, b, c, order, sign=+1):
@@ -438,7 +439,7 @@ def gr_identity_6_726_4(a, b, c, order, sign=+1):
     rhs = (np.sqrt(np.pi / 2.0) * a ** (-s * nu) * b ** (0.5 - s * nu)
            * (a * a + c * c) ** (s * nu / 2.0 - 0.25)
            * bessel_k(complex(s * nu - 0.5), w))
-    return lhs, rhs, _gap(rhs, lhs)
+    return _typed(lhs, order), _typed(rhs, order), _gap(rhs, lhs)
 
 
 def gr_identity_6_592_12(a, b, c):
@@ -446,12 +447,11 @@ def gr_identity_6_592_12(a, b, c):
 
     The identity couples the Bessel order to the power: it holds with
     z = -b (equivalently z = b, K being even in its order), so the order is
-    not an argument.  The integral is taken to GR_REL_TOL.
+    not an argument, and b is real.  The integral is taken to GR_REL_TOL.
     """
     _checks.positive(a=a, c=c)
-    _normalize_order(b, "b")
+    z_order = -_real_order(b, "b")
     _normalize_order(b - c, "b - c")     # the closed side's order
-    z_order = -float(b)
     # substitute x = 1 + tau^2 to absorb the endpoint power
     p = abs(2.0 * c - 1.0) + abs(b) + 2.0
     tau_max = (_EXP_CUT + 40.0) / a + 1.0
@@ -474,8 +474,8 @@ def gr_identity_6_592_12(a, b, c):
 
     res = quad_gk(f, t_lo, t_hi, rel_tol=GR_REL_TOL)
     lhs = res.value
-    rhs = 2.0 ** c * math.gamma(c) * a ** (-c) * bessel_k(float(b - c), a)
-    return float(lhs), float(rhs), _gap(rhs, lhs)
+    rhs = 2.0 ** c * math.gamma(c) * a ** (-c) * bessel_k(b - c, a)
+    return _typed(lhs, b), _typed(rhs, b), _gap(rhs, lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +485,13 @@ def gr_identity_6_592_12(a, b, c):
 def _check_transform_args(d, mu, nu):
     """Refuse a bad d, mu or nu before any work."""
     _checks.positive(mu=mu)
-    _checks.finite(nu=nu)
+    _normalize_order(nu, "nu")
     _checks.integer(d=d, at_least=2)
 
 
 def selberg_transform_closed(d, mu, nu):
     """Closed form 2^d (pi/2mu)^((d-1)/2) K_nu(mu), K to BESSEL_REL_TOL."""
     _check_transform_args(d, mu, nu)
-    _normalize_order(nu, "nu")
     pref = 2.0 ** d * (np.pi / (2.0 * mu)) ** ((d - 1) / 2.0)
     return _typed(pref * bessel_k(nu, mu), nu)
 

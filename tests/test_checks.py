@@ -188,6 +188,20 @@ CASES = {
     "rescaled_limit_shape-nu-600": (lambda: bd.rescaled_limit_shape(CFG, [10.0], 600.0, BOX), "nu"),
     "j_gamma_quadrature-nu-60": (
         lambda: bd.j_gamma_quadrature(USU, ((-1.0, 1.0),), CFG, 5.0, 60.0), "nu"),
+    # these once ended in "quad_family did not converge" or an OverflowError
+    "selberg_transform_quadrature-nu-600": (
+        lambda: tr.selberg_transform_quadrature(3, 1.0, 600.0), "nu"),
+    "BoxDomain.i_nu-nu-600": (lambda: BOX.i_nu(600.0), "nu"),
+    # inside the order range, where r^(2 Re nu) overflows at an end of the window
+    "BoxDomain.i_nu-nu-50-wide": (
+        lambda: bd.BoxDomain(((0.0, 1.0),), (1.0, 2000.0)).i_nu(50.0), "nu"),
+    "BoxDomain.i_nu-nu--50-wide": (
+        lambda: bd.BoxDomain(((0.0, 1.0),), (1e-4, 1.0)).i_nu(-50.0), "nu"),
+    # these once returned a matrix of infinities
+    "make_boost-x-800": (lambda: lz.make_boost(800.0, 3), "x"),
+    "make_unipotent-u-1e200": (lambda: lz.make_unipotent([1e200, 0.0]), "u"),
+    # a complex-typed b once raised a TypeError after the checks, a non-real one too
+    "gr_6_592_12-b-complex": (lambda: tr.gr_identity_6_592_12(1.0, 0.5 + 1j, 1.0), "b"),
 }
 
 
@@ -206,6 +220,25 @@ def test_a_bad_argument_is_named_before_any_work(monkeypatch, name):
     _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=f"^{arg} must be"):
         call()
+
+
+# (d, mu, nu) of the spherical transform with at least one bad: d <= 6, where only the
+# quadrature's cost guard would tell the two routes apart
+TRANSFORM_GRID = [(d, mu, nu) for d in (3, 1, 2.5, True) for mu in (1.0, 0.0, -1.0, NAN, INF)
+                  for nu in (0.3, 600.0, -60.0, 60.0 + 1j, NAN, INF)][1:]
+
+
+def test_the_transform_routes_refuse_alike_before_any_work(monkeypatch):
+    # the quadrature once refused no order: at nu = 600 it ended in "quad_family did
+    # not converge", where the closed form refused nu by name
+    _forbid_work(monkeypatch)
+    for d, mu, nu in TRANSFORM_GRID:
+        messages = []
+        for route in (tr.selberg_transform_closed, tr.selberg_transform_quadrature):
+            with pytest.raises(ValueError) as exc:
+                route(d, mu, nu)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1], (d, mu, nu)
 
 
 # the calls that take one group element, with the name their refusal gives it; at

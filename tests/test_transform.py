@@ -80,6 +80,16 @@ def test_the_closed_values_are_typed_by_their_order(order, kind):
         assert got.tolist() == [call(1.0), call(2.0)]
 
 
+@pytest.mark.parametrize("order, kind", [(0.3, float), (0.3 + 0j, complex)], ids=["real", "complex"])
+def test_the_integral_identities_type_their_sides_by_their_order(order, kind):
+    # 3.471.9 and 6.726.4 once gave np.complex128 sides for a real order, and 6.592.12
+    # raised a TypeError for a complex-typed b
+    for out in (tr.gr_identity_3_471_9(1.0, 1.5, order),
+                tr.gr_identity_6_726_4(1.0, 1.0, 0.5, order),
+                tr.gr_identity_6_592_12(1.0, order, 1.2)):
+        assert (type(out[0]), type(out[1]), type(out[2])) == (kind, kind, float)
+
+
 def test_bessel_batch_matches_scalar():
     rng = np.random.default_rng(4)
     for order in (0.0, 0.3, 1.7, 1j, 2j):
