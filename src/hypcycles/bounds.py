@@ -6,19 +6,25 @@ exp(mu)-rescaled limit shape.
 J nests its window coordinates and the height r as quadrature families:
 each wave of window points gets its cycle invariants from one
 ``PreparedCycle.invariants_batch`` call and integrates all of its height
-integrals as one family.  The window minimum delta_min comes from a grid
-evaluated in one batch call and polished by the Nelder-Mead simplex of
-``cycles._nelder_mead`` (scipy's method ported to numpy), an oracle kept
-independent of the closed-form minimum.
+integrals as one family.  The window minimum delta_min, and the point u*
+where it is reached, come from a grid evaluated in one batch call and
+polished by the Nelder-Mead simplex of ``cycles._nelder_mead`` (scipy's
+method ported to numpy), an oracle kept independent of the closed-form
+minimum.  J's integrand peaks like exp(-mu sqrt(delta_u)) at u*, so each
+window axis is integrated in v = asinh((u - u*)/w), w = (mu kappa)^(-1/2)
+with kappa the curvature of sqrt(delta_u) along the axis at u* (Elliott and
+Johnston, J. Comput. Appl. Math. 203 (2007) 103-124): the nodes gather at
+the peak, and most window integrals converge in their first wave.
 
 Each height integral ends where a proven bound on its relative tail is
 1e-16 (``_height_cut``), not where its integrand underflows.  The Bessel
 table's argument is still clamped at z_hi, which a cut range passes where
 delta_u lies far above delta_min.
 
-Calls share what does not depend on mu.  The window scan is memoised per
-(gamma, window, CycleConfig), so a mu sweep of one gamma scans once; the
-Lorentz and G0 checks still run on every call.  The Bessel table is memoised
+Calls share what does not depend on mu.  The window scan, u* and the
+curvatures included, is memoised per (gamma, window, CycleConfig), so a mu
+sweep of one gamma scans once; the Lorentz and G0 checks still run on every
+call.  The Bessel table is memoised
 per (order, a, b) and spans the octaves [2^a, 2^b] enclosing the call's
 range [0.999 mu sqrt(delta_min), z_hi]: a J value depends on its inputs
 alone, never on which calls came before, and every table in use passed its
@@ -138,25 +144,30 @@ class BoxDomain:
 
     @property
     def v_volume(self):
-        return float(np.prod([hi - lo for lo, hi in self.v_bounds]))
+        return math.prod(hi - lo for lo, hi in self.v_bounds)
 
     def i_nu(self, nu):
         """Exact window integral of r^(2 Re nu - 1) dr dv.  The radial factor
         (r_hi^a - r_lo^a)/a, a = 2 Re nu, is taken as a difference of expm1,
-        which does not cancel as a -> 0, and as log(r_hi/r_lo) at a = 0.  A nu
-        whose r^a overflows at an end of the window is refused."""
+        which does not cancel as a -> 0, and as log r_hi - log r_lo at a = 0.
+        A nu whose r^a overflows at an end of the window, or whose integral
+        overflows, is refused."""
         _normalize_order(nu, "nu")
         a = 2.0 * complex(nu).real
         r_lo, r_hi = self.r_bounds
         if a == 0.0:
-            radial = np.log(r_hi / r_lo)
+            radial = math.log(r_hi) - math.log(r_lo)
         else:
             try:
                 radial = (math.expm1(a * math.log(r_hi)) - math.expm1(a * math.log(r_lo))) / a
             except OverflowError:
                 raise ValueError(f"nu must be an order whose r^(2 Re nu) is finite on r_bounds "
                                  f"{self.r_bounds!r}, got {complex(nu)!r}") from None
-        return self.v_volume * float(radial)
+        value = self.v_volume * radial
+        if not math.isfinite(value):
+            raise ValueError(f"nu must be an order whose window integral is finite on v_bounds "
+                             f"{self.v_bounds!r} and r_bounds {self.r_bounds!r}, got {complex(nu)!r}")
+        return value
 
 
 def sigma0_model(cfg, mu, nu, box):
@@ -207,30 +218,44 @@ def _delta_grid(prep, u_range):
 
 
 def _delta_scan(prep, u_range):
-    """Minimum of delta_u over the window, plus the refined minimum of N_u
-    (the convergence witness): grid scans, each polished by the Nelder-Mead
-    simplex from its best grid point (objectives clipped to the window,
-    xatol 1e-10, fatol 1e-12, at most 200 x dimension iterations)."""
+    """Minimum of delta_u over the window, the refined minimum of N_u (the
+    convergence witness) and the window point u* where delta_u is least:
+    grid scans, each polished by the Nelder-Mead simplex from its best grid
+    point (objectives clipped to the window, xatol 1e-10, fatol 1e-12, at
+    most 200 x dimension iterations); u* is the polish's best vertex,
+    clipped to the window."""
     pts, deltas, n_vals = _delta_grid(prep, u_range)
     lo_clip = [lo for lo, _ in u_range]
     hi_clip = [hi for _, hi in u_range]
 
     def polish(values, objective):
         i0 = int(np.argmin(values))
-        _, fun = _nelder_mead(lambda u: objective(np.clip(u, lo_clip, hi_clip)), pts[i0])
-        return float(min(values[i0], fun))
+        x, fun = _nelder_mead(lambda u: objective(np.clip(u, lo_clip, hi_clip)), pts[i0])
+        return float(min(values[i0], fun)), np.clip(x, lo_clip, hi_clip)
 
-    d_min = polish(deltas, lambda u: prep.invariants(u).delta)
-    n_min = polish(n_vals, lambda u: prep.invariants(u).N_u)
-    return max(d_min, 1.0), max(n_min, 0.0)
+    d_min, u_star = polish(deltas, lambda u: prep.invariants(u).delta)
+    n_min = polish(n_vals, lambda u: prep.invariants(u).N_u)[0]
+    return max(d_min, 1.0), max(n_min, 0.0), u_star
+
+
+def _curvatures(prep, u_star, u_range):
+    """Second derivative kappa_i of sqrt(delta_u) along each window axis at
+    u*: central differences, of step 1e-3 of the axis's length, on the
+    2(n-1)+1 points of one batch stencil (which may reach past the window)."""
+    k = len(u_range)
+    h = 1e-3 * np.array([hi - lo for lo, hi in u_range])
+    steps = np.diag(h)
+    root = np.sqrt(prep.invariants_batch(np.vstack([u_star, u_star + steps, u_star - steps])).delta)
+    return (root[1:k + 1] - 2.0 * root[0] + root[k + 1:]) / (h * h)
 
 
 @functools.lru_cache(maxsize=64)
 def _window_scan(gamma_bytes, shape, u_range, cfg):
-    """(PreparedCycle, delta_min, n_min) of the gamma stored in
-    ``gamma_bytes``: the mu-independent part of J, memoised."""
+    """(PreparedCycle, delta_min, n_min, u*, curvatures) of the gamma stored
+    in ``gamma_bytes``: the mu-independent part of J, memoised."""
     prep = PreparedCycle(np.frombuffer(gamma_bytes).reshape(shape), cfg)
-    return (prep, *_delta_scan(prep, u_range))
+    delta_min, n_min, u_star = _delta_scan(prep, u_range)
+    return prep, delta_min, n_min, u_star, _curvatures(prep, u_star, u_range)
 
 
 @functools.lru_cache(maxsize=32)
@@ -316,7 +341,12 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
 
     Each height integral runs over its own range in log r, centred on the
     minimum of f and ended where a proven bound on its relative tail is
-    1e-16 (``_height_cut``).
+    1e-16 (``_height_cut``).  Each window axis runs in v = asinh((u -
+    u*)/w), with the measure w cosh v, centred on the scan's minimum u* of
+    delta_u: w = (mu kappa)^(-1/2) is the width of the peak exp(-mu
+    sqrt(delta_u)) for the curvature kappa of sqrt(delta_u) along the axis at
+    u*, and the axis's own length where kappa is not finite and positive.
+    This changes the variables only, not the integral or its tolerances.
 
     Convergence needs both M(gamma) > 0 and inf_u N_u(gamma) > 0 on the
     window -- the positivity a good double-coset representative enjoys.
@@ -335,7 +365,8 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
 
     n, rho0 = cfg.n, cfg.rho0
     u_range = tuple((float(lo), float(hi)) for lo, hi in u_range)
-    prep, delta_min, n_min = _window_scan(gamma.tobytes(), gamma.shape, u_range, cfg)
+    prep, delta_min, n_min, u_star, curv = _window_scan(gamma.tobytes(), gamma.shape,
+                                                         u_range, cfg)
     if prep.M < 1e-12 or n_min < 1e-8:
         return JGammaResult(log_value=np.nan, value=np.nan, delta_min=delta_min,
                             degenerate=True, n_min=n_min)
@@ -371,7 +402,17 @@ def j_gamma_quadrature(gamma, u_range, cfg, mu, nu):
 
         return quad_family(integrand, x_lo, x_hi, rel_tol=1e-8).value
 
-    val = _nested_quad(inner, u_range, 1e-7)[0]
+    lo, hi = np.array(u_range).T
+    width = hi - lo
+    peaked = np.isfinite(curv) & (curv > 0.0)
+    width[peaked] = (mu * curv[peaked]) ** -0.5
+
+    def mapped(v):
+        return inner(u_star + width * np.sinh(v)) * np.prod(width * np.cosh(v), axis=1)
+
+    v_range = tuple(zip(np.arcsinh((lo - u_star) / width).tolist(),
+                        np.arcsinh((hi - u_star) / width).tolist()))
+    val = _nested_quad(mapped, v_range, 1e-7)[0]
     pref = 2.0 ** n * (np.pi / (2.0 * mu)) ** ((n - 1) / 2.0)
     log_value = float(np.log(pref) + np.log(val) - mu * sqrt_dmin)
     return JGammaResult(log_value=log_value,

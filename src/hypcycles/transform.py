@@ -22,6 +22,7 @@ x = 1 + tau^2 with tau = exp((pi/2) sinh t) for 6.592.12.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -545,6 +546,10 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
 
     and the outer range is [-X, X] with ``_outer_cut``'s X, the smallest
     X > asinh(|a|/mu) with B(X) <= exp(-_OUTER_CUT) = 1e-2 _INNER_TOL_FLOOR.
+    A mu so small that the inner range's end R = sqrt(_INNER_CUT/z) at x = -X,
+    raised to the power max(2, d-1) that bounds the radial part, is not a
+    finite float is refused before any quadrature: d = 2 and 3 work down to
+    mu = 1e-152, d = 6 to about 1e-60.
     Where Im nu makes |int g| smaller by cancellation, the cut still moves
     the value by at most 1e-15 int |g|, a few roundings of any quadrature of
     g; but the error estimate misses those roundings, so a value can miss
@@ -557,7 +562,18 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
     nu_c = complex(nu)
     rho = (d - 1) / 2.0
     sphere = 2.0 * np.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
-    X = _outer_cut(mu, nu_c.real)
+    # R is largest at x = -X, where z = mu e^x / 2 is least.  No cut is sought for a
+    # mu refused at x = 0 already (where 1 / mu overflows, _outer_cut never returns),
+    # and one whose cosh X overflows is refused
+    power, log_max = max(1.0, 0.5 * (d - 1)), math.log(sys.float_info.max)
+    log_cut = math.log(2.0 * _INNER_CUT / mu)
+    try:
+        X = _outer_cut(mu, nu_c.real) if power * log_cut < log_max else math.inf
+    except OverflowError:
+        X = math.inf
+    if power * (log_cut + X) >= log_max:
+        raise ValueError(f"mu must be large enough that the inner Gaussian integrals of "
+                         f"d = {d} stay finite on the outer range, got {mu!r}")
     inner_tol = max(rel_tol * 1e-2, _INNER_TOL_FLOOR)
 
     def outer(x):
@@ -575,6 +591,8 @@ def selberg_transform_quadrature(d, mu, nu, rel_tol=1e-9):
 def selberg_transform_agreement(d, mu, nu, rel_tol=1e-9):
     """(closed form, quadrature to rel_tol, gap): the primary oracle pair, inf
     where the closed form has underflowed to 0.0."""
-    closed = selberg_transform_closed(d, mu, nu)
+    # the quadrature first: its domain is the narrower, so a d or mu it refuses
+    # costs no Bessel evaluation
     quad = selberg_transform_quadrature(d, mu, nu, rel_tol=rel_tol)
+    closed = selberg_transform_closed(d, mu, nu)
     return closed, quad, _gap(closed, quad)

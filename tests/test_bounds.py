@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -71,6 +72,22 @@ def test_f_total_integral():
             bd.f_total_integral(3, mu)
 
 
+def test_a_mu_below_the_transform_quadratures_range_is_refused_by_name():
+    # at mu = 1e-300 the inner range sqrt(40 / z) overflowed and both calls ended in
+    # "quad_family needs finite integration bounds" after two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: bd.f_total_integral(3, 1e-300),
+                     lambda: bd.sigma0_model(CFG, 1e-300, 0.0, BOX)):
+            with pytest.raises(ValueError, match=r"^mu must be large enough that the inner "
+                                                 r"Gaussian integrals of d = \d stay finite on "
+                                                 r"the outer range, got 1e-300$"):
+                call()
+        # the closed side alone still has a value there
+        assert tr.selberg_transform_closed(3, 1e-300, 0.0) == pytest.approx(
+            8.681998133290208e+303, rel=1e-12)
+
+
 def test_box_domain():
     assert BOX.i_nu(0.0) == pytest.approx(np.log(2.0), rel=1e-14)
     assert BOX.i_nu(0.5) == pytest.approx(1.0, rel=1e-14)
@@ -78,6 +95,26 @@ def test_box_domain():
         bd.BoxDomain(v_bounds=((0.0, 1.0),), r_bounds=(0.0, 2.0))
     with pytest.raises(ValueError):
         bd.BoxDomain(v_bounds=((0.0, np.inf),), r_bounds=(1.0, 2.0))
+
+
+def test_box_integral_at_nu_zero_on_a_window_whose_ratio_overflows():
+    # r_hi / r_lo = 1e600 overflowed, and i_nu returned inf; log r_hi - log r_lo does not
+    box = bd.BoxDomain(v_bounds=((0.0, 1.0),), r_bounds=(1e-300, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert box.i_nu(0.0) == pytest.approx(600.0 * math.log(10.0), rel=1e-15)
+
+
+def test_box_integral_that_overflows_is_refused_by_name():
+    # v_volume 1e300 times the radial factor 5e199 once returned inf silently
+    box = bd.BoxDomain(v_bounds=((0.0, 1e300),), r_bounds=(1.0, 1e100))
+    message = ("nu must be an order whose window integral is finite on v_bounds "
+               "((0.0, 1e+300),) and r_bounds (1.0, 1e+100), got (1+0j)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            box.i_nu(1.0)
+        assert box.i_nu(-1.0) == pytest.approx(0.5e300, rel=1e-15)
 
 
 @pytest.mark.parametrize("r_bounds", [(1.0, 2.0), (1.0, 1.0001), (1e-3, 1e3), (0.5, 3.0)],
@@ -312,9 +349,12 @@ def test_window_scan_memo_equals_fresh_scan(cfg, u_range):
     rng = np.random.default_rng(11)
     for _ in range(3):
         g = lz.random_lorentz(rng, cfg.d)
-        prep, delta_min, n_min = bd._window_scan(g.tobytes(), g.shape, u_range, cfg)
+        prep, delta_min, n_min, centre, curv = bd._window_scan(g.tobytes(), g.shape, u_range, cfg)
         fresh = PreparedCycle(g, cfg)
-        assert (delta_min, n_min) == bd._delta_scan(fresh, u_range)
+        *mins, u_star = bd._delta_scan(fresh, u_range)
+        assert (delta_min, n_min) == tuple(mins)
+        assert np.array_equal(centre, u_star)
+        assert np.array_equal(curv, bd._curvatures(fresh, u_star, u_range))
         assert prep.M == fresh.M
         # a repeat call returns the memoised scan
         assert bd._window_scan(g.tobytes(), g.shape, u_range, cfg)[0] is prep
@@ -336,18 +376,19 @@ def test_j_gamma_quadrature_work_is_pinned(monkeypatch):
     monkeypatch.setattr(bd, "quad_family", counted)
     monkeypatch.setattr(tr, "quad_family", counted)
     res = bd.j_gamma_quadrature(U @ S @ U, ((-3.0, 3.0),), CFG, 20.0, 0.3)
-    # 49,812 while the height integrals ran to where exp underflows
-    assert sum(total) == 15204
+    # 49,812 while the height integrals ran to where exp underflows, 15,204
+    # while the window was integrated in u itself
+    assert sum(total) == 8064
     assert res.log_value == -63.8655458334437
     # the asymptotics benchmark's J calls: three representatives at four mu,
-    # 570,234 with the underflow ranges
+    # 570,234 with the underflow ranges, 161,658 in u
     bd._window_scan.cache_clear()
     bd._k_table.cache_clear()
     total.clear()
     for g in (U @ S @ U, U @ U @ S @ U, U @ S @ U @ U):
         for mu in (5.0, 10.0, 20.0, 40.0):
             bd.j_gamma_quadrature(g, ((-3.0, 3.0),), CFG, mu, 0.3)
-    assert sum(total) == 161658
+    assert sum(total) == 90258
 
 
 def _word(w):
@@ -635,13 +676,13 @@ def test_nelder_mead_raises_at_its_iteration_cap():
 def test_delta_scan_polish_is_scipys(cfg, u_range):
     # the seeded gammas of test_window_scan_memo_equals_fresh_scan: both
     # objectives of the scan, polished by the port and by scipy, and the
-    # scan's result is the one the scipy polish gives
+    # scan's result, its window minimum included, is the one the scipy polish gives
     rng = np.random.default_rng(11)
     lo, hi = [lo for lo, _ in u_range], [hi for _, hi in u_range]
     for _ in range(3):
         prep = PreparedCycle(lz.random_lorentz(rng, cfg.d), cfg)
         pts, deltas, n_vals = bd._delta_grid(prep, u_range)
-        mins = []
+        mins, xs = [], []
         for values, field in ((deltas, "delta"), (n_vals, "N_u")):
             i0 = int(np.argmin(values))
 
@@ -650,7 +691,11 @@ def test_delta_scan_polish_is_scipys(cfg, u_range):
 
             ref = _scipy_nelder_mead_equal_to_port(objective, pts[i0])
             mins.append(float(min(values[i0], ref.fun)))
-        assert bd._delta_scan(prep, u_range) == (max(mins[0], 1.0), max(mins[1], 0.0))
+            xs.append(ref.x)
+        d_min, n_min, u_star = bd._delta_scan(prep, u_range)
+        assert (d_min, n_min) == (max(mins[0], 1.0), max(mins[1], 0.0))
+        # the window minimum is scipy's point for delta_u, clipped to the window
+        assert np.array_equal(u_star, np.clip(xs[0], lo, hi))
 
 
 @functools.lru_cache(maxsize=1)
@@ -710,6 +755,34 @@ def test_the_window_scan_finds_the_codimension_one_minimum():
 def test_the_window_scan_finds_a_minimum_on_the_faces(draw):
     (case,) = [c for c in _codimension_one_minima() if c[:3] == (5, 4, draw)]
     assert _scan_gap(*case[3:]) <= 4e-15
+
+
+def test_the_window_curvature_is_the_codimension_one_closed_form():
+    # where the minimum u* lies inside the window, delta_u = 1 + 4 q + 4 M |u - u*|^2
+    # near it, so sqrt(delta_u) has the curvature 4 M / sqrt(1 + 4 q) along every axis
+    checked = 0
+    for d, n, draw, prep, want in _codimension_one_minima():
+        window = ((-1.0, 1.0),) * (n - 1)
+        u_star = bd._delta_scan(prep, window)[2]
+        if np.all(np.abs(u_star) < 0.99):
+            curv = bd._curvatures(prep, u_star, window)
+            assert np.allclose(curv, 4.0 * prep.M / math.sqrt(want), rtol=1e-4, atol=0.0), draw
+            checked += 1
+    assert checked == 9
+
+
+@pytest.mark.usefixtures("fresh_j_caches")
+@pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
+def test_the_window_map_changes_the_variables_only(monkeypatch, kappa):
+    # a curvature that is no peak's falls back to the axis's own length as the map's
+    # width, which spreads the nodes over the window: J stays within its tolerances
+    _, U, S = _picard()
+    g, window = U @ S @ U, ((-3.0, 3.0),)
+    want = bd.j_gamma_quadrature(g, window, CFG, 20.0, 0.3).log_value
+    bd._window_scan.cache_clear()
+    monkeypatch.setattr(bd, "_curvatures", lambda *args: np.array([kappa]))
+    assert bd.j_gamma_quadrature(g, window, CFG, 20.0, 0.3).log_value == pytest.approx(
+        want, rel=0.0, abs=1e-7)
 
 
 @pytest.mark.parametrize("code", [

@@ -197,6 +197,15 @@ CASES = {
         lambda: bd.BoxDomain(((0.0, 1.0),), (1.0, 2000.0)).i_nu(50.0), "nu"),
     "BoxDomain.i_nu-nu--50-wide": (
         lambda: bd.BoxDomain(((0.0, 1.0),), (1e-4, 1.0)).i_nu(-50.0), "nu"),
+    # these once returned inf: where the window integral itself overflows
+    "BoxDomain.i_nu-nu-1-huge-volume": (
+        lambda: bd.BoxDomain(((0.0, 1e300),), (1.0, 1e100)).i_nu(1.0), "nu"),
+    # these once ended in "quad_family needs finite integration bounds": the inner
+    # range sqrt(40 / z) is inf where z = mu e^-X / 2 underflows
+    "selberg_transform_quadrature-mu-1e-300": (
+        lambda: tr.selberg_transform_quadrature(3, 1e-300, 0.0), "mu"),
+    "f_total_integral-mu-1e-300": (lambda: bd.f_total_integral(3, 1e-300), "mu"),
+    "sigma0_model-mu-1e-300": (lambda: bd.sigma0_model(CFG, 1e-300, 0.0, BOX), "mu"),
     # these once returned a matrix of infinities
     "make_boost-x-800": (lambda: lz.make_boost(800.0, 3), "x"),
     "make_unipotent-u-1e200": (lambda: lz.make_unipotent([1e200, 0.0]), "u"),

@@ -414,6 +414,15 @@ def test_unusable_config_or_tol_value_exits_2(argv, message, tmp_path, monkeypat
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_mu_below_the_quadratures_range_exits_2_with_one_line(tmp_path, capsys):
+    # the engine's "quad_family needs finite integration bounds" once came after two
+    # RuntimeWarnings
+    assert _run(["transform", "--d", "3", "--mu", "1e-300", "--out", str(tmp_path / "t.csv")]) == 2
+    assert _one_error_line(capsys).startswith("error: mu must be large enough")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_transform_runs_in_d_2(tmp_path):
     # transform never reads n, so no cycle dimension can block it
     out = tmp_path / "t.json"

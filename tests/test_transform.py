@@ -687,6 +687,25 @@ def test_an_underflowed_transform_has_no_agreement():
     assert closed == quad == 0.0 and gap == math.inf
 
 
+@pytest.mark.parametrize("d, smallest, refused", [
+    (2, 1e-152, 1e-153), (3, 1e-150, 1e-153), (4, 1e-100, 1e-101), (5, 1e-74, 1e-76),
+    (6, 1e-59, 1e-60)])
+def test_a_mu_whose_inner_range_overflows_is_refused_by_name(d, smallest, refused):
+    # at d = 3, nu = 0 and mu = 1e-300, z = mu e^-X / 2 underflowed, sqrt(_INNER_CUT / z)
+    # was inf, and the call ended in "quad_family needs finite integration bounds" after
+    # two RuntimeWarnings; the radial part's size (_INNER_CUT / z)^((d-1)/2) ends d >= 4
+    # sooner.  At 5e-324, where 1 / mu overflows, the outer cut's search looped on NaN
+    # and never returned; at 1e-305 and nu = 0.45 its cosh X overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu, nu in ((refused, 0.0), (1e-300, 0.0), (5e-324, 0.0), (1e-305, 0.45)):
+            message = (f"mu must be large enough that the inner Gaussian integrals of d = {d} "
+                       f"stay finite on the outer range, got {mu!r}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                tr.selberg_transform_quadrature(d, mu, nu)
+        assert tr.selberg_transform_agreement(d, smallest, 0.0)[2] <= 1e-13
+
+
 def test_transform_quadrature_agreement_sample():
     for d, mu, nu in [(3, 1.0, 0.0), (4, 2.0, 0.5), (3, 2.0, 1j), (5, 0.5, 2j)]:
         hc = tr.selberg_transform_closed(d, mu, nu)
